@@ -32,4 +32,4 @@ print(f"\nambient loop: noise {len(ambient)} samples -> {len(mix.noise)} samples
 # a full sweep over a manifest (writing WAVs and calling a transcriber
 # command per file) lives behind the CLI:
 #   asrlab noise-sweep --manifest clips.jsonl --transcriber ./transcribe.sh \
-#       --snrs -5,0,5,10,20 --workdir mixes/ --out wer_vs_snr.csv --seed 1
+#       --snrs=-5,0,5,10,20 --workdir mixes/ --out wer_vs_snr.csv --seed 1

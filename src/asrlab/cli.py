@@ -1,15 +1,20 @@
 """Single executable exposing every capability as a subcommand.
 
-Exit codes: 0 on success, 2 on validation problems (bad flags, missing or
-malformed inputs), 1 on internal failures. Every report embeds the tool
-version, the resolved configuration, and the master seed, so a rerun with the
-same inputs produces byte-identical output.
+Exit codes: 0 on success, 2 on validation problems (bad flags, a bad config
+file, missing or malformed inputs), 1 on internal failures. Every option is
+declared once in COMMANDS, with its flag, its --config key and its default; a
+flag beats the config file, which beats the default. Every report embeds the
+tool version, the seed where one is used, and the options that can change the
+report, so a rerun with the same inputs produces byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import dataclasses
+import inspect
 import json
 import os
 import sys
@@ -18,7 +23,7 @@ import numpy as np
 
 from . import __version__
 from .audio import AudioBuffer, read_wav, write_wav
-from .config import load_config, resolve
+from .config import load_config
 from .curation import (
     ManifestParseError,
     ManifestRecord,
@@ -30,14 +35,14 @@ from .curation import (
 )
 from .entities import align_entities, pn_score, read_entity_file
 from .metrics import EvalRow, build_report, wer
-from .noise import SweepSpec, run_sweep, write_sweep_csv
+from .noise import SweepSpec, run_sweep, transcribe_file, write_sweep_csv
 from .planner import ScalingAssumptions, optimal_hours
 from .stitch import PartialTranscript, energy_vad, plan_chunks, remove_silences, stitch
 from .textnorm import DEFAULT_RULES, load_rules, normalize, tokenize_words
 from .transducer import random_lattice, rnnt_logprob, brute_force_logprob, rnnt_grad
 from .transducer.loss import finite_difference_grad
 
-__all__ = ["main", "ValidationError"]
+__all__ = ["main", "parse_args", "ValidationError", "COMMANDS"]
 
 
 class ValidationError(Exception):
@@ -50,12 +55,45 @@ def _require_file(path: str, what: str) -> str:
     return path
 
 
-def _header(seed: int | None, resolved: dict) -> list[str]:
-    lines = [f"asrlab {__version__}"]
-    if seed is not None:
-        lines.append(f"seed={seed}")
-    lines.append("config=" + json.dumps(resolved, sort_keys=True, default=str))
-    return lines
+# Options that cannot change a report: where it goes, working files, parallelism.
+# The seed gets a header line of its own.
+_NOT_IN_HEADER = {"command", "func", "config", "seed", "jobs", "workdir", "out", "out_manifest", "report"}
+
+
+def _header(args: argparse.Namespace) -> list[str]:
+    """Report header: version, the seed where one is used, and the options that can change the report."""
+    seed = [f"seed={args.seed}"] if "seed" in vars(args) else []
+    options = {k: v for k, v in vars(args).items() if k not in _NOT_IN_HEADER}
+    return [f"asrlab {__version__}", *seed, "config=" + json.dumps(options, sort_keys=True)]
+
+
+def _output(path: str | None):
+    """The file at `path` opened for writing, or stdout when no path is given."""
+    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="")
+
+
+def _fmt(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.6f}"
+
+
+def _write_scores(args: argparse.Namespace, report, weight_column: str, metrics: tuple[str, ...]) -> None:
+    """Header, one CSV row per file, then the length-weighted AGGREGATE row."""
+    with _output(args.out) as out:
+        for line in _header(args):
+            out.write(f"# {line}\n")
+        writer = csv.writer(out)
+        writer.writerow(["file_id", weight_column, *metrics])
+        for row in report.rows:
+            writer.writerow([row.file_id, f"{row.audio_sec:g}", *(_fmt(getattr(row, m)) for m in metrics)])
+        writer.writerow(["AGGREGATE", "", *(_fmt(report.aggregates[m]) for m in metrics)])
+
+
+def _score_entities(row: EvalRow, gold: dict, pred: dict, sim_threshold: float) -> EvalRow:
+    """Fill the row's proper-noun metrics from the file's gold and predicted entities."""
+    align = align_entities(gold.get(row.file_id, []), pred.get(row.file_id, []), sim_threshold)
+    row.pn_jaro = pn_score(align, "jaro_distance")
+    row.pn_wer = pn_score(align, "pair_wer")
+    return row
 
 
 def _load_rules(path: str | None):
@@ -87,22 +125,12 @@ def _records_or_die(path: str) -> list[ManifestRecord]:
     return entries  # type: ignore[return-value]
 
 
-def _out_stream(path: str | None):
-    if path is None:
-        return sys.stdout
-    return open(path, "w", encoding="utf-8", newline="")
-
-
 # --- subcommands -----------------------------------------------------------
 
 
 def cmd_plan_data(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    wpm = resolve(cfg, "planner.wpm", args.wpm, 120.0, float)
-    tpw = resolve(cfg, "planner.tpw", args.tpw, 4.0 / 3.0, float)
-    tpp = resolve(cfg, "planner.tpp", args.tpp, 20.0, float)
     try:
-        assumptions = ScalingAssumptions(wpm=wpm, tpw=tpw, tpp=tpp)
+        assumptions = ScalingAssumptions(wpm=args.wpm, tpw=args.tpw, tpp=args.tpp)
         hours = optimal_hours(args.params, assumptions)
     except ValueError as exc:
         raise ValidationError(f"planner: {exc}") from exc
@@ -113,14 +141,9 @@ def cmd_plan_data(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    seed = resolve(cfg, "seed", args.seed, 0, int)
-    rules = _load_rules(resolve(cfg, "norm.rules", args.rules, None))
-    threshold = resolve(cfg, "entities.sim_threshold", args.sim_threshold, 0.5, float)
+    rules = _load_rules(args.rules)
     records = _records_or_die(args.manifest)
-    refs = _read_tsv(_require_file(args.refs, "refs file")) if args.refs else {
-        r.id: r.transcript for r in records
-    }
+    refs = _read_tsv(_require_file(args.refs, "refs file")) if args.refs else {r.id: r.transcript for r in records}
     hyps = _read_tsv(_require_file(args.hyps, "hyps file"))
 
     gold_entities = read_entity_file(_require_file(args.gold_entities, "gold entities")) if args.gold_entities else None
@@ -140,167 +163,59 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             raise ValidationError(f"evaluate: reference for {rec.id!r} is empty after normalization")
         row = EvalRow(rec.id, rec.duration_sec, wer(ref, hyp))
         if gold_entities is not None:
-            align = align_entities(
-                gold_entities.get(rec.id, []), pred_entities.get(rec.id, []), threshold
-            )
-            row.pn_jaro = pn_score(align, "jaro_distance")
-            row.pn_wer = pn_score(align, "pair_wer")
+            _score_entities(row, gold_entities, pred_entities, args.sim_threshold)
         rows.append(row)
 
-    report = build_report(rows)
-    resolved = {
-        "manifest": args.manifest,
-        "refs": args.refs or "(manifest transcripts)",
-        "hyps": args.hyps,
-        "rules": args.rules or "(default)",
-        "sim_threshold": threshold,
-        "entities": bool(gold_entities),
-    }
-    out = _out_stream(args.out)
-    try:
-        for line in _header(seed, resolved):
-            out.write(f"# {line}\n")
-        writer = csv.writer(out)
-        writer.writerow(["file_id", "audio_sec", "wer", "pn_jaro", "pn_wer"])
-
-        def fmt(v):
-            return "n/a" if v is None else f"{v:.6f}"
-
-        for row in report.rows:
-            writer.writerow([row.file_id, f"{row.audio_sec:g}", f"{row.wer:.6f}", fmt(row.pn_jaro), fmt(row.pn_wer)])
-        agg = report.aggregates
-        writer.writerow(["AGGREGATE", "", fmt(agg["wer"]), fmt(agg["pn_jaro"]), fmt(agg["pn_wer"])])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    _write_scores(args, build_report(rows), "audio_sec", ("wer", "pn_jaro", "pn_wer"))
     return 0
 
 
 def cmd_ppn_score(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    seed = resolve(cfg, "seed", args.seed, 0, int)
-    threshold = resolve(cfg, "entities.sim_threshold", args.sim_threshold, 0.5, float)
     gold = read_entity_file(_require_file(args.gold_entities, "gold entities"))
     pred = read_entity_file(_require_file(args.pred_entities, "pred entities"))
     durations: dict[str, float] = {}
     if args.manifest:
         durations = {r.id: r.duration_sec for r in _records_or_die(args.manifest)}
 
-    file_ids = sorted(set(gold) | set(pred))
-    rows = []
-    for file_id in file_ids:
-        align = align_entities(gold.get(file_id, []), pred.get(file_id, []), threshold)
-        rows.append(
-            EvalRow(
-                file_id,
-                durations.get(file_id, 1.0),  # equal weights without a manifest
-                0.0,
-                pn_score(align, "jaro_distance"),
-                pn_score(align, "pair_wer"),
-            )
-        )
-    report = build_report(rows)
-    resolved = {
-        "gold_entities": args.gold_entities,
-        "pred_entities": args.pred_entities,
-        "manifest": args.manifest or "(none: equal weights)",
-        "sim_threshold": threshold,
-    }
-    out = _out_stream(args.out)
-    try:
-        for line in _header(seed, resolved):
-            out.write(f"# {line}\n")
-        writer = csv.writer(out)
-        writer.writerow(["file_id", "weight_sec", "pn_jaro", "pn_wer"])
-
-        def fmt(v):
-            return "n/a" if v is None else f"{v:.6f}"
-
-        for row in report.rows:
-            writer.writerow([row.file_id, f"{row.audio_sec:g}", fmt(row.pn_jaro), fmt(row.pn_wer)])
-        writer.writerow(["AGGREGATE", "", fmt(report.aggregates["pn_jaro"]), fmt(report.aggregates["pn_wer"])])
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    rows = [
+        # equal weights without a manifest
+        _score_entities(EvalRow(file_id, durations.get(file_id, 1.0)), gold, pred, args.sim_threshold)
+        for file_id in sorted(set(gold) | set(pred))
+    ]
+    _write_scores(args, build_report(rows), "weight_sec", ("pn_jaro", "pn_wer"))
     return 0
 
 
-def _pipeline_config(cfg: dict[str, str], args: argparse.Namespace) -> PipelineConfig:
-    def flag(name):
-        return getattr(args, name, None)
-
-    blocklist_raw = resolve(cfg, "curation.blocklist", flag("blocklist"), "")
-    blocklist = [p for p in blocklist_raw.split(";;") if p] if isinstance(blocklist_raw, str) else blocklist_raw
+def cmd_curate(args: argparse.Namespace) -> int:
     try:
-        return PipelineConfig(
-            wpm_min=resolve(cfg, "curation.wpm_min", flag("wpm_min"), 50.0, float),
-            wpm_max=resolve(cfg, "curation.wpm_max", flag("wpm_max"), 250.0, float),
-            conf_threshold=resolve(cfg, "curation.conf_threshold", flag("conf_threshold"), 0.8, float),
-            min_speech_ratio=resolve(cfg, "curation.min_speech_ratio", flag("min_speech_ratio"), 0.70, float),
-            max_silence_sec=resolve(cfg, "curation.max_silence_sec", flag("max_silence_sec"), 5.0, float),
-            seg_min_sec=resolve(cfg, "curation.seg_min_sec", flag("seg_min_sec"), 7.0, float),
-            seg_max_sec=resolve(cfg, "curation.seg_max_sec", flag("seg_max_sec"), 20.0, float),
-            lang_conf_min=resolve(cfg, "curation.lang_conf_min", flag("lang_conf_min"), 0.5, float),
-            blocklist=blocklist,
-        )
+        pipeline_cfg = PipelineConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)})
     except ValueError as exc:
         raise ValidationError(f"curation: {exc}") from exc
-
-
-def cmd_curate(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    seed = resolve(cfg, "seed", args.seed, 0, int)
-    pipeline_cfg = _pipeline_config(cfg, args)
     entries = read_manifest(_require_file(args.manifest, "manifest"))
     kept, outcomes = run_pipeline(entries, pipeline_cfg)
     write_manifest(kept, args.out_manifest)
-    resolved = {
-        "manifest": args.manifest,
-        "wpm": [pipeline_cfg.wpm_min, pipeline_cfg.wpm_max],
-        "conf_threshold": pipeline_cfg.conf_threshold,
-        "min_speech_ratio": pipeline_cfg.min_speech_ratio,
-        "max_silence_sec": pipeline_cfg.max_silence_sec,
-        "segment": [pipeline_cfg.seg_min_sec, pipeline_cfg.seg_max_sec],
-        "lang_conf_min": pipeline_cfg.lang_conf_min,
-        "blocklist": pipeline_cfg.blocklist,
-    }
-    write_rejection_csv(outcomes, args.report, _header(seed, resolved))
+    write_rejection_csv(outcomes, args.report, _header(args))
     n_rej = sum(1 for o in outcomes if o.verdict == "rejected")
     print(f"kept={len(kept)} rejected={n_rej} out_manifest={args.out_manifest} report={args.report}")
     return 0
 
 
 def cmd_noise_sweep(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    seed = resolve(cfg, "seed", args.seed, 0, int)
-    jobs = resolve(cfg, "jobs", args.jobs, os.cpu_count() or 1, int)
-    snrs_raw = resolve(cfg, "sweep.snr_list", args.snrs, "-5,0,5,10,20")
-    snrs = [float(x) for x in str(snrs_raw).split(",") if x.strip()]
-    kind = resolve(cfg, "sweep.noise_kind", args.noise_kind, "gaussian")
-    noise_dir = resolve(cfg, "sweep.noise_dir", args.noise_dir, None)
-    rules = _load_rules(resolve(cfg, "norm.rules", args.rules, None))
+    rules = _load_rules(args.rules)
     try:
-        spec = SweepSpec(snr_list_db=snrs, noise_kind=kind, noise_corpus_dir=noise_dir, seed=seed)
+        spec = SweepSpec(args.snrs, args.noise_kind, noise_corpus_dir=args.noise_dir, seed=args.seed)
     except ValueError as exc:
         raise ValidationError(f"noise-sweep: {exc}") from exc
     records = _records_or_die(args.manifest)
     for rec in records:
         _require_file(rec.audio_path, f"audio for {rec.id}")
-    report = run_sweep(records, spec, args.transcriber, args.workdir, rules=rules, jobs=jobs)
-    resolved = {
-        "manifest": args.manifest,
-        "snr_list_db": snrs,
-        "noise_kind": kind,
-        "noise_dir": noise_dir,
-        "transcriber": args.transcriber,
-        "jobs": jobs,
-    }
-    write_sweep_csv(report, args.out, _header(seed, resolved))
+    report = run_sweep(records, spec, args.transcriber, args.workdir, rules=rules, jobs=args.jobs)
+    write_sweep_csv(report, args.out, _header(args))
     print(f"rows={len(report.rows)} out={args.out}")
     return 0
 
 
-def _read_partials_dir(path: str) -> list[PartialTranscript]:
+def _read_partials_dir(path: str, rules) -> list[PartialTranscript]:
     if not os.path.isdir(path):
         raise ValidationError(f"partials directory not found: {path}")
     entries = []
@@ -313,41 +228,34 @@ def _read_partials_dir(path: str) -> list[PartialTranscript]:
         except ValueError:
             raise ValidationError(f"partial file name must be <index>.txt, got {name!r}")
         with open(os.path.join(path, name), encoding="utf-8") as fh:
-            entries.append((idx, fh.read()))
+            entries.append((idx, name, fh.read()))
     if not entries:
         raise ValidationError(f"no <index>.txt partials in {path}")
     entries.sort()
-    return [PartialTranscript(index=i, words=text.split()) for i, text in entries]
+    for expected, (idx, name, _) in enumerate(entries):
+        if idx != expected:
+            if expected and entries[expected - 1][0] == idx:
+                raise ValidationError(f"partials {entries[expected - 1][1]} and {name} in {path} share index {idx}")
+            raise ValidationError(f"partial index {expected} is missing in {path}: the next file is {name}")
+    return [PartialTranscript(i, tokenize_words(normalize(text, rules))) for i, _, text in entries]
 
 
 def cmd_stitch(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    rules = _load_rules(resolve(cfg, "norm.rules", args.rules, None))
-    min_match = resolve(cfg, "stitch.min_match_tokens", args.min_match, 3, int)
-    chunk_len = resolve(cfg, "stitch.chunk_len_sec", args.chunk_len, 25.0, float)
-    overlap = resolve(cfg, "stitch.overlap_sec", args.overlap, 5.0, float)
-
+    rules = _load_rules(args.rules)
     if (args.partials_dir is None) == (args.audio is None):
         raise ValidationError("stitch: give exactly one of --partials-dir or --audio")
 
     if args.partials_dir:
-        partials = _read_partials_dir(args.partials_dir)
-        partials = [
-            PartialTranscript(p.index, tokenize_words(normalize(" ".join(p.words), rules)))
-            for p in partials
-        ]
-        words = stitch(partials, min_match_tokens=min_match)
+        partials = _read_partials_dir(args.partials_dir, rules)
     else:
         if not args.transcriber:
             raise ValidationError("stitch: --audio mode requires --transcriber")
-        from .noise import transcribe_file  # same external-transcriber contract
-
         audio = read_wav(_require_file(args.audio, "audio"))
         segments = energy_vad(audio)
         voiced = remove_silences(audio, segments)
         if len(voiced) == 0:
             raise ValidationError(f"stitch: no speech detected in {args.audio}")
-        plan = plan_chunks(voiced.duration_sec, chunk_len=chunk_len, overlap=overlap)
+        plan = plan_chunks(voiced.duration_sec, chunk_len=args.chunk_len, overlap=args.overlap)
         workdir = args.workdir or os.path.dirname(os.path.abspath(args.audio))
         os.makedirs(workdir, exist_ok=True)
         sr = voiced.sample_rate_hz
@@ -360,31 +268,21 @@ def cmd_stitch(args: argparse.Namespace) -> int:
             if text is None:
                 raise RuntimeError(f"stitch: transcriber failed on chunk {i}")
             partials.append(PartialTranscript(i, tokenize_words(normalize(text, rules))))
-        words = stitch(partials, min_match_tokens=min_match)
+    words = stitch(partials, min_match_tokens=args.min_match)
 
-    out = _out_stream(args.out)
-    try:
+    with _output(args.out) as out:
         out.write(" ".join(words) + "\n")
-    finally:
-        if out is not sys.stdout:
-            out.close()
     return 0
 
 
 def cmd_rnnt_check(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config) if args.config else {}
-    seed = resolve(cfg, "seed", args.seed, 0, int)
-    n_lattices = resolve(cfg, "rnnt.lattices", args.lattices, 1000, int)
-    n_grad = resolve(cfg, "rnnt.grad_checks", args.grad_checks, 25, int)
-    tol_log = resolve(cfg, "rnnt.tol_logprob", args.tol_log, 1e-9, float)
-    tol_grad = resolve(cfg, "rnnt.tol_grad", args.tol_grad, 1e-4, float)
-    if n_lattices < 1 or n_grad < 1:
+    if args.lattices < 1 or args.grad_checks < 1:
         raise ValidationError("rnnt-check: lattice and gradient counts must be positive")
 
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(args.seed)
     max_dev = 0.0
     bound_ok = True
-    for _ in range(n_lattices):
+    for _ in range(args.lattices):
         t = int(rng.integers(1, args.t_max + 1))
         u = int(rng.integers(0, args.u_max + 1))
         v = int(rng.integers(1, args.v_max + 1))
@@ -395,7 +293,7 @@ def cmd_rnnt_check(args: argparse.Namespace) -> int:
         bound_ok = bound_ok and dp <= 1e-12
 
     max_rel = 0.0
-    for _ in range(n_grad):
+    for _ in range(args.grad_checks):
         t = int(rng.integers(2, args.t_max + 1))
         u = int(rng.integers(1, args.u_max + 1))
         v = int(rng.integers(2, args.v_max + 1))
@@ -405,123 +303,157 @@ def cmd_rnnt_check(args: argparse.Namespace) -> int:
         denom = max(float(np.max(np.abs(fd))), 1e-12)
         max_rel = max(max_rel, float(np.max(np.abs(analytic - fd))) / denom)
 
-    ok_oracle = max_dev <= tol_log
-    ok_grad = max_rel <= tol_grad
-    print(f"oracle-agreement: {'PASS' if ok_oracle else 'FAIL'} max_abs_dev={max_dev:.3e} (n={n_lattices}, tol={tol_log:g})")
-    print(f"gradient-fd: {'PASS' if ok_grad else 'FAIL'} max_rel_err={max_rel:.3e} (n={n_grad}, tol={tol_grad:g})")
+    ok_oracle = max_dev <= args.tol_log
+    ok_grad = max_rel <= args.tol_grad
+    print(f"oracle-agreement: {'PASS' if ok_oracle else 'FAIL'} max_abs_dev={max_dev:.3e} (n={args.lattices}, tol={args.tol_log:g})")
+    print(f"gradient-fd: {'PASS' if ok_grad else 'FAIL'} max_rel_err={max_rel:.3e} (n={args.grad_checks}, tol={args.tol_grad:g})")
     print(f"likelihood-bound: {'PASS' if bound_ok else 'FAIL'}")
     return 0 if (ok_oracle and ok_grad and bound_ok) else 1
 
 
-# --- parser ----------------------------------------------------------------
+# --- option table ----------------------------------------------------------
 
 
-def build_parser() -> argparse.ArgumentParser:
+def float_list(text: str) -> list[float]:
+    """Comma-separated numbers, e.g. ``-5,0,5``."""
+    return [float(x) for x in text.split(",") if x.strip()]
+
+
+def pattern_list(text: str) -> list[str]:
+    """``;;``-separated regular expressions."""
+    return [p for p in text.split(";;") if p]
+
+
+def _default(fn, param: str):
+    """The default a library function declares for one of its parameters."""
+    return inspect.signature(fn).parameters[param].default
+
+
+def _opt(flag: str, key: str | None = None, **kwargs) -> tuple[str, str | None, dict]:
+    """One option: its flag, its --config key (None: flag only), and add_argument kwargs."""
+    return flag, key, kwargs
+
+
+_RULES = _opt("--rules", "norm.rules", help="normalization rule file")
+_SIM_THRESHOLD = _opt("--sim-threshold", "entities.sim_threshold", type=float,
+                      default=_default(align_entities, "sim_threshold"))
+
+# subcommand -> (help, handler, options). Every subcommand also takes --config.
+COMMANDS = {
+    "plan-data": ("optimal training hours for a parameter count", cmd_plan_data, [
+        _opt("--params", type=int, required=True),
+        _opt("--wpm", "planner.wpm", type=float, default=ScalingAssumptions.wpm),
+        _opt("--tpw", "planner.tpw", type=float, default=ScalingAssumptions.tpw),
+        _opt("--tpp", "planner.tpp", type=float, default=ScalingAssumptions.tpp),
+    ]),
+    "evaluate": ("normalized WER (and optional PN metrics) over a manifest", cmd_evaluate, [
+        _opt("--manifest", required=True),
+        _opt("--refs", help="TSV id<TAB>text; defaults to manifest transcripts"),
+        _opt("--hyps", required=True, help="TSV id<TAB>text"),
+        _RULES,
+        _opt("--gold-entities"),
+        _opt("--pred-entities"),
+        _SIM_THRESHOLD,
+        _opt("--out"),
+    ]),
+    "ppn-score": ("proper-noun metrics from entity annotation files", cmd_ppn_score, [
+        _opt("--gold-entities", required=True),
+        _opt("--pred-entities", required=True),
+        _opt("--manifest", help="optional, for length weighting"),
+        _SIM_THRESHOLD,
+        _opt("--out"),
+    ]),
+    "curate": ("run the pseudo-label filter pipeline", cmd_curate, [
+        _opt("--manifest", required=True),
+        _opt("--out-manifest", required=True),
+        _opt("--report", required=True),
+        # one option per PipelineConfig threshold: --wpm-min / curation.wpm_min, ...
+        *(_opt("--" + f.name.replace("_", "-"), "curation." + f.name, type=float, default=f.default)
+          for f in dataclasses.fields(PipelineConfig) if isinstance(f.default, float)),
+        _opt("--blocklist", "curation.blocklist", type=pattern_list, default="", help=";;-separated regex patterns"),
+    ]),
+    "noise-sweep": ("WER vs SNR through an external transcriber", cmd_noise_sweep, [
+        _opt("--manifest", required=True),
+        _opt("--transcriber", required=True, help="command invoked as CMD <wav>"),
+        _opt("--workdir", required=True),
+        _opt("--out", required=True),
+        _opt("--snrs", "sweep.snr_list", type=float_list, default="-5,0,5,10,20", help="comma-separated dB list"),
+        _opt("--noise-kind", "sweep.noise_kind", choices=["gaussian", "ambient"], default=SweepSpec.noise_kind),
+        _opt("--noise-dir", "sweep.noise_dir", default=SweepSpec.noise_corpus_dir),
+        _RULES,
+        _opt("--seed", "seed", type=int, default=SweepSpec.seed),
+        _opt("--jobs", "jobs", type=int, default=os.cpu_count() or 1),
+    ]),
+    "stitch": ("join chunk transcripts (or decode+join an audio file)", cmd_stitch, [
+        _opt("--partials-dir", help="directory of <index>.txt chunk transcripts"),
+        _opt("--audio", help="WAV to chunk, transcribe, and stitch"),
+        _opt("--transcriber"),
+        _opt("--workdir"),
+        _RULES,
+        _opt("--min-match", "stitch.min_match_tokens", type=int, default=_default(stitch, "min_match_tokens")),
+        _opt("--chunk-len", "stitch.chunk_len_sec", type=float, default=_default(plan_chunks, "chunk_len")),
+        _opt("--overlap", "stitch.overlap_sec", type=float, default=_default(plan_chunks, "overlap")),
+        _opt("--out"),
+    ]),
+    "rnnt-check": ("oracle and gradient verification suite", cmd_rnnt_check, [
+        _opt("--lattices", "rnnt.lattices", type=int, default=1000),
+        _opt("--grad-checks", "rnnt.grad_checks", type=int, default=25),
+        _opt("--t-max", type=int, default=4),
+        _opt("--u-max", type=int, default=3),
+        _opt("--v-max", type=int, default=3),
+        _opt("--tol-log", "rnnt.tol_logprob", type=float, default=1e-9),
+        _opt("--tol-grad", "rnnt.tol_grad", type=float, default=1e-4),
+        _opt("--seed", "seed", type=int, default=0),
+    ]),
+}
+
+
+def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and the subparser of each subcommand."""
     parser = argparse.ArgumentParser(prog="asrlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"asrlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    for name, (summary, func, options) in COMMANDS.items():
+        p = sub.add_parser(name, help=summary)
+        for flag, key, kwargs in options:
+            notes = [kwargs.get("help"), key and f"config key {key}", "default" in kwargs and "default %(default)s"]
+            p.add_argument(flag, **{**kwargs, "help": "; ".join(filter(None, notes)) or None})
+        p.add_argument("--config", help="file of 'key = value' lines; flags override it")
+        p.set_defaults(func=func)
+    return parser, sub.choices
 
-    p = sub.add_parser("plan-data", help="optimal training hours for a parameter count")
-    p.add_argument("--params", type=int, required=True)
-    p.add_argument("--wpm", type=float)
-    p.add_argument("--tpw", type=float)
-    p.add_argument("--tpp", type=float)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_plan_data)
 
-    p = sub.add_parser("evaluate", help="normalized WER (and optional PN metrics) over a manifest")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--refs", help="TSV id<TAB>text; defaults to manifest transcripts")
-    p.add_argument("--hyps", required=True, help="TSV id<TAB>text")
-    p.add_argument("--rules", help="normalization rule file")
-    p.add_argument("--gold-entities")
-    p.add_argument("--pred-entities")
-    p.add_argument("--sim-threshold", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_evaluate)
+def _config_defaults(path: str, options: list) -> dict[str, object]:
+    """Values from the config file at `path` for `options`, cast by each option's type."""
+    cfg = load_config(_require_file(path, "config file"))
+    defaults = {}
+    for flag, key, kwargs in options:
+        if key in cfg:
+            try:
+                defaults[flag[2:].replace("-", "_")] = kwargs.get("type", str)(cfg[key])
+            except ValueError as exc:
+                raise ValueError(f"{path}: {key} = {cfg[key]!r}: {exc}") from exc
+    return defaults
 
-    p = sub.add_parser("ppn-score", help="proper-noun metrics from entity annotation files")
-    p.add_argument("--gold-entities", required=True)
-    p.add_argument("--pred-entities", required=True)
-    p.add_argument("--manifest", help="optional, for length weighting")
-    p.add_argument("--sim-threshold", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_ppn_score)
 
-    p = sub.add_parser("curate", help="run the pseudo-label filter pipeline")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--out-manifest", required=True)
-    p.add_argument("--report", required=True)
-    p.add_argument("--config")
-    for name in (
-        "wpm-min",
-        "wpm-max",
-        "conf-threshold",
-        "min-speech-ratio",
-        "max-silence-sec",
-        "seg-min-sec",
-        "seg-max-sec",
-        "lang-conf-min",
-    ):
-        p.add_argument(f"--{name}", type=float)
-    p.add_argument("--blocklist", help=";;-separated regex patterns")
-    p.add_argument("--seed", type=int)
-    p.set_defaults(func=cmd_curate)
-
-    p = sub.add_parser("noise-sweep", help="WER vs SNR through an external transcriber")
-    p.add_argument("--manifest", required=True)
-    p.add_argument("--transcriber", required=True, help="command invoked as CMD <wav>")
-    p.add_argument("--workdir", required=True)
-    p.add_argument("--out", required=True)
-    p.add_argument("--snrs", help="comma-separated dB list")
-    p.add_argument("--noise-kind", choices=["gaussian", "ambient"])
-    p.add_argument("--noise-dir")
-    p.add_argument("--rules")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--jobs", type=int)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_noise_sweep)
-
-    p = sub.add_parser("stitch", help="join chunk transcripts (or decode+join an audio file)")
-    p.add_argument("--partials-dir", help="directory of <index>.txt chunk transcripts")
-    p.add_argument("--audio", help="WAV to chunk, transcribe, and stitch")
-    p.add_argument("--transcriber")
-    p.add_argument("--workdir")
-    p.add_argument("--rules")
-    p.add_argument("--min-match", type=int)
-    p.add_argument("--chunk-len", type=float)
-    p.add_argument("--overlap", type=float)
-    p.add_argument("--out")
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_stitch)
-
-    p = sub.add_parser("rnnt-check", help="oracle and gradient verification suite")
-    p.add_argument("--lattices", type=int)
-    p.add_argument("--grad-checks", type=int)
-    p.add_argument("--t-max", type=int, default=4)
-    p.add_argument("--u-max", type=int, default=3)
-    p.add_argument("--v-max", type=int, default=3)
-    p.add_argument("--tol-log", type=float)
-    p.add_argument("--tol-grad", type=float)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--config")
-    p.set_defaults(func=cmd_rnnt_check)
-
-    return parser
+def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse the command line; a --config file supplies the options it names that no flag gives."""
+    parser, subparsers = build_parser()
+    args = parser.parse_args(argv)
+    if args.config is not None:
+        try:
+            subparsers[args.command].set_defaults(**_config_defaults(args.config, COMMANDS[args.command][2]))
+        except (ValidationError, ValueError) as exc:
+            parser.exit(2, f"asrlab {args.command}: {exc}\n")
+        args = parser.parse_args(argv)
+    return args
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse_args(argv)
     try:
         return args.func(args)
-    except ValidationError as exc:
-        print(f"asrlab {args.command}: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
+    except (ValidationError, FileNotFoundError) as exc:
         print(f"asrlab {args.command}: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # internal failure contract

@@ -1,12 +1,13 @@
 """Flat key-value run configuration shared by the CLI subcommands.
 
 Format: UTF-8 lines of ``key = value`` with ``#`` comments; keys use dotted
-namespaces (``curation.wpm_min``). Command-line flags always win over the file.
+namespaces (``curation.wpm_min``). Command-line flags always win over the file;
+the CLI's option table says which key feeds which flag.
 """
 
 from __future__ import annotations
 
-__all__ = ["load_config", "resolve"]
+__all__ = ["load_config"]
 
 
 def load_config(path: str) -> dict[str, str]:
@@ -17,16 +18,8 @@ def load_config(path: str) -> dict[str, str]:
             if not line:
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected 'key = value'")
+                raise ValueError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
             key, value = line.split("=", 1)
             cfg[key.strip()] = value.strip()
     return cfg
 
-
-def resolve(cfg: dict[str, str], key: str, flag_value, default, cast=str):
-    """Flag (when given) beats the config file, which beats the default."""
-    if flag_value is not None:
-        return flag_value
-    if key in cfg:
-        return cast(cfg[key])
-    return default

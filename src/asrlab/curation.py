@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import re
 from dataclasses import dataclass, field, replace
 from typing import Iterable
@@ -50,7 +51,7 @@ class ManifestRecord:
     max_silence_sec: float | None = None
 
     def __post_init__(self) -> None:
-        if self.duration_sec <= 0:
+        if not math.isfinite(self.duration_sec) or self.duration_sec <= 0:
             raise ValueError(f"{self.id}: duration_sec must be positive")
         n_words = len(self.transcript.split())
         for name in ("word_confidences", "word_times"):
@@ -317,6 +318,10 @@ _FIELDS = (
 )
 
 
+def _optional_float(value) -> float | None:
+    return None if value is None else float(value)
+
+
 def _record_from_json(obj: dict) -> ManifestRecord:
     unknown = set(obj) - set(_FIELDS)
     if unknown:
@@ -336,8 +341,8 @@ def _record_from_json(obj: dict) -> ManifestRecord:
         word_times=word_times,
         source_lang=obj.get("source_lang"),
         detected_lang=detected,
-        speech_ratio=obj.get("speech_ratio"),
-        max_silence_sec=obj.get("max_silence_sec"),
+        speech_ratio=_optional_float(obj.get("speech_ratio")),
+        max_silence_sec=_optional_float(obj.get("max_silence_sec")),
     )
 
 

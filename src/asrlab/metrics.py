@@ -156,11 +156,12 @@ def weighted_average(scores: list[float], lengths_sec: list[float]) -> float:
 
 @dataclass
 class EvalRow:
-    """Per-file metric row. PN fields are None when the file has no entities."""
+    """Per-file metric row. A metric is None when it was not scored for the file
+    (no WER asked for, or no entities on either side)."""
 
     file_id: str
     audio_sec: float
-    wer: float
+    wer: float | None = None
     pn_jaro: float | None = None
     pn_wer: float | None = None
 
@@ -174,15 +175,11 @@ class EvalReport:
 def build_report(rows: list[EvalRow]) -> EvalReport:
     """Aggregate per-file rows into length-weighted dataset averages.
 
-    Files whose PN score is None (no entities on either side) are excluded
-    from the PN aggregates instead of contributing a zero.
+    Files whose score is None are excluded from that metric's aggregate instead
+    of contributing a zero; a metric no file has aggregates to None.
     """
     aggregates: dict[str, float | None] = {}
-    if rows:
-        aggregates["wer"] = weighted_average([r.wer for r in rows], [r.audio_sec for r in rows])
-    else:
-        aggregates["wer"] = None
-    for name in ("pn_jaro", "pn_wer"):
+    for name in ("wer", "pn_jaro", "pn_wer"):
         scored = [(getattr(r, name), r.audio_sec) for r in rows if getattr(r, name) is not None]
         if scored:
             aggregates[name] = weighted_average([s for s, _ in scored], [l for _, l in scored])

@@ -6,6 +6,7 @@ import time
 import numpy as np
 import pytest
 
+from asrlab import cli
 from asrlab.audio import AudioBuffer, write_wav
 from asrlab.curation import write_manifest
 from tests.conftest import make_script, tone
@@ -283,3 +284,105 @@ def test_rnnt_check_passes():
 def test_rnnt_check_validation():
     proc = run_cli("rnnt-check", "--lattices", "0")
     assert proc.returncode == 2
+
+
+def test_noise_sweep_jobs_do_not_change_report(tmp_path, echo_transcriber):
+    records = []
+    for i in range(3):
+        wav = tmp_path / f"clip{i}.wav"
+        write_wav(AudioBuffer(samples=tone(0.25, freq_hz=300.0 + 50 * i)), str(wav))
+        records.append({"id": f"clip{i}", "audio_path": str(wav), "duration_sec": 0.25, "transcript": "brook sounds"})
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    cmd = echo_transcriber({r["id"]: r["transcript"] for r in records})
+    outs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"jobs{jobs}.csv"
+        proc = run_cli(
+            "noise-sweep", "--manifest", str(manifest), "--transcriber", " ".join(cmd),
+            "--workdir", str(tmp_path / f"work{jobs}"), "--out", str(out), "--snrs=0,10", "--jobs", jobs,
+        )
+        assert proc.returncode == 0, proc.stderr
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]
+
+
+# --- option table and --config ---------------------------------------------------
+
+SAMPLE_VALUES = {  # option type -> (config value, flag value) as typed, then as parsed
+    float: (("0.25", "0.75"), (0.25, 0.75)),
+    int: (("1234", "4321"), (1234, 4321)),
+    cli.float_list: (("1,2", "3"), ([1.0, 2.0], [3.0])),
+    cli.pattern_list: (("a;;b", "c"), (["a", "b"], ["c"])),
+    None: (("from-config", "from-flag"), ("from-config", "from-flag")),
+}
+
+
+def required_argv(name):
+    """The subcommand with a placeholder for each required option."""
+    argv = [name]
+    for flag, _, kwargs in cli.COMMANDS[name][2]:
+        if kwargs.get("required"):
+            argv += [flag, "1"]
+    return argv
+
+
+CONFIG_OPTIONS = [
+    pytest.param(name, flag, key, kwargs, id=f"{name}:{key}")
+    for name, (_, _, options) in cli.COMMANDS.items()
+    for flag, key, kwargs in options
+    if key is not None
+]
+
+
+@pytest.mark.parametrize("name,flag,key,kwargs", CONFIG_OPTIONS)
+def test_config_key_takes_effect_and_flag_overrides(tmp_path, name, flag, key, kwargs):
+    if "choices" in kwargs:
+        raw = parsed = tuple(reversed(kwargs["choices"]))
+    else:
+        raw, parsed = SAMPLE_VALUES[kwargs.get("type")]
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"{key} = {raw[0]}\n", encoding="utf-8")
+    argv = required_argv(name)
+    dest = flag[2:].replace("-", "_")
+    assert getattr(cli.parse_args(argv), dest) != parsed[0]
+    assert getattr(cli.parse_args(argv + ["--config", str(cfg)]), dest) == parsed[0]
+    assert getattr(cli.parse_args(argv + ["--config", str(cfg), f"{flag}={raw[1]}"]), dest) == parsed[1]
+
+
+@pytest.mark.parametrize(
+    "text,where",
+    [("oops\n", "'oops'"), ("planner.wpm = abc\n", "planner.wpm = 'abc'")],
+    ids=["no-equals", "uncastable"],
+)
+def test_bad_config_is_validation_error(tmp_path, text, where):
+    cfg = tmp_path / "bad.cfg"
+    cfg.write_text(text, encoding="utf-8")
+    proc = run_cli("plan-data", "--params", "264000000", "--config", str(cfg))
+    assert proc.returncode == 2
+    assert str(cfg) in proc.stderr and where in proc.stderr
+    assert "internal error" not in proc.stderr
+
+
+@pytest.mark.parametrize("name", ["evaluate", "ppn-score", "curate"])
+def test_seed_only_where_randomness_is(name, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(required_argv(name) + ["--seed", "1"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "names,message",
+    [(["0.txt", "1.txt", "01.txt"], "share index 1"), (["0.txt", "2.txt"], "index 1 is missing")],
+    ids=["duplicate", "missing"],
+)
+def test_stitch_bad_partial_indices_exit_2(tmp_path, names, message):
+    pdir = tmp_path / "partials"
+    pdir.mkdir()
+    for name in names:
+        (pdir / name).write_text("some words here", encoding="utf-8")
+    proc = run_cli("stitch", "--partials-dir", str(pdir))
+    assert proc.returncode == 2
+    assert message in proc.stderr
+    assert all(name in proc.stderr for name in names[1:])

@@ -328,6 +328,27 @@ def test_read_manifest_parse_errors(tmp_path):
     assert isinstance(entries[2], ManifestParseError)  # negative duration
 
 
+def test_read_manifest_numeric_fields(tmp_path):
+    # numeric strings are cast like duration_sec; anything float() or the record
+    # rejects becomes a parse-error row instead of failing the whole run
+    base = {"audio_path": "a.wav", "transcript": "hi there"}
+    lines = [
+        {"id": "strings", "duration_sec": 3.0, "speech_ratio": "0.9", "max_silence_sec": "1.5"},
+        {"id": "bad-ratio", "duration_sec": 3.0, "speech_ratio": "high"},
+        {"id": "bad-silence", "duration_sec": 3.0, "max_silence_sec": [1]},
+        {"id": "nan", "duration_sec": float("nan")},
+        {"id": "inf", "duration_sec": float("inf")},
+    ]
+    path = tmp_path / "m.jsonl"
+    path.write_text("".join(json.dumps({**base, **line}) + "\n" for line in lines), encoding="utf-8")
+    entries = read_manifest(str(path))
+    assert (entries[0].speech_ratio, entries[0].max_silence_sec) == (0.9, 1.5)
+    assert all(isinstance(e, ManifestParseError) for e in entries[1:])
+    _, outcomes = run_pipeline(entries, PipelineConfig())
+    assert outcomes[0].reasons[0].filter_id != "parse-error"
+    assert [o.reasons[0].filter_id for o in outcomes[1:]] == ["parse-error"] * 4
+
+
 def test_rejection_csv(tmp_path):
     path = tmp_path / "rejects.csv"
     _, outcomes = run_pipeline(golden_manifest(), PipelineConfig())
@@ -339,8 +360,9 @@ def test_rejection_csv(tmp_path):
 
 
 def test_record_validation():
-    with pytest.raises(ValueError):
-        ManifestRecord(id="x", audio_path="a", duration_sec=0.0, transcript="hi")
+    for duration in (0.0, float("nan"), float("inf")):
+        with pytest.raises(ValueError):
+            ManifestRecord(id="x", audio_path="a", duration_sec=duration, transcript="hi")
     with pytest.raises(ValueError):
         ManifestRecord(id="x", audio_path="a", duration_sec=1.0, transcript="hi there", word_confidences=[0.5])
     with pytest.raises(ValueError):

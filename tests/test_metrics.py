@@ -202,3 +202,9 @@ def test_build_report_aggregates_and_none_exclusion():
     weights = np.array([10.0, 30.0]) / 40.0
     assert weights.sum() == pytest.approx(1.0)
     assert float(weights @ np.array([0.2, 0.1])) == pytest.approx(report.aggregates["wer"])
+
+
+def test_build_report_without_wer():
+    # proper-noun-only rows (ppn-score) leave wer unset; it aggregates like a PN metric
+    report = build_report([EvalRow("f1", 1.0, pn_jaro=20.0), EvalRow("f2", 3.0, pn_jaro=40.0)])
+    assert report.aggregates == {"wer": None, "pn_jaro": pytest.approx(35.0), "pn_wer": None}
