@@ -39,9 +39,6 @@ class AudioBuffer:
             return 0.0
         return float(np.mean(self.samples**2))
 
-    def rms(self) -> float:
-        return float(np.sqrt(self.power()))
-
 
 def read_wav(path: str) -> AudioBuffer:
     """Read a mono 16-bit PCM WAV file."""

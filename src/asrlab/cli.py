@@ -16,6 +16,7 @@ import csv
 import dataclasses
 import inspect
 import json
+import math
 import os
 import sys
 
@@ -40,7 +41,7 @@ from .planner import ScalingAssumptions, optimal_hours
 from .stitch import PartialTranscript, energy_vad, plan_chunks, remove_silences, stitch
 from .textnorm import DEFAULT_RULES, load_rules, normalize, tokenize_words
 from .transducer import random_lattice, rnnt_logprob, brute_force_logprob, rnnt_grad
-from .transducer.loss import finite_difference_grad
+from .transducer.loss import BRUTE_T_MAX, BRUTE_U_MAX, finite_difference_grad
 
 __all__ = ["main", "parse_args", "ValidationError", "COMMANDS"]
 
@@ -96,10 +97,16 @@ def _score_entities(row: EvalRow, gold: dict, pred: dict, sim_threshold: float) 
     return row
 
 
+def _read(reader, path: str, what: str):
+    """`reader(path)` for an existing file; a malformed file (ValueError) is a validation error."""
+    try:
+        return reader(_require_file(path, what))
+    except ValueError as exc:
+        raise ValidationError(str(exc)) from exc
+
+
 def _load_rules(path: str | None):
-    if path is None:
-        return DEFAULT_RULES
-    return load_rules(_require_file(path, "rule file"))
+    return DEFAULT_RULES if path is None else _read(load_rules, path, "rule file")
 
 
 def _read_tsv(path: str) -> dict[str, str]:
@@ -146,8 +153,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     refs = _read_tsv(_require_file(args.refs, "refs file")) if args.refs else {r.id: r.transcript for r in records}
     hyps = _read_tsv(_require_file(args.hyps, "hyps file"))
 
-    gold_entities = read_entity_file(_require_file(args.gold_entities, "gold entities")) if args.gold_entities else None
-    pred_entities = read_entity_file(_require_file(args.pred_entities, "pred entities")) if args.pred_entities else None
+    gold_entities = _read(read_entity_file, args.gold_entities, "gold entities") if args.gold_entities else None
+    pred_entities = _read(read_entity_file, args.pred_entities, "pred entities") if args.pred_entities else None
     if (gold_entities is None) != (pred_entities is None):
         raise ValidationError("evaluate: --gold-entities and --pred-entities must be given together")
 
@@ -171,8 +178,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_ppn_score(args: argparse.Namespace) -> int:
-    gold = read_entity_file(_require_file(args.gold_entities, "gold entities"))
-    pred = read_entity_file(_require_file(args.pred_entities, "pred entities"))
+    gold = _read(read_entity_file, args.gold_entities, "gold entities")
+    pred = _read(read_entity_file, args.pred_entities, "pred entities")
     durations: dict[str, float] = {}
     if args.manifest:
         durations = {r.id: r.duration_sec for r in _records_or_die(args.manifest)}
@@ -268,7 +275,10 @@ def cmd_stitch(args: argparse.Namespace) -> int:
             if text is None:
                 raise RuntimeError(f"stitch: transcriber failed on chunk {i}")
             partials.append(PartialTranscript(i, tokenize_words(normalize(text, rules))))
-    words = stitch(partials, min_match_tokens=args.min_match)
+    try:
+        words = stitch(partials, min_match_tokens=args.min_match)
+    except ValueError as exc:
+        raise ValidationError(f"stitch: {exc}") from exc
 
     with _output(args.out) as out:
         out.write(" ".join(words) + "\n")
@@ -278,6 +288,14 @@ def cmd_stitch(args: argparse.Namespace) -> int:
 def cmd_rnnt_check(args: argparse.Namespace) -> int:
     if args.lattices < 1 or args.grad_checks < 1:
         raise ValidationError("rnnt-check: lattice and gradient counts must be positive")
+    # gradient checks draw T >= 2, U >= 1 and V >= 2; the oracle enumerates up to the brute-force guard
+    for flag, value, lo, hi in (
+        ("--t-max", args.t_max, 2, BRUTE_T_MAX),
+        ("--u-max", args.u_max, 1, BRUTE_U_MAX),
+        ("--v-max", args.v_max, 2, math.inf),
+    ):
+        if not lo <= value <= hi:
+            raise ValidationError(f"rnnt-check: {flag} must lie in [{lo}, {hi}], got {value}")
 
     rng = np.random.default_rng(args.seed)
     max_dev = 0.0

@@ -64,6 +64,16 @@ class ManifestRecord:
             not 0.0 <= c <= 1.0 for c in self.word_confidences
         ):
             raise ValueError(f"{self.id}: word confidences must lie in [0, 1]")
+        for name in ("speech_ratio", "max_silence_sec"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{self.id}: {name} must be finite")
+        if self.word_times is not None:
+            prev_end = -math.inf
+            for start, end in self.word_times:
+                if not prev_end <= start <= end:
+                    raise ValueError(f"{self.id}: word_times must be ordered and non-overlapping")
+                prev_end = end
 
     @property
     def words(self) -> list[str]:

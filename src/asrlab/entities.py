@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import subprocess
 from dataclasses import dataclass, field
+from typing import Iterable, Iterator
 
 from .metrics import jaro_winkler, wer
 
@@ -152,21 +153,32 @@ def pn_score(align: EntityAlignment, lexical_metric: str = "jaro_distance") -> f
     return 100.0 * total / slots
 
 
+def _parse_spans(lines: Iterable[str], where: str) -> Iterator[tuple[str, EntitySpan]]:
+    """(file_id, span) per five-field line file_id<TAB>start<TAB>end<TAB>type<TAB>filler.
+
+    Blank lines are skipped; a malformed line raises ValueError naming ``where:line``.
+    """
+    for line_no, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        parts = line.split("\t")
+        try:
+            if len(parts) != 5:
+                raise ValueError("expected 5 tab-separated fields")
+            file_id, start, end, etype, filler = parts
+            span = EntitySpan(filler=filler, type=etype, start=int(start), end=int(end))
+        except ValueError as exc:
+            raise ValueError(f"{where}:{line_no}: {exc}") from exc
+        yield file_id, span
+
+
 def read_entity_file(path: str) -> dict[str, list[EntitySpan]]:
     """Parse a line-delimited annotation file: file_id<TAB>start<TAB>end<TAB>type<TAB>filler."""
     spans: dict[str, list[EntitySpan]] = {}
     with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            parts = line.split("\t")
-            if len(parts) != 5:
-                raise ValueError(f"{path}:{line_no}: expected 5 tab-separated fields")
-            file_id, start, end, etype, filler = parts
-            spans.setdefault(file_id, []).append(
-                EntitySpan(filler=filler, type=etype, start=int(start), end=int(end))
-            )
+        for file_id, span in _parse_spans(fh, path):
+            spans.setdefault(file_id, []).append(span)
     return spans
 
 
@@ -182,13 +194,4 @@ def run_tagger(cmd: list[str], text: str) -> list[EntitySpan]:
         raise RuntimeError(
             f"tagger {cmd[0]!r} exited {proc.returncode}: {proc.stderr.decode('utf-8', 'replace')}"
         )
-    spans = []
-    for line_no, line in enumerate(proc.stdout.decode("utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        parts = line.split("\t")
-        if len(parts) != 5:
-            raise ValueError(f"tagger output line {line_no}: expected 5 fields")
-        _, start, end, etype, filler = parts
-        spans.append(EntitySpan(filler=filler, type=etype, start=int(start), end=int(end)))
-    return spans
+    return [span for _, span in _parse_spans(proc.stdout.decode("utf-8").splitlines(), "tagger output")]

@@ -216,11 +216,8 @@ def run_sweep(
         hyp = tokenize_words(normalize(hyp_text, rules))
         return SweepRow(snr_db, rec.id, wer(ref, hyp), rec.duration_sec)
 
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(one, tasks))
-    else:
-        rows = [one(t) for t in tasks]
+    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
+        rows = list(pool.map(one, tasks))
 
     report = SweepReport(rows=rows)
     for snr_db in spec.snr_list_db:

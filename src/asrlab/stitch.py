@@ -37,36 +37,36 @@ class SpeechSegment:
             raise ValueError("segment must have start < end")
 
 
-def energy_vad(
-    audio: AudioBuffer,
-    frame_ms: float = 30.0,
-    threshold_db: float = -40.0,
-    hangover_frames: int = 5,
-) -> list[SpeechSegment]:
+VAD_FRAME_MS = 30.0
+VAD_FLOOR_DBFS = -40.0
+VAD_HANGOVER = 5  # frames a speech run is extended by
+
+
+def energy_vad(audio: AudioBuffer) -> list[SpeechSegment]:
     """Energy-threshold voice activity detection with hangover smoothing.
 
-    Frames whose mean-square energy exceeds threshold_db (dBFS) are speech;
-    each speech run is extended by hangover_frames so brief dips do not split
-    segments. Returned segments are disjoint and sorted. This is a pluggable
-    default; an external detector can supply SpeechSegments instead.
+    Frames of VAD_FRAME_MS whose mean-square energy exceeds VAD_FLOOR_DBFS are
+    speech; each speech run is extended by VAD_HANGOVER frames so brief dips do
+    not split segments. Returned segments are disjoint and sorted. This is a
+    pluggable default; an external detector can supply SpeechSegments instead.
     """
     if len(audio) == 0:
         raise ValueError("audio is empty")
-    frame_len = max(1, int(round(audio.sample_rate_hz * frame_ms / 1000.0)))
+    frame_len = max(1, int(round(audio.sample_rate_hz * VAD_FRAME_MS / 1000.0)))
     n_frames = int(np.ceil(len(audio) / frame_len))
     active = np.zeros(n_frames, dtype=bool)
     for i in range(n_frames):
         frame = audio.samples[i * frame_len : (i + 1) * frame_len]
         energy_db = 10.0 * np.log10(float(np.mean(frame**2)) + 1e-12)
-        active[i] = energy_db > threshold_db
+        active[i] = energy_db > VAD_FLOOR_DBFS
 
     # hangover: a frame is speech if any active frame lies within the trailing window
     speech = np.zeros(n_frames, dtype=bool)
-    last_active = -(hangover_frames + 1)
+    last_active = -(VAD_HANGOVER + 1)
     for i in range(n_frames):
         if active[i]:
             last_active = i
-        speech[i] = i - last_active <= hangover_frames
+        speech[i] = i - last_active <= VAD_HANGOVER
 
     segments: list[SpeechSegment] = []
     start = None
@@ -118,8 +118,6 @@ def remove_silences(audio: AudioBuffer, segments: list[SpeechSegment]) -> AudioB
 
 @dataclass
 class ChunkPlan:
-    chunk_len_sec: float
-    overlap_sec: float
     bounds: list[tuple[float, float]]
 
 
@@ -134,7 +132,7 @@ def plan_chunks(duration_sec: float, chunk_len: float = 25.0, overlap: float = 5
     if not 0 < overlap < chunk_len:
         raise ValueError("need 0 < overlap < chunk_len")
     if duration_sec <= chunk_len:
-        return ChunkPlan(chunk_len, overlap, [(0.0, duration_sec)])
+        return ChunkPlan([(0.0, duration_sec)])
     stride = chunk_len - overlap
     bounds: list[tuple[float, float]] = []
     start = 0.0
@@ -143,12 +141,12 @@ def plan_chunks(duration_sec: float, chunk_len: float = 25.0, overlap: float = 5
         start += stride
     last_start = duration_sec - chunk_len
     if bounds and bounds[-1][1] >= duration_sec:
-        return ChunkPlan(chunk_len, overlap, bounds)
+        return ChunkPlan(bounds)
     # chunks the right-aligned tail makes redundant would triple-cover points
     while len(bounds) >= 2 and bounds[-2][1] > last_start:
         bounds.pop()
     bounds.append((last_start, duration_sec))
-    return ChunkPlan(chunk_len, overlap, bounds)
+    return ChunkPlan(bounds)
 
 
 @dataclass
@@ -160,46 +158,24 @@ class PartialTranscript:
     confidences: list[float] | None = None
 
 
-def _join_pair(
-    left: list[str], right: list[str], min_match_tokens: int, overlap_tokens: int | None
-) -> list[str]:
-    if not left:
-        return list(right)
-    if not right:
-        return list(left)
-    # search window: generous multiple of the expected overlap, else everything
-    if overlap_tokens:
-        w = max(4 * overlap_tokens, min_match_tokens)
-        wl, wr = min(len(left), w), min(len(right), w)
-    else:
-        wl, wr = len(left), len(right)
-    offset = len(left) - wl
-    sm = SequenceMatcher(None, left[offset:], right[:wr], autojunk=False)
-    m = sm.find_longest_match(0, wl, 0, wr)
+def _join_pair(left: list[str], right: list[str], min_match_tokens: int) -> list[str]:
+    m = SequenceMatcher(None, left, right, autojunk=False).find_longest_match(0, len(left), 0, len(right))
     if m.size >= min_match_tokens:
         # keep the left copy of the shared run, then the right continuation
-        return left[: offset + m.a + m.size] + right[m.b + m.size :]
-    # fallback: halve the estimated overlap from each side of the junction
-    drop = (overlap_tokens or 0) // 2
-    drop_left = min(drop, len(left))
-    drop_right = min(drop, len(right))
-    return left[: len(left) - drop_left] + right[drop_right:]
+        return left[: m.a + m.size] + right[m.b + m.size :]
+    return left + right
 
 
-def stitch(
-    partials: list[PartialTranscript],
-    min_match_tokens: int = 3,
-    overlap_tokens: int | None = None,
-) -> list[str]:
+def stitch(partials: list[PartialTranscript], min_match_tokens: int = 3) -> list[str]:
     """Join per-chunk transcripts into one word sequence.
 
-    At each junction the longest shared token run between the end of the
-    accumulated transcript and the head of the next partial is located; if it
-    has at least min_match_tokens tokens, the texts are joined there with the
-    left copy kept. Otherwise overlap_tokens (an estimate of the shared token
-    count, when available) is halved away from each side; with no estimate the
-    texts are concatenated unchanged.
+    At each junction the longest shared token run between the accumulated
+    transcript and the next partial is located; if it has at least
+    min_match_tokens tokens (which must be >= 1), the texts are joined there
+    with the left copy kept. Otherwise the texts are concatenated unchanged.
     """
+    if min_match_tokens < 1:
+        raise ValueError(f"min_match_tokens must be >= 1, got {min_match_tokens}")
     if not partials:
         return []
     ordered = sorted(partials, key=lambda p: p.index)
@@ -207,5 +183,5 @@ def stitch(
         raise ValueError("partial transcript indices must be contiguous from 0")
     out = list(ordered[0].words)
     for part in ordered[1:]:
-        out = _join_pair(out, part.words, min_match_tokens, overlap_tokens)
+        out = _join_pair(out, part.words, min_match_tokens)
     return out

@@ -125,7 +125,7 @@ _DEFAULT_FILLERS = frozenset(
 
 @dataclass(frozen=True)
 class NormRuleSet:
-    """Normalization rules: contraction expansions, filler words, and two flags.
+    """Normalization rules: contraction expansions and filler words.
 
     Invariants: contraction keys and filler words are lowercase, and expansion
     values contain no apostrophes, so applying the rule set twice gives the
@@ -134,8 +134,6 @@ class NormRuleSet:
 
     contractions: dict[str, str] = field(default_factory=lambda: dict(_DEFAULT_CONTRACTIONS))
     fillers: frozenset[str] = _DEFAULT_FILLERS
-    casefold: bool = True
-    strip_punct: bool = True
 
     def __post_init__(self) -> None:
         for key in self.contractions:
@@ -149,7 +147,7 @@ class NormRuleSet:
 DEFAULT_RULES = NormRuleSet()
 
 
-def _strip_punctuation(text: str) -> str:
+def _punctuation_to_spaces(text: str) -> str:
     """Replace punctuation with spaces, keeping intra-word apostrophes and hyphens.
 
     Apostrophes must survive until contraction expansion; hyphens must survive
@@ -174,19 +172,16 @@ def _strip_punctuation(text: str) -> str:
 def normalize(text: str, rules: NormRuleSet = DEFAULT_RULES) -> str:
     """Normalize a transcript into the canonical scoring form.
 
-    Output is casefolded (if enabled), free of punctuation except intra-word
-    apostrophes/hyphens (if enabled), has contractions expanded and filler
-    words removed, and uses single spaces throughout. Idempotent: running the
-    result through again returns it unchanged.
+    Output is casefolded, free of punctuation except intra-word
+    apostrophes/hyphens, has contractions expanded and filler words removed,
+    and uses single spaces throughout. Idempotent: running the result through
+    again returns it unchanged.
     """
     if not text:
         return ""
     for variant, plain in _APOSTROPHES.items():
         text = text.replace(variant, plain)
-    if rules.casefold:
-        text = text.casefold()
-    if rules.strip_punct:
-        text = _strip_punctuation(text)
+    text = _punctuation_to_spaces(text.casefold())
     expanded: list[str] = []
     for token in text.split():
         expanded.extend(rules.contractions.get(token, token).split())
@@ -202,7 +197,7 @@ def tokenize_words(text: str) -> list[str]:
     return text.split()
 
 
-def load_rules(path: str, casefold: bool = True, strip_punct: bool = True) -> NormRuleSet:
+def load_rules(path: str) -> NormRuleSet:
     """Read a rule file with ``[contractions]`` (key<TAB>value) and ``[fillers]`` sections."""
     contractions: dict[str, str] = {}
     fillers: set[str] = set()
@@ -225,9 +220,4 @@ def load_rules(path: str, casefold: bool = True, strip_punct: bool = True) -> No
                 fillers.add(stripped.casefold())
             else:
                 raise ValueError(f"{path}:{line_no}: content before a section header")
-    return NormRuleSet(
-        contractions=contractions,
-        fillers=frozenset(fillers),
-        casefold=casefold,
-        strip_punct=strip_punct,
-    )
+    return NormRuleSet(contractions=contractions, fillers=frozenset(fillers))

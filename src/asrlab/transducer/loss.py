@@ -58,8 +58,9 @@ def rnnt_logprob(lat: RnntLattice) -> float:
     return float(alpha[lat.T - 1, lat.U] + lat.logits[lat.T - 1, lat.U, lat.blank_id])
 
 
-_BRUTE_T_MAX = 6
-_BRUTE_U_MAX = 4
+# largest lattice brute_force_logprob enumerates
+BRUTE_T_MAX = 6
+BRUTE_U_MAX = 4
 
 
 def brute_force_logprob(lat: RnntLattice) -> float:
@@ -69,9 +70,9 @@ def brute_force_logprob(lat: RnntLattice) -> float:
     final step a blank); its probability is the product of the per-step
     conditionals read off the lattice. Guarded to T <= 6, U <= 4.
     """
-    if lat.T > _BRUTE_T_MAX or lat.U > _BRUTE_U_MAX:
+    if lat.T > BRUTE_T_MAX or lat.U > BRUTE_U_MAX:
         raise ValueError(
-            f"brute force guard: T <= {_BRUTE_T_MAX} and U <= {_BRUTE_U_MAX} required"
+            f"brute force guard: T <= {BRUTE_T_MAX} and U <= {BRUTE_U_MAX} required"
         )
     lp = lat.logits
     y = lat.targets

@@ -4,7 +4,7 @@ Within every layer a frame may attend to its own chunk plus a fixed number of
 frames of left context, and never past its chunk's right edge, so no future
 audio leaks into the output. Stacking layers grows the effective receptive
 field on the left side only: after L layers it spans chunk + L * left_context
-frames, each frame covering subsample_factor * frame_stride_ms of audio.
+frames, each frame covering FRAME_MS of audio.
 """
 
 from __future__ import annotations
@@ -15,6 +15,8 @@ import numpy as np
 
 __all__ = ["MaskSpec", "make_stream_mask", "receptive_field", "frames_for_ms"]
 
+FRAME_MS = 80.0  # one subsampled encoder frame: 8 input frames of 10 ms
+
 
 @dataclass(frozen=True)
 class MaskSpec:
@@ -22,8 +24,6 @@ class MaskSpec:
     chunk_frames: int
     n_layers: int
     left_context: int
-    subsample_factor: int = 8
-    frame_stride_ms: float = 10.0
 
     def __post_init__(self) -> None:
         if self.chunk_frames < 1:
@@ -35,15 +35,10 @@ class MaskSpec:
         if self.left_context < 0:
             raise ValueError("left_context must be >= 0")
 
-    @property
-    def frame_ms(self) -> float:
-        """Duration of one subsampled frame."""
-        return self.frame_stride_ms * self.subsample_factor
 
-
-def frames_for_ms(ms: float, spec: MaskSpec) -> int:
+def frames_for_ms(ms: float) -> int:
     """Subsampled frame count closest to a duration in milliseconds."""
-    return max(1, int(round(ms / spec.frame_ms)))
+    return max(1, int(round(ms / FRAME_MS)))
 
 
 def make_stream_mask(spec: MaskSpec) -> list[np.ndarray]:
@@ -71,11 +66,10 @@ class ReceptiveField:
 def receptive_field(spec: MaskSpec, n_layers: int | None = None) -> ReceptiveField:
     """Cumulative lookback after stacking n_layers masked layers.
 
-    frames = chunk_frames + n_layers * left_context; ms converts via the
-    subsampled frame duration.
+    frames = chunk_frames + n_layers * left_context; ms = frames * FRAME_MS.
     """
     layers = spec.n_layers if n_layers is None else n_layers
     if layers < 1:
         raise ValueError("n_layers must be >= 1")
     frames = spec.chunk_frames + layers * spec.left_context
-    return ReceptiveField(frames=frames, ms=frames * spec.frame_ms)
+    return ReceptiveField(frames=frames, ms=frames * FRAME_MS)

@@ -386,3 +386,52 @@ def test_stitch_bad_partial_indices_exit_2(tmp_path, names, message):
     assert proc.returncode == 2
     assert message in proc.stderr
     assert all(name in proc.stderr for name in names[1:])
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--t-max", "0"), ("--t-max", "1"), ("--t-max", "7"), ("--u-max", "0"), ("--u-max", "6"), ("--v-max", "1")],
+)
+def test_rnnt_check_shape_limits_exit_2(flag, value, capsys):
+    assert cli.main(["rnnt-check", "--lattices", "2", "--grad-checks", "1", flag, value]) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "internal error" not in err
+
+
+def test_rnnt_check_accepts_largest_shapes(capsys):
+    argv = ["rnnt-check", "--lattices", "5", "--grad-checks", "1", "--t-max", "6", "--u-max", "4", "--v-max", "2"]
+    assert cli.main(argv) == 0, capsys.readouterr()
+
+
+def test_stitch_min_match_zero_exit_2(tmp_path, capsys):
+    pdir = tmp_path / "partials"
+    pdir.mkdir()
+    (pdir / "0.txt").write_text("a b c", encoding="utf-8")
+    (pdir / "1.txt").write_text("x y z", encoding="utf-8")
+    assert cli.main(["stitch", "--partials-dir", str(pdir), "--min-match", "0"]) == 2
+    assert "min_match_tokens" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "line,message",
+    [("f1\tx\t12\tPerson\tNicolas Cage\n", "invalid literal"), ("f1\t12\t0\tPerson\tNicolas Cage\n", "inverted"),
+     ("f1\t0\t12\tPerson\n", "expected 5")],
+    ids=["bad-start", "inverted", "four-fields"],
+)
+def test_malformed_entity_file_exit_2(tmp_path, capsys, line, message):
+    good = tmp_path / "good.tsv"
+    good.write_text("f1\t0\t12\tPerson\tNicolas Cage\n", encoding="utf-8")
+    bad = tmp_path / "bad.tsv"
+    bad.write_text("f0\t0\t5\tGPE\tParis\n" + line, encoding="utf-8")
+    assert cli.main(["ppn-score", "--gold-entities", str(good), "--pred-entities", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:2:" in err and message in err
+
+
+def test_malformed_rule_file_exit_2(tmp_path, capsys):
+    manifest, hyps = write_eval_inputs(tmp_path)
+    rules = tmp_path / "rules.txt"
+    rules.write_text("# comment\nstray\n[fillers]\num\n", encoding="utf-8")
+    assert cli.main(["evaluate", "--manifest", str(manifest), "--hyps", str(hyps), "--rules", str(rules)]) == 2
+    err = capsys.readouterr().err
+    assert f"{rules}:2:" in err and "before a section header" in err

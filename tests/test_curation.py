@@ -338,6 +338,8 @@ def test_read_manifest_numeric_fields(tmp_path):
         {"id": "bad-silence", "duration_sec": 3.0, "max_silence_sec": [1]},
         {"id": "nan", "duration_sec": float("nan")},
         {"id": "inf", "duration_sec": float("inf")},
+        {"id": "nan-ratio", "duration_sec": 3.0, "speech_ratio": float("nan")},  # a JSON NaN literal
+        {"id": "nan-silence", "duration_sec": 3.0, "max_silence_sec": float("nan")},
     ]
     path = tmp_path / "m.jsonl"
     path.write_text("".join(json.dumps({**base, **line}) + "\n" for line in lines), encoding="utf-8")
@@ -346,7 +348,7 @@ def test_read_manifest_numeric_fields(tmp_path):
     assert all(isinstance(e, ManifestParseError) for e in entries[1:])
     _, outcomes = run_pipeline(entries, PipelineConfig())
     assert outcomes[0].reasons[0].filter_id != "parse-error"
-    assert [o.reasons[0].filter_id for o in outcomes[1:]] == ["parse-error"] * 4
+    assert [o.reasons[0].filter_id for o in outcomes[1:]] == ["parse-error"] * 6
 
 
 def test_rejection_csv(tmp_path):
@@ -367,6 +369,28 @@ def test_record_validation():
         ManifestRecord(id="x", audio_path="a", duration_sec=1.0, transcript="hi there", word_confidences=[0.5])
     with pytest.raises(ValueError):
         ManifestRecord(id="x", audio_path="a", duration_sec=1.0, transcript="hi", word_confidences=[1.5])
+    with pytest.raises(ValueError, match="speech_ratio"):
+        record(ratio=float("nan"))
+    with pytest.raises(ValueError, match="max_silence_sec"):
+        record(silence=float("nan"))
+
+
+@pytest.mark.parametrize(
+    "times",
+    [[(5.0, 5.3), (0.2, 0.5)], [(0.2, 0.6), (0.5, 0.9)], [(0.2, 0.6), (0.9, 0.7)], [(0.2, float("nan")), (1.0, 1.2)]],
+    ids=["unordered", "overlapping", "inverted", "nan"],
+)
+def test_record_rejects_unordered_word_times(tmp_path, times):
+    with pytest.raises(ValueError, match="word_times"):
+        record(duration=6.0, n_words=2, word_times=times)
+    path = tmp_path / "m.jsonl"
+    line = {"id": "r", "audio_path": "a.wav", "duration_sec": 6.0, "transcript": "a b", "word_times": times}
+    path.write_text(json.dumps(line) + "\n", encoding="utf-8")
+    assert isinstance(read_manifest(str(path))[0], ManifestParseError)
+
+
+def test_record_accepts_touching_word_times():
+    assert record(duration=2.0, n_words=2, word_times=[(0.0, 1.0), (1.0, 1.0)]).word_times
 
 
 def test_pipeline_config_validation():

@@ -133,18 +133,21 @@ def test_stitch_empty():
     assert stitch([]) == []
 
 
-def test_stitch_fallback_halves_overlap_estimate():
-    left = P(0, "a b c d e f")
-    right = P(1, "x y z w v u")
-    out = stitch([left, right], min_match_tokens=3, overlap_tokens=4)
-    # two tokens dropped from each side of the junction
-    assert out == "a b c d z w v u".split()
-    assert len(out) == 6 + 6 - 2 * (4 // 2)
-
-
 def test_stitch_fallback_without_estimate_concatenates():
     out = stitch([P(0, "a b c"), P(1, "x y z")])
     assert out == "a b c x y z".split()
+
+
+@pytest.mark.parametrize("min_match", [0, -1])
+def test_stitch_rejects_min_match_below_one(min_match):
+    # a zero-length "match" would join at position 0 and drop the left text
+    with pytest.raises(ValueError, match="min_match_tokens"):
+        stitch([P(0, "a b c"), P(1, "x y z")], min_match_tokens=min_match)
+
+
+def test_stitch_empty_partial_on_either_side():
+    assert stitch([P(0, ""), P(1, "x y z")]) == "x y z".split()
+    assert stitch([P(0, "a b c"), P(1, "")]) == "a b c".split()
 
 
 def test_stitch_requires_contiguous_indices():

@@ -350,10 +350,9 @@ def test_receptive_field_strictly_increasing_in_depth():
 
 
 def test_frames_for_ms():
-    spec = MaskSpec(n_frames=8, chunk_frames=2, n_layers=1, left_context=0)
-    assert frames_for_ms(880.0, spec) == 11
-    assert frames_for_ms(450.0, spec) == 6  # 450 ms rounds to six 80 ms frames
-    assert frames_for_ms(1.0, spec) == 1
+    assert frames_for_ms(880.0) == 11
+    assert frames_for_ms(450.0) == 6  # 450 ms rounds to six 80 ms frames
+    assert frames_for_ms(1.0) == 1
 
 
 def test_mask_spec_validation():
