@@ -119,6 +119,8 @@ def _read_tsv(path: str) -> dict[str, str]:
             if "\t" not in line:
                 raise ValidationError(f"{path}:{line_no}: expected id<TAB>text")
             file_id, text = line.split("\t", 1)
+            if file_id in out:
+                raise ValidationError(f"{path}:{line_no}: id {file_id!r} is repeated")
             out[file_id] = text
     return out
 
@@ -216,6 +218,8 @@ def cmd_noise_sweep(args: argparse.Namespace) -> int:
     records = _records_or_die(args.manifest)
     for rec in records:
         _require_file(rec.audio_path, f"audio for {rec.id}")
+        if not tokenize_words(normalize(rec.transcript, rules)):
+            raise ValidationError(f"noise-sweep: reference for {rec.id!r} is empty after normalization")
     report = run_sweep(records, spec, args.transcriber, args.workdir, rules=rules, jobs=args.jobs)
     write_sweep_csv(report, args.out, _header(args))
     print(f"rows={len(report.rows)} out={args.out}")
@@ -251,12 +255,21 @@ def cmd_stitch(args: argparse.Namespace) -> int:
     rules = _load_rules(args.rules)
     if (args.partials_dir is None) == (args.audio is None):
         raise ValidationError("stitch: give exactly one of --partials-dir or --audio")
+    if args.min_match < 1:
+        raise ValidationError(
+            f"stitch: --min-match (config key stitch.min_match_tokens) must be >= 1, got {args.min_match}"
+        )
 
     if args.partials_dir:
         partials = _read_partials_dir(args.partials_dir, rules)
     else:
         if not args.transcriber:
             raise ValidationError("stitch: --audio mode requires --transcriber")
+        if not 0 < args.overlap < args.chunk_len:
+            raise ValidationError(
+                "stitch: need 0 < --overlap < --chunk-len (config keys stitch.overlap_sec, stitch.chunk_len_sec), "
+                f"got {args.overlap:g} and {args.chunk_len:g}"
+            )
         audio = read_wav(_require_file(args.audio, "audio"))
         segments = energy_vad(audio)
         voiced = remove_silences(audio, segments)
@@ -275,11 +288,7 @@ def cmd_stitch(args: argparse.Namespace) -> int:
             if text is None:
                 raise RuntimeError(f"stitch: transcriber failed on chunk {i}")
             partials.append(PartialTranscript(i, tokenize_words(normalize(text, rules))))
-    try:
-        words = stitch(partials, min_match_tokens=args.min_match)
-    except ValueError as exc:
-        raise ValidationError(f"stitch: {exc}") from exc
-
+    words = stitch(partials, min_match_tokens=args.min_match)
     with _output(args.out) as out:
         out.write(" ".join(words) + "\n")
     return 0

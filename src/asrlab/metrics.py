@@ -1,7 +1,10 @@
 """Word-level transcript metrics: edit alignment, WER, Jaro-Winkler, aggregation.
 
-WER = (substitutions + insertions + deletions) / reference word count, computed
-over a minimum-cost word alignment with unit costs. Dataset-level numbers are
+WER = (substitutions + insertions + deletions) / reference word count, the
+unit-cost minimum over all word alignments. `wer` counts the errors with the
+bit-vector edit distance of Myers (1999) in the global form of Hyyrö (2001),
+which equals the unit-cost DP minimum in O(m * ceil(n / 64)) time; `word_align`
+runs the full DP and returns the alignment itself. Dataset-level numbers are
 weighted by audio length so long files are not under-represented.
 """
 
@@ -90,12 +93,38 @@ def word_align(ref: list[str], hyp: list[str]) -> EditAlignment:
 def wer(ref: list[str], hyp: list[str]) -> float:
     """Word error rate (S+I+D)/len(ref); may exceed 1.0.
 
+    The error count is the bit-vector edit distance, equal to
+    ``word_align(ref, hyp).errors``; call `word_align` for the alignment.
     Raises EmptyReferenceError for an empty reference rather than silently
     returning 0 or infinity.
     """
     if not ref:
         raise EmptyReferenceError("WER is undefined for an empty reference")
-    return word_align(ref, hyp).errors / len(ref)
+    # Bit i of each vector is reference word i. vp/vn mark the rows where the
+    # current DP column rises/falls by one from the row above; dist is the last
+    # row, D[n][j]. One match mask per distinct word is built once.
+    match: dict[str, int] = {}
+    bit = 1
+    for word in ref:
+        match[word] = match.get(word, 0) | bit
+        bit <<= 1
+    mask, last = bit - 1, bit >> 1
+    vp, vn, dist = mask, 0, len(ref)
+    for word in hyp:
+        eq = match.get(word, 0)
+        xv = eq | vn
+        xh = (((eq & vp) + vp) ^ vp) | eq
+        hp = vn | ~(xh | vp)
+        hn = vp & xh
+        if hp & last:
+            dist += 1
+        elif hn & last:
+            dist -= 1
+        # row 0 is D[0][j] = j, so every column enters with a +1 step
+        hp = (hp << 1) | 1
+        vp = ((hn << 1) | ~(xv | hp)) & mask
+        vn = hp & xv
+    return dist / len(ref)
 
 
 def jaro_winkler(a: str, b: str) -> float:

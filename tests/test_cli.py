@@ -435,3 +435,51 @@ def test_malformed_rule_file_exit_2(tmp_path, capsys):
     assert cli.main(["evaluate", "--manifest", str(manifest), "--hyps", str(hyps), "--rules", str(rules)]) == 2
     err = capsys.readouterr().err
     assert f"{rules}:2:" in err and "before a section header" in err
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--overlap", "30"), ("--overlap", "0"), ("--chunk-len", "5"), ("--min-match", "0")],
+    ids=["overlap-past-chunk", "zero-overlap", "chunk-not-past-overlap", "min-match-zero"],
+)
+def test_stitch_audio_flags_checked_before_any_work(tmp_path, capsys, flag, value):
+    # an unreadable WAV and a transcriber that leaves a mark: neither may be touched
+    wav = tmp_path / "bad.wav"
+    wav.write_bytes(b"RIFFnotawav")
+    mark = tmp_path / "transcribed"
+    transcriber = make_script(tmp_path, "mark.py", f"open({str(mark)!r}, 'w').write('x')\nprint('a b c')\n")
+    argv = ["stitch", "--audio", str(wav), "--transcriber", " ".join(transcriber), flag, value]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert flag in err and "internal error" not in err
+    assert not mark.exists()
+
+
+def test_noise_sweep_empty_reference_exit_2_before_sweep(tmp_path, capsys):
+    records = []
+    for rid, transcript in (("ok", "brook sounds"), ("fillers", "uh um")):
+        wav = tmp_path / f"{rid}.wav"
+        write_wav(AudioBuffer(samples=tone(0.25)), str(wav))
+        records.append({"id": rid, "audio_path": str(wav), "duration_sec": 0.25, "transcript": transcript})
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    mark = tmp_path / "transcribed"
+    transcriber = make_script(tmp_path, "mark.py", f"open({str(mark)!r}, 'w').write('x')\nprint('brook')\n")
+    workdir = tmp_path / "w"
+    argv = ["noise-sweep", "--manifest", str(manifest), "--transcriber", " ".join(transcriber),
+            "--workdir", str(workdir), "--out", str(tmp_path / "o.csv"), "--snrs", "0"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "'fillers'" in err and "empty after normalization" in err
+    assert not mark.exists() and not workdir.exists()
+
+
+@pytest.mark.parametrize("which", ["--hyps", "--refs"])
+def test_evaluate_repeated_id_exit_2(tmp_path, capsys, which):
+    manifest, hyps = write_eval_inputs(tmp_path)
+    tsv = tmp_path / "repeated.tsv"
+    tsv.write_text(hyps.read_text(encoding="utf-8") + "r1\ta different text\n", encoding="utf-8")
+    inputs = {"--hyps": str(hyps), "--refs": str(hyps), which: str(tsv)}
+    assert cli.main(["evaluate", "--manifest", str(manifest), *(x for kv in inputs.items() for x in kv)]) == 2
+    err = capsys.readouterr().err
+    assert f"{tsv}:4:" in err and "'r1'" in err and "repeated" in err

@@ -116,6 +116,67 @@ def test_wer_insertion_growth_bounded(ref, hyp, extra):
     assert wer(ref, ref) == 0.0
 
 
+# --- wer's bit-vector count against the word_align DP ----------------------
+
+WORDS = st.sampled_from(["a", "b", "c", "d"])
+
+
+def word_lists(lo: int, hi: int):
+    # draw the length first, so lengths spread over [lo, hi] instead of clustering near lo
+    return st.integers(lo, hi).flatmap(lambda n: st.lists(WORDS, min_size=n, max_size=n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(word_lists(1, 80), word_lists(0, 80))
+def test_wer_count_matches_word_align(ref, hyp):
+    # lengths cross the 64-bit limb boundary; a 4-word vocabulary repeats tokens
+    assert wer(ref, hyp) == word_align(ref, hyp).errors / len(ref)
+
+
+def test_wer_one_word_reference():
+    assert wer(["a"], ["a"]) == 0.0
+    assert wer(["a"], ["b"]) == 1.0
+    assert wer(["a"], ["b", "a", "c"]) == 2.0
+    assert wer(["a"], ["b", "c", "d"]) == 3.0
+
+
+def test_wer_empty_hypothesis_counts_every_deletion():
+    assert wer(["a", "b", "a"], []) == 1.0
+
+
+@pytest.mark.parametrize("n,m", [(3, 7), (7, 3), (5, 5), (70, 1)])
+def test_wer_disjoint_vocabularies(n, m):
+    assert wer(["r"] * n, ["h"] * m) == max(n, m) / n
+
+
+@pytest.mark.parametrize("n", [63, 64, 65, 128])
+def test_wer_at_limb_boundaries(n):
+    rng = np.random.default_rng(n)
+    ref = [str(w) for w in rng.integers(0, 6, n)]
+    hyps = [
+        ref,
+        ref[1:],                                   # first word deleted
+        ref[:-1],                                  # last word deleted
+        ref + ["x"],                               # word inserted after the last
+        ref[:-1] + ["x"],                          # last word substituted
+        [str(w) for w in rng.integers(0, 6, n + 3)],
+    ]
+    for hyp in hyps:
+        assert wer(ref, hyp) == word_align(ref, hyp).errors / n
+    assert wer(ref, ref[1:]) == wer(ref, ref[:-1]) == wer(ref, ref + ["x"]) == 1 / n
+
+
+def test_wer_long_form_known_substitutions():
+    # each out-of-vocabulary word costs at least one edit, so k substitutions score exactly k/n
+    n, k = 10_000, 7
+    rng = np.random.default_rng(0)
+    ref = [f"w{w}" for w in rng.integers(0, 200, n)]
+    hyp = list(ref)
+    for pos in range(700, n, n // k)[:k]:
+        hyp[pos] = "oov"
+    assert wer(ref, hyp) == k / n
+
+
 # --- jaro_winkler ------------------------------------------------------------
 
 def test_jw_martha():
