@@ -35,7 +35,7 @@ from .curation import (
     write_rejection_csv,
 )
 from .entities import align_entities, pn_score, read_entity_file
-from .metrics import EvalRow, build_report, wer
+from .metrics import EmptyReferenceError, EvalRow, build_report, wer
 from .noise import SweepSpec, run_sweep, transcribe_file, write_sweep_csv
 from .planner import ScalingAssumptions, optimal_hours
 from .stitch import PartialTranscript, energy_vad, plan_chunks, remove_silences, stitch
@@ -126,11 +126,17 @@ def _read_tsv(path: str) -> dict[str, str]:
 
 
 def _records_or_die(path: str) -> list[ManifestRecord]:
+    """The manifest's records, for commands that key their work by record id."""
     entries = read_manifest(_require_file(path, "manifest"))
     bad = [e for e in entries if isinstance(e, ManifestParseError)]
     if bad:
         detail = "; ".join(f"{e.id}: {e.error}" for e in bad[:3])
         raise ValidationError(f"manifest {path} has {len(bad)} malformed line(s): {detail}")
+    seen: set[str] = set()
+    for rec in entries:
+        if rec.id in seen:
+            raise ValidationError(f"manifest {path}: id {rec.id!r} is repeated")
+        seen.add(rec.id)
     return entries  # type: ignore[return-value]
 
 
@@ -218,9 +224,10 @@ def cmd_noise_sweep(args: argparse.Namespace) -> int:
     records = _records_or_die(args.manifest)
     for rec in records:
         _require_file(rec.audio_path, f"audio for {rec.id}")
-        if not tokenize_words(normalize(rec.transcript, rules)):
-            raise ValidationError(f"noise-sweep: reference for {rec.id!r} is empty after normalization")
-    report = run_sweep(records, spec, args.transcriber, args.workdir, rules=rules, jobs=args.jobs)
+    try:
+        report = run_sweep(records, spec, args.transcriber, args.workdir, rules=rules, jobs=args.jobs)
+    except EmptyReferenceError as exc:
+        raise ValidationError(f"noise-sweep: {exc}") from exc
     write_sweep_csv(report, args.out, _header(args))
     print(f"rows={len(report.rows)} out={args.out}")
     return 0

@@ -2,8 +2,12 @@
 
 Filters run in a fixed order (blocklist, language, speech/silence, segmentation,
 words-per-minute, confidence) so reruns are deterministic and cheap metadata
-checks happen before per-word work. Every input record is accounted for in the
-outcome list, with the offending measured value attached to each failed filter.
+checks happen before per-word work. One judge decides each input record; every
+record, a manifest line that failed to parse included, gets one outcome with
+the offending measured value attached to each failed filter, and an outcome is
+``kept`` exactly when it has no reasons. ``ManifestRecord`` is the manifest
+schema: its fields are the JSON keys, written in declaration order, and a field
+that is None is left out.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable
 
 __all__ = [
@@ -64,6 +68,8 @@ class ManifestRecord:
             not 0.0 <= c <= 1.0 for c in self.word_confidences
         ):
             raise ValueError(f"{self.id}: word confidences must lie in [0, 1]")
+        if self.detected_lang is not None and not 0.0 <= self.detected_lang[1] <= 1.0:
+            raise ValueError(f"{self.id}: detected_lang confidence must lie in [0, 1]")
         for name in ("speech_ratio", "max_silence_sec"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
@@ -109,6 +115,11 @@ class PipelineConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
+        for pattern in self.blocklist:
+            try:
+                re.compile(pattern)
+            except re.error as exc:
+                raise ValueError(f"blocklist pattern {pattern!r} is not a valid regex: {exc}") from exc
 
 
 @dataclass
@@ -119,11 +130,14 @@ class FilterReason:
 
 @dataclass
 class FilterOutcome:
-    """Verdict for one input record. rejected => reasons nonempty; kept => empty."""
+    """Fate of one input record: kept exactly when no filter gave a reason."""
 
     id: str
-    verdict: str  # "kept" | "rejected"
     reasons: list[FilterReason] = field(default_factory=list)
+
+    @property
+    def verdict(self) -> str:
+        return "rejected" if self.reasons else "kept"
 
 
 def compute_wpm(transcript: str, duration_sec: float) -> float:
@@ -243,6 +257,36 @@ def segment(rec: ManifestRecord, cfg: PipelineConfig) -> tuple[list[ManifestReco
     return children, None
 
 
+def _judge(
+    rec: ManifestRecord | ManifestParseError, cfg: PipelineConfig, blockers: list[re.Pattern]
+) -> tuple[list[ManifestRecord], list[FilterReason]]:
+    """(kept segments, reasons) for one manifest entry; exactly one of the two is empty."""
+    if isinstance(rec, ManifestParseError):
+        return [], [FilterReason("parse-error", rec.error)]
+    reasons = [FilterReason("blocklist", p.pattern) for p in blockers if p.search(rec.transcript)]
+    reasons = reasons or filter_language(rec, cfg) or filter_speech_and_silence(rec, cfg)
+    if reasons:
+        return [], reasons
+    children, seg_reason = segment(rec, cfg)
+    if seg_reason is not None or not children:
+        return [], [FilterReason(seg_reason or "segment-too-short", f"{rec.duration_sec:.4g}")]
+
+    survivors, reasons = [], []
+    for child in children:
+        wpm = compute_wpm(child.transcript, child.duration_sec)
+        if not cfg.wpm_min <= wpm <= cfg.wpm_max:
+            reasons.append(FilterReason("wpm", f"{wpm:.4g}"))
+            continue
+        ok, mean = filter_confidence(child, cfg.conf_threshold)
+        if ok:
+            survivors.append(child)
+        elif mean is None:
+            reasons.append(FilterReason("missing-confidence", "missing"))
+        else:
+            reasons.append(FilterReason("confidence", f"{mean:.4g}"))
+    return survivors, [] if survivors else reasons
+
+
 def run_pipeline(
     manifest: Iterable[ManifestRecord | ManifestParseError], cfg: PipelineConfig
 ) -> tuple[list[ManifestRecord], list[FilterOutcome]]:
@@ -255,77 +299,16 @@ def run_pipeline(
     blockers = [re.compile(p) for p in cfg.blocklist]
     kept: list[ManifestRecord] = []
     outcomes: list[FilterOutcome] = []
-
     for rec in manifest:
-        if isinstance(rec, ManifestParseError):
-            outcomes.append(
-                FilterOutcome(rec.id, "rejected", [FilterReason("parse-error", rec.error)])
-            )
-            continue
-
-        reasons: list[FilterReason] = []
-        for pattern in blockers:
-            if pattern.search(rec.transcript):
-                reasons.append(FilterReason("blocklist", pattern.pattern))
-        if not reasons:
-            reasons.extend(filter_language(rec, cfg))
-        if not reasons:
-            reasons.extend(filter_speech_and_silence(rec, cfg))
-        if reasons:
-            outcomes.append(FilterOutcome(rec.id, "rejected", reasons))
-            continue
-
-        children, seg_reason = segment(rec, cfg)
-        if seg_reason is not None:
-            outcomes.append(
-                FilterOutcome(rec.id, "rejected", [FilterReason(seg_reason, f"{rec.duration_sec:.4g}")])
-            )
-            continue
-        if not children:
-            outcomes.append(
-                FilterOutcome(rec.id, "rejected", [FilterReason("segment-too-short", f"{rec.duration_sec:.4g}")])
-            )
-            continue
-
-        survivors = []
-        child_reasons: list[FilterReason] = []
-        for child in children:
-            wpm = compute_wpm(child.transcript, child.duration_sec)
-            if not cfg.wpm_min <= wpm <= cfg.wpm_max:
-                child_reasons.append(FilterReason("wpm", f"{wpm:.4g}"))
-                continue
-            ok, mean = filter_confidence(child, cfg.conf_threshold)
-            if mean is None:
-                child_reasons.append(FilterReason("missing-confidence", "missing"))
-                continue
-            if not ok:
-                child_reasons.append(FilterReason("confidence", f"{mean:.4g}"))
-                continue
-            survivors.append(child)
-
-        if survivors:
-            kept.extend(survivors)
-            outcomes.append(FilterOutcome(rec.id, "kept", []))
-        else:
-            outcomes.append(FilterOutcome(rec.id, "rejected", child_reasons))
-
+        survivors, reasons = _judge(rec, cfg, blockers)
+        kept.extend(survivors)
+        outcomes.append(FilterOutcome(rec.id, reasons))
     return kept, outcomes
 
 
 # --- manifest and report I/O ---------------------------------------------
 
-_FIELDS = (
-    "id",
-    "audio_path",
-    "duration_sec",
-    "transcript",
-    "word_confidences",
-    "word_times",
-    "source_lang",
-    "detected_lang",
-    "speech_ratio",
-    "max_silence_sec",
-)
+_FIELD_NAMES = tuple(f.name for f in fields(ManifestRecord))
 
 
 def _optional_float(value) -> float | None:
@@ -333,7 +316,7 @@ def _optional_float(value) -> float | None:
 
 
 def _record_from_json(obj: dict) -> ManifestRecord:
-    unknown = set(obj) - set(_FIELDS)
+    unknown = set(obj).difference(_FIELD_NAMES)
     if unknown:
         raise ValueError(f"unknown manifest fields: {sorted(unknown)}")
     word_times = obj.get("word_times")
@@ -371,26 +354,10 @@ def read_manifest(path: str) -> list[ManifestRecord | ManifestParseError]:
 
 
 def write_manifest(records: Iterable[ManifestRecord], path: str) -> None:
+    """JSON Lines: each record's fields in declaration order, leaving out those that are None."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            obj: dict = {
-                "id": rec.id,
-                "audio_path": rec.audio_path,
-                "duration_sec": rec.duration_sec,
-                "transcript": rec.transcript,
-            }
-            if rec.word_confidences is not None:
-                obj["word_confidences"] = rec.word_confidences
-            if rec.word_times is not None:
-                obj["word_times"] = [list(t) for t in rec.word_times]
-            if rec.source_lang is not None:
-                obj["source_lang"] = rec.source_lang
-            if rec.detected_lang is not None:
-                obj["detected_lang"] = list(rec.detected_lang)
-            if rec.speech_ratio is not None:
-                obj["speech_ratio"] = rec.speech_ratio
-            if rec.max_silence_sec is not None:
-                obj["max_silence_sec"] = rec.max_silence_sec
+            obj = {name: value for name in _FIELD_NAMES if (value := getattr(rec, name)) is not None}
             fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
 
 

@@ -19,7 +19,7 @@ import numpy as np
 
 from .audio import AudioBuffer, read_wav, write_wav
 from .curation import ManifestRecord
-from .metrics import EvalRow, build_report, wer
+from .metrics import EmptyReferenceError, EvalRow, build_report, wer
 from .seeding import substream
 from .textnorm import NormRuleSet, DEFAULT_RULES, normalize, tokenize_words
 
@@ -144,7 +144,10 @@ class SweepRow:
     file_id: str
     wer: float | None  # None when the transcriber failed on this file
     duration_sec: float = 0.0
-    failed: bool = False
+
+    @property
+    def failed(self) -> bool:
+        return self.wer is None
 
 
 @dataclass
@@ -192,18 +195,24 @@ def run_sweep(
 ) -> SweepReport:
     """Noise-inject every file at every SNR, transcribe, and score WER.
 
-    The reference for each file is its manifest transcript, normalized with the
-    same rules as the hypothesis. Transcriber failures mark the row failed and
-    the sweep continues. Reruns with the same spec and inputs are byte-identical
-    because all randomness comes from per-(file, SNR) substreams of spec.seed.
+    The reference for each file is its manifest transcript, normalized once
+    with the same rules as the hypothesis; one that normalizes to no words
+    raises EmptyReferenceError before any file is mixed. Transcriber failures
+    mark the row failed and the sweep continues. Reruns with the same spec and
+    inputs are byte-identical because all randomness comes from per-(file, SNR)
+    substreams of spec.seed.
     """
+    refs = [tokenize_words(normalize(rec.transcript, rules)) for rec in records]
+    for rec, ref in zip(records, refs):
+        if not ref:
+            raise EmptyReferenceError(f"reference for {rec.id!r} is empty after normalization")
     os.makedirs(workdir, exist_ok=True)
     corpus = _ambient_corpus(spec.noise_corpus_dir) if spec.noise_kind == "ambient" else []
 
-    tasks = [(snr, rec) for snr in spec.snr_list_db for rec in records]
+    tasks = [(snr, rec, ref) for snr in spec.snr_list_db for rec, ref in zip(records, refs)]
 
-    def one(task: tuple[float, ManifestRecord]) -> SweepRow:
-        snr_db, rec = task
+    def one(task: tuple[float, ManifestRecord, list[str]]) -> SweepRow:
+        snr_db, rec, ref = task
         clean = read_wav(rec.audio_path)
         noise = _noise_for(clean, spec, corpus, rec.id, snr_db)
         mix = mix_at_snr(clean, noise, snr_db)
@@ -211,23 +220,20 @@ def run_sweep(
         write_wav(mix.mixed, out_path)
         hyp_text = transcribe_file(transcriber_cmd, out_path)
         if hyp_text is None:
-            return SweepRow(snr_db, rec.id, None, rec.duration_sec, failed=True)
-        ref = tokenize_words(normalize(rec.transcript, rules))
+            return SweepRow(snr_db, rec.id, None, rec.duration_sec)
         hyp = tokenize_words(normalize(hyp_text, rules))
         return SweepRow(snr_db, rec.id, wer(ref, hyp), rec.duration_sec)
 
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         rows = list(pool.map(one, tasks))
 
-    report = SweepReport(rows=rows)
-    for snr_db in spec.snr_list_db:
-        ok = [r for r in rows if r.snr_db == snr_db and not r.failed]
-        if ok:
-            rep = build_report([EvalRow(r.file_id, r.duration_sec, r.wer) for r in ok])
-            report.aggregate[snr_db] = rep.aggregates["wer"]
-        else:
-            report.aggregate[snr_db] = None
-    return report
+    # build_report skips failed rows (wer None) and gives None when all failed
+    aggregate = {
+        snr_db: build_report([EvalRow(r.file_id, r.duration_sec, r.wer) for r in rows if r.snr_db == snr_db])
+        .aggregates["wer"]
+        for snr_db in spec.snr_list_db
+    }
+    return SweepReport(rows, aggregate)
 
 
 def write_sweep_csv(report: SweepReport, path: str, header_lines: list[str] | None = None) -> None:

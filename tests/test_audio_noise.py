@@ -6,6 +6,7 @@ import pytest
 
 from asrlab.audio import AudioBuffer, read_wav, write_wav
 from asrlab.curation import ManifestRecord
+from asrlab.metrics import EmptyReferenceError
 from asrlab.noise import (
     SweepSpec,
     gaussian_noise,
@@ -14,6 +15,7 @@ from asrlab.noise import (
     run_sweep,
     write_sweep_csv,
 )
+from asrlab.textnorm import normalize
 from tests.conftest import make_script, tone, write_tone_wav
 
 SNR_GRID = [-5.0, 0.0, 5.0, 10.0, 20.0]
@@ -274,3 +276,30 @@ def test_write_sweep_csv_format(tmp_path, echo_transcriber):
     assert lines[0] == "# asrlab x"
     assert lines[2] == "snr_db,file_id,wer"
     assert lines[3].startswith("0,clip0,")
+
+
+def test_sweep_normalizes_each_reference_once(tmp_path, echo_transcriber, monkeypatch):
+    import asrlab.noise
+
+    calls = []
+
+    def counting_normalize(text, rules):
+        calls.append(text)
+        return normalize(text, rules)
+
+    monkeypatch.setattr(asrlab.noise, "normalize", counting_normalize)
+    records = _manifest_with_tones(tmp_path, ["alpha beta", "gamma delta"])
+    cmd = echo_transcriber({r.id: r.transcript for r in records})
+    snrs = [0.0, 10.0]
+    run_sweep(records, SweepSpec(snr_list_db=snrs, seed=3), cmd, str(tmp_path / "work"))
+    # one call per reference, one per transcribed hypothesis
+    assert len(calls) == len(records) + len(records) * len(snrs)
+
+
+def test_sweep_empty_reference_raises_before_mixing(tmp_path, echo_transcriber):
+    records = _manifest_with_tones(tmp_path, ["brook sounds", "uh um"])
+    cmd = echo_transcriber({r.id: r.transcript for r in records})
+    work = tmp_path / "work"
+    with pytest.raises(EmptyReferenceError, match="'clip1'"):
+        run_sweep(records, SweepSpec(snr_list_db=[0.0], seed=3), cmd, str(work))
+    assert not work.exists()

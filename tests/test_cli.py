@@ -483,3 +483,63 @@ def test_evaluate_repeated_id_exit_2(tmp_path, capsys, which):
     assert cli.main(["evaluate", "--manifest", str(manifest), *(x for kv in inputs.items() for x in kv)]) == 2
     err = capsys.readouterr().err
     assert f"{tsv}:4:" in err and "'r1'" in err and "repeated" in err
+
+
+# --- repeated manifest ids -------------------------------------------------------
+
+def write_repeated_id_manifest(tmp_path):
+    """Two records that share the id 'a', with different transcripts and durations."""
+    manifest = tmp_path / "m.jsonl"
+    records = []
+    for transcript, duration in (("one two three", 10.0), ("four five six", 30.0)):
+        wav = tmp_path / f"{duration:g}.wav"
+        write_wav(AudioBuffer(samples=tone(0.25)), str(wav))
+        records.append({"id": "a", "audio_path": str(wav), "duration_sec": duration, "transcript": transcript})
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    return manifest
+
+
+def test_evaluate_repeated_manifest_id_exit_2(tmp_path, capsys):
+    manifest = write_repeated_id_manifest(tmp_path)
+    hyps = tmp_path / "hyps.tsv"
+    hyps.write_text("a\tone two three\n", encoding="utf-8")
+    out = tmp_path / "report.csv"
+    argv = ["evaluate", "--manifest", str(manifest), "--hyps", str(hyps), "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "'a'" in err and "repeated" in err
+    assert not out.exists()
+
+
+def test_noise_sweep_repeated_manifest_id_exit_2(tmp_path, capsys):
+    manifest = write_repeated_id_manifest(tmp_path)
+    mark = tmp_path / "transcribed"
+    transcriber = make_script(tmp_path, "mark.py", f"open({str(mark)!r}, 'w').write('x')\nprint('one')\n")
+    workdir = tmp_path / "w"
+    argv = ["noise-sweep", "--manifest", str(manifest), "--transcriber", " ".join(transcriber),
+            "--workdir", str(workdir), "--out", str(tmp_path / "o.csv"), "--snrs", "0", "--jobs", "2"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and "'a'" in err and "repeated" in err
+    assert not mark.exists() and not workdir.exists()
+
+
+def test_curate_keeps_one_report_row_per_repeated_id(tmp_path):
+    manifest = write_repeated_id_manifest(tmp_path)
+    report = tmp_path / "r.csv"
+    argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(tmp_path / "k.jsonl"), "--report", str(report)]
+    assert cli.main(argv) == 0
+    rows = [line for line in report.read_text(encoding="utf-8").splitlines() if line.startswith("a,")]
+    assert len(rows) == 2
+
+
+def test_curate_bad_blocklist_regex_exit_2(tmp_path, capsys):
+    manifest = tmp_path / "in.jsonl"
+    write_manifest(golden_manifest(), str(manifest))
+    report = tmp_path / "r.csv"
+    argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(tmp_path / "k.jsonl"),
+            "--report", str(report), "--blocklist", "ok;;("]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "'('" in err and "internal error" not in err
+    assert not report.exists()

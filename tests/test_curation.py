@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from asrlab.curation import (
     FilterOutcome,
+    FilterReason,
     ManifestParseError,
     ManifestRecord,
     PipelineConfig,
@@ -313,6 +314,48 @@ def test_manifest_round_trip(tmp_path):
     assert back[6].detected_lang == ("es", 0.9)
 
 
+_text = st.text(st.characters(blacklist_categories=("Cs",)))  # any text JSON can carry in UTF-8
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def manifest_records(draw):
+    transcript = draw(_text)
+    n_words = len(transcript.split())
+    edges = sorted(draw(st.lists(st.floats(0.0, 1e4), min_size=2 * n_words, max_size=2 * n_words)))
+    optional = {
+        "word_confidences": st.lists(st.floats(0.0, 1.0), min_size=n_words, max_size=n_words),
+        "word_times": st.just([(edges[2 * i], edges[2 * i + 1]) for i in range(n_words)]),
+        "source_lang": _text,
+        "detected_lang": st.tuples(_text, st.floats(0.0, 1.0)),
+        "speech_ratio": _finite,
+        "max_silence_sec": _finite,
+    }
+    return ManifestRecord(
+        id=draw(_text),
+        audio_path=draw(_text),
+        duration_sec=draw(st.floats(min_value=1e-6, allow_infinity=False)),
+        transcript=transcript,
+        **{name: draw(st.none() | values) for name, values in optional.items()},
+    )
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(manifest_records(), max_size=4))
+def test_manifest_round_trip_every_field(tmp_path_factory, recs):
+    path = tmp_path_factory.mktemp("rt") / "m.jsonl"
+    write_manifest(recs, str(path))
+    first = path.read_bytes()
+    # keys in field order, None fields left out
+    assert [list(json.loads(line)) for line in first.decode("utf-8").split("\n")[:-1]] == [
+        [f.name for f in dataclasses.fields(r) if getattr(r, f.name) is not None] for r in recs
+    ]
+    back = read_manifest(str(path))
+    assert back == recs
+    write_manifest(back, str(path))
+    assert path.read_bytes() == first
+
+
 def test_read_manifest_parse_errors(tmp_path):
     path = tmp_path / "broken.jsonl"
     path.write_text(
@@ -340,6 +383,8 @@ def test_read_manifest_numeric_fields(tmp_path):
         {"id": "inf", "duration_sec": float("inf")},
         {"id": "nan-ratio", "duration_sec": 3.0, "speech_ratio": float("nan")},  # a JSON NaN literal
         {"id": "nan-silence", "duration_sec": 3.0, "max_silence_sec": float("nan")},
+        {"id": "nan-lang-conf", "duration_sec": 3.0, "detected_lang": ["en", float("nan")]},
+        {"id": "big-lang-conf", "duration_sec": 3.0, "detected_lang": ["en", 7.0]},
     ]
     path = tmp_path / "m.jsonl"
     path.write_text("".join(json.dumps({**base, **line}) + "\n" for line in lines), encoding="utf-8")
@@ -348,7 +393,7 @@ def test_read_manifest_numeric_fields(tmp_path):
     assert all(isinstance(e, ManifestParseError) for e in entries[1:])
     _, outcomes = run_pipeline(entries, PipelineConfig())
     assert outcomes[0].reasons[0].filter_id != "parse-error"
-    assert [o.reasons[0].filter_id for o in outcomes[1:]] == ["parse-error"] * 6
+    assert [o.reasons[0].filter_id for o in outcomes[1:]] == ["parse-error"] * 8
 
 
 def test_rejection_csv(tmp_path):
@@ -373,6 +418,9 @@ def test_record_validation():
         record(ratio=float("nan"))
     with pytest.raises(ValueError, match="max_silence_sec"):
         record(silence=float("nan"))
+    for lang_conf in (float("nan"), float("inf"), -0.1, 7.0):
+        with pytest.raises(ValueError, match="detected_lang"):
+            record(detected=("en", lang_conf))
 
 
 @pytest.mark.parametrize(
@@ -400,3 +448,11 @@ def test_pipeline_config_validation():
         PipelineConfig(seg_min_sec=20, seg_max_sec=7)
     with pytest.raises(ValueError):
         PipelineConfig(conf_threshold=1.5)
+    with pytest.raises(ValueError, match=r"'\('"):
+        PipelineConfig(blocklist=["fine", "("])
+
+
+def test_verdict_follows_reasons():
+    assert "verdict" not in {f.name for f in dataclasses.fields(FilterOutcome)}
+    assert FilterOutcome("a").verdict == "kept"
+    assert FilterOutcome("a", [FilterReason("wpm", "300")]).verdict == "rejected"
