@@ -55,6 +55,11 @@ class ManifestRecord:
     max_silence_sec: float | None = None
 
     def __post_init__(self) -> None:
+        lang = self.detected_lang[0] if self.detected_lang is not None else None
+        try:  # json.loads turns a \ud800 escape into a lone surrogate, which UTF-8 cannot encode
+            f"{self.id}{self.audio_path}{self.transcript}{self.source_lang}{lang}".encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("a text field holds a lone surrogate, which UTF-8 cannot encode") from None
         if not math.isfinite(self.duration_sec) or self.duration_sec <= 0:
             raise ValueError(f"{self.id}: duration_sec must be positive")
         n_words = len(self.transcript.split())

@@ -9,7 +9,8 @@ greedy decoding.
 
 from __future__ import annotations
 
-from typing import Callable, Sequence
+import math
+from typing import Callable
 
 import numpy as np
 
@@ -73,8 +74,10 @@ def beam_decode(
     """
     if beam_size < 1:
         raise ValueError("beam_size must be >= 1")
-    if lm_weight < 0:
-        raise ValueError("lm_weight must be nonnegative")
+    if not 0.0 <= lm_weight < math.inf:
+        raise ValueError("lm_weight must be finite and nonnegative")
+    fuse = lm is not None and lm_weight > 0.0
+    lm_rows: dict[tuple[int, ...], np.ndarray] = {}  # LM context -> lm_weight * log P_LM(v | context)
 
     beam: dict[tuple[int, ...], float] = {(): 0.0}
     for t in range(n_frames):
@@ -84,20 +87,26 @@ def beam_decode(
             force_freeze = step == max_symbols_per_frame
             next_active: dict[tuple[int, ...], float] = {}
             for labels, score in active.items():
-                scores = np.asarray(scorer(t, labels))
+                scores = np.asarray(scorer(t, labels), dtype=np.float64)
                 blank_id = len(scores) - 1
                 blank_score = score + float(scores[blank_id])
                 if labels not in frozen or blank_score > frozen[labels]:
                     frozen[labels] = blank_score
                 if force_freeze:
                     continue
-                for v in range(blank_id):
-                    s = score + float(scores[v])
-                    if lm is not None and lm_weight > 0.0:
-                        s += lm_weight * lm.cond_logprob(labels, v)
-                    key = labels + (v,)
-                    if key not in next_active or s > next_active[key]:
-                        next_active[key] = s
+                expanded = score + scores[:blank_id]
+                if fuse:
+                    context = lm.context(labels)
+                    if context not in lm_rows:
+                        lm_rows[context] = np.array(
+                            [lm_weight * lm.cond_logprob(context, v) for v in range(blank_id)]
+                        )
+                    expanded += lm_rows[context]
+                # a label outside this hypothesis's own top beam_size ranks below at
+                # least beam_size pool entries; the stable sort breaks ties by label
+                values = expanded.tolist()
+                for v in np.argsort(-expanded, kind="stable")[:beam_size].tolist():
+                    next_active[labels + (v,)] = values[v]
             # frozen and active entries compete jointly for the beam slots
             pool = [(-s, 1, labels) for labels, s in frozen.items()]
             pool += [(-s, 0, labels) for labels, s in next_active.items()]

@@ -36,7 +36,8 @@ class NgramLm:
             raise ValueError("vocabulary must be nonempty")
         self._vocab_set = set(self.vocabulary)
 
-    def _truncate(self, history: Sequence[Token]) -> tuple[Token, ...]:
+    def context(self, history: Sequence[Token]) -> tuple[Token, ...]:
+        """The part of a history the model conditions on: its last order - 1 tokens."""
         if self.order == 1:
             return ()
         return tuple(history[-(self.order - 1) :])
@@ -44,7 +45,7 @@ class NgramLm:
     def cond_logprob(self, history: Sequence[Token], token: Token) -> float:
         if token not in self._vocab_set:
             raise ValueError(f"token {token!r} not in LM vocabulary")
-        h = self._truncate(history)
+        h = self.context(history)
         counts = self.ngram_counts.get(h)
         v = len(self.vocabulary)
         if counts is None:

@@ -3,8 +3,10 @@
 The likelihood of a label sequence sums the probabilities of every monotone
 blank/label alignment: an alignment consumes all T frames via blanks and emits
 all U labels in order, ending with the blank that leaves the final frame. The
-forward DP computes this sum in log space; ``brute_force_logprob`` enumerates
-the alignments explicitly and exists purely as an independent check.
+forward DP computes this sum in log space, one array step per anti-diagonal
+t + u of the (t, u) node grid (Graves 2012; Bagby et al. 2018);
+``brute_force_logprob`` enumerates the alignments explicitly and exists purely
+as an independent check.
 """
 
 from __future__ import annotations
@@ -18,44 +20,67 @@ __all__ = ["rnnt_logprob", "brute_force_logprob", "rnnt_grad", "finite_differenc
 NEG_INF = -np.inf
 
 
-def _forward(lat: RnntLattice) -> np.ndarray:
-    """alpha[t, u] = log-prob of consuming t frames and emitting u labels."""
+def _skewed_edges(lat: RnntLattice) -> np.ndarray:
+    """Log-probs of the edges out of each node, by anti-diagonal: ``out[k, n, u]`` leaves (n - u, u).
+
+    k = 0 is the blank edge (t, u) -> (t+1, u), k = 1 the label edge
+    (t, u) -> (t, u+1). The label out of row U and every cell whose frame
+    n - u lies outside [0, T) read -inf. The result is a strided view of one
+    buffer that stores each table column u after U cells of -inf: one step
+    along u moves one buffer column on and one frame back, and a frame past
+    T - 1 runs into the next column's padding.
+    """
     T, U = lat.T, lat.U
-    lp = lat.logits
-    y = lat.targets
-    alpha = np.full((T, U + 1), NEG_INF)
+    R = T + U  # anti-diagonals, and cells per buffer column
+    buf = np.full((2, U + 1, R), NEG_INF)
+    buf[0, :, U:] = lat.logits[:, :, lat.blank_id].T
+    buf[1, :U, U:] = lat.logits[:, np.arange(U), lat.targets].T
+    step = buf.itemsize
+    return np.ndarray(
+        (2, R, U + 1), buffer=buf, offset=U * step, strides=((U + 1) * R * step, step, (R - 1) * step)
+    )
+
+
+def _unskew(d: np.ndarray, T: int) -> np.ndarray:
+    """(T, U+1) view of a C-contiguous anti-diagonal node table: ``m[t, u] = d[t + u, u]``."""
+    W = d.shape[1]
+    step = d.itemsize
+    return np.ndarray((T, W), buffer=d, strides=(W * step, (W + 1) * step))
+
+
+def _forward(lat: RnntLattice, blank: np.ndarray, emit: np.ndarray) -> np.ndarray:
+    """alpha[t + u, u] = log-prob of consuming t frames and emitting u labels.
+
+    A node on anti-diagonal n = t + u is reached only from diagonal n - 1, so
+    each diagonal is one array step over the skewed edge tables, with the same
+    additions as a cell-by-cell pass. Cells with t = T take the blanks out of
+    the last frame; nothing reads them back.
+    """
+    alpha = np.full((lat.T + lat.U, lat.U + 1), NEG_INF)
     alpha[0, 0] = 0.0
-    for t in range(T):
-        for u in range(U + 1):
-            if t == 0 and u == 0:
-                continue
-            a = alpha[t - 1, u] + lp[t - 1, u, lat.blank_id] if t > 0 else NEG_INF
-            b = alpha[t, u - 1] + lp[t, u - 1, y[u - 1]] if u > 0 else NEG_INF
-            alpha[t, u] = np.logaddexp(a, b)
+    steps = zip(alpha, alpha[:, :-1], alpha[1:], alpha[1:, 1:], blank, emit[:, :-1])
+    for prev, prev_head, cur, cur_tail, blank_out, emit_out in steps:
+        np.add(prev, blank_out, cur)
+        np.logaddexp(cur_tail, prev_head + emit_out, cur_tail)
     return alpha
 
 
-def _backward(lat: RnntLattice) -> np.ndarray:
-    """beta[t, u] = log-prob of completing the alignment from node (t, u)."""
-    T, U = lat.T, lat.U
-    lp = lat.logits
-    y = lat.targets
-    beta = np.full((T, U + 1), NEG_INF)
-    beta[T - 1, U] = lp[T - 1, U, lat.blank_id]
-    for t in range(T - 1, -1, -1):
-        for u in range(U, -1, -1):
-            if t == T - 1 and u == U:
-                continue
-            a = lp[t, u, lat.blank_id] + beta[t + 1, u] if t + 1 < T else NEG_INF
-            b = lp[t, u, y[u]] + beta[t, u + 1] if u < U else NEG_INF
-            beta[t, u] = np.logaddexp(a, b)
+def _backward(lat: RnntLattice, blank: np.ndarray, emit: np.ndarray) -> np.ndarray:
+    """beta[t + u, u] = log-prob of completing the alignment from node (t, u)."""
+    U = lat.U
+    beta = np.full((lat.T + U, U + 1), NEG_INF)
+    beta[-1, U] = lat.logits[-1, U, lat.blank_id]
+    steps = zip(beta[::-1], beta[::-1, 1:], beta[-2::-1], beta[-2::-1, :-1], blank[-2::-1], emit[-2::-1, :-1])
+    for nxt, nxt_tail, cur, cur_head, blank_out, emit_out in steps:
+        np.add(blank_out, nxt, cur)
+        np.logaddexp(cur_head, emit_out + nxt_tail, cur_head)
     return beta
 
 
 def rnnt_logprob(lat: RnntLattice) -> float:
     """log P(targets | lattice) over all monotone alignments; always <= 0."""
-    alpha = _forward(lat)
-    return float(alpha[lat.T - 1, lat.U] + lat.logits[lat.T - 1, lat.U, lat.blank_id])
+    alpha = _forward(lat, *_skewed_edges(lat))
+    return float(alpha[-1, lat.U] + lat.logits[-1, lat.U, lat.blank_id])
 
 
 # largest lattice brute_force_logprob enumerates
@@ -101,25 +126,26 @@ def rnnt_grad(lat: RnntLattice) -> np.ndarray:
     """
     T, U, V = lat.T, lat.U, lat.V
     lp = lat.logits
-    y_labels = lat.targets
-    alpha = _forward(lat)
-    beta = _backward(lat)
+    blank, emit = _skewed_edges(lat)
+    alpha = _unskew(_forward(lat, blank, emit), T)
+    beta = _unskew(_backward(lat, blank, emit), T)
     log_p = float(alpha[T - 1, U] + lp[T - 1, U, lat.blank_id])
     if not np.isfinite(log_p):
         raise ValueError("target sequence has zero probability under this lattice")
 
-    # log posterior of traversing each edge out of (t, u)
+    # log posterior of traversing each edge out of (t, u); unreachable nodes keep -inf
+    reached = np.isfinite(alpha)
+    after_blank = np.full((T, U + 1), NEG_INF)
+    after_blank[:-1] = beta[1:]
+    after_blank[-1, U] = 0.0  # the blank out of (T-1, U) ends the alignment
     edge = np.full((T, U + 1, V + 1), NEG_INF)
-    for t in range(T):
-        for u in range(U + 1):
-            if not np.isfinite(alpha[t, u]):
-                continue
-            blank_next = (
-                beta[t + 1, u] if t + 1 < T else (0.0 if u == U else NEG_INF)
-            )
-            edge[t, u, lat.blank_id] = alpha[t, u] + lp[t, u, lat.blank_id] + blank_next - log_p
-            if u < U:
-                edge[t, u, y_labels[u]] = alpha[t, u] + lp[t, u, y_labels[u]] + beta[t, u + 1] - log_p
+    edge[:, :, lat.blank_id] = np.where(
+        reached, alpha + lp[:, :, lat.blank_id] + after_blank - log_p, NEG_INF
+    )
+    u, y = np.arange(U), lat.targets
+    edge[:, u, y] = np.where(
+        reached[:, :-1], alpha[:, :-1] + lp[:, u, y] + beta[:, 1:] - log_p, NEG_INF
+    )
 
     edge_post = np.exp(edge)
     node_post = edge_post.sum(axis=2, keepdims=True)

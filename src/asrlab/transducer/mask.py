@@ -47,13 +47,11 @@ def make_stream_mask(spec: MaskSpec) -> list[np.ndarray]:
     Frame i in chunk c attends to [chunk_start(c) - left_context, chunk_end(c)]
     clamped to the valid range.
     """
-    n = spec.n_frames
-    base = np.zeros((n, n), dtype=bool)
-    for i in range(n):
-        chunk = i // spec.chunk_frames
-        lo = max(0, chunk * spec.chunk_frames - spec.left_context)
-        hi = min(n, (chunk + 1) * spec.chunk_frames)  # exclusive; right edge of own chunk
-        base[i, lo:hi] = True
+    frames = np.arange(spec.n_frames)
+    chunk_start = frames // spec.chunk_frames * spec.chunk_frames
+    lo = np.maximum(0, chunk_start - spec.left_context)
+    hi = chunk_start + spec.chunk_frames  # exclusive; right edge of own chunk
+    base = (frames >= lo[:, None]) & (frames < hi[:, None])
     return [base.copy() for _ in range(spec.n_layers)]
 
 

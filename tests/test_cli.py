@@ -533,6 +533,25 @@ def test_curate_keeps_one_report_row_per_repeated_id(tmp_path):
     assert len(rows) == 2
 
 
+def test_curate_lone_surrogate_is_a_parse_error_row(tmp_path):
+    manifest = tmp_path / "in.jsonl"
+    write_manifest(golden_manifest(), str(manifest))
+    lines = manifest.read_text(encoding="utf-8").splitlines()
+    victim = next(i for i, line in enumerate(lines) if json.loads(line)["id"] == "r7")
+    obj = json.loads(lines[victim])
+    obj["transcript"] = "\ud800" + obj["transcript"]
+    lines[victim] = json.dumps(obj)  # ASCII escapes: the file holds the six characters \ud800
+    manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    out_manifest = tmp_path / "kept.jsonl"
+    report = tmp_path / "r.csv"
+    argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(out_manifest), "--report", str(report)]
+    assert cli.main(argv) == 0
+    rows = [line for line in report.read_text(encoding="utf-8").splitlines() if "parse-error" in line]
+    assert rows == [f"line-{victim + 1},rejected,parse-error,\"a text field holds a lone surrogate, which UTF-8 cannot encode\""]
+    kept_ids = [json.loads(line)["id"] for line in out_manifest.read_text(encoding="utf-8").splitlines()]
+    assert kept_ids == [rid for rid in EXPECTED_KEPT if rid != "r7"]
+
+
 def test_curate_bad_blocklist_regex_exit_2(tmp_path, capsys):
     manifest = tmp_path / "in.jsonl"
     write_manifest(golden_manifest(), str(manifest))

@@ -421,6 +421,16 @@ def test_record_validation():
     for lang_conf in (float("nan"), float("inf"), -0.1, 7.0):
         with pytest.raises(ValueError, match="detected_lang"):
             record(detected=("en", lang_conf))
+    good = record()
+    for name, value in (
+        ("id", "r\ud800"),
+        ("audio_path", "r\udfff.wav"),
+        ("transcript", "\udc00" + good.transcript),
+        ("source_lang", "e\ud800n"),
+        ("detected_lang", ("\ud800", 0.99)),
+    ):
+        with pytest.raises(ValueError, match="lone surrogate"):
+            dataclasses.replace(good, **{name: value})
 
 
 @pytest.mark.parametrize(

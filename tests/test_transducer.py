@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from asrlab.seeding import substream
 from asrlab.transducer import (
@@ -27,6 +28,7 @@ from asrlab.transducer import (
     write_lattice_fixture,
 )
 from asrlab.transducer.loss import finite_difference_grad
+from tests import transducer_oracles as oracles
 
 
 def uniform_lattice(T, U, V, targets=None):
@@ -126,6 +128,43 @@ def test_logprob_zero_only_for_deterministic_single_path():
     lat = RnntLattice(logits=logits, targets=[0])
     assert rnnt_logprob(lat) == 0.0
     assert brute_force_logprob(lat) == 0.0
+
+
+# --- array passes vs the cell-by-cell oracles --------------------------------
+
+def lattice_with_holes(seed, T, U, V, hole_rate):
+    """Random lattice whose symbols are -inf at about hole_rate of the cells; every slice keeps one."""
+    rng = np.random.default_rng(seed)
+    raw = rng.normal(size=(T, U + 1, V + 1))
+    holes = rng.random(raw.shape) < hole_rate
+    np.put_along_axis(holes, rng.integers(V + 1, size=(T, U + 1, 1)), False, axis=2)
+    raw[holes] = -np.inf
+    return RnntLattice(logits=log_softmax(raw, axis=2), targets=[int(y) for y in rng.integers(V, size=U)])
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    T=st.integers(1, 30),
+    U=st.integers(0, 20),
+    V=st.integers(1, 5),
+    hole_rate=st.sampled_from([0.0, 0.2, 0.5]),
+)
+def test_dp_matches_cell_by_cell_oracle(seed, T, U, V, hole_rate):
+    lat = lattice_with_holes(seed, T, U, V, hole_rate)
+    assert rnnt_logprob(lat) == oracles.rnnt_logprob(lat)
+    try:
+        want = oracles.rnnt_grad(lat)
+    except ValueError:
+        with pytest.raises(ValueError, match="zero probability"):
+            rnnt_grad(lat)
+        return
+    np.testing.assert_array_equal(rnnt_grad(lat), want)
+
+
+def test_dp_long_lattice_matches_oracle():
+    lat = random_lattice(np.random.default_rng(2024), 1000, 200, 4)
+    assert abs(rnnt_logprob(lat) - oracles.rnnt_logprob(lat)) <= 1e-9
 
 
 # --- gradients -------------------------------------------------------------
@@ -305,12 +344,46 @@ def test_lm_flips_ranking_above_crossover():
     assert above == [1]
 
 
+def tie_heavy_scorer(master_seed, V):
+    """Scorer over whole-number scores, so that labels and hypotheses often tie."""
+
+    def score(t, prefix):
+        rng = substream(master_seed, "ties", t, prefix)
+        return np.round(2.0 * rng.normal(size=V + 1)) - 3.0
+
+    return score
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    V=st.integers(1, 4),
+    n_frames=st.integers(1, 4),
+    beam=st.integers(1, 5),
+    max_symbols=st.integers(1, 3),
+    lm_order=st.integers(1, 3),
+    lm_weight=st.sampled_from([None, 0.5, 1.0]),
+)
+def test_beam_matches_full_expansion_oracle(seed, V, n_frames, beam, max_symbols, lm_order, lm_weight):
+    scorer = tie_heavy_scorer(seed, V)
+    lm = None
+    if lm_weight is not None:
+        corpus = np.random.default_rng(seed).integers(V, size=(4, 5)).tolist()
+        lm = build_lm(corpus, lm_order, vocabulary=range(V))
+    kw = dict(lm=lm, lm_weight=lm_weight or 0.0, beam_size=beam, max_symbols_per_frame=max_symbols)
+    assert beam_decode(scorer, n_frames, **kw) == oracles.beam_decode(scorer, n_frames, **kw)
+
+
 def test_beam_validation():
     scorer = random_scorer(0, 2)
     with pytest.raises(ValueError):
         beam_decode(scorer, 1, beam_size=0)
     with pytest.raises(ValueError):
         beam_decode(scorer, 1, lm_weight=-0.1)
+    lm = build_lm([[0, 1, 1]], n=2)
+    for weight in (float("nan"), float("inf")):
+        with pytest.raises(ValueError, match="finite"):
+            beam_decode(scorer, 1, lm=lm, lm_weight=weight)
 
 
 # --- streaming masks ---------------------------------------------------------
