@@ -293,12 +293,17 @@ def cmd_stitch(args: argparse.Namespace) -> int:
             write_wav(AudioBuffer(samples=piece, sample_rate_hz=sr), chunk_path)
             text = transcribe_file(args.transcriber, chunk_path)
             if text is None:
-                raise RuntimeError(f"stitch: transcriber failed on chunk {i}")
+                raise ValidationError(f"stitch: transcriber failed on chunk {i} ({chunk_path})")
             partials.append(PartialTranscript(i, tokenize_words(normalize(text, rules))))
     words = stitch(partials, min_match_tokens=args.min_match)
     with _output(args.out) as out:
         out.write(" ".join(words) + "\n")
     return 0
+
+
+# rnnt-check's gates: |DP - brute force| in log space, and the gradient's error relative to finite differences
+RNNT_TOL_LOGPROB = 1e-9
+RNNT_TOL_GRAD = 1e-4
 
 
 def cmd_rnnt_check(args: argparse.Namespace) -> int:
@@ -337,10 +342,10 @@ def cmd_rnnt_check(args: argparse.Namespace) -> int:
         denom = max(float(np.max(np.abs(fd))), 1e-12)
         max_rel = max(max_rel, float(np.max(np.abs(analytic - fd))) / denom)
 
-    ok_oracle = max_dev <= args.tol_log
-    ok_grad = max_rel <= args.tol_grad
-    print(f"oracle-agreement: {'PASS' if ok_oracle else 'FAIL'} max_abs_dev={max_dev:.3e} (n={args.lattices}, tol={args.tol_log:g})")
-    print(f"gradient-fd: {'PASS' if ok_grad else 'FAIL'} max_rel_err={max_rel:.3e} (n={args.grad_checks}, tol={args.tol_grad:g})")
+    ok_oracle = max_dev <= RNNT_TOL_LOGPROB
+    ok_grad = max_rel <= RNNT_TOL_GRAD
+    print(f"oracle-agreement: {'PASS' if ok_oracle else 'FAIL'} max_abs_dev={max_dev:.3e} (n={args.lattices}, tol={RNNT_TOL_LOGPROB:g})")
+    print(f"gradient-fd: {'PASS' if ok_grad else 'FAIL'} max_rel_err={max_rel:.3e} (n={args.grad_checks}, tol={RNNT_TOL_GRAD:g})")
     print(f"likelihood-bound: {'PASS' if bound_ok else 'FAIL'}")
     return 0 if (ok_oracle and ok_grad and bound_ok) else 1
 
@@ -435,8 +440,6 @@ COMMANDS = {
         _opt("--t-max", type=int, default=4),
         _opt("--u-max", type=int, default=3),
         _opt("--v-max", type=int, default=3),
-        _opt("--tol-log", "rnnt.tol_logprob", type=float, default=1e-9),
-        _opt("--tol-grad", "rnnt.tol_grad", type=float, default=1e-4),
         _opt("--seed", "seed", type=int, default=0),
     ]),
 }

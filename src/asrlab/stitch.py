@@ -40,6 +40,7 @@ class SpeechSegment:
 VAD_FRAME_MS = 30.0
 VAD_FLOOR_DBFS = -40.0
 VAD_HANGOVER = 5  # frames a speech run is extended by
+_VAD_BLOCK_SAMPLES = 1 << 16  # samples squared at once when computing frame energies
 
 
 def energy_vad(audio: AudioBuffer) -> list[SpeechSegment]:
@@ -52,41 +53,29 @@ def energy_vad(audio: AudioBuffer) -> list[SpeechSegment]:
     """
     if len(audio) == 0:
         raise ValueError("audio is empty")
-    frame_len = max(1, int(round(audio.sample_rate_hz * VAD_FRAME_MS / 1000.0)))
-    n_frames = int(np.ceil(len(audio) / frame_len))
-    active = np.zeros(n_frames, dtype=bool)
-    for i in range(n_frames):
-        frame = audio.samples[i * frame_len : (i + 1) * frame_len]
-        energy_db = 10.0 * np.log10(float(np.mean(frame**2)) + 1e-12)
-        active[i] = energy_db > VAD_FLOOR_DBFS
+    sr, samples = audio.sample_rate_hz, audio.samples
+    frame_len = max(1, int(round(sr * VAD_FRAME_MS / 1000.0)))
+    n_full, tail = divmod(len(samples), frame_len)
+    energy = np.empty(n_full + (tail > 0))
+    # a block of frames at a time, so no signal-sized temporary is made
+    step = max(1, _VAD_BLOCK_SAMPLES // frame_len)
+    for first in range(0, n_full, step):
+        stop = min(first + step, n_full)
+        block = samples[first * frame_len : stop * frame_len]
+        energy[first:stop] = np.mean(block.reshape(-1, frame_len) ** 2, axis=1)
+    if tail:
+        energy[-1] = np.mean(samples[n_full * frame_len :] ** 2)
+    active = 10.0 * np.log10(energy + 1e-12) > VAD_FLOOR_DBFS
 
-    # hangover: a frame is speech if any active frame lies within the trailing window
-    speech = np.zeros(n_frames, dtype=bool)
-    last_active = -(VAD_HANGOVER + 1)
-    for i in range(n_frames):
-        if active[i]:
-            last_active = i
-        speech[i] = i - last_active <= VAD_HANGOVER
+    # hangover: a frame is speech if an active frame lies at most VAD_HANGOVER frames before it
+    index = np.arange(len(energy))
+    last_active = np.maximum.accumulate(np.where(active, index, -(VAD_HANGOVER + 1)))
+    speech = index - last_active <= VAD_HANGOVER
 
-    segments: list[SpeechSegment] = []
-    start = None
-    for i in range(n_frames):
-        if speech[i] and start is None:
-            start = i
-        elif not speech[i] and start is not None:
-            segments.append(_frames_to_segment(start, i, frame_len, audio))
-            start = None
-    if start is not None:
-        segments.append(_frames_to_segment(start, n_frames, frame_len, audio))
-    return segments
-
-
-def _frames_to_segment(first: int, end: int, frame_len: int, audio: AudioBuffer) -> SpeechSegment:
-    sr = audio.sample_rate_hz
-    return SpeechSegment(
-        start_sec=first * frame_len / sr,
-        end_sec=min(end * frame_len, len(audio)) / sr,
-    )
+    edges = np.diff(speech.astype(np.int8), prepend=0, append=0)
+    starts, ends = np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist()
+    return [SpeechSegment(s * frame_len / sr, min(e * frame_len, len(samples)) / sr)
+            for s, e in zip(starts, ends)]
 
 
 def speech_stats(segments: list[SpeechSegment], duration_sec: float) -> tuple[float, float]:
@@ -140,8 +129,6 @@ def plan_chunks(duration_sec: float, chunk_len: float = 25.0, overlap: float = 5
         bounds.append((start, start + chunk_len))
         start += stride
     last_start = duration_sec - chunk_len
-    if bounds and bounds[-1][1] >= duration_sec:
-        return ChunkPlan(bounds)
     # chunks the right-aligned tail makes redundant would triple-cover points
     while len(bounds) >= 2 and bounds[-2][1] > last_start:
         bounds.pop()
@@ -169,10 +156,13 @@ def _join_pair(left: list[str], right: list[str], min_match_tokens: int) -> list
 def stitch(partials: list[PartialTranscript], min_match_tokens: int = 3) -> list[str]:
     """Join per-chunk transcripts into one word sequence.
 
-    At each junction the longest shared token run between the accumulated
-    transcript and the next partial is located; if it has at least
-    min_match_tokens tokens (which must be >= 1), the texts are joined there
-    with the left copy kept. Otherwise the texts are concatenated unchanged.
+    At each junction the longest shared token run between the next partial
+    and the tail of the output as long as the previous partial is located; if
+    it has at least min_match_tokens tokens (which must be >= 1), the texts
+    are joined there with the left copy kept. Otherwise the texts are
+    concatenated unchanged. A chunk never starts before the one before it, so
+    the true junction lies in that tail, and a phrase repeated earlier in the
+    recording cannot capture it.
     """
     if min_match_tokens < 1:
         raise ValueError(f"min_match_tokens must be >= 1, got {min_match_tokens}")
@@ -182,6 +172,7 @@ def stitch(partials: list[PartialTranscript], min_match_tokens: int = 3) -> list
     if [p.index for p in ordered] != list(range(len(ordered))):
         raise ValueError("partial transcript indices must be contiguous from 0")
     out = list(ordered[0].words)
-    for part in ordered[1:]:
-        out = _join_pair(out, part.words, min_match_tokens)
+    for prev, part in zip(ordered, ordered[1:]):
+        cut = max(len(out) - len(prev.words), 0)
+        out[cut:] = _join_pair(out[cut:], part.words, min_match_tokens)
     return out

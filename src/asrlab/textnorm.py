@@ -127,9 +127,9 @@ _DEFAULT_FILLERS = frozenset(
 class NormRuleSet:
     """Normalization rules: contraction expansions and filler words.
 
-    Invariants: contraction keys and filler words are lowercase, and expansion
-    values contain no apostrophes, so applying the rule set twice gives the
-    same result as applying it once.
+    Invariants: contraction keys and filler words are lowercase, and every
+    expansion value is already normalized under the set itself, so applying
+    the rule set twice gives the same result as applying it once.
     """
 
     contractions: dict[str, str] = field(default_factory=lambda: dict(_DEFAULT_CONTRACTIONS))
@@ -142,9 +142,10 @@ class NormRuleSet:
         for word in self.fillers:
             if word != word.casefold():
                 raise ValueError(f"filler word not lowercase: {word!r}")
-
-
-DEFAULT_RULES = NormRuleSet()
+        for key, value in self.contractions.items():
+            again = _normalize(value, self.contractions, self.fillers)
+            if again != value:
+                raise ValueError(f"expansion of {key!r} changes when normalized by these rules: {value!r} -> {again!r}")
 
 
 def _punctuation_to_spaces(text: str) -> str:
@@ -169,6 +170,22 @@ def _punctuation_to_spaces(text: str) -> str:
     return "".join(out)
 
 
+def _normalize(text: str, contractions: dict[str, str], fillers: frozenset[str]) -> str:
+    if not text:
+        return ""
+    for variant, plain in _APOSTROPHES.items():
+        text = text.replace(variant, plain)
+    text = _punctuation_to_spaces(text.casefold())
+    expanded: list[str] = []
+    for token in text.split():
+        expanded.extend(contractions.get(token, token).split())
+    kept = [tok for tok in expanded if tok not in fillers]
+    return " ".join(kept)
+
+
+DEFAULT_RULES = NormRuleSet()
+
+
 def normalize(text: str, rules: NormRuleSet = DEFAULT_RULES) -> str:
     """Normalize a transcript into the canonical scoring form.
 
@@ -177,16 +194,7 @@ def normalize(text: str, rules: NormRuleSet = DEFAULT_RULES) -> str:
     and uses single spaces throughout. Idempotent: running the result through
     again returns it unchanged.
     """
-    if not text:
-        return ""
-    for variant, plain in _APOSTROPHES.items():
-        text = text.replace(variant, plain)
-    text = _punctuation_to_spaces(text.casefold())
-    expanded: list[str] = []
-    for token in text.split():
-        expanded.extend(rules.contractions.get(token, token).split())
-    kept = [tok for tok in expanded if tok not in rules.fillers]
-    return " ".join(kept)
+    return _normalize(text, rules.contractions, rules.fillers)
 
 
 def tokenize_words(text: str) -> list[str]:

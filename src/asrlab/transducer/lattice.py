@@ -50,7 +50,7 @@ class RnntLattice:
         # each slice must be a normalized distribution (in log space)
         slice_sums = np.logaddexp.reduce(self.logits, axis=2)
         worst = float(np.max(np.abs(slice_sums)))
-        if worst > _NORM_TOL:
+        if not worst <= _NORM_TOL:  # NaN fails too
             raise ValueError(f"lattice slices not normalized: max |logsumexp| = {worst:.3g}")
 
     @property

@@ -215,6 +215,21 @@ print(texts[min(n, 1)])
     assert proc.stdout.strip() == "the first chunk ends with shared words the second chunk continues"
 
 
+def test_stitch_audio_failing_transcriber_exit_2(tmp_path, failing_transcriber):
+    wav = tmp_path / "tone.wav"
+    write_wav(AudioBuffer(samples=tone(30.0, amplitude=0.4)), str(wav))
+    out = tmp_path / "joined.txt"
+    chunks = tmp_path / "chunks"
+    proc = run_cli(
+        "stitch", "--audio", str(wav), "--transcriber", " ".join(failing_transcriber),
+        "--workdir", str(chunks), "--out", str(out),
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "internal error" not in proc.stderr
+    assert "chunk 0" in proc.stderr and str(chunks / "chunk0000.wav") in proc.stderr
+    assert not out.exists()
+
+
 # --- noise-sweep --------------------------------------------------------------
 
 def test_noise_sweep_cli_and_rerun(tmp_path, echo_transcriber):
@@ -279,6 +294,14 @@ def test_rnnt_check_passes():
     assert "oracle-agreement: PASS" in proc.stdout
     assert "gradient-fd: PASS" in proc.stdout
     assert "likelihood-bound: PASS" in proc.stdout
+
+
+@pytest.mark.parametrize("flag", ["--tol-log", "--tol-grad"])
+def test_rnnt_check_gates_are_not_options(flag, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(["rnnt-check", flag, "1"])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
 
 def test_rnnt_check_validation():
@@ -435,6 +458,15 @@ def test_malformed_rule_file_exit_2(tmp_path, capsys):
     assert cli.main(["evaluate", "--manifest", str(manifest), "--hyps", str(hyps), "--rules", str(rules)]) == 2
     err = capsys.readouterr().err
     assert f"{rules}:2:" in err and "before a section header" in err
+
+
+def test_rule_file_that_is_not_idempotent_exit_2(tmp_path, capsys):
+    manifest, hyps = write_eval_inputs(tmp_path)
+    rules = tmp_path / "rules.txt"
+    rules.write_text("[contractions]\nfoo\tum, yes\n[fillers]\num\n", encoding="utf-8")
+    assert cli.main(["evaluate", "--manifest", str(manifest), "--hyps", str(hyps), "--rules", str(rules)]) == 2
+    err = capsys.readouterr().err
+    assert "'foo'" in err and "internal error" not in err
 
 
 @pytest.mark.parametrize(

@@ -4,6 +4,9 @@ from hypothesis import given, settings, strategies as st
 
 from asrlab.audio import AudioBuffer
 from asrlab.stitch import (
+    _VAD_BLOCK_SAMPLES,
+    VAD_FLOOR_DBFS,
+    VAD_FRAME_MS,
     PartialTranscript,
     SpeechSegment,
     energy_vad,
@@ -12,6 +15,7 @@ from asrlab.stitch import (
     speech_stats,
     stitch,
 )
+from tests import stitch_oracles
 from tests.conftest import tone
 
 
@@ -39,6 +43,58 @@ def test_vad_tone_silence_tone_feeds_silence_filter():
     assert max_silence > 5.0  # the curation silence filter would fire
     assert max_silence == pytest.approx(6.0, abs=0.3)
     assert ratio == pytest.approx(2.0 / 8.0, abs=0.05)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_vad_matches_frame_loop_oracle(data):
+    # silence, tones and noise bursts within 10 dB of the floor, at lengths that
+    # are rarely a whole number of frames; rate 10 gives one-sample frames
+    sr = data.draw(st.sampled_from([10, 100, 8000, 11025, 16000, 22050, 44100, 48000]), label="sr")
+    frame_len = max(1, int(round(sr * VAD_FRAME_MS / 1000.0)))
+    pieces = data.draw(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["silence", "tone", "noise"]),
+                st.floats(VAD_FLOOR_DBFS - 10.0, VAD_FLOOR_DBFS + 10.0),
+                st.integers(1, 12 * frame_len + 7),
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        label="pieces",
+    )
+    rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+    parts = []
+    for kind, level_db, n in pieces:
+        rms = 10.0 ** (level_db / 20.0)
+        if kind == "silence":
+            parts.append(np.zeros(n))
+        elif kind == "tone":
+            parts.append(rms * np.sqrt(2.0) * np.sin(2 * np.pi * rng.uniform(0.05, 0.45) * np.arange(n)))
+        else:
+            parts.append(rng.normal(0.0, rms, n))
+    audio = AudioBuffer(samples=np.concatenate(parts), sample_rate_hz=sr)
+    assert energy_vad(audio) == stitch_oracles.energy_vad(audio)
+
+
+@pytest.mark.parametrize("sr", [8000, 16000, 44100])
+def test_vad_matches_frame_loop_oracle_across_blocks(sr):
+    # long enough for several blocks of frame energies, with a partial frame at the end
+    rng = np.random.default_rng(sr)
+    n = 4 * _VAD_BLOCK_SAMPLES + 1234
+    level_db = np.repeat(rng.uniform(VAD_FLOOR_DBFS - 10.0, VAD_FLOOR_DBFS + 10.0, 40), n // 40 + 1)[:n]
+    audio = AudioBuffer(samples=rng.normal(0.0, 1.0, n) * 10.0 ** (level_db / 20.0), sample_rate_hz=sr)
+    segments = energy_vad(audio)
+    assert len(segments) > 3
+    assert segments == stitch_oracles.energy_vad(audio)
+
+
+@pytest.mark.parametrize("n_samples", [1, 479, 480, 481])
+def test_vad_partial_and_single_frames(n_samples):
+    loud = AudioBuffer(samples=np.full(n_samples, 0.5))
+    assert energy_vad(loud) == [SpeechSegment(0.0, n_samples / 16000)]
+    assert energy_vad(AudioBuffer(samples=np.full(n_samples, 1e-4))) == []
 
 
 def test_vad_rejects_empty_audio():
@@ -165,6 +221,51 @@ def test_stitch_match_shorter_than_minimum_falls_back():
     right = P(1, "s t u v w")  # only two shared tokens
     assert stitch([left, right], min_match_tokens=3) == "p q r s t s t u v w".split()
     assert stitch([left, right], min_match_tokens=2) == "p q r s t u v w".split()
+
+
+def test_stitch_junction_searched_only_within_previous_chunk():
+    # "a b c" returns at the last junction; a search of the whole output would
+    # join there and drop "d e f g h i j"
+    parts = [P(0, "a b c d e f"), P(1, "e f g h i j"), P(2, "i j a b c k")]
+    assert stitch(parts, 2) == "a b c d e f g h i j a b c k".split()
+
+
+def test_stitch_window_longer_than_output():
+    # the second partial starts before the first, so the output is shorter
+    # than it; the next junction then searches the whole output
+    parts = [P(0, "c d"), P(1, "a b c d e f g"), P(2, "c d e f h")]
+    assert stitch(parts, 2) == "c d e f h".split()
+
+
+@settings(max_examples=250, deadline=None)
+@given(st.data())
+def test_stitch_ignores_phrases_repeated_before_the_previous_chunk(data):
+    # a stream of unique tokens cut into chunks; then some junctions' overlaps
+    # are copied once each to earlier places. A copy ends before the chunk
+    # before the first chunk holding the original starts, so no junction sees
+    # the copy on one side and the original on the other; copied phrases share
+    # no token, so no junction sees two copies either
+    n_words = data.draw(st.integers(40, 160), label="n_words")
+    stream = [f"w{i}" for i in range(n_words)]
+    spans = []
+    start = 0
+    while True:
+        end = min(start + data.draw(st.integers(8, 30), label="len"), n_words)
+        spans.append((start, end))
+        if end == n_words:
+            break
+        start = end - data.draw(st.integers(3, min(7, end - start)), label="overlap")
+    copied: set[str] = set()
+    for k in range(2, len(spans)):
+        overlap = stream[spans[k][0] : spans[k - 1][1]]
+        first = next(i for i, (_, e) in enumerate(spans) if e > spans[k][0])
+        room = spans[first - 1][0] - len(overlap) if first else -1
+        if room >= 0 and copied.isdisjoint(overlap) and data.draw(st.booleans(), label=f"repeat{k}"):
+            at = data.draw(st.integers(0, room), label=f"at{k}")
+            stream[at : at + len(overlap)] = overlap
+            copied.update(overlap)
+    partials = [PartialTranscript(i, stream[s:e]) for i, (s, e) in enumerate(spans)]
+    assert stitch(partials, min_match_tokens=3) == stream
 
 
 @settings(max_examples=250, deadline=None)

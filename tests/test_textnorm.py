@@ -45,6 +45,33 @@ def test_rule_set_rejects_uppercase_keys():
         NormRuleSet(fillers=frozenset({"UM"}))
 
 
+def test_rule_set_rejects_expansion_that_normalizes_differently():
+    # "Foo!" would become "um, yes", and that again "yes"
+    with pytest.raises(ValueError, match="'foo'"):
+        NormRuleSet(contractions={"foo": "um, yes"}, fillers=frozenset({"um"}))
+    with pytest.raises(ValueError):
+        NormRuleSet(contractions={"gonna": "going to", "to": "toward"})
+    assert NormRuleSet(contractions={"foo": "yes"}, fillers=frozenset({"um"})).contractions == {"foo": "yes"}
+
+
+_VOCAB = ["a", "b", "c'd", "e-f", "um"]
+
+
+@settings(max_examples=200)
+@given(
+    st.dictionaries(st.sampled_from(_VOCAB), st.lists(st.sampled_from(_VOCAB + ["x,", "Y"]), max_size=3).map(" ".join)),
+    st.frozensets(st.sampled_from(_VOCAB)),
+    st.lists(st.sampled_from(_VOCAB + ["A", "c’d", ",", "-", "'"]), max_size=12),
+)
+def test_every_accepted_rule_set_is_idempotent(contractions, fillers, words):
+    try:
+        rules = NormRuleSet(contractions=contractions, fillers=fillers)
+    except ValueError:
+        return
+    once = normalize(" ".join(words), rules)
+    assert normalize(once, rules) == once
+
+
 def test_tokenize_examples():
     assert tokenize_words("there is a cat") == ["there", "is", "a", "cat"]
     assert tokenize_words("") == []
@@ -100,6 +127,13 @@ def test_load_rules_rejects_headerless_content(tmp_path):
     path = tmp_path / "bad.rules"
     path.write_text("gonna\tgoing to\n", encoding="utf-8")
     with pytest.raises(ValueError):
+        load_rules(str(path))
+
+
+def test_load_rules_rejects_expansion_that_is_not_normalized(tmp_path):
+    path = tmp_path / "unstable.rules"
+    path.write_text("[contractions]\nfoo\tum, yes\n[fillers]\num\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="'um, yes'"):
         load_rules(str(path))
 
 

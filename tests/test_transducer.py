@@ -45,6 +45,10 @@ def test_lattice_validation():
         RnntLattice(logits=log_softmax(np.zeros((2, 2, 3))), targets=[5])  # bad label
     with pytest.raises(ValueError):
         RnntLattice(logits=log_softmax(np.zeros((2, 3, 3))), targets=[0])  # U mismatch
+    nan_cell = log_softmax(np.zeros((2, 2, 3)))
+    nan_cell[0, 0, 0] = np.nan
+    with pytest.raises(ValueError, match="not normalized"), np.errstate(invalid="ignore"):
+        RnntLattice(logits=nan_cell, targets=[0])
     lat = uniform_lattice(3, 1, 2)
     assert (lat.T, lat.U, lat.V, lat.blank_id) == (3, 1, 2, 2)
 
