@@ -41,14 +41,17 @@ class AudioBuffer:
 
 
 def read_wav(path: str) -> AudioBuffer:
-    """Read a mono 16-bit PCM WAV file."""
-    with wave.open(path, "rb") as wf:
-        if wf.getnchannels() != 1:
-            raise ValueError(f"{path}: expected mono, got {wf.getnchannels()} channels")
-        if wf.getsampwidth() != 2:
-            raise ValueError(f"{path}: expected 16-bit samples, got {8 * wf.getsampwidth()}-bit")
-        raw = wf.readframes(wf.getnframes())
-        rate = wf.getframerate()
+    """Read a mono 16-bit PCM WAV file; a file that is not one raises ValueError naming the path."""
+    try:
+        with wave.open(path, "rb") as wf:
+            if wf.getnchannels() != 1:
+                raise ValueError(f"{path}: expected mono, got {wf.getnchannels()} channels")
+            if wf.getsampwidth() != 2:
+                raise ValueError(f"{path}: expected 16-bit samples, got {8 * wf.getsampwidth()}-bit")
+            raw = wf.readframes(wf.getnframes())
+            rate = wf.getframerate()
+    except (wave.Error, EOFError) as exc:
+        raise ValueError(f"{path}: not a readable WAV file: {str(exc) or 'unexpected end of file'}") from None
     samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
     return AudioBuffer(samples=samples, sample_rate_hz=rate)
 

@@ -1,7 +1,9 @@
 """Single executable exposing every capability as a subcommand.
 
-Exit codes: 0 on success, 2 on validation problems (bad flags, a bad config
-file, missing or malformed inputs), 1 on internal failures. Every option is
+Exit codes: 0 on success; 2 when the run is refused because of its inputs,
+flags or environment, which is when a command raises ValueError or OSError;
+1 on any other exception. ``main`` alone maps exceptions to exit codes, and
+prints ``asrlab <command>: <message>`` to stderr. Every option is
 declared once in COMMANDS, with its flag, its --config key and its default; a
 flag beats the config file, which beats the default. Every report embeds the
 tool version, the seed where one is used, and the options that can change the
@@ -19,12 +21,13 @@ import json
 import math
 import os
 import sys
+import tempfile
 
 import numpy as np
 
 from . import __version__
 from .audio import AudioBuffer, read_wav, write_wav
-from .config import load_config
+from .config import load_config, utf8_lines
 from .curation import (
     ManifestParseError,
     ManifestRecord,
@@ -35,7 +38,7 @@ from .curation import (
     write_rejection_csv,
 )
 from .entities import align_entities, pn_score, read_entity_file
-from .metrics import EmptyReferenceError, EvalRow, build_report, wer
+from .metrics import EvalRow, build_report, wer
 from .noise import SweepSpec, run_sweep, transcribe_file, write_sweep_csv
 from .planner import ScalingAssumptions, optimal_hours
 from .stitch import PartialTranscript, energy_vad, plan_chunks, remove_silences, stitch
@@ -43,16 +46,12 @@ from .textnorm import DEFAULT_RULES, load_rules, normalize, tokenize_words
 from .transducer import random_lattice, rnnt_logprob, brute_force_logprob, rnnt_grad
 from .transducer.loss import BRUTE_T_MAX, BRUTE_U_MAX, finite_difference_grad
 
-__all__ = ["main", "parse_args", "ValidationError", "COMMANDS"]
-
-
-class ValidationError(Exception):
-    """Input or configuration problem; maps to exit code 2."""
+__all__ = ["main", "parse_args", "COMMANDS"]
 
 
 def _require_file(path: str, what: str) -> str:
     if not os.path.isfile(path):
-        raise ValidationError(f"{what} not found: {path}")
+        raise ValueError(f"{what} not found: {path}")
     return path
 
 
@@ -97,31 +96,22 @@ def _score_entities(row: EvalRow, gold: dict, pred: dict, sim_threshold: float) 
     return row
 
 
-def _read(reader, path: str, what: str):
-    """`reader(path)` for an existing file; a malformed file (ValueError) is a validation error."""
-    try:
-        return reader(_require_file(path, what))
-    except ValueError as exc:
-        raise ValidationError(str(exc)) from exc
-
-
 def _load_rules(path: str | None):
-    return DEFAULT_RULES if path is None else _read(load_rules, path, "rule file")
+    return DEFAULT_RULES if path is None else load_rules(_require_file(path, "rule file"))
 
 
 def _read_tsv(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip():
-                continue
-            if "\t" not in line:
-                raise ValidationError(f"{path}:{line_no}: expected id<TAB>text")
-            file_id, text = line.split("\t", 1)
-            if file_id in out:
-                raise ValidationError(f"{path}:{line_no}: id {file_id!r} is repeated")
-            out[file_id] = text
+    for line_no, raw in utf8_lines(path):
+        line = raw.rstrip("\n")
+        if not line.strip():
+            continue
+        if "\t" not in line:
+            raise ValueError(f"{path}:{line_no}: expected id<TAB>text")
+        file_id, text = line.split("\t", 1)
+        if file_id in out:
+            raise ValueError(f"{path}:{line_no}: id {file_id!r} is repeated")
+        out[file_id] = text
     return out
 
 
@@ -131,11 +121,11 @@ def _records_or_die(path: str) -> list[ManifestRecord]:
     bad = [e for e in entries if isinstance(e, ManifestParseError)]
     if bad:
         detail = "; ".join(f"{e.id}: {e.error}" for e in bad[:3])
-        raise ValidationError(f"manifest {path} has {len(bad)} malformed line(s): {detail}")
+        raise ValueError(f"manifest {path} has {len(bad)} malformed line(s): {detail}")
     seen: set[str] = set()
     for rec in entries:
         if rec.id in seen:
-            raise ValidationError(f"manifest {path}: id {rec.id!r} is repeated")
+            raise ValueError(f"manifest {path}: id {rec.id!r} is repeated")
         seen.add(rec.id)
     return entries  # type: ignore[return-value]
 
@@ -144,11 +134,7 @@ def _records_or_die(path: str) -> list[ManifestRecord]:
 
 
 def cmd_plan_data(args: argparse.Namespace) -> int:
-    try:
-        assumptions = ScalingAssumptions(wpm=args.wpm, tpw=args.tpw, tpp=args.tpp)
-        hours = optimal_hours(args.params, assumptions)
-    except ValueError as exc:
-        raise ValidationError(f"planner: {exc}") from exc
+    hours = optimal_hours(args.params, ScalingAssumptions(wpm=args.wpm, tpw=args.tpw, tpp=args.tpp))
     print(f"params={args.params}")
     print(f"hours={hours:.6f}")
     print(f"hours_rounded={round(hours)}")
@@ -161,21 +147,21 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     refs = _read_tsv(_require_file(args.refs, "refs file")) if args.refs else {r.id: r.transcript for r in records}
     hyps = _read_tsv(_require_file(args.hyps, "hyps file"))
 
-    gold_entities = _read(read_entity_file, args.gold_entities, "gold entities") if args.gold_entities else None
-    pred_entities = _read(read_entity_file, args.pred_entities, "pred entities") if args.pred_entities else None
+    gold_entities = read_entity_file(_require_file(args.gold_entities, "gold entities")) if args.gold_entities else None
+    pred_entities = read_entity_file(_require_file(args.pred_entities, "pred entities")) if args.pred_entities else None
     if (gold_entities is None) != (pred_entities is None):
-        raise ValidationError("evaluate: --gold-entities and --pred-entities must be given together")
+        raise ValueError("--gold-entities and --pred-entities must be given together")
 
     rows = []
     for rec in records:
         if rec.id not in hyps:
-            raise ValidationError(f"evaluate: no hypothesis for file id {rec.id!r}")
+            raise ValueError(f"no hypothesis for file id {rec.id!r}")
         if rec.id not in refs:
-            raise ValidationError(f"evaluate: no reference for file id {rec.id!r}")
+            raise ValueError(f"no reference for file id {rec.id!r}")
         ref = tokenize_words(normalize(refs[rec.id], rules))
         hyp = tokenize_words(normalize(hyps[rec.id], rules))
         if not ref:
-            raise ValidationError(f"evaluate: reference for {rec.id!r} is empty after normalization")
+            raise ValueError(f"reference for {rec.id!r} is empty after normalization")
         row = EvalRow(rec.id, rec.duration_sec, wer(ref, hyp))
         if gold_entities is not None:
             _score_entities(row, gold_entities, pred_entities, args.sim_threshold)
@@ -186,8 +172,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_ppn_score(args: argparse.Namespace) -> int:
-    gold = _read(read_entity_file, args.gold_entities, "gold entities")
-    pred = _read(read_entity_file, args.pred_entities, "pred entities")
+    gold = read_entity_file(_require_file(args.gold_entities, "gold entities"))
+    pred = read_entity_file(_require_file(args.pred_entities, "pred entities"))
     durations: dict[str, float] = {}
     if args.manifest:
         durations = {r.id: r.duration_sec for r in _records_or_die(args.manifest)}
@@ -202,10 +188,7 @@ def cmd_ppn_score(args: argparse.Namespace) -> int:
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
-    try:
-        pipeline_cfg = PipelineConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)})
-    except ValueError as exc:
-        raise ValidationError(f"curation: {exc}") from exc
+    pipeline_cfg = PipelineConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)})
     entries = read_manifest(_require_file(args.manifest, "manifest"))
     kept, outcomes = run_pipeline(entries, pipeline_cfg)
     write_manifest(kept, args.out_manifest)
@@ -217,17 +200,11 @@ def cmd_curate(args: argparse.Namespace) -> int:
 
 def cmd_noise_sweep(args: argparse.Namespace) -> int:
     rules = _load_rules(args.rules)
-    try:
-        spec = SweepSpec(args.snrs, args.noise_kind, noise_corpus_dir=args.noise_dir, seed=args.seed)
-    except ValueError as exc:
-        raise ValidationError(f"noise-sweep: {exc}") from exc
+    spec = SweepSpec(args.snrs, args.noise_kind, noise_corpus_dir=args.noise_dir, seed=args.seed)
     records = _records_or_die(args.manifest)
     for rec in records:
         _require_file(rec.audio_path, f"audio for {rec.id}")
-    try:
-        report = run_sweep(records, spec, args.transcriber, args.workdir, rules=rules, jobs=args.jobs)
-    except EmptyReferenceError as exc:
-        raise ValidationError(f"noise-sweep: {exc}") from exc
+    report = run_sweep(records, spec, args.transcriber, args.workdir, rules=rules, jobs=args.jobs)
     write_sweep_csv(report, args.out, _header(args))
     print(f"rows={len(report.rows)} out={args.out}")
     return 0
@@ -235,7 +212,7 @@ def cmd_noise_sweep(args: argparse.Namespace) -> int:
 
 def _read_partials_dir(path: str, rules) -> list[PartialTranscript]:
     if not os.path.isdir(path):
-        raise ValidationError(f"partials directory not found: {path}")
+        raise ValueError(f"partials directory not found: {path}")
     entries = []
     for name in os.listdir(path):
         stem, ext = os.path.splitext(name)
@@ -244,57 +221,62 @@ def _read_partials_dir(path: str, rules) -> list[PartialTranscript]:
         try:
             idx = int(stem)
         except ValueError:
-            raise ValidationError(f"partial file name must be <index>.txt, got {name!r}")
-        with open(os.path.join(path, name), encoding="utf-8") as fh:
-            entries.append((idx, name, fh.read()))
+            raise ValueError(f"partial file name must be <index>.txt, got {name!r}")
+        entries.append((idx, name, "".join(line for _, line in utf8_lines(os.path.join(path, name)))))
     if not entries:
-        raise ValidationError(f"no <index>.txt partials in {path}")
+        raise ValueError(f"no <index>.txt partials in {path}")
     entries.sort()
     for expected, (idx, name, _) in enumerate(entries):
         if idx != expected:
             if expected and entries[expected - 1][0] == idx:
-                raise ValidationError(f"partials {entries[expected - 1][1]} and {name} in {path} share index {idx}")
-            raise ValidationError(f"partial index {expected} is missing in {path}: the next file is {name}")
+                raise ValueError(f"partials {entries[expected - 1][1]} and {name} in {path} share index {idx}")
+            raise ValueError(f"partial index {expected} is missing in {path}: the next file is {name}")
     return [PartialTranscript(i, tokenize_words(normalize(text, rules))) for i, _, text in entries]
 
 
-def cmd_stitch(args: argparse.Namespace) -> int:
-    rules = _load_rules(args.rules)
-    if (args.partials_dir is None) == (args.audio is None):
-        raise ValidationError("stitch: give exactly one of --partials-dir or --audio")
-    if args.min_match < 1:
-        raise ValidationError(
-            f"stitch: --min-match (config key stitch.min_match_tokens) must be >= 1, got {args.min_match}"
-        )
-
-    if args.partials_dir:
-        partials = _read_partials_dir(args.partials_dir, rules)
-    else:
-        if not args.transcriber:
-            raise ValidationError("stitch: --audio mode requires --transcriber")
-        if not 0 < args.overlap < args.chunk_len:
-            raise ValidationError(
-                "stitch: need 0 < --overlap < --chunk-len (config keys stitch.overlap_sec, stitch.chunk_len_sec), "
-                f"got {args.overlap:g} and {args.chunk_len:g}"
-            )
-        audio = read_wav(_require_file(args.audio, "audio"))
-        segments = energy_vad(audio)
-        voiced = remove_silences(audio, segments)
-        if len(voiced) == 0:
-            raise ValidationError(f"stitch: no speech detected in {args.audio}")
-        plan = plan_chunks(voiced.duration_sec, chunk_len=args.chunk_len, overlap=args.overlap)
-        workdir = args.workdir or os.path.dirname(os.path.abspath(args.audio))
+def _transcribe_audio(args: argparse.Namespace, rules) -> list[PartialTranscript]:
+    """Strip the silences from --audio, cut the rest into overlapping chunks, and transcribe each chunk."""
+    audio = read_wav(_require_file(args.audio, "audio"))
+    voiced = remove_silences(audio, energy_vad(audio)) if len(audio) else audio
+    if len(voiced) == 0:
+        raise ValueError(f"no speech detected in {args.audio}")
+    plan = plan_chunks(voiced.duration_sec, chunk_len=args.chunk_len, overlap=args.overlap)
+    sr = voiced.sample_rate_hz
+    partials = []
+    # chunk WAVs stay in --workdir; without it they go to a directory removed when the run ends
+    with contextlib.nullcontext(args.workdir) if args.workdir else tempfile.TemporaryDirectory() as workdir:
         os.makedirs(workdir, exist_ok=True)
-        sr = voiced.sample_rate_hz
-        partials = []
         for i, (start, end) in enumerate(plan.bounds):
             piece = voiced.samples[int(round(start * sr)) : int(round(end * sr))]
             chunk_path = os.path.join(workdir, f"chunk{i:04d}.wav")
             write_wav(AudioBuffer(samples=piece, sample_rate_hz=sr), chunk_path)
             text = transcribe_file(args.transcriber, chunk_path)
             if text is None:
-                raise ValidationError(f"stitch: transcriber failed on chunk {i} ({chunk_path})")
+                raise ValueError(f"transcriber failed on chunk {i} ({chunk_path})")
             partials.append(PartialTranscript(i, tokenize_words(normalize(text, rules))))
+    return partials
+
+
+def cmd_stitch(args: argparse.Namespace) -> int:
+    rules = _load_rules(args.rules)
+    if (args.partials_dir is None) == (args.audio is None):
+        raise ValueError("give exactly one of --partials-dir or --audio")
+    if args.min_match < 1:
+        raise ValueError(
+            f"--min-match (config key stitch.min_match_tokens) must be >= 1, got {args.min_match}"
+        )
+
+    if args.partials_dir:
+        partials = _read_partials_dir(args.partials_dir, rules)
+    else:
+        if not args.transcriber:
+            raise ValueError("--audio mode requires --transcriber")
+        if not 0 < args.overlap < args.chunk_len:
+            raise ValueError(
+                "need 0 < --overlap < --chunk-len (config keys stitch.overlap_sec, stitch.chunk_len_sec), "
+                f"got {args.overlap:g} and {args.chunk_len:g}"
+            )
+        partials = _transcribe_audio(args, rules)
     words = stitch(partials, min_match_tokens=args.min_match)
     with _output(args.out) as out:
         out.write(" ".join(words) + "\n")
@@ -308,7 +290,7 @@ RNNT_TOL_GRAD = 1e-4
 
 def cmd_rnnt_check(args: argparse.Namespace) -> int:
     if args.lattices < 1 or args.grad_checks < 1:
-        raise ValidationError("rnnt-check: lattice and gradient counts must be positive")
+        raise ValueError("lattice and gradient counts must be positive")
     # gradient checks draw T >= 2, U >= 1 and V >= 2; the oracle enumerates up to the brute-force guard
     for flag, value, lo, hi in (
         ("--t-max", args.t_max, 2, BRUTE_T_MAX),
@@ -316,7 +298,7 @@ def cmd_rnnt_check(args: argparse.Namespace) -> int:
         ("--v-max", args.v_max, 2, math.inf),
     ):
         if not lo <= value <= hi:
-            raise ValidationError(f"rnnt-check: {flag} must lie in [{lo}, {hi}], got {value}")
+            raise ValueError(f"{flag} must lie in [{lo}, {hi}], got {value}")
 
     rng = np.random.default_rng(args.seed)
     max_dev = 0.0
@@ -480,7 +462,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     if args.config is not None:
         try:
             subparsers[args.command].set_defaults(**_config_defaults(args.config, COMMANDS[args.command][2]))
-        except (ValidationError, ValueError) as exc:
+        except (ValueError, OSError) as exc:
             parser.exit(2, f"asrlab {args.command}: {exc}\n")
         args = parser.parse_args(argv)
     return args
@@ -490,10 +472,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
     try:
         return args.func(args)
-    except (ValidationError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:  # the run was refused: its inputs, flags or environment
         print(f"asrlab {args.command}: {exc}", file=sys.stderr)
         return 2
-    except Exception as exc:  # internal failure contract
+    except Exception as exc:
         print(f"asrlab {args.command}: internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

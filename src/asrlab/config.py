@@ -2,24 +2,40 @@
 
 Format: UTF-8 lines of ``key = value`` with ``#`` comments; keys use dotted
 namespaces (``curation.wpm_min``). Command-line flags always win over the file;
-the CLI's option table says which key feeds which flag.
+the CLI's option table says which key feeds which flag. ``utf8_lines`` is the
+line reader of this and every other text-file parser in the package.
 """
 
 from __future__ import annotations
 
-__all__ = ["load_config"]
+from typing import Iterator
+
+__all__ = ["load_config", "utf8_lines"]
+
+
+def utf8_lines(path: str) -> Iterator[tuple[int, str]]:
+    """(line number, line) for each line of a UTF-8 text file, newlines read as in text mode.
+
+    A line that is not valid UTF-8 raises ValueError naming ``path:line``.
+    """
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            if not line.isascii():
+                try:  # an undecodable byte was read as a lone surrogate, which does not encode
+                    line.encode("utf-8")
+                except UnicodeEncodeError:
+                    raise ValueError(f"{path}:{line_no}: not valid UTF-8") from None
+            yield line_no, line
 
 
 def load_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
-            key, value = line.split("=", 1)
-            cfg[key.strip()] = value.strip()
+    for line_no, raw in utf8_lines(path):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if "=" not in line:
+            raise ValueError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
+        key, value = line.split("=", 1)
+        cfg[key.strip()] = value.strip()
     return cfg
-

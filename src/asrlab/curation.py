@@ -345,9 +345,13 @@ def _record_from_json(obj: dict) -> ManifestRecord:
 
 
 def read_manifest(path: str) -> list[ManifestRecord | ManifestParseError]:
-    """Read a JSON Lines manifest; malformed lines become ManifestParseError entries."""
+    """Read a JSON Lines manifest; malformed lines become ManifestParseError entries.
+
+    A byte that is not UTF-8 is read as a lone surrogate, which the JSON parser
+    or ManifestRecord rejects, so such a line is malformed like any other.
+    """
     out: list[ManifestRecord | ManifestParseError] = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
                 continue

@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import subprocess
 from dataclasses import dataclass, field
+from difflib import SequenceMatcher
+from itertools import zip_longest
 from typing import Iterable, Iterator
 
+from .config import utf8_lines
 from .metrics import jaro_winkler, wer
 
 __all__ = [
@@ -63,64 +66,36 @@ class EntityAlignment:
     unmatched_pred: list[EntitySpan] = field(default_factory=list)
 
 
-def _candidate_pairs(
-    gold: list[EntitySpan], pred: list[EntitySpan]
-) -> list[tuple[EntitySpan | None, EntitySpan | None]]:
-    """Stage 1: order-preserving lexical pairing over casefolded fillers.
-
-    'equal' opcode blocks pair identical fillers; 'replace' blocks pair spans
-    positionally, with the longer side's leftovers unpaired.
-    """
-    from difflib import SequenceMatcher
-
-    g_text = [s.filler.casefold() for s in gold]
-    p_text = [s.filler.casefold() for s in pred]
-    sm = SequenceMatcher(None, g_text, p_text, autojunk=False)
-    out: list[tuple[EntitySpan | None, EntitySpan | None]] = []
-    for tag, i1, i2, j1, j2 in sm.get_opcodes():
-        if tag == "equal":
-            out.extend((gold[i], pred[j]) for i, j in zip(range(i1, i2), range(j1, j2)))
-        elif tag == "replace":
-            g_block = gold[i1:i2]
-            p_block = pred[j1:j2]
-            for k in range(max(len(g_block), len(p_block))):
-                out.append(
-                    (
-                        g_block[k] if k < len(g_block) else None,
-                        p_block[k] if k < len(p_block) else None,
-                    )
-                )
-        elif tag == "delete":
-            out.extend((gold[i], None) for i in range(i1, i2))
-        else:  # insert
-            out.extend((None, pred[j]) for j in range(j1, j2))
-    return out
-
-
 def align_entities(
     gold: list[EntitySpan], pred: list[EntitySpan], sim_threshold: float = 0.5
 ) -> EntityAlignment:
     """Two-stage alignment of gold and predicted spans.
 
-    Spans with types outside SUPPORTED_TYPES are dropped before alignment. The
-    returned buckets partition the remaining spans exactly: a candidate pair is
-    kept only when the types are equal and the casefolded fillers have
-    Jaro-Winkler similarity >= sim_threshold; everything else lands in an
-    unmatched bucket.
+    Spans with types outside SUPPORTED_TYPES are dropped before alignment.
+    Stage 1 pairs the rest in order: difflib's opcodes over the casefolded
+    fillers cut both sequences into blocks, and each block's spans are paired
+    by position, the longer side's leftovers unpaired ('equal' blocks pair
+    identical fillers, 'delete' and 'insert' blocks pair nothing). The returned
+    buckets partition the spans exactly: a candidate pair is kept only when the
+    types are equal and the casefolded fillers have Jaro-Winkler similarity >=
+    sim_threshold; everything else lands in an unmatched bucket.
     """
     gold = sorted((s for s in gold if s.type in SUPPORTED_TYPES), key=lambda s: (s.start, s.end))
     pred = sorted((s for s in pred if s.type in SUPPORTED_TYPES), key=lambda s: (s.start, s.end))
+    g_text = [s.filler.casefold() for s in gold]
+    p_text = [s.filler.casefold() for s in pred]
     out = EntityAlignment()
-    for g, p in _candidate_pairs(gold, pred):
-        if g is None:
-            out.unmatched_pred.append(p)  # type: ignore[arg-type]
-        elif p is None:
-            out.unmatched_gold.append(g)
-        elif g.type == p.type and jaro_winkler(g.filler.casefold(), p.filler.casefold()) >= sim_threshold:
-            out.matched.append((g, p))
-        else:
-            out.unmatched_gold.append(g)
-            out.unmatched_pred.append(p)
+    for _, i1, i2, j1, j2 in SequenceMatcher(None, g_text, p_text, autojunk=False).get_opcodes():
+        for g, p in zip_longest(gold[i1:i2], pred[j1:j2]):
+            if g is None:
+                out.unmatched_pred.append(p)
+            elif p is None:
+                out.unmatched_gold.append(g)
+            elif g.type == p.type and jaro_winkler(g.filler.casefold(), p.filler.casefold()) >= sim_threshold:
+                out.matched.append((g, p))
+            else:
+                out.unmatched_gold.append(g)
+                out.unmatched_pred.append(p)
     return out
 
 
@@ -176,9 +151,8 @@ def _parse_spans(lines: Iterable[str], where: str) -> Iterator[tuple[str, Entity
 def read_entity_file(path: str) -> dict[str, list[EntitySpan]]:
     """Parse a line-delimited annotation file: file_id<TAB>start<TAB>end<TAB>type<TAB>filler."""
     spans: dict[str, list[EntitySpan]] = {}
-    with open(path, encoding="utf-8") as fh:
-        for file_id, span in _parse_spans(fh, path):
-            spans.setdefault(file_id, []).append(span)
+    for file_id, span in _parse_spans((line for _, line in utf8_lines(path)), path):
+        spans.setdefault(file_id, []).append(span)
     return spans
 
 

@@ -108,7 +108,7 @@ def mix_at_snr(clean: AudioBuffer, noise: AudioBuffer, target_snr_db: float) -> 
     mixed = clean_part + noise_part
 
     rescale = 1.0
-    peak = float(np.max(np.abs(mixed))) if len(mixed) else 0.0
+    peak = float(np.max(np.abs(mixed)))
     if peak > 1.0:
         rescale = 1.0 / peak
         clean_part *= rescale
@@ -197,10 +197,11 @@ def run_sweep(
 
     The reference for each file is its manifest transcript, normalized once
     with the same rules as the hypothesis; one that normalizes to no words
-    raises EmptyReferenceError before any file is mixed. Transcriber failures
-    mark the row failed and the sweep continues. Reruns with the same spec and
-    inputs are byte-identical because all randomness comes from per-(file, SNR)
-    substreams of spec.seed.
+    raises EmptyReferenceError before any file is mixed. A clip that cannot be
+    mixed (empty or silent) raises ValueError naming its file. Transcriber
+    failures mark the row failed and the sweep continues. Reruns with the same
+    spec and inputs are byte-identical because all randomness comes from
+    per-(file, SNR) substreams of spec.seed.
     """
     refs = [tokenize_words(normalize(rec.transcript, rules)) for rec in records]
     for rec, ref in zip(records, refs):
@@ -215,7 +216,10 @@ def run_sweep(
         snr_db, rec, ref = task
         clean = read_wav(rec.audio_path)
         noise = _noise_for(clean, spec, corpus, rec.id, snr_db)
-        mix = mix_at_snr(clean, noise, snr_db)
+        try:
+            mix = mix_at_snr(clean, noise, snr_db)
+        except ValueError as exc:  # an empty or silent clip: name it
+            raise ValueError(f"{rec.audio_path} ({rec.id}) at {snr_db:g} dB: {exc}") from None
         out_path = os.path.join(workdir, f"{rec.id}_snr{snr_db:+g}.wav")
         write_wav(mix.mixed, out_path)
         hyp_text = transcribe_file(transcriber_cmd, out_path)

@@ -142,7 +142,6 @@ class PartialTranscript:
 
     index: int
     words: list[str]
-    confidences: list[float] | None = None
 
 
 def _join_pair(left: list[str], right: list[str], min_match_tokens: int) -> list[str]:

@@ -11,6 +11,8 @@ from __future__ import annotations
 import unicodedata
 from dataclasses import dataclass, field
 
+from .config import utf8_lines
+
 __all__ = [
     "NormRuleSet",
     "DEFAULT_RULES",
@@ -210,22 +212,21 @@ def load_rules(path: str) -> NormRuleSet:
     contractions: dict[str, str] = {}
     fillers: set[str] = set()
     section = None
-    with open(path, encoding="utf-8") as fh:
-        for line_no, raw in enumerate(fh, start=1):
-            line = raw.rstrip("\n")
-            if not line.strip() or line.lstrip().startswith("#"):
-                continue
-            stripped = line.strip()
-            if stripped in ("[contractions]", "[fillers]"):
-                section = stripped
-                continue
-            if section == "[contractions]":
-                if "\t" not in line:
-                    raise ValueError(f"{path}:{line_no}: expected key<TAB>value")
-                key, value = line.split("\t", 1)
-                contractions[key.strip().casefold()] = value.strip().casefold()
-            elif section == "[fillers]":
-                fillers.add(stripped.casefold())
-            else:
-                raise ValueError(f"{path}:{line_no}: content before a section header")
+    for line_no, raw in utf8_lines(path):
+        line = raw.rstrip("\n")
+        if not line.strip() or line.lstrip().startswith("#"):
+            continue
+        stripped = line.strip()
+        if stripped in ("[contractions]", "[fillers]"):
+            section = stripped
+            continue
+        if section == "[contractions]":
+            if "\t" not in line:
+                raise ValueError(f"{path}:{line_no}: expected key<TAB>value")
+            key, value = line.split("\t", 1)
+            contractions[key.strip().casefold()] = value.strip().casefold()
+        elif section == "[fillers]":
+            fillers.add(stripped.casefold())
+        else:
+            raise ValueError(f"{path}:{line_no}: content before a section header")
     return NormRuleSet(contractions=contractions, fillers=frozenset(fillers))

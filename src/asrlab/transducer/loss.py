@@ -133,19 +133,15 @@ def rnnt_grad(lat: RnntLattice) -> np.ndarray:
     if not np.isfinite(log_p):
         raise ValueError("target sequence has zero probability under this lattice")
 
-    # log posterior of traversing each edge out of (t, u); unreachable nodes keep -inf
-    reached = np.isfinite(alpha)
+    # log posterior of traversing each edge out of (t, u); -inf from an unreachable
+    # node or a dead end carries through the sum, as nothing in it is +inf or NaN
     after_blank = np.full((T, U + 1), NEG_INF)
     after_blank[:-1] = beta[1:]
     after_blank[-1, U] = 0.0  # the blank out of (T-1, U) ends the alignment
     edge = np.full((T, U + 1, V + 1), NEG_INF)
-    edge[:, :, lat.blank_id] = np.where(
-        reached, alpha + lp[:, :, lat.blank_id] + after_blank - log_p, NEG_INF
-    )
+    edge[:, :, lat.blank_id] = alpha + lp[:, :, lat.blank_id] + after_blank - log_p
     u, y = np.arange(U), lat.targets
-    edge[:, u, y] = np.where(
-        reached[:, :-1], alpha[:, :-1] + lp[:, u, y] + beta[:, 1:] - log_p, NEG_INF
-    )
+    edge[:, u, y] = alpha[:, :-1] + lp[:, u, y] + beta[:, 1:] - log_p
 
     edge_post = np.exp(edge)
     node_post = edge_post.sum(axis=2, keepdims=True)

@@ -45,14 +45,16 @@ def make_stream_mask(spec: MaskSpec) -> list[np.ndarray]:
     """Per-layer boolean masks of shape (n_frames, n_frames); True = may attend.
 
     Frame i in chunk c attends to [chunk_start(c) - left_context, chunk_end(c)]
-    clamped to the valid range.
+    clamped to the valid range. Every layer gets the same mask, so the list
+    holds one read-only array n_layers times.
     """
     frames = np.arange(spec.n_frames)
     chunk_start = frames // spec.chunk_frames * spec.chunk_frames
     lo = np.maximum(0, chunk_start - spec.left_context)
     hi = chunk_start + spec.chunk_frames  # exclusive; right edge of own chunk
     base = (frames >= lo[:, None]) & (frames < hi[:, None])
-    return [base.copy() for _ in range(spec.n_layers)]
+    base.flags.writeable = False
+    return [base] * spec.n_layers
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 import json
+import os
 import subprocess
 import sys
 import time
+import wave
 
 import numpy as np
 import pytest
@@ -271,7 +273,7 @@ def test_noise_sweep_ambient_requires_dir(tmp_path):
     assert proc.returncode == 2
 
 
-def test_noise_sweep_corrupt_wav_is_internal_error(tmp_path, empty_transcriber):
+def test_noise_sweep_corrupt_wav_exit_2_names_file(tmp_path, empty_transcriber):
     bad = tmp_path / "bad.wav"
     bad.write_bytes(b"RIFFnotawav")
     manifest = tmp_path / "m.jsonl"
@@ -283,7 +285,8 @@ def test_noise_sweep_corrupt_wav_is_internal_error(tmp_path, empty_transcriber):
         "noise-sweep", "--manifest", str(manifest), "--transcriber", " ".join(empty_transcriber),
         "--workdir", str(tmp_path / "w"), "--out", str(tmp_path / "o.csv"),
     )
-    assert proc.returncode == 1
+    assert proc.returncode == 2
+    assert str(bad) in proc.stderr and "internal error" not in proc.stderr
 
 
 # --- rnnt-check ----------------------------------------------------------------
@@ -594,3 +597,201 @@ def test_curate_bad_blocklist_regex_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'('" in err and "internal error" not in err
     assert not report.exists()
+
+
+# --- exit codes: a rejected input exits 2, anything else exits 1 -------------------
+
+def write_pcm_wav(path, samples, channels=1):
+    """16-bit PCM WAV with the given interleaved integer samples."""
+    with wave.open(str(path), "wb") as wf:
+        wf.setnchannels(channels)
+        wf.setsampwidth(2)
+        wf.setframerate(16000)
+        wf.writeframes(np.asarray(samples, dtype="<i2").tobytes())
+
+
+BAD_CLIPS = {
+    "empty-file": lambda path: path.write_bytes(b""),
+    "no-frames": lambda path: write_pcm_wav(path, []),
+    "stereo": lambda path: write_pcm_wav(path, np.round(tone(1.0) * 16000).repeat(2), channels=2),
+    "not-wav": lambda path: path.write_bytes(b"this is not a wav file\n"),
+    "silent": lambda path: write_pcm_wav(path, np.zeros(16000)),
+}
+
+
+def stitch_audio_case(tmp_path, kind):
+    wav = tmp_path / f"{kind}.wav"
+    BAD_CLIPS[kind](wav)
+    transcriber = make_script(tmp_path, "t.py", "print('a b c')\n")
+    return ["stitch", "--audio", str(wav), "--transcriber", " ".join(transcriber)], wav
+
+
+def noise_sweep_case(tmp_path, kind):
+    wav = tmp_path / f"{kind}.wav"
+    BAD_CLIPS[kind](wav)
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(
+        json.dumps({"id": "c", "audio_path": str(wav), "duration_sec": 1.0, "transcript": "a b c"}) + "\n",
+        encoding="utf-8",
+    )
+    transcriber = make_script(tmp_path, "t.py", "print('a b c')\n")
+    argv = ["noise-sweep", "--manifest", str(manifest), "--transcriber", " ".join(transcriber),
+            "--workdir", str(tmp_path / "w"), "--out", str(tmp_path / "o.csv"), "--snrs", "0", "--jobs", "1"]
+    return argv, wav
+
+
+def evaluate_undecodable_hyps_case(tmp_path):
+    manifest, hyps = write_eval_inputs(tmp_path)
+    hyps.write_bytes(hyps.read_bytes().replace(b"\n", b" caf\xe9\n", 1))
+    return ["evaluate", "--manifest", str(manifest), "--hyps", str(hyps)], f"{hyps}:1:"
+
+
+def stitch_undecodable_partial_case(tmp_path):
+    pdir = tmp_path / "partials"
+    pdir.mkdir()
+    (pdir / "0.txt").write_text("one two three four", encoding="utf-8")
+    (pdir / "1.txt").write_bytes(b"three four\n\xff\xfe five\n")
+    return ["stitch", "--partials-dir", str(pdir)], f"{pdir / '1.txt'}:2:"
+
+
+def evaluate_undecodable_rules_case(tmp_path):
+    manifest, hyps = write_eval_inputs(tmp_path)
+    rules = tmp_path / "rules.txt"
+    rules.write_bytes(b"[fillers]\num\n\xc3(\n")
+    return ["evaluate", "--manifest", str(manifest), "--hyps", str(hyps), "--rules", str(rules)], f"{rules}:3:"
+
+
+def ppn_score_undecodable_entities_case(tmp_path):
+    gold = tmp_path / "gold.tsv"
+    gold.write_bytes(b"f1\t0\t5\tGPE\tParis\nf1\t6\t9\tGPE\t\xe9t\xe9\n")
+    pred = tmp_path / "pred.tsv"
+    pred.write_text("f1\t0\t5\tGPE\tParis\n", encoding="utf-8")
+    return ["ppn-score", "--gold-entities", str(gold), "--pred-entities", str(pred)], f"{gold}:2:"
+
+
+def evaluate_out_is_directory_case(tmp_path):
+    manifest, hyps = write_eval_inputs(tmp_path)
+    out = tmp_path / "out"
+    out.mkdir()
+    return ["evaluate", "--manifest", str(manifest), "--hyps", str(hyps), "--out", str(out)], out
+
+
+EXIT_2_CASES = {
+    **{f"stitch-audio-{kind}": (lambda tmp, kind=kind: stitch_audio_case(tmp, kind)) for kind in BAD_CLIPS},
+    **{f"noise-sweep-{kind}": (lambda tmp, kind=kind: noise_sweep_case(tmp, kind)) for kind in BAD_CLIPS},
+    "evaluate-undecodable-hyps": evaluate_undecodable_hyps_case,
+    "stitch-undecodable-partial": stitch_undecodable_partial_case,
+    "evaluate-undecodable-rules": evaluate_undecodable_rules_case,
+    "ppn-score-undecodable-entities": ppn_score_undecodable_entities_case,
+    "evaluate-out-is-directory": evaluate_out_is_directory_case,
+}
+
+
+@pytest.mark.parametrize("case", EXIT_2_CASES)
+def test_rejected_input_exits_2_naming_the_file(tmp_path, capsys, case):
+    argv, culprit = EXIT_2_CASES[case](tmp_path)
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"asrlab {argv[0]}: ") and err.count("\n") == 1, err
+    assert str(culprit) in err and "internal error" not in err
+    # one prefix: the command's name is not repeated in the message
+    assert f"{argv[0]}: {argv[0]}:" not in err
+
+
+def test_undecodable_config_file_exit_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(b"# run settings\nplanner.wpm = 150\nplanner.tpw = 1.3 # \xa0\n")
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(["plan-data", "--params", "1000", "--config", str(cfg)])
+    assert exc.value.code == 2
+    assert f"{cfg}:3: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_other_exception_is_internal_error_exit_1(tmp_path, capsys, monkeypatch):
+    def broken_stitch(partials, min_match_tokens):
+        raise RuntimeError("stitcher bug")
+
+    monkeypatch.setattr(cli, "stitch", broken_stitch)
+    pdir = tmp_path / "partials"
+    pdir.mkdir()
+    (pdir / "0.txt").write_text("a b c", encoding="utf-8")
+    assert cli.main(["stitch", "--partials-dir", str(pdir)]) == 1
+    assert capsys.readouterr().err == "asrlab stitch: internal error: RuntimeError: stitcher bug\n"
+
+
+def undecodable_manifest(tmp_path, where):
+    """The golden manifest with one byte that is not UTF-8 put into record r7's line; returns (path, line number)."""
+    manifest = tmp_path / "in.jsonl"
+    write_manifest(golden_manifest(), str(manifest))
+    lines = manifest.read_bytes().splitlines(keepends=True)
+    victim = next(i for i, line in enumerate(lines) if json.loads(line)["id"] == "r7")
+    line = lines[victim]
+    at = {"value": line.index(b'"transcript": "') + 15, "key": line.index(b'"transcript"') + 1, "syntax": 1}[where]
+    lines[victim] = line[:at] + b"\xff" + line[at:]
+    manifest.write_bytes(b"".join(lines))
+    return manifest, victim + 1
+
+
+@pytest.mark.parametrize("where", ["value", "key", "syntax"])
+def test_curate_undecodable_line_is_a_parse_error_row(tmp_path, where):
+    manifest, line_no = undecodable_manifest(tmp_path, where)
+    out_manifest = tmp_path / "kept.jsonl"
+    report = tmp_path / "r.csv"
+    argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(out_manifest), "--report", str(report)]
+    assert cli.main(argv) == 0
+    rows = report.read_text(encoding="utf-8").splitlines()
+    assert [r for r in rows if "parse-error" in r] == [r for r in rows if r.startswith(f"line-{line_no},rejected,parse-error,")]
+    assert len([r for r in rows if "parse-error" in r]) == 1
+    kept_ids = [json.loads(line)["id"] for line in out_manifest.read_text(encoding="utf-8").splitlines()]
+    assert kept_ids == [rid for rid in EXPECTED_KEPT if rid != "r7"]
+
+
+def test_evaluate_undecodable_manifest_line_exit_2(tmp_path, capsys):
+    manifest, line_no = undecodable_manifest(tmp_path, "value")
+    hyps = tmp_path / "hyps.tsv"
+    hyps.write_text("".join(f"{r.id}\t{r.transcript}\n" for r in golden_manifest()), encoding="utf-8")
+    assert cli.main(["evaluate", "--manifest", str(manifest), "--hyps", str(hyps)]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and f"line-{line_no}:" in err and "internal error" not in err
+
+
+# --- stitch --audio working files --------------------------------------------------
+
+def chunk_logging_transcriber(tmp_path, log):
+    """Prints one text per chunk index (from the chunkNNNN.wav name) and logs each chunk path."""
+    body = f"""
+import os, sys
+open({str(log)!r}, "a").write(sys.argv[1] + "\\n")
+texts = ["the first chunk ends with shared words", "with shared words the second chunk continues"]
+print(texts[int(os.path.basename(sys.argv[1])[5:9])])
+"""
+    return " ".join(make_script(tmp_path, "chunk_transcriber.py", body))
+
+
+def test_stitch_audio_without_workdir_leaves_no_chunks(tmp_path, capsys):
+    audio_dir = tmp_path / "audio"
+    audio_dir.mkdir()
+    wav = audio_dir / "long.wav"
+    write_wav(AudioBuffer(samples=tone(40.0, amplitude=0.4)), str(wav))
+    log = tmp_path / "chunks.log"
+    transcriber = chunk_logging_transcriber(tmp_path, log)
+    outputs = []
+    for extra in ([], ["--workdir", str(tmp_path / "kept")]):
+        assert cli.main(["stitch", "--audio", str(wav), "--transcriber", transcriber, *extra]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] == "the first chunk ends with shared words the second chunk continues\n"
+    assert os.listdir(audio_dir) == ["long.wav"]
+    chunks = log.read_text(encoding="utf-8").split()
+    assert len(chunks) == 4
+    assert not os.path.exists(os.path.dirname(chunks[0]))  # the temporary directory is gone
+    assert sorted(os.listdir(tmp_path / "kept")) == ["chunk0000.wav", "chunk0001.wav"]  # --workdir keeps them
+
+
+def test_stitch_audio_temporary_chunks_removed_on_failure(tmp_path, capsys, failing_transcriber):
+    wav = tmp_path / "tone.wav"
+    write_wav(AudioBuffer(samples=tone(30.0, amplitude=0.4)), str(wav))
+    assert cli.main(["stitch", "--audio", str(wav), "--transcriber", " ".join(failing_transcriber)]) == 2
+    err = capsys.readouterr().err
+    chunk_path = err.split("(")[-1].rstrip(")\n")
+    assert chunk_path.endswith("chunk0000.wav") and not os.path.exists(os.path.dirname(chunk_path))
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["failing_transcriber.py", "tone.wav"]

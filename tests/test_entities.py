@@ -9,6 +9,7 @@ from asrlab.entities import (
     read_entity_file,
     run_tagger,
 )
+from tests import entity_oracles
 from tests.conftest import make_script
 
 
@@ -101,6 +102,33 @@ def test_alignment_partitions_inputs(gn, gt, pn, pt, threshold):
     assert len(matched_pred) + len(out.unmatched_pred) == len(pred)
     assert {id(s) for s in matched_gold + out.unmatched_gold} == {id(s) for s in gold}
     assert {id(s) for s in matched_pred + out.unmatched_pred} == {id(s) for s in pred}
+
+
+_oracle_spans = st.lists(
+    st.builds(
+        lambda filler, etype, start, width: EntitySpan(filler=filler, type=etype, start=start, end=start + width),
+        st.sampled_from(["alice", "Alice", "ALICE", "alicia", "bob", "acme corp", "Acme Corp", "paris", "parish"]),
+        st.sampled_from(["Person", "Organization", "GPE", "LOC", "Date"]),
+        st.integers(0, 40),
+        st.integers(1, 3),
+    ),
+    max_size=10,
+)
+
+
+@settings(max_examples=500)
+@given(_oracle_spans, _oracle_spans, st.floats(0.0, 1.0))
+def test_alignment_matches_opcode_oracle(gold, pred, threshold):
+    want = entity_oracles.align_entities(gold, pred, threshold)
+    got = align_entities(gold, pred, threshold)
+    assert got == want
+    # the very span objects, in the same order
+    for bucket in ("matched", "unmatched_gold", "unmatched_pred"):
+        assert [id(x) for x in _flat(getattr(got, bucket))] == [id(x) for x in _flat(getattr(want, bucket))]
+
+
+def _flat(items):
+    return [s for item in items for s in (item if isinstance(item, tuple) else (item,))]
 
 
 def test_pn_score_identical_pair_zero():

@@ -411,6 +411,18 @@ def test_mask_exhaustive_causality():
                         assert not mask[i, :lo].any()
 
 
+def test_mask_is_one_read_only_array_per_layer():
+    spec = MaskSpec(n_frames=10, chunk_frames=3, n_layers=4, left_context=2)
+    masks = make_stream_mask(spec)
+    assert len(masks) == 4 and all(m.shape == (10, 10) and m.dtype == bool for m in masks)
+    assert all(np.array_equal(m, masks[0]) for m in masks)
+    for mask in masks:
+        assert not mask.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 9] = True
+    assert not masks[0][0, 9]
+
+
 def test_receptive_field_paper_configuration():
     # 11 subsampled frames at 10 ms stride, 8x subsampling: exactly 880 ms
     spec = MaskSpec(n_frames=32, chunk_frames=6, n_layers=5, left_context=1)
