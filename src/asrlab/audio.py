@@ -5,7 +5,7 @@ from __future__ import annotations
 import wave
 from dataclasses import dataclass
 
-import numpy as np
+from ._lazy import np
 
 __all__ = ["AudioBuffer", "read_wav", "write_wav"]
 

@@ -16,6 +16,7 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import errno
 import inspect
 import json
 import math
@@ -23,9 +24,8 @@ import os
 import sys
 import tempfile
 
-import numpy as np
-
 from . import __version__
+from ._lazy import np
 from .audio import AudioBuffer, read_wav, write_wav
 from .config import load_config, utf8_lines
 from .curation import (
@@ -70,6 +70,34 @@ def _header(args: argparse.Namespace) -> list[str]:
 def _output(path: str | None):
     """The file at `path` opened for writing, or stdout when no path is given."""
     return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="")
+
+
+@contextlib.contextmanager
+def _replaced_together(*paths: str):
+    """Paths of temporary files beside `paths`, each moved onto its target once the block completes.
+
+    A run refused or failed before that changes none of `paths`, truncates
+    none, and leaves no temporary file behind.
+    """
+    tmps: list[str] = []
+    try:
+        for i, path in enumerate(paths):
+            if os.path.isdir(path):  # os.replace would refuse it only after the other targets were replaced
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+            tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.{i}.tmp")
+            try:
+                open(tmp, "w").close()
+            except OSError as exc:
+                exc.filename = path  # name the output the user gave
+                raise
+            tmps.append(tmp)
+        yield tmps
+        for tmp, path in zip(tmps, paths):
+            os.replace(tmp, path)
+    finally:
+        for tmp in tmps:
+            with contextlib.suppress(FileNotFoundError):
+                os.remove(tmp)
 
 
 def _fmt(value: float | None) -> str:
@@ -189,10 +217,11 @@ def cmd_ppn_score(args: argparse.Namespace) -> int:
 
 def cmd_curate(args: argparse.Namespace) -> int:
     pipeline_cfg = PipelineConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)})
-    entries = read_manifest(_require_file(args.manifest, "manifest"))
-    kept, outcomes = run_pipeline(entries, pipeline_cfg)
-    write_manifest(kept, args.out_manifest)
-    write_rejection_csv(outcomes, args.report, _header(args))
+    with _replaced_together(args.out_manifest, args.report) as (out_manifest, report):
+        entries = read_manifest(_require_file(args.manifest, "manifest"))
+        kept, outcomes = run_pipeline(entries, pipeline_cfg)
+        write_manifest(kept, out_manifest)
+        write_rejection_csv(outcomes, report, _header(args))
     n_rej = sum(1 for o in outcomes if o.verdict == "rejected")
     print(f"kept={len(kept)} rejected={n_rej} out_manifest={args.out_manifest} report={args.report}")
     return 0

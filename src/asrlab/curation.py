@@ -347,8 +347,8 @@ def _record_from_json(obj: dict) -> ManifestRecord:
 def read_manifest(path: str) -> list[ManifestRecord | ManifestParseError]:
     """Read a JSON Lines manifest; malformed lines become ManifestParseError entries.
 
-    A byte that is not UTF-8 is read as a lone surrogate, which the JSON parser
-    or ManifestRecord rejects, so such a line is malformed like any other.
+    A line holding a byte that is not UTF-8 is malformed too, and its error
+    names the first such byte.
     """
     out: list[ManifestRecord | ManifestParseError] = []
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
@@ -356,10 +356,25 @@ def read_manifest(path: str) -> list[ManifestRecord | ManifestParseError]:
             if not line.strip():
                 continue
             try:
+                if not line.isascii():
+                    _check_utf8(line)
                 out.append(_record_from_json(json.loads(line)))
             except (ValueError, KeyError, TypeError, IndexError) as exc:
                 out.append(ManifestParseError(id=f"line-{line_no}", error=str(exc)))
     return out
+
+
+def _check_utf8(line: str) -> None:
+    """Raise ValueError naming the first undecodable byte of a line read with surrogateescape.
+
+    JSON escapes are still ASCII here, so only a byte of the file can fail to encode.
+    """
+    try:
+        line.encode("utf-8")
+    except UnicodeEncodeError as exc:
+        byte = ord(line[exc.start]) - 0xDC00  # surrogateescape reads byte b as U+DC00 + b
+        offset = len(line[: exc.start].encode("utf-8"))
+        raise ValueError(f"line is not valid UTF-8: byte 0x{byte:02x} at offset {offset}") from None
 
 
 def write_manifest(records: Iterable[ManifestRecord], path: str) -> None:

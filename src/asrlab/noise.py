@@ -15,8 +15,7 @@ import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
-import numpy as np
-
+from ._lazy import np
 from .audio import AudioBuffer, read_wav, write_wav
 from .curation import ManifestRecord
 from .metrics import EmptyReferenceError, EvalRow, build_report, wer
@@ -228,6 +227,7 @@ def run_sweep(
         hyp = tokenize_words(normalize(hyp_text, rules))
         return SweepRow(snr_db, rec.id, wer(ref, hyp), rec.duration_sec)
 
+    np.ndarray  # load numpy before the pool: a lazy module's first load is not thread-safe before 3.12
     with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
         rows = list(pool.map(one, tasks))
 

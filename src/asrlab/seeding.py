@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import zlib
 
-import numpy as np
+from ._lazy import np
 
 __all__ = ["substream"]
 

@@ -11,8 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 
-import numpy as np
-
+from ._lazy import np
 from .audio import AudioBuffer
 
 __all__ = [

@@ -12,13 +12,12 @@ from __future__ import annotations
 import math
 from typing import Callable
 
-import numpy as np
-
+from .._lazy import np
 from .lm import NgramLm
 
 __all__ = ["greedy_decode", "beam_decode", "table_scorer"]
 
-Scorer = Callable[[int, tuple[int, ...]], np.ndarray]
+Scorer = Callable[[int, tuple[int, ...]], "np.ndarray"]
 
 
 def table_scorer(table: dict[tuple[int, tuple[int, ...]], np.ndarray], default: np.ndarray) -> Scorer:

@@ -6,7 +6,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Hashable, Sequence
 
-import numpy as np
+from .._lazy import np
 
 __all__ = ["NgramLm", "build_lm", "lm_logprob"]
 

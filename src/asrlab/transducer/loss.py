@@ -11,13 +11,14 @@ as an independent check.
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
+from .._lazy import np
 from .lattice import RnntLattice, log_softmax
 
 __all__ = ["rnnt_logprob", "brute_force_logprob", "rnnt_grad", "finite_difference_grad"]
 
-NEG_INF = -np.inf
+NEG_INF = -math.inf
 
 
 def _skewed_edges(lat: RnntLattice) -> np.ndarray:

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
+from .._lazy import np
 
 __all__ = ["MaskSpec", "make_stream_mask", "receptive_field", "frames_for_ms"]
 

@@ -313,6 +313,8 @@ def test_rnnt_check_validation():
 
 
 def test_noise_sweep_jobs_do_not_change_report(tmp_path, echo_transcriber):
+    # each run starts a fresh interpreter, where numpy is still lazy: with --jobs 2
+    # the pool's threads would race its first load unless run_sweep loads it first
     records = []
     for i in range(3):
         wav = tmp_path / f"clip{i}.wav"
@@ -597,6 +599,42 @@ def test_curate_bad_blocklist_regex_exit_2(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'('" in err and "internal error" not in err
     assert not report.exists()
+
+
+def tree(root):
+    """Every path under root, with a file's bytes (None for a directory)."""
+    return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
+
+
+def failing_write(records, path):
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write('{"id": "half a rec')
+    raise OSError("No space left on device")
+
+
+@pytest.mark.parametrize("case", ["report-is-directory", "out-manifest-is-directory", "report-dir-missing", "write-fails"])
+def test_curate_refused_run_changes_neither_output(tmp_path, capsys, monkeypatch, case):
+    manifest = tmp_path / "in.jsonl"
+    write_manifest(golden_manifest(), str(manifest))
+    out = tmp_path / "out"
+    out.mkdir()
+    kept, report = out / "kept.jsonl", out / "r.csv"
+    kept.write_bytes(b"old kept\n")
+    report.write_bytes(b"old report\n")
+    culprit = {"report-is-directory": out / "rdir", "out-manifest-is-directory": out / "kdir",
+               "report-dir-missing": out / "missing" / "r.csv", "write-fails": None}[case]
+    if case.endswith("is-directory"):
+        culprit.mkdir()
+    if case == "write-fails":
+        monkeypatch.setattr(cli, "write_manifest", failing_write)
+    kept_arg = culprit if case == "out-manifest-is-directory" else kept
+    report_arg = culprit if case.startswith("report") else report
+    before = tree(out)
+    assert cli.main(["curate", "--manifest", str(manifest), "--out-manifest", str(kept_arg),
+                     "--report", str(report_arg)]) == 2
+    err = capsys.readouterr().err
+    assert str(culprit or "No space left on device") in err and "internal error" not in err
+    assert tree(out) == before  # no output replaced, none truncated, no temporary file left
 
 
 # --- exit codes: a rejected input exits 2, anything else exits 1 -------------------

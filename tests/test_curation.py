@@ -371,6 +371,17 @@ def test_read_manifest_parse_errors(tmp_path):
     assert isinstance(entries[2], ManifestParseError)  # negative duration
 
 
+def test_read_manifest_names_an_undecodable_byte(tmp_path):
+    # a raw byte that is not UTF-8 (its offset counts the two bytes of "é") versus a \ud800 JSON escape
+    good = b'{"id": "r", "audio_path": "\xc3\xa9.wav", "duration_sec": 3.0, "transcript": "hi there"}'
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(b"\n".join([good, good.replace(b"hi there", b"hi \xff there"), good.replace(b"hi", b"\\ud800hi")]))
+    entries = read_manifest(str(path))
+    assert entries[0].audio_path == "é.wav"
+    assert entries[1] == ManifestParseError("line-2", "line is not valid UTF-8: byte 0xff at offset 75")
+    assert entries[2] == ManifestParseError("line-3", "a text field holds a lone surrogate, which UTF-8 cannot encode")
+
+
 def test_read_manifest_numeric_fields(tmp_path):
     # numeric strings are cast like duration_sec; anything float() or the record
     # rejects becomes a parse-error row instead of failing the whole run
