@@ -6,8 +6,11 @@ touch no numpy attribute at module level. Importing asrlab then leaves
 first attribute access, so commands that never touch an array start without
 it. A later ``import numpy`` anywhere in the process simply loads it.
 
-Before Python 3.12 the first load of a lazy module is not thread-safe: code
-that starts threads which use numpy loads it first, on the starting thread.
+Before Python 3.12 the first load of a lazy module is not thread-safe, and
+this one is the process's ``numpy`` for every caller. So after ``import
+asrlab``, code that starts threads which may touch numpy, through asrlab or
+through any other import of numpy, must run ``import numpy`` first, on the
+starting thread; the statement loads it.
 """
 
 from __future__ import annotations

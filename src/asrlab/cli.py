@@ -21,6 +21,7 @@ import inspect
 import json
 import math
 import os
+import stat
 import sys
 import tempfile
 
@@ -72,32 +73,71 @@ def _output(path: str | None):
     return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="")
 
 
+def _staging_file(path: str, i: int) -> tuple[str, str, int | None] | None:
+    """A temporary file, the file it is moved onto and the mode it then takes; None to write `path` in place.
+
+    Only a missing target or a regular file with one link is staged, beside
+    the file that `path` resolves to. A replacement would not write through a
+    device such as /dev/null, a FIFO or a hard link, so those are written in
+    place, as is a file whose directory takes no new file or whose owner the
+    replacement could not keep.
+    """
+    try:
+        st = os.stat(path)
+    except FileNotFoundError:
+        st = None
+    if st is not None:
+        if stat.S_ISDIR(st.st_mode):  # os.replace would refuse it only after the other targets were replaced
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        if not (stat.S_ISREG(st.st_mode) and st.st_nlink == 1):
+            return None
+    real = os.path.realpath(path)
+    tmp = os.path.join(os.path.dirname(real), f".{os.path.basename(real)}.{os.getpid()}.{i}.tmp")
+    try:
+        open(tmp, "w").close()
+    except OSError as exc:
+        if st is not None:
+            return None
+        exc.filename = path  # name the output the user gave
+        raise
+    if st is None:
+        return tmp, real, None
+    try:
+        made = os.stat(tmp)
+        if (made.st_uid, made.st_gid) != (st.st_uid, st.st_gid):
+            os.chown(tmp, st.st_uid, st.st_gid)
+    except OSError:
+        os.remove(tmp)
+        return None
+    return tmp, real, stat.S_IMODE(st.st_mode)
+
+
 @contextlib.contextmanager
 def _replaced_together(*paths: str):
-    """Paths of temporary files beside `paths`, each moved onto its target once the block completes.
+    """Paths to write `paths` through; staged ones are moved onto their targets once the block completes.
 
-    A run refused or failed before that changes none of `paths`, truncates
-    none, and leaves no temporary file behind.
+    See `_staging_file` for which targets are staged. A run refused or failed
+    before the block completes changes no staged target, truncates none, and
+    leaves no temporary file behind; an existing target keeps its mode and owner.
     """
-    tmps: list[str] = []
+    staged: list[tuple[str, str, int | None] | None] = []
     try:
         for i, path in enumerate(paths):
-            if os.path.isdir(path):  # os.replace would refuse it only after the other targets were replaced
-                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
-            tmp = os.path.join(os.path.dirname(path), f".{os.path.basename(path)}.{os.getpid()}.{i}.tmp")
-            try:
-                open(tmp, "w").close()
-            except OSError as exc:
-                exc.filename = path  # name the output the user gave
-                raise
-            tmps.append(tmp)
-        yield tmps
-        for tmp, path in zip(tmps, paths):
-            os.replace(tmp, path)
+            staged.append(_staging_file(path, i))
+        yield [path if s is None else s[0] for path, s in zip(paths, staged)]
+        for s in staged:
+            if s is not None:
+                tmp, real, mode = s
+                if mode is not None:
+                    os.chmod(tmp, mode)
+                os.replace(tmp, real)
     finally:
-        for tmp in tmps:
-            with contextlib.suppress(FileNotFoundError):
-                os.remove(tmp)
+        for s in staged:
+            if s is not None:
+                with contextlib.suppress(FileNotFoundError):
+                    os.remove(s[0])
 
 
 def _fmt(value: float | None) -> str:

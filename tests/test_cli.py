@@ -1,5 +1,6 @@
 import json
 import os
+import stat
 import subprocess
 import sys
 import time
@@ -635,6 +636,48 @@ def test_curate_refused_run_changes_neither_output(tmp_path, capsys, monkeypatch
     err = capsys.readouterr().err
     assert str(culprit or "No space left on device") in err and "internal error" not in err
     assert tree(out) == before  # no output replaced, none truncated, no temporary file left
+
+
+def run_curate(tmp_path, kept, report):
+    manifest = tmp_path / "in.jsonl"
+    write_manifest(golden_manifest(), str(manifest))
+    assert cli.main(["curate", "--manifest", str(manifest), "--out-manifest", str(kept), "--report", str(report)]) == 0
+
+
+@pytest.mark.parametrize("link", ["symlink", "hardlink"])
+def test_curate_writes_through_a_linked_output(tmp_path, link):
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    run_curate(tmp_path, plain / "kept.jsonl", plain / "r.csv")
+    real = tmp_path / "real"
+    real.mkdir()
+    target = real / "kept.jsonl"
+    target.write_bytes(b"old kept\n")
+    target.chmod(0o640)
+    linked = tmp_path / "kept.jsonl"
+    linked.symlink_to(target) if link == "symlink" else os.link(target, linked)
+    run_curate(tmp_path, linked, tmp_path / "r.csv")
+    assert linked.is_symlink() == (link == "symlink")
+    assert target.read_bytes() == linked.read_bytes() == (plain / "kept.jsonl").read_bytes()
+    assert stat.S_IMODE(target.stat().st_mode) == 0o640
+    assert [p.name for p in real.iterdir()] == ["kept.jsonl"]
+
+
+def test_curate_writes_a_fifo_report_in_place(tmp_path):
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    run_curate(tmp_path, plain / "kept.jsonl", plain / "r.csv")
+    fifo = tmp_path / "r.fifo"
+    os.mkfifo(fifo)
+    reader = os.open(fifo, os.O_RDONLY | os.O_NONBLOCK)  # so the writer's open does not block
+    try:
+        run_curate(tmp_path, tmp_path / "kept.jsonl", fifo)
+        got = b"".join(iter(lambda: os.read(reader, 65536), b""))
+    finally:
+        os.close(reader)
+    assert got == (plain / "r.csv").read_bytes()
+    assert stat.S_ISFIFO(fifo.stat().st_mode)
+    assert not list(tmp_path.glob(".*.tmp"))
 
 
 # --- exit codes: a rejected input exits 2, anything else exits 1 -------------------

@@ -81,3 +81,14 @@ def test_import_cli_loads_every_traced_module():
     proc = fresh_python("-c", check, str(ROOT / "bench"))
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_import_numpy_statement_loads_the_lazy_module():
+    # The README tells threaded callers to run `import numpy` before starting threads.
+    check = (
+        "import sys, asrlab; before = 'numpy.core' in sys.modules or 'numpy._core' in sys.modules; "
+        "import numpy; print(before, 'numpy._core' in sys.modules or 'numpy.core' in sys.modules)"
+    )
+    proc = fresh_python("-c", check)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False True\n"
