@@ -24,6 +24,7 @@ import os
 import stat
 import sys
 import tempfile
+from typing import Sequence
 
 from . import __version__
 from ._lazy import np
@@ -33,10 +34,9 @@ from .curation import (
     ManifestParseError,
     ManifestRecord,
     PipelineConfig,
+    curate_stream,
+    iter_manifest,
     read_manifest,
-    run_pipeline,
-    write_manifest,
-    write_rejection_csv,
 )
 from .entities import align_entities, pn_score, read_entity_file
 from .metrics import EvalRow, build_report, wer
@@ -68,9 +68,12 @@ def _header(args: argparse.Namespace) -> list[str]:
     return [f"asrlab {__version__}", *seed, "config=" + json.dumps(options, sort_keys=True)]
 
 
-def _output(path: str | None):
-    """The file at `path` opened for writing, or stdout when no path is given."""
-    return contextlib.nullcontext(sys.stdout) if path is None else open(path, "w", encoding="utf-8", newline="")
+# Options naming a file that a command reads; an output written in place must not be one of them.
+_INPUTS = ("manifest", "refs", "hyps", "rules", "gold_entities", "pred_entities", "audio")
+
+
+def _inputs(args: argparse.Namespace) -> list[str]:
+    return [path for name in _INPUTS if (path := getattr(args, name, None))]
 
 
 def _staging_file(path: str, i: int) -> tuple[str, str, int | None] | None:
@@ -115,18 +118,32 @@ def _staging_file(path: str, i: int) -> tuple[str, str, int | None] | None:
 
 
 @contextlib.contextmanager
-def _replaced_together(*paths: str):
-    """Paths to write `paths` through; staged ones are moved onto their targets once the block completes.
+def _replaced_together(*paths: str | None, reads: Sequence[str] = ()):
+    """Text files to write `paths` through (stdout for None); staged ones are moved into place once the block completes.
 
     See `_staging_file` for which targets are staged. A run refused or failed
     before the block completes changes no staged target, truncates none, and
-    leaves no temporary file behind; an existing target keeps its mode and owner.
+    leaves no temporary file behind; an existing target keeps its mode and
+    owner. A target written in place is opened, and so truncated, as the block
+    starts, so one that is the same file as a path in `reads` is refused.
     """
     staged: list[tuple[str, str, int | None] | None] = []
+    opened: list = []
     try:
         for i, path in enumerate(paths):
-            staged.append(_staging_file(path, i))
-        yield [path if s is None else s[0] for path, s in zip(paths, staged)]
+            staged.append(None if path is None else _staging_file(path, i))
+            if staged[-1] is None and path is not None and os.path.isfile(path):
+                for read in reads:
+                    if os.path.exists(read) and os.path.samefile(path, read):
+                        raise ValueError(f"output {path} is the input {read}: written in place, "
+                                         "it would be truncated before it is read")
+        for path, s in zip(paths, staged):
+            if path is not None:
+                opened.append(open(path if s is None else s[0], "w", encoding="utf-8", newline=""))
+        files = iter(opened)
+        yield [sys.stdout if path is None else next(files) for path in paths]
+        while opened:
+            opened.pop().close()
         for s in staged:
             if s is not None:
                 tmp, real, mode = s
@@ -134,6 +151,9 @@ def _replaced_together(*paths: str):
                     os.chmod(tmp, mode)
                 os.replace(tmp, real)
     finally:
+        for fh in opened:
+            with contextlib.suppress(OSError):
+                fh.close()
         for s in staged:
             if s is not None:
                 with contextlib.suppress(FileNotFoundError):
@@ -144,16 +164,15 @@ def _fmt(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.6f}"
 
 
-def _write_scores(args: argparse.Namespace, report, weight_column: str, metrics: tuple[str, ...]) -> None:
+def _write_scores(out, args: argparse.Namespace, report, weight_column: str, metrics: tuple[str, ...]) -> None:
     """Header, one CSV row per file, then the length-weighted AGGREGATE row."""
-    with _output(args.out) as out:
-        for line in _header(args):
-            out.write(f"# {line}\n")
-        writer = csv.writer(out)
-        writer.writerow(["file_id", weight_column, *metrics])
-        for row in report.rows:
-            writer.writerow([row.file_id, f"{row.audio_sec:g}", *(_fmt(getattr(row, m)) for m in metrics)])
-        writer.writerow(["AGGREGATE", "", *(_fmt(report.aggregates[m]) for m in metrics)])
+    for line in _header(args):
+        out.write(f"# {line}\n")
+    writer = csv.writer(out)
+    writer.writerow(["file_id", weight_column, *metrics])
+    for row in report.rows:
+        writer.writerow([row.file_id, f"{row.audio_sec:g}", *(_fmt(getattr(row, m)) for m in metrics)])
+    writer.writerow(["AGGREGATE", "", *(_fmt(report.aggregates[m]) for m in metrics)])
 
 
 def _score_entities(row: EvalRow, gold: dict, pred: dict, sim_threshold: float) -> EvalRow:
@@ -210,71 +229,71 @@ def cmd_plan_data(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    rules = _load_rules(args.rules)
-    records = _records_or_die(args.manifest)
-    refs = _read_tsv(_require_file(args.refs, "refs file")) if args.refs else {r.id: r.transcript for r in records}
-    hyps = _read_tsv(_require_file(args.hyps, "hyps file"))
+    with _replaced_together(args.out, reads=_inputs(args)) as (out,):
+        rules = _load_rules(args.rules)
+        records = _records_or_die(args.manifest)
+        refs = _read_tsv(_require_file(args.refs, "refs file")) if args.refs else {r.id: r.transcript for r in records}
+        hyps = _read_tsv(_require_file(args.hyps, "hyps file"))
 
-    gold_entities = read_entity_file(_require_file(args.gold_entities, "gold entities")) if args.gold_entities else None
-    pred_entities = read_entity_file(_require_file(args.pred_entities, "pred entities")) if args.pred_entities else None
-    if (gold_entities is None) != (pred_entities is None):
-        raise ValueError("--gold-entities and --pred-entities must be given together")
+        gold_entities = read_entity_file(_require_file(args.gold_entities, "gold entities")) if args.gold_entities else None
+        pred_entities = read_entity_file(_require_file(args.pred_entities, "pred entities")) if args.pred_entities else None
+        if (gold_entities is None) != (pred_entities is None):
+            raise ValueError("--gold-entities and --pred-entities must be given together")
 
-    rows = []
-    for rec in records:
-        if rec.id not in hyps:
-            raise ValueError(f"no hypothesis for file id {rec.id!r}")
-        if rec.id not in refs:
-            raise ValueError(f"no reference for file id {rec.id!r}")
-        ref = tokenize_words(normalize(refs[rec.id], rules))
-        hyp = tokenize_words(normalize(hyps[rec.id], rules))
-        if not ref:
-            raise ValueError(f"reference for {rec.id!r} is empty after normalization")
-        row = EvalRow(rec.id, rec.duration_sec, wer(ref, hyp))
-        if gold_entities is not None:
-            _score_entities(row, gold_entities, pred_entities, args.sim_threshold)
-        rows.append(row)
+        rows = []
+        for rec in records:
+            if rec.id not in hyps:
+                raise ValueError(f"no hypothesis for file id {rec.id!r}")
+            if rec.id not in refs:
+                raise ValueError(f"no reference for file id {rec.id!r}")
+            ref = tokenize_words(normalize(refs[rec.id], rules))
+            hyp = tokenize_words(normalize(hyps[rec.id], rules))
+            if not ref:
+                raise ValueError(f"reference for {rec.id!r} is empty after normalization")
+            row = EvalRow(rec.id, rec.duration_sec, wer(ref, hyp))
+            if gold_entities is not None:
+                _score_entities(row, gold_entities, pred_entities, args.sim_threshold)
+            rows.append(row)
 
-    _write_scores(args, build_report(rows), "audio_sec", ("wer", "pn_jaro", "pn_wer"))
+        _write_scores(out, args, build_report(rows), "audio_sec", ("wer", "pn_jaro", "pn_wer"))
     return 0
 
 
 def cmd_ppn_score(args: argparse.Namespace) -> int:
-    gold = read_entity_file(_require_file(args.gold_entities, "gold entities"))
-    pred = read_entity_file(_require_file(args.pred_entities, "pred entities"))
-    durations: dict[str, float] = {}
-    if args.manifest:
-        durations = {r.id: r.duration_sec for r in _records_or_die(args.manifest)}
+    with _replaced_together(args.out, reads=_inputs(args)) as (out,):
+        gold = read_entity_file(_require_file(args.gold_entities, "gold entities"))
+        pred = read_entity_file(_require_file(args.pred_entities, "pred entities"))
+        durations: dict[str, float] = {}
+        if args.manifest:
+            durations = {r.id: r.duration_sec for r in _records_or_die(args.manifest)}
 
-    rows = [
-        # equal weights without a manifest
-        _score_entities(EvalRow(file_id, durations.get(file_id, 1.0)), gold, pred, args.sim_threshold)
-        for file_id in sorted(set(gold) | set(pred))
-    ]
-    _write_scores(args, build_report(rows), "weight_sec", ("pn_jaro", "pn_wer"))
+        rows = [
+            # equal weights without a manifest
+            _score_entities(EvalRow(file_id, durations.get(file_id, 1.0)), gold, pred, args.sim_threshold)
+            for file_id in sorted(set(gold) | set(pred))
+        ]
+        _write_scores(out, args, build_report(rows), "weight_sec", ("pn_jaro", "pn_wer"))
     return 0
 
 
 def cmd_curate(args: argparse.Namespace) -> int:
     pipeline_cfg = PipelineConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)})
-    with _replaced_together(args.out_manifest, args.report) as (out_manifest, report):
-        entries = read_manifest(_require_file(args.manifest, "manifest"))
-        kept, outcomes = run_pipeline(entries, pipeline_cfg)
-        write_manifest(kept, out_manifest)
-        write_rejection_csv(outcomes, report, _header(args))
-    n_rej = sum(1 for o in outcomes if o.verdict == "rejected")
-    print(f"kept={len(kept)} rejected={n_rej} out_manifest={args.out_manifest} report={args.report}")
+    with _replaced_together(args.out_manifest, args.report, reads=_inputs(args)) as (kept_out, report_out):
+        entries = iter_manifest(_require_file(args.manifest, "manifest"))
+        n_kept, n_rejected = curate_stream(entries, pipeline_cfg, kept_out, report_out, _header(args))
+    print(f"kept={n_kept} rejected={n_rejected} out_manifest={args.out_manifest} report={args.report}")
     return 0
 
 
 def cmd_noise_sweep(args: argparse.Namespace) -> int:
     rules = _load_rules(args.rules)
     spec = SweepSpec(args.snrs, args.noise_kind, noise_corpus_dir=args.noise_dir, seed=args.seed)
-    records = _records_or_die(args.manifest)
-    for rec in records:
-        _require_file(rec.audio_path, f"audio for {rec.id}")
-    report = run_sweep(records, spec, args.transcriber, args.workdir, rules=rules, jobs=args.jobs)
-    write_sweep_csv(report, args.out, _header(args))
+    with _replaced_together(args.out, reads=_inputs(args)) as (out,):
+        records = _records_or_die(args.manifest)
+        for rec in records:
+            _require_file(rec.audio_path, f"audio for {rec.id}")
+        report = run_sweep(records, spec, args.transcriber, args.workdir, rules=rules, jobs=args.jobs)
+        write_sweep_csv(report, out, _header(args))
     print(f"rows={len(report.rows)} out={args.out}")
     return 0
 
@@ -335,9 +354,7 @@ def cmd_stitch(args: argparse.Namespace) -> int:
             f"--min-match (config key stitch.min_match_tokens) must be >= 1, got {args.min_match}"
         )
 
-    if args.partials_dir:
-        partials = _read_partials_dir(args.partials_dir, rules)
-    else:
+    if not args.partials_dir:
         if not args.transcriber:
             raise ValueError("--audio mode requires --transcriber")
         if not 0 < args.overlap < args.chunk_len:
@@ -345,10 +362,9 @@ def cmd_stitch(args: argparse.Namespace) -> int:
                 "need 0 < --overlap < --chunk-len (config keys stitch.overlap_sec, stitch.chunk_len_sec), "
                 f"got {args.overlap:g} and {args.chunk_len:g}"
             )
-        partials = _transcribe_audio(args, rules)
-    words = stitch(partials, min_match_tokens=args.min_match)
-    with _output(args.out) as out:
-        out.write(" ".join(words) + "\n")
+    with _replaced_together(args.out, reads=_inputs(args)) as (out,):
+        partials = _read_partials_dir(args.partials_dir, rules) if args.partials_dir else _transcribe_audio(args, rules)
+        out.write(" ".join(stitch(partials, min_match_tokens=args.min_match)) + "\n")
     return 0
 
 

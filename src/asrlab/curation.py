@@ -5,9 +5,12 @@ words-per-minute, confidence) so reruns are deterministic and cheap metadata
 checks happen before per-word work. One judge decides each input record; every
 record, a manifest line that failed to parse included, gets one outcome with
 the offending measured value attached to each failed filter, and an outcome is
-``kept`` exactly when it has no reasons. ``ManifestRecord`` is the manifest
-schema: its fields are the JSON keys, written in declaration order, and a field
-that is None is left out.
+``kept`` exactly when it has no reasons. ``curate_stream`` judges and writes
+each record as ``iter_manifest`` reads it, so its memory does not grow with the
+manifest; ``read_manifest``, ``run_pipeline`` and the two writers are loops
+over the same per-record pieces. ``ManifestRecord`` is the manifest schema: its
+fields are the JSON keys, written in declaration order, and a field that is
+None is left out.
 """
 
 from __future__ import annotations
@@ -16,8 +19,8 @@ import csv
 import json
 import math
 import re
-from dataclasses import dataclass, field, fields, replace
-from typing import Iterable
+from dataclasses import dataclass, field, fields
+from typing import Iterable, Iterator, TextIO
 
 __all__ = [
     "ManifestRecord",
@@ -30,7 +33,10 @@ __all__ = [
     "filter_speech_and_silence",
     "filter_language",
     "segment",
+    "judge_records",
     "run_pipeline",
+    "curate_stream",
+    "iter_manifest",
     "read_manifest",
     "write_manifest",
     "write_rejection_csv",
@@ -191,18 +197,28 @@ def filter_language(rec: ManifestRecord, cfg: PipelineConfig) -> list[FilterReas
     return []
 
 
-def _slice_record(rec: ManifestRecord, lo: int, hi: int, child_idx: int) -> ManifestRecord:
-    """Child record for words [lo, hi); word times stay absolute into the parent audio."""
+def _slice_record(rec: ManifestRecord, words: list[str], lo: int, hi: int, child_idx: int) -> ManifestRecord:
+    """Child record for words [lo, hi); word times stay absolute into the parent audio.
+
+    The child is not validated again: a slice of a valid parent passes every
+    check of ``ManifestRecord`` but a positive duration, which a seg_min_sec
+    of zero or less lets a child of zero span fail. That check is made here.
+    """
     times = rec.word_times[lo:hi]  # type: ignore[index]
-    words = rec.words[lo:hi]
-    return replace(
-        rec,
-        id=f"{rec.id}#{child_idx}",
-        duration_sec=times[-1][1] - times[0][0],
-        transcript=" ".join(words),
+    child_id = f"{rec.id}#{child_idx}"
+    duration = times[-1][1] - times[0][0]
+    if duration <= 0:
+        raise ValueError(f"{child_id}: duration_sec must be positive")
+    child = object.__new__(ManifestRecord)
+    child.__dict__.update(
+        vars(rec),
+        id=child_id,
+        duration_sec=duration,
+        transcript=" ".join(words[lo:hi]),
         word_confidences=rec.word_confidences[lo:hi] if rec.word_confidences else None,
         word_times=times,
     )
+    return child
 
 
 def segment(rec: ManifestRecord, cfg: PipelineConfig) -> tuple[list[ManifestRecord], str | None]:
@@ -226,6 +242,7 @@ def segment(rec: ManifestRecord, cfg: PipelineConfig) -> tuple[list[ManifestReco
         return [], None
 
     times = rec.word_times
+    words = rec.words
     children: list[ManifestRecord] = []
     n = len(times)
     cur = 0
@@ -236,7 +253,7 @@ def segment(rec: ManifestRecord, cfg: PipelineConfig) -> tuple[list[ManifestReco
         if remaining <= cfg.seg_max_sec:
             # no cut needed; a too-short trailing remainder is dropped
             if remaining >= cfg.seg_min_sec:
-                children.append(_slice_record(rec, cur, n, child_idx))
+                children.append(_slice_record(rec, words, cur, n, child_idx))
             break
         # a cut is forced: widest window ending at or under seg_max
         hi = cur
@@ -256,7 +273,7 @@ def segment(rec: ManifestRecord, cfg: PipelineConfig) -> tuple[list[ManifestReco
             if gap > best_gap:
                 best_gap = gap
                 best_j = j
-        children.append(_slice_record(rec, cur, best_j + 1, child_idx))
+        children.append(_slice_record(rec, words, cur, best_j + 1, child_idx))
         child_idx += 1
         cur = best_j + 1
     return children, None
@@ -292,23 +309,53 @@ def _judge(
     return survivors, [] if survivors else reasons
 
 
+def judge_records(
+    manifest: Iterable[ManifestRecord | ManifestParseError], cfg: PipelineConfig
+) -> Iterator[tuple[list[ManifestRecord], FilterOutcome]]:
+    """(kept segments, outcome) for each input record, in input order, one record at a time.
+
+    A record survives if at least one of its segmentation children passes the
+    per-segment filters (WpM, confidence).
+    """
+    blockers = [re.compile(p) for p in cfg.blocklist]
+    for rec in manifest:
+        survivors, reasons = _judge(rec, cfg, blockers)
+        yield survivors, FilterOutcome(rec.id, reasons)
+
+
 def run_pipeline(
     manifest: Iterable[ManifestRecord | ManifestParseError], cfg: PipelineConfig
 ) -> tuple[list[ManifestRecord], list[FilterOutcome]]:
-    """Apply all filters; return (kept records, one outcome per input record).
-
-    A record survives if at least one of its segmentation children passes the
-    per-segment filters (WpM, confidence). Outcomes are emitted in input order
-    regardless of how the work is scheduled.
-    """
-    blockers = [re.compile(p) for p in cfg.blocklist]
+    """Apply all filters; return (kept records, one outcome per input record), in input order."""
     kept: list[ManifestRecord] = []
     outcomes: list[FilterOutcome] = []
-    for rec in manifest:
-        survivors, reasons = _judge(rec, cfg, blockers)
+    for survivors, outcome in judge_records(manifest, cfg):
         kept.extend(survivors)
-        outcomes.append(FilterOutcome(rec.id, reasons))
+        outcomes.append(outcome)
     return kept, outcomes
+
+
+def curate_stream(
+    manifest: Iterable[ManifestRecord | ManifestParseError],
+    cfg: PipelineConfig,
+    kept_out: TextIO,
+    report_out: TextIO,
+    header_lines: list[str] | None = None,
+) -> tuple[int, int]:
+    """Judge each record and write it at once: (kept segments, rejected records).
+
+    Writes the bytes that ``run_pipeline`` followed by ``write_manifest`` and
+    ``write_rejection_csv`` would, holding one record in memory at a time.
+    """
+    rows = _report_writer(report_out, header_lines)
+    n_kept = n_rejected = 0
+    for survivors, outcome in judge_records(manifest, cfg):
+        for child in survivors:
+            kept_out.write(_manifest_line(child))
+        rows.writerow(_report_row(outcome))
+        n_kept += len(survivors)
+        n_rejected += bool(outcome.reasons)
+    return n_kept, n_rejected
 
 
 # --- manifest and report I/O ---------------------------------------------
@@ -344,13 +391,13 @@ def _record_from_json(obj: dict) -> ManifestRecord:
     )
 
 
-def read_manifest(path: str) -> list[ManifestRecord | ManifestParseError]:
-    """Read a JSON Lines manifest; malformed lines become ManifestParseError entries.
+def iter_manifest(path: str) -> Iterator[ManifestRecord | ManifestParseError]:
+    """Each entry of a JSON Lines manifest, read one line at a time; a malformed
+    line becomes a ManifestParseError entry.
 
     A line holding a byte that is not UTF-8 is malformed too, and its error
     names the first such byte.
     """
-    out: list[ManifestRecord | ManifestParseError] = []
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not line.strip():
@@ -358,10 +405,14 @@ def read_manifest(path: str) -> list[ManifestRecord | ManifestParseError]:
             try:
                 if not line.isascii():
                     _check_utf8(line)
-                out.append(_record_from_json(json.loads(line)))
+                yield _record_from_json(json.loads(line))
             except (ValueError, KeyError, TypeError, IndexError) as exc:
-                out.append(ManifestParseError(id=f"line-{line_no}", error=str(exc)))
-    return out
+                yield ManifestParseError(id=f"line-{line_no}", error=str(exc))
+
+
+def read_manifest(path: str) -> list[ManifestRecord | ManifestParseError]:
+    """Every entry of a JSON Lines manifest (see ``iter_manifest``)."""
+    return list(iter_manifest(path))
 
 
 def _check_utf8(line: str) -> None:
@@ -377,27 +428,35 @@ def _check_utf8(line: str) -> None:
         raise ValueError(f"line is not valid UTF-8: byte 0x{byte:02x} at offset {offset}") from None
 
 
+def _manifest_line(rec: ManifestRecord) -> str:
+    """One JSON line: the record's fields in declaration order, leaving out those that are None."""
+    obj = {name: value for name in _FIELD_NAMES if (value := getattr(rec, name)) is not None}
+    return json.dumps(obj, ensure_ascii=False) + "\n"
+
+
 def write_manifest(records: Iterable[ManifestRecord], path: str) -> None:
-    """JSON Lines: each record's fields in declaration order, leaving out those that are None."""
+    """JSON Lines, one line per record."""
     with open(path, "w", encoding="utf-8") as fh:
         for rec in records:
-            obj = {name: value for name in _FIELD_NAMES if (value := getattr(rec, name)) is not None}
-            fh.write(json.dumps(obj, ensure_ascii=False) + "\n")
+            fh.write(_manifest_line(rec))
+
+
+def _report_writer(fh: TextIO, header_lines: list[str] | None):
+    """A CSV writer on `fh`, after the '# ' header lines and the column row."""
+    for line in header_lines or []:
+        fh.write(f"# {line}\n")
+    writer = csv.writer(fh)
+    writer.writerow(["id", "verdict", "reasons", "measured_values"])
+    return writer
+
+
+def _report_row(o: FilterOutcome) -> list[str]:
+    return [o.id, o.verdict, ";".join(r.filter_id for r in o.reasons), ";".join(r.measured for r in o.reasons)]
 
 
 def write_rejection_csv(outcomes: Iterable[FilterOutcome], path: str, header_lines: list[str] | None = None) -> None:
     """CSV columns: id, verdict, reasons (;-joined ids), measured_values (;-joined)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["id", "verdict", "reasons", "measured_values"])
+        writer = _report_writer(fh, header_lines)
         for o in outcomes:
-            writer.writerow(
-                [
-                    o.id,
-                    o.verdict,
-                    ";".join(r.filter_id for r in o.reasons),
-                    ";".join(r.measured for r in o.reasons),
-                ]
-            )
+            writer.writerow(_report_row(o))

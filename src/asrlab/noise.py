@@ -8,12 +8,14 @@ jointly so the SNR stays exact.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import os
 import shlex
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import TextIO
 
 from ._lazy import np
 from .audio import AudioBuffer, read_wav, write_wav
@@ -240,9 +242,10 @@ def run_sweep(
     return SweepReport(rows, aggregate)
 
 
-def write_sweep_csv(report: SweepReport, path: str, header_lines: list[str] | None = None) -> None:
-    """Per-row CSV ``snr_db,file_id,wer`` followed by an aggregate table."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+def write_sweep_csv(report: SweepReport, out: str | TextIO, header_lines: list[str] | None = None) -> None:
+    """Per-row CSV ``snr_db,file_id,wer`` followed by an aggregate table, written to a path or an open text file."""
+    opened = open(out, "w", encoding="utf-8", newline="") if isinstance(out, str) else contextlib.nullcontext(out)
+    with opened as fh:
         for line in header_lines or []:
             fh.write(f"# {line}\n")
         writer = csv.writer(fh)

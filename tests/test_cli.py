@@ -1,15 +1,21 @@
+import contextlib
+import dataclasses
+import io
 import json
 import os
 import stat
 import subprocess
 import sys
+import tempfile
 import time
+import tracemalloc
 import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from asrlab import cli
+from asrlab import cli, curation
 from asrlab.audio import AudioBuffer, write_wav
 from asrlab.curation import write_manifest
 from tests.conftest import make_script, tone
@@ -607,10 +613,17 @@ def tree(root):
     return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
 
 
-def failing_write(records, path):
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write('{"id": "half a rec')
-    raise OSError("No space left on device")
+def failing_serializer():
+    """A kept-record serializer that writes half a record, then runs out of disk on the next."""
+    calls = []
+
+    def serialize(rec):
+        calls.append(rec)
+        if len(calls) > 1:
+            raise OSError("No space left on device")
+        return '{"id": "half a rec'
+
+    return serialize
 
 
 @pytest.mark.parametrize("case", ["report-is-directory", "out-manifest-is-directory", "report-dir-missing", "write-fails"])
@@ -627,7 +640,7 @@ def test_curate_refused_run_changes_neither_output(tmp_path, capsys, monkeypatch
     if case.endswith("is-directory"):
         culprit.mkdir()
     if case == "write-fails":
-        monkeypatch.setattr(cli, "write_manifest", failing_write)
+        monkeypatch.setattr(curation, "_manifest_line", failing_serializer())
     kept_arg = culprit if case == "out-manifest-is-directory" else kept
     report_arg = culprit if case.startswith("report") else report
     before = tree(out)
@@ -678,6 +691,170 @@ def test_curate_writes_a_fifo_report_in_place(tmp_path):
     assert got == (plain / "r.csv").read_bytes()
     assert stat.S_ISFIFO(fifo.stat().st_mode)
     assert not list(tmp_path.glob(".*.tmp"))
+
+
+@pytest.mark.parametrize("flag", ["--out-manifest", "--report"])
+def test_curate_refuses_an_output_hard_linked_to_the_manifest(tmp_path, capsys, flag):
+    # a hard-linked output is written in place, which would truncate the manifest before it is read
+    manifest = tmp_path / "in.jsonl"
+    write_manifest(golden_manifest(), str(manifest))
+    before = manifest.read_bytes()
+    link = tmp_path / "link"
+    os.link(manifest, link)
+    outputs = {"--out-manifest": str(tmp_path / "kept.jsonl"), "--report": str(tmp_path / "r.csv"), flag: str(link)}
+    assert cli.main(["curate", "--manifest", str(manifest), *(x for item in outputs.items() for x in item)]) == 2
+    err = capsys.readouterr().err
+    assert str(link) in err and str(manifest) in err and "internal error" not in err
+    assert manifest.read_bytes() == link.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "link"]  # nothing written, no temporary left
+
+
+def test_curate_output_may_be_the_manifest_itself(tmp_path):
+    # a manifest with one link is staged: it is read whole before the kept records replace it
+    plain = tmp_path / "plain"
+    plain.mkdir()
+    run_curate(tmp_path, plain / "kept.jsonl", plain / "r.csv")
+    manifest = tmp_path / "in.jsonl"
+    write_manifest(golden_manifest(), str(manifest))
+    argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(manifest), "--report", str(tmp_path / "r.csv")]
+    assert cli.main(argv) == 0
+    assert manifest.read_bytes() == (plain / "kept.jsonl").read_bytes()
+    assert (tmp_path / "r.csv").read_bytes() == (plain / "r.csv").read_bytes()
+
+
+def test_evaluate_refuses_an_out_hard_linked_to_an_input(tmp_path, capsys):
+    manifest, hyps = write_eval_inputs(tmp_path)
+    before = hyps.read_bytes()
+    out = tmp_path / "report.csv"
+    os.link(hyps, out)
+    assert cli.main(["evaluate", "--manifest", str(manifest), "--hyps", str(hyps), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and str(hyps) in err
+    assert hyps.read_bytes() == before
+
+
+@pytest.mark.parametrize("command", ["noise-sweep", "stitch"])
+def test_directory_out_exits_2_before_the_transcriber_starts(tmp_path, capsys, command):
+    wav = tmp_path / "clip.wav"
+    write_wav(AudioBuffer(samples=tone(30.0, amplitude=0.4)), str(wav))
+    mark = tmp_path / "transcribed"
+    transcriber = " ".join(make_script(tmp_path, "mark.py", f"open({str(mark)!r}, 'w').write('x')\nprint('a b c')\n"))
+    out = tmp_path / "outdir"
+    out.mkdir()
+    workdir = tmp_path / "work"
+    if command == "noise-sweep":
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps({"id": "clip", "audio_path": str(wav), "duration_sec": 30.0,
+                                        "transcript": "a b c"}) + "\n", encoding="utf-8")
+        argv = ["noise-sweep", "--manifest", str(manifest), "--snrs", "0,5,10", "--jobs", "1"]
+    else:
+        argv = ["stitch", "--audio", str(wav)]
+    argv += ["--transcriber", transcriber, "--workdir", str(workdir), "--out", str(out)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert str(out) in err and "Is a directory" in err
+    assert not mark.exists() and not workdir.exists()
+    assert list(out.iterdir()) == []
+
+
+# Lines of a random manifest: blank lines, malformed JSON, bytes that are not
+# UTF-8, schema errors, and records that reach every filter (segmentable long
+# ones too). Each field of a record is mostly one that passes, so that every
+# filter down the chain gets records to judge.
+CURATE_WORDS = ["alpha", "beta", "gamma", "café", "naïve"]
+
+
+def mostly(good, *others):
+    """`good` in three of every 3 + len(others) draws, else one of `others`."""
+    return st.sampled_from([good] * 3 + list(others)).flatmap(lambda strategy: strategy)
+
+
+@st.composite
+def manifest_lines(draw) -> bytes:
+    kind = draw(st.sampled_from(["blank", "not-json", "not-utf8", "bad-field", *["record"] * 6]))
+    if kind == "blank":
+        return draw(st.sampled_from([b"\n", b"  \n", b"\t\r\n"]))
+    if kind == "not-json":
+        return b'{"id": "half a rec\n'
+    rid = f"r{draw(st.integers(0, 5))}"  # curate accepts a repeated id
+    duration = draw(st.floats(0.5, 60.0))
+    n = min(int(duration * draw(st.floats(20.0, 300.0)) / 60.0), 200)  # 50-250 words a minute pass
+    words = draw(st.lists(st.sampled_from(CURATE_WORDS), min_size=n, max_size=n))
+    if words and draw(st.integers(0, 9)) == 0:
+        words[draw(st.integers(0, n - 1))] = "zzblocked"
+    obj = {"id": rid, "audio_path": f"{rid}.wav", "duration_sec": duration, "transcript": " ".join(words)}
+    obj["word_confidences"] = draw(mostly(
+        st.sampled_from([0.79, 0.8, 0.95]).map(lambda c: [c] * n),
+        st.lists(st.floats(0.0, 1.0), min_size=n, max_size=n),
+        st.none(),
+    ))
+    if n and draw(mostly(st.just(True), st.just(False))):  # without word times a long record is unsegmentable
+        step = duration / n
+        fill = draw(st.floats(0.05, 1.0))
+        obj["word_times"] = [[i * step, i * step + fill * step] for i in range(n)]
+    obj["source_lang"] = draw(mostly(st.sampled_from([None, "en"]), st.just("es")))
+    obj["detected_lang"] = draw(mostly(
+        st.tuples(st.just("en"), st.floats(0.5, 1.0)),
+        st.none(),
+        st.tuples(st.sampled_from(["en", "es"]), st.floats(0.0, 1.0)),
+    ))
+    obj["speech_ratio"] = draw(mostly(st.floats(0.7, 1.0), st.none(), st.floats(0.0, 1.0)))
+    obj["max_silence_sec"] = draw(mostly(st.floats(0.0, 5.0), st.floats(0.0, 8.0)))
+    if kind == "bad-field":
+        obj[draw(st.sampled_from(["duration_sec", "extra"]))] = -1.0
+    obj = {k: v for k, v in obj.items() if v is not None}
+    line = json.dumps(obj, ensure_ascii=draw(st.booleans())).encode("utf-8")
+    if kind == "not-utf8":
+        line = line.replace(b'.wav"', b'\xff.wav"', 1)
+    return line + b"\n"
+
+
+@settings(max_examples=60, deadline=None)
+@given(lines=st.lists(manifest_lines(), max_size=25), trailing_newline=st.booleans())
+def test_streamed_curate_matches_the_list_pipeline(lines, trailing_newline):
+    data = b"".join(lines)
+    if not trailing_newline:
+        data = data.rstrip(b"\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        manifest, kept, report = (os.path.join(tmp, name) for name in ("in.jsonl", "kept.jsonl", "r.csv"))
+        with open(manifest, "wb") as fh:
+            fh.write(data)
+        argv = ["curate", "--manifest", manifest, "--out-manifest", kept, "--report", report, "--blocklist", "zzblock"]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout):
+            assert cli.main(argv) == 0
+
+        cfg = curation.PipelineConfig(blocklist=["zzblock"])
+        records, outcomes = curation.run_pipeline(curation.read_manifest(manifest), cfg)
+        list_kept, list_report = os.path.join(tmp, "list_kept.jsonl"), os.path.join(tmp, "list_r.csv")
+        write_manifest(records, list_kept)
+        curation.write_rejection_csv(outcomes, list_report, cli._header(cli.parse_args(argv)))
+        n_rejected = sum(o.verdict == "rejected" for o in outcomes)
+        with open(kept, "rb") as a, open(list_kept, "rb") as b:
+            assert a.read() == b.read()
+        with open(report, "rb") as a, open(list_report, "rb") as b:
+            assert a.read() == b.read()
+        assert stdout.getvalue() == f"kept={len(records)} rejected={n_rejected} out_manifest={kept} report={report}\n"
+
+
+def test_curate_memory_does_not_grow_with_the_manifest(tmp_path):
+    def traced_peak(n_copies: int) -> int:
+        manifest = tmp_path / f"in{n_copies}.jsonl"
+        write_manifest([dataclasses.replace(rec, id=f"{rec.id}-{i}") for i in range(n_copies) for rec in golden_manifest()],
+                       str(manifest))
+        argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(tmp_path / "kept.jsonl"),
+                "--report", str(tmp_path / "r.csv")]
+        with contextlib.redirect_stdout(io.StringIO()):
+            tracemalloc.start()
+            try:
+                assert cli.main(argv) == 0
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+    traced_peak(1)  # first-use allocations (caches, interned strings) are not the manifest's
+    small, large = traced_peak(15), traced_peak(150)  # 150 and 1500 records
+    assert large < 1.5 * small, (small, large)
 
 
 # --- exit codes: a rejected input exits 2, anything else exits 1 -------------------
