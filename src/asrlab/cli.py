@@ -40,7 +40,7 @@ from .curation import (
 )
 from .entities import align_entities, pn_score, read_entity_file
 from .metrics import EvalRow, build_report, wer
-from .noise import SweepSpec, run_sweep, transcribe_file, write_sweep_csv
+from .noise import SweepSpec, ordered_map, run_sweep, transcribe_file, write_sweep_csv
 from .planner import ScalingAssumptions, optimal_hours
 from .stitch import PartialTranscript, energy_vad, plan_chunks, remove_silences, stitch
 from .textnorm import DEFAULT_RULES, load_rules, normalize, tokenize_words
@@ -323,7 +323,12 @@ def _read_partials_dir(path: str, rules) -> list[PartialTranscript]:
 
 
 def _transcribe_audio(args: argparse.Namespace, rules) -> list[PartialTranscript]:
-    """Strip the silences from --audio, cut the rest into overlapping chunks, and transcribe each chunk."""
+    """Strip the silences from --audio, cut the rest into overlapping chunks, and transcribe each chunk.
+
+    The chunk WAVs are written one by one on this thread; only the transcriber
+    calls run in the --jobs pool, so its threads never touch numpy. A failure
+    names the lowest failing chunk, whatever the number of jobs.
+    """
     audio = read_wav(_require_file(args.audio, "audio"))
     voiced = remove_silences(audio, energy_vad(audio)) if len(audio) else audio
     if len(voiced) == 0:
@@ -334,11 +339,13 @@ def _transcribe_audio(args: argparse.Namespace, rules) -> list[PartialTranscript
     # chunk WAVs stay in --workdir; without it they go to a directory removed when the run ends
     with contextlib.nullcontext(args.workdir) if args.workdir else tempfile.TemporaryDirectory() as workdir:
         os.makedirs(workdir, exist_ok=True)
+        chunk_paths = []
         for i, (start, end) in enumerate(plan.bounds):
             piece = voiced.samples[int(round(start * sr)) : int(round(end * sr))]
-            chunk_path = os.path.join(workdir, f"chunk{i:04d}.wav")
-            write_wav(AudioBuffer(samples=piece, sample_rate_hz=sr), chunk_path)
-            text = transcribe_file(args.transcriber, chunk_path)
+            chunk_paths.append(os.path.join(workdir, f"chunk{i:04d}.wav"))
+            write_wav(AudioBuffer(samples=piece, sample_rate_hz=sr), chunk_paths[-1])
+        texts = ordered_map(lambda path: transcribe_file(args.transcriber, path), chunk_paths, args.jobs)
+        for i, (chunk_path, text) in enumerate(zip(chunk_paths, texts)):
             if text is None:
                 raise ValueError(f"transcriber failed on chunk {i} ({chunk_path})")
             partials.append(PartialTranscript(i, tokenize_words(normalize(text, rules))))
@@ -430,6 +437,14 @@ def pattern_list(text: str) -> list[str]:
     return [p for p in text.split(";;") if p]
 
 
+def positive_int(text: str) -> int:
+    """An integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 def _default(fn, param: str):
     """The default a library function declares for one of its parameters."""
     return inspect.signature(fn).parameters[param].default
@@ -443,6 +458,8 @@ def _opt(flag: str, key: str | None = None, **kwargs) -> tuple[str, str | None, 
 _RULES = _opt("--rules", "norm.rules", help="normalization rule file")
 _SIM_THRESHOLD = _opt("--sim-threshold", "entities.sim_threshold", type=float,
                       default=_default(align_entities, "sim_threshold"))
+_JOBS = _opt("--jobs", "jobs", type=positive_int, default=os.cpu_count() or 1,
+             help="files transcribed at once")
 
 # subcommand -> (help, handler, options). Every subcommand also takes --config.
 COMMANDS = {
@@ -488,7 +505,7 @@ COMMANDS = {
         _opt("--noise-dir", "sweep.noise_dir", default=SweepSpec.noise_corpus_dir),
         _RULES,
         _opt("--seed", "seed", type=int, default=SweepSpec.seed),
-        _opt("--jobs", "jobs", type=int, default=os.cpu_count() or 1),
+        _JOBS,
     ]),
     "stitch": ("join chunk transcripts (or decode+join an audio file)", cmd_stitch, [
         _opt("--partials-dir", help="directory of <index>.txt chunk transcripts"),
@@ -499,6 +516,7 @@ COMMANDS = {
         _opt("--min-match", "stitch.min_match_tokens", type=int, default=_default(stitch, "min_match_tokens")),
         _opt("--chunk-len", "stitch.chunk_len_sec", type=float, default=_default(plan_chunks, "chunk_len")),
         _opt("--overlap", "stitch.overlap_sec", type=float, default=_default(plan_chunks, "overlap")),
+        _JOBS,
         _opt("--out"),
     ]),
     "rnnt-check": ("oracle and gradient verification suite", cmd_rnnt_check, [
@@ -535,7 +553,7 @@ def _config_defaults(path: str, options: list) -> dict[str, object]:
         if key in cfg:
             try:
                 defaults[flag[2:].replace("-", "_")] = kwargs.get("type", str)(cfg[key])
-            except ValueError as exc:
+            except (ValueError, argparse.ArgumentTypeError) as exc:
                 raise ValueError(f"{path}: {key} = {cfg[key]!r}: {exc}") from exc
     return defaults
 

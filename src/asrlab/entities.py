@@ -7,17 +7,15 @@ candidate pair only if the entity types agree and the surface strings are
 similar enough. Entities left unpaired count as insertions or deletions, each
 contributing the maximal distance of 1.0 to the final score.
 
-NER itself is consumed, not computed: spans arrive from annotation files or an
-external tagger process (see ``read_entity_file`` / ``run_tagger``).
+NER itself is consumed, not computed: spans arrive from annotation files
+(see ``read_entity_file``).
 """
 
 from __future__ import annotations
 
-import subprocess
 from dataclasses import dataclass, field
 from difflib import SequenceMatcher
 from itertools import zip_longest
-from typing import Iterable, Iterator
 
 from .config import utf8_lines
 from .metrics import jaro_winkler, wer
@@ -29,7 +27,6 @@ __all__ = [
     "align_entities",
     "pn_score",
     "read_entity_file",
-    "run_tagger",
 ]
 
 SUPPORTED_TYPES = ("Person", "Organization", "GPE", "LOC")
@@ -128,12 +125,13 @@ def pn_score(align: EntityAlignment, lexical_metric: str = "jaro_distance") -> f
     return 100.0 * total / slots
 
 
-def _parse_spans(lines: Iterable[str], where: str) -> Iterator[tuple[str, EntitySpan]]:
-    """(file_id, span) per five-field line file_id<TAB>start<TAB>end<TAB>type<TAB>filler.
+def read_entity_file(path: str) -> dict[str, list[EntitySpan]]:
+    """Parse a line-delimited annotation file: file_id<TAB>start<TAB>end<TAB>type<TAB>filler.
 
-    Blank lines are skipped; a malformed line raises ValueError naming ``where:line``.
+    Blank lines are skipped; a malformed line raises ValueError naming ``path:line``.
     """
-    for line_no, raw in enumerate(lines, start=1):
+    spans: dict[str, list[EntitySpan]] = {}
+    for line_no, raw in utf8_lines(path):
         line = raw.rstrip("\n")
         if not line.strip():
             continue
@@ -144,28 +142,6 @@ def _parse_spans(lines: Iterable[str], where: str) -> Iterator[tuple[str, Entity
             file_id, start, end, etype, filler = parts
             span = EntitySpan(filler=filler, type=etype, start=int(start), end=int(end))
         except ValueError as exc:
-            raise ValueError(f"{where}:{line_no}: {exc}") from exc
-        yield file_id, span
-
-
-def read_entity_file(path: str) -> dict[str, list[EntitySpan]]:
-    """Parse a line-delimited annotation file: file_id<TAB>start<TAB>end<TAB>type<TAB>filler."""
-    spans: dict[str, list[EntitySpan]] = {}
-    for file_id, span in _parse_spans((line for _, line in utf8_lines(path)), path):
+            raise ValueError(f"{path}:{line_no}: {exc}") from exc
         spans.setdefault(file_id, []).append(span)
     return spans
-
-
-def run_tagger(cmd: list[str], text: str) -> list[EntitySpan]:
-    """Invoke an external NER tagger on one document.
-
-    Contract: the tagger reads UTF-8 text on stdin, writes five-field records
-    (file_id<TAB>start<TAB>end<TAB>type<TAB>filler) on stdout, and exits 0.
-    The file_id column is ignored for per-document invocation.
-    """
-    proc = subprocess.run(cmd, input=text.encode("utf-8"), capture_output=True)
-    if proc.returncode != 0:
-        raise RuntimeError(
-            f"tagger {cmd[0]!r} exited {proc.returncode}: {proc.stderr.decode('utf-8', 'replace')}"
-        )
-    return [span for _, span in _parse_spans(proc.stdout.decode("utf-8").splitlines(), "tagger output")]

@@ -15,7 +15,7 @@ import shlex
 import subprocess
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
-from typing import TextIO
+from typing import Callable, Iterable, TextIO
 
 from ._lazy import np
 from .audio import AudioBuffer, read_wav, write_wav
@@ -33,6 +33,7 @@ __all__ = [
     "SweepRow",
     "SweepReport",
     "run_sweep",
+    "ordered_map",
     "transcribe_file",
     "write_sweep_csv",
 ]
@@ -178,12 +179,25 @@ def _noise_for(clean: AudioBuffer, spec: SweepSpec, corpus: list[str], file_id: 
 
 
 def transcribe_file(transcriber_cmd: list[str] | str, wav_path: str) -> str | None:
-    """Run the external transcriber contract (CMD <wav>); None signals a nonzero exit."""
+    """Run the external transcriber contract (CMD <wav>); None signals a nonzero exit or stdout that is not UTF-8."""
     cmd = shlex.split(transcriber_cmd) if isinstance(transcriber_cmd, str) else list(transcriber_cmd)
     proc = subprocess.run(cmd + [wav_path], capture_output=True)
     if proc.returncode != 0:
         return None
-    return proc.stdout.decode("utf-8", "replace")
+    try:
+        return proc.stdout.decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+
+
+def ordered_map(fn: Callable, items: Iterable, jobs: int) -> list:
+    """fn over items in a pool of `jobs` threads (ValueError if jobs < 1), results in item order.
+
+    If calls raise, the first exception in item order is raised once every
+    call already started has returned; calls not yet started are dropped.
+    """
+    with ThreadPoolExecutor(max_workers=jobs) as pool:
+        return list(pool.map(fn, items))
 
 
 def run_sweep(
@@ -230,8 +244,7 @@ def run_sweep(
         return SweepRow(snr_db, rec.id, wer(ref, hyp), rec.duration_sec)
 
     np.ndarray  # load numpy before the pool: a lazy module's first load is not thread-safe before 3.12
-    with ThreadPoolExecutor(max_workers=max(1, jobs)) as pool:
-        rows = list(pool.map(one, tasks))
+    rows = ordered_map(one, tasks, jobs)
 
     # build_report skips failed rows (wer None) and gives None when all failed
     aggregate = {

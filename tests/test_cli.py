@@ -216,9 +216,10 @@ texts = ["the first chunk ends with shared words", "with shared words the second
 print(texts[min(n, 1)])
 """,
     )
+    # the transcriber counts its calls in a file, so it needs them one at a time
     proc = run_cli(
         "stitch", "--audio", str(wav), "--transcriber", " ".join(transcriber),
-        "--workdir", str(tmp_path / "chunks"),
+        "--workdir", str(tmp_path / "chunks"), "--jobs", "1",
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "the first chunk ends with shared words the second chunk continues"
@@ -347,6 +348,7 @@ def test_noise_sweep_jobs_do_not_change_report(tmp_path, echo_transcriber):
 SAMPLE_VALUES = {  # option type -> (config value, flag value) as typed, then as parsed
     float: (("0.25", "0.75"), (0.25, 0.75)),
     int: (("1234", "4321"), (1234, 4321)),
+    cli.positive_int: (("1234", "4321"), (1234, 4321)),
     cli.float_list: (("1,2", "3"), ([1.0, 2.0], [3.0])),
     cli.pattern_list: (("a;;b", "c"), (["a", "b"], ["c"])),
     None: (("from-config", "from-flag"), ("from-config", "from-flag")),
@@ -1053,3 +1055,118 @@ def test_stitch_audio_temporary_chunks_removed_on_failure(tmp_path, capsys, fail
     chunk_path = err.split("(")[-1].rstrip(")\n")
     assert chunk_path.endswith("chunk0000.wav") and not os.path.exists(os.path.dirname(chunk_path))
     assert sorted(p.name for p in tmp_path.iterdir()) == ["failing_transcriber.py", "tone.wav"]
+
+
+# --- --jobs: concurrent transcriber calls ------------------------------------------
+
+def indexed_transcriber(tmp_path, fail=(), slow=()):
+    """For chunk i (from the chunkNNNN.wav name) prints w3i .. w3i+5, so neighbours share three words.
+
+    It exits 3 on the chunks in `fail`, and sleeps 0.2 s first on those in `slow`.
+    """
+    body = f"""
+import os, sys, time
+i = int(os.path.basename(sys.argv[1])[5:9])
+if i in {tuple(slow)!r}:
+    time.sleep(0.2)
+if i in {tuple(fail)!r}:
+    sys.exit(3)
+print(" ".join("w%d" % k for k in range(3 * i, 3 * i + 6)))
+"""
+    return " ".join(make_script(tmp_path, "indexed_transcriber.py", body))
+
+
+def four_chunk_wav(tmp_path):
+    """8 s of tone: with --chunk-len 3 --overlap 1 it plans the chunks 0-3, 2-5, 4-7 and 5-8 s."""
+    wav = tmp_path / "long.wav"
+    write_wav(AudioBuffer(samples=tone(8.0, amplitude=0.4)), str(wav))
+    return ["stitch", "--audio", str(wav), "--chunk-len", "3", "--overlap", "1"]
+
+
+def test_stitch_audio_jobs_do_not_change_output_or_chunks(tmp_path):
+    # fresh interpreters, as for noise-sweep; chunk 0 answers last, so with
+    # --jobs 2 the calls finish out of order
+    transcriber = indexed_transcriber(tmp_path, slow=(0,))
+    outputs, chunks = [], []
+    for jobs in ("1", "2"):
+        workdir, out = tmp_path / f"work{jobs}", tmp_path / f"jobs{jobs}.txt"
+        proc = run_cli(*four_chunk_wav(tmp_path), "--transcriber", transcriber,
+                       "--workdir", str(workdir), "--out", str(out), "--jobs", jobs)
+        assert proc.returncode == 0, proc.stderr
+        outputs.append(out.read_bytes())
+        chunks.append({p.name: p.read_bytes() for p in sorted(workdir.iterdir())})
+    assert outputs[0] == outputs[1] == (" ".join(f"w{k}" for k in range(15)) + "\n").encode()
+    assert chunks[0] == chunks[1] and len(chunks[0]) == 4
+
+
+def test_stitch_audio_failure_names_the_lowest_chunk_for_any_jobs(tmp_path):
+    # chunk 2 fails slowly and chunk 3 at once, so with --jobs 2 chunk 3 fails first
+    transcriber = indexed_transcriber(tmp_path, fail=(2, 3), slow=(2,))
+    errors = []
+    for jobs in ("1", "2"):
+        proc = run_cli(*four_chunk_wav(tmp_path), "--transcriber", transcriber,
+                       "--workdir", str(tmp_path / "work"), "--jobs", jobs)
+        assert proc.returncode == 2, proc.stderr
+        errors.append(proc.stderr)
+    assert errors[0] == errors[1]
+    assert f"chunk 2 ({tmp_path / 'work' / 'chunk0002.wav'})" in errors[0]
+
+
+@pytest.mark.parametrize("command", ["noise-sweep", "stitch"])
+@pytest.mark.parametrize("where,value", [("flag", "0"), ("flag", "-3"), ("config", "0")])
+def test_jobs_below_one_exit_2_before_the_transcriber_starts(tmp_path, capsys, command, where, value):
+    wav = tmp_path / "clip.wav"
+    write_wav(AudioBuffer(samples=tone(30.0, amplitude=0.4)), str(wav))
+    mark = tmp_path / "transcribed"
+    transcriber = " ".join(make_script(tmp_path, "mark.py", f"open({str(mark)!r}, 'w').write('x')\nprint('a b c')\n"))
+    workdir = tmp_path / "work"
+    if command == "noise-sweep":
+        manifest = tmp_path / "m.jsonl"
+        manifest.write_text(json.dumps({"id": "clip", "audio_path": str(wav), "duration_sec": 30.0,
+                                        "transcript": "a b c"}) + "\n", encoding="utf-8")
+        argv = ["noise-sweep", "--manifest", str(manifest), "--out", str(tmp_path / "o.csv")]
+    else:
+        argv = ["stitch", "--audio", str(wav)]
+    argv += ["--transcriber", transcriber, "--workdir", str(workdir)]
+    if where == "flag":
+        argv += ["--jobs", value]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"jobs = {value}\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert (f"argument --jobs: must be >= 1, got {value}" if where == "flag" else f"{cfg}: jobs = '0'") in err
+    assert not mark.exists() and not workdir.exists()
+
+
+@pytest.fixture
+def non_utf8_transcriber(tmp_path):
+    return " ".join(make_script(tmp_path, "latin1_transcriber.py",
+                                "import sys\nsys.stdout.buffer.write(b'caf\\xe9 brook sounds\\n')\n"))
+
+
+def test_noise_sweep_non_utf8_transcript_is_a_failed_row(tmp_path, non_utf8_transcriber):
+    wav = tmp_path / "clip.wav"
+    write_wav(AudioBuffer(samples=tone(0.25)), str(wav))
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps({"id": "clip", "audio_path": str(wav), "duration_sec": 0.25,
+                                    "transcript": "brook sounds"}) + "\n", encoding="utf-8")
+    out = tmp_path / "o.csv"
+    argv = ["noise-sweep", "--manifest", str(manifest), "--transcriber", non_utf8_transcriber,
+            "--workdir", str(tmp_path / "w"), "--out", str(out), "--snrs", "0", "--jobs", "1"]
+    assert cli.main(argv) == 0
+    rows = out.read_text(encoding="utf-8").splitlines()
+    assert "0,clip,failed" in rows and "0,n/a" in rows
+
+
+def test_stitch_audio_non_utf8_transcript_exit_2(tmp_path, capsys, non_utf8_transcriber):
+    wav = tmp_path / "tone.wav"
+    write_wav(AudioBuffer(samples=tone(30.0, amplitude=0.4)), str(wav))
+    chunks = tmp_path / "chunks"
+    argv = ["stitch", "--audio", str(wav), "--transcriber", non_utf8_transcriber, "--workdir", str(chunks)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"transcriber failed on chunk 0 ({chunks / 'chunk0000.wav'})" in err

@@ -7,10 +7,8 @@ from asrlab.entities import (
     align_entities,
     pn_score,
     read_entity_file,
-    run_tagger,
 )
 from tests import entity_oracles
-from tests.conftest import make_script
 
 
 def span(filler, etype="Person", start=0, end=None):
@@ -187,33 +185,3 @@ def test_read_entity_file_rejects_bad_lines(tmp_path):
     path.write_text("f1\t0\t5\tPerson\n", encoding="utf-8")
     with pytest.raises(ValueError):
         read_entity_file(str(path))
-
-
-def test_run_tagger_contract(tmp_path):
-    # fake tagger: emits one Person span per capitalized word, with true offsets
-    cmd = make_script(
-        tmp_path,
-        "tagger.py",
-        """
-import sys
-text = sys.stdin.read()
-pos = 0
-for word in text.split():
-    start = text.index(word, pos)
-    end = start + len(word)
-    pos = end
-    if word[:1].isupper():
-        print(f"-\\t{start}\\t{end}\\tPerson\\t{word}")
-""",
-    )
-    text = "we saw Alice and Bob today"
-    spans = run_tagger(cmd, text)
-    assert [s.filler for s in spans] == ["Alice", "Bob"]
-    for s in spans:
-        s.check_against(text)
-
-
-def test_run_tagger_nonzero_exit(tmp_path):
-    cmd = make_script(tmp_path, "bad_tagger.py", "import sys; sys.exit(2)\n")
-    with pytest.raises(RuntimeError):
-        run_tagger(cmd, "hello")
