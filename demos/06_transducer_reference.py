@@ -26,6 +26,7 @@ from asrlab.transducer import (
     rnnt_logprob,
 )
 from asrlab.transducer.loss import finite_difference_grad
+from asrlab.transducer.mask import FRAME_MS
 
 rng = np.random.default_rng(0)
 
@@ -58,9 +59,9 @@ print(f"beam + shallow LM  : {fused} (score {score:.3f})\n")
 # --- streaming attention geometry ---------------------------------------------
 spec = MaskSpec(n_frames=24, chunk_frames=6, n_layers=5, left_context=1)
 masks = make_stream_mask(spec)
-rf = receptive_field(spec)
+rf_frames = receptive_field(spec)
 print(f"{spec.n_layers} layers, chunk {spec.chunk_frames} frames, left context {spec.left_context}:")
-print(f"  receptive field {rf.frames} frames = {rf.ms:.0f} ms")
+print(f"  receptive field {rf_frames} frames = {rf_frames * FRAME_MS:.0f} ms")
 print(f"  frame 10 attends to frames {np.flatnonzero(masks[0][10]).tolist()}\n")
 
 # --- EMA weights ----------------------------------------------------------------

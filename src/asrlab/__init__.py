@@ -22,7 +22,6 @@ from .curation import (
     compute_wpm,
     run_pipeline,
     read_manifest,
-    write_manifest,
 )
 from .audio import AudioBuffer, read_wav, write_wav
 from .noise import gaussian_noise, mix_at_snr, measure_snr, SweepSpec, run_sweep
@@ -55,7 +54,6 @@ __all__ = [
     "compute_wpm",
     "run_pipeline",
     "read_manifest",
-    "write_manifest",
     "AudioBuffer",
     "read_wav",
     "write_wav",

@@ -91,6 +91,11 @@ class ManifestRecord:
                 if not prev_end <= start <= end:
                     raise ValueError(f"{self.id}: word_times must be ordered and non-overlapping")
                 prev_end = end
+            # the order bounds every other time, and NaN already failed it
+            if self.word_times and not (
+                math.isfinite(self.word_times[0][0]) and math.isfinite(self.word_times[-1][1])
+            ):
+                raise ValueError(f"{self.id}: word_times must be finite")
 
     @property
     def words(self) -> list[str]:
@@ -367,7 +372,9 @@ def _optional_float(value) -> float | None:
     return None if value is None else float(value)
 
 
-def _record_from_json(obj: dict) -> ManifestRecord:
+def _record_from_json(obj: object) -> ManifestRecord:
+    if not isinstance(obj, dict):
+        raise ValueError("a manifest line must be a JSON object")
     unknown = set(obj).difference(_FIELD_NAMES)
     if unknown:
         raise ValueError(f"unknown manifest fields: {sorted(unknown)}")
@@ -396,7 +403,8 @@ def iter_manifest(path: str) -> Iterator[ManifestRecord | ManifestParseError]:
     line becomes a ManifestParseError entry.
 
     A line holding a byte that is not UTF-8 is malformed too, and its error
-    names the first such byte.
+    names the first such byte. So is a line nested too deep for the JSON
+    decoder, which raises RecursionError.
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
@@ -406,7 +414,7 @@ def iter_manifest(path: str) -> Iterator[ManifestRecord | ManifestParseError]:
                 if not line.isascii():
                     _check_utf8(line)
                 yield _record_from_json(json.loads(line))
-            except (ValueError, KeyError, TypeError, IndexError) as exc:
+            except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
                 yield ManifestParseError(id=f"line-{line_no}", error=str(exc))
 
 

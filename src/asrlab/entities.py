@@ -47,12 +47,6 @@ class EntitySpan:
         if not self.filler.strip():
             raise ValueError("filler must be nonempty")
 
-    def check_against(self, source: str) -> None:
-        if source[self.start : self.end] != self.filler:
-            raise ValueError(
-                f"filler {self.filler!r} does not match source[{self.start}:{self.end}]"
-            )
-
 
 @dataclass
 class EntityAlignment:

@@ -1,31 +1,26 @@
 """Reference transducer machinery: exact loss, decoding, streaming masks, EMA."""
 
-from .lattice import RnntLattice, log_softmax, random_lattice, read_lattice_fixture, write_lattice_fixture
+from .lattice import RnntLattice, log_softmax, random_lattice
 from .loss import rnnt_logprob, brute_force_logprob, rnnt_grad
-from .decode import greedy_decode, beam_decode, table_scorer
-from .lm import NgramLm, build_lm, lm_logprob
-from .mask import MaskSpec, make_stream_mask, receptive_field, frames_for_ms
+from .decode import greedy_decode, beam_decode
+from .lm import NgramLm, build_lm
+from .mask import MaskSpec, make_stream_mask, receptive_field
 from .ema import EmaState, ema_update
 
 __all__ = [
     "RnntLattice",
     "log_softmax",
     "random_lattice",
-    "read_lattice_fixture",
-    "write_lattice_fixture",
     "rnnt_logprob",
     "brute_force_logprob",
     "rnnt_grad",
     "greedy_decode",
     "beam_decode",
-    "table_scorer",
     "NgramLm",
     "build_lm",
-    "lm_logprob",
     "MaskSpec",
     "make_stream_mask",
     "receptive_field",
-    "frames_for_ms",
     "EmaState",
     "ema_update",
 ]

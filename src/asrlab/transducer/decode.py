@@ -15,18 +15,9 @@ from typing import Callable
 from .._lazy import np
 from .lm import NgramLm
 
-__all__ = ["greedy_decode", "beam_decode", "table_scorer"]
+__all__ = ["greedy_decode", "beam_decode"]
 
 Scorer = Callable[[int, tuple[int, ...]], "np.ndarray"]
-
-
-def table_scorer(table: dict[tuple[int, tuple[int, ...]], np.ndarray], default: np.ndarray) -> Scorer:
-    """Scorer backed by an explicit (t, prefix) -> vector table; handy in tests."""
-
-    def score(t: int, prefix: tuple[int, ...]) -> np.ndarray:
-        return table.get((t, prefix), default)
-
-    return score
 
 
 def greedy_decode(

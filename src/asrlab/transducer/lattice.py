@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 from .._lazy import np
 
-__all__ = [
-    "RnntLattice",
-    "log_softmax",
-    "random_lattice",
-    "read_lattice_fixture",
-    "write_lattice_fixture",
-]
+__all__ = ["RnntLattice", "log_softmax", "random_lattice"]
 
 _NORM_TOL = 1e-9
 
@@ -75,27 +69,3 @@ def random_lattice(rng: np.random.Generator, T: int, U: int, V: int) -> RnntLatt
     raw = rng.normal(size=(T, U + 1, V + 1))
     targets = [int(rng.integers(V)) for _ in range(U)]
     return RnntLattice(logits=log_softmax(raw, axis=2), targets=targets)
-
-
-def write_lattice_fixture(lat: RnntLattice, path: str) -> None:
-    """Plain-text fixture: header ``T U V``, row-major log-probs, then targets."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{lat.T} {lat.U} {lat.V}\n")
-        for value in lat.logits.reshape(-1):
-            fh.write(f"{float(value)!r}\n")
-        fh.write(" ".join(str(y) for y in lat.targets) + "\n")
-
-
-def read_lattice_fixture(path: str) -> RnntLattice:
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().split()
-        body = fh.read().split()
-    if len(header) != 3:
-        raise ValueError("fixture header must be 'T U V'")
-    t, u, v = (int(x) for x in header)
-    count = t * (u + 1) * (v + 1)
-    if len(body) != count + u:
-        raise ValueError(f"expected {count} log-probabilities plus {u} targets, found {len(body)} values")
-    values = [float(x) for x in body[:count]]
-    targets = [int(x) for x in body[count:]]
-    return RnntLattice(logits=np.array(values).reshape(t, u + 1, v + 1), targets=targets)

@@ -8,7 +8,7 @@ from typing import Hashable, Sequence
 
 from .._lazy import np
 
-__all__ = ["NgramLm", "build_lm", "lm_logprob"]
+__all__ = ["NgramLm", "build_lm"]
 
 Token = Hashable
 
@@ -79,11 +79,3 @@ def build_lm(
             history = tuple(sent[max(0, i - (n - 1)) : i]) if n > 1 else ()
             counts.setdefault(history, Counter())[tok] += 1
     return NgramLm(order=n, k=k_smoothing, vocabulary=vocab, ngram_counts=counts)
-
-
-def lm_logprob(lm: NgramLm, seq: Sequence[Token]) -> float:
-    """Log-probability of a sequence as the product of smoothed conditionals."""
-    total = 0.0
-    for i, tok in enumerate(seq):
-        total += lm.cond_logprob(seq[:i], tok)
-    return total

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .._lazy import np
 
-__all__ = ["MaskSpec", "make_stream_mask", "receptive_field", "frames_for_ms"]
+__all__ = ["MaskSpec", "make_stream_mask", "receptive_field"]
 
 FRAME_MS = 80.0  # one subsampled encoder frame: 8 input frames of 10 ms
 
@@ -36,11 +36,6 @@ class MaskSpec:
             raise ValueError("left_context must be >= 0")
 
 
-def frames_for_ms(ms: float) -> int:
-    """Subsampled frame count closest to a duration in milliseconds."""
-    return max(1, int(round(ms / FRAME_MS)))
-
-
 def make_stream_mask(spec: MaskSpec) -> list[np.ndarray]:
     """Per-layer boolean masks of shape (n_frames, n_frames); True = may attend.
 
@@ -57,19 +52,9 @@ def make_stream_mask(spec: MaskSpec) -> list[np.ndarray]:
     return [base] * spec.n_layers
 
 
-@dataclass(frozen=True)
-class ReceptiveField:
-    frames: int
-    ms: float
+def receptive_field(spec: MaskSpec) -> int:
+    """Cumulative lookback in frames after stacking spec.n_layers masked layers.
 
-
-def receptive_field(spec: MaskSpec, n_layers: int | None = None) -> ReceptiveField:
-    """Cumulative lookback after stacking n_layers masked layers.
-
-    frames = chunk_frames + n_layers * left_context; ms = frames * FRAME_MS.
+    frames = chunk_frames + n_layers * left_context; multiply by FRAME_MS for ms.
     """
-    layers = spec.n_layers if n_layers is None else n_layers
-    if layers < 1:
-        raise ValueError("n_layers must be >= 1")
-    frames = spec.chunk_frames + layers * spec.left_context
-    return ReceptiveField(frames=frames, ms=frames * FRAME_MS)
+    return spec.chunk_frames + spec.n_layers * spec.left_context

@@ -31,6 +31,7 @@ from asrlab.transducer import (
 )
 from asrlab.transducer.lattice import log_softmax
 from asrlab.transducer.loss import finite_difference_grad
+from asrlab.transducer.mask import FRAME_MS
 
 from tests.conftest import tone
 from tests.test_curation import EXPECTED_KEPT, EXPECTED_REASONS, golden_manifest
@@ -227,9 +228,8 @@ def test_streaming_mask_criterion():
                         chunk_end = min(n_frames, (i // chunk + 1) * chunk)
                         assert not mask[i, chunk_end:].any(), "future leakage across chunk boundary"
         spec = MaskSpec(n_frames=16, chunk_frames=6, n_layers=5, left_context=1)
-        rf = receptive_field(spec)
-        assert rf.frames == 11
-        assert rf.ms == 880.0
+        assert receptive_field(spec) == 11
+        assert receptive_field(spec) * FRAME_MS == 880.0
 
 
 def test_beam_greedy_criterion():

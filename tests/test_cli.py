@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -579,21 +580,87 @@ def test_curate_keeps_one_report_row_per_repeated_id(tmp_path):
     assert len(rows) == 2
 
 
-def test_curate_lone_surrogate_is_a_parse_error_row(tmp_path):
+NOT_AN_OBJECT = {"empty-array": "[]", "array": '["id"]', "string": '""', "deep": "[" * 100000}
+
+
+def manifest_with_lines(tmp_path, edits):
+    """The golden manifest with the line of each id in `edits` replaced by edits[id](line).
+
+    Returns the path and each edited id's line number.
+    """
     manifest = tmp_path / "in.jsonl"
     write_manifest(golden_manifest(), str(manifest))
     lines = manifest.read_text(encoding="utf-8").splitlines()
-    victim = next(i for i, line in enumerate(lines) if json.loads(line)["id"] == "r7")
-    obj = json.loads(lines[victim])
-    obj["transcript"] = "\ud800" + obj["transcript"]
-    lines[victim] = json.dumps(obj)  # ASCII escapes: the file holds the six characters \ud800
+    line_nos = {}
+    for i, line in enumerate(lines):
+        rid = json.loads(line)["id"]
+        if rid in edits:
+            lines[i] = edits[rid](line)
+            line_nos[rid] = i + 1
     manifest.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    return manifest, line_nos
+
+
+@pytest.mark.parametrize("line", NOT_AN_OBJECT.values(), ids=NOT_AN_OBJECT.keys())
+def test_curate_non_object_line_is_a_parse_error_row(tmp_path, line):
+    manifest, line_nos = manifest_with_lines(tmp_path, {"r7": lambda _: line})
+    out_manifest = tmp_path / "kept.jsonl"
+    report = tmp_path / "r.csv"
+    argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(out_manifest), "--report", str(report)]
+    assert cli.main(argv) == 0
+    rows = [r for r in report.read_text(encoding="utf-8").splitlines() if "parse-error" in r]
+    assert len(rows) == 1 and rows[0].startswith(f"line-{line_nos['r7']},rejected,parse-error,")
+    kept_ids = [json.loads(line)["id"] for line in out_manifest.read_text(encoding="utf-8").splitlines()]
+    assert kept_ids == [rid for rid in EXPECTED_KEPT if rid != "r7"]
+
+
+@pytest.mark.parametrize("line", NOT_AN_OBJECT.values(), ids=NOT_AN_OBJECT.keys())
+def test_evaluate_non_object_manifest_line_exit_2(tmp_path, capsys, line):
+    manifest, line_nos = manifest_with_lines(tmp_path, {"r7": lambda _: line})
+    hyps = tmp_path / "hyps.tsv"
+    hyps.write_text("".join(f"{r.id}\t{r.transcript}\n" for r in golden_manifest()), encoding="utf-8")
+    assert cli.main(["evaluate", "--manifest", str(manifest), "--hyps", str(hyps)]) == 2
+    err = capsys.readouterr().err
+    assert str(manifest) in err and f"line-{line_nos['r7']}:" in err and "internal error" not in err
+
+
+def test_curate_kept_manifest_holds_only_finite_numbers(tmp_path):
+    def set_time(word, side, value):
+        def edit(line):
+            obj = json.loads(line)
+            obj["word_times"][word][side] = value
+            return json.dumps(obj)  # writes the non-JSON constant -Infinity or Infinity
+        return edit
+
+    edits = {"r2": set_time(0, 0, -math.inf), "r7": set_time(-1, 1, math.inf)}
+    manifest, line_nos = manifest_with_lines(tmp_path, edits)
+    out_manifest = tmp_path / "kept.jsonl"
+    report = tmp_path / "r.csv"
+    argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(out_manifest), "--report", str(report)]
+    assert cli.main(argv) == 0
+
+    def reject(constant):
+        raise ValueError(f"kept manifest holds {constant}")
+
+    kept = [json.loads(line, parse_constant=reject) for line in out_manifest.read_text(encoding="utf-8").splitlines()]
+    assert [obj["id"] for obj in kept] == [rid for rid in EXPECTED_KEPT if rid not in edits]
+    rows = [r for r in report.read_text(encoding="utf-8").splitlines() if "parse-error" in r]
+    assert rows == [f"line-{line_nos[rid]},rejected,parse-error,{rid}: word_times must be finite" for rid in edits]
+
+
+def test_curate_lone_surrogate_is_a_parse_error_row(tmp_path):
+    def prefix_surrogate(line):
+        obj = json.loads(line)
+        obj["transcript"] = "\ud800" + obj["transcript"]
+        return json.dumps(obj)  # ASCII escapes: the file holds the six characters \ud800
+
+    manifest, line_nos = manifest_with_lines(tmp_path, {"r7": prefix_surrogate})
     out_manifest = tmp_path / "kept.jsonl"
     report = tmp_path / "r.csv"
     argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(out_manifest), "--report", str(report)]
     assert cli.main(argv) == 0
     rows = [line for line in report.read_text(encoding="utf-8").splitlines() if "parse-error" in line]
-    assert rows == [f"line-{victim + 1},rejected,parse-error,\"a text field holds a lone surrogate, which UTF-8 cannot encode\""]
+    assert rows == [f"line-{line_nos['r7']},rejected,parse-error,\"a text field holds a lone surrogate, which UTF-8 cannot encode\""]
     kept_ids = [json.loads(line)["id"] for line in out_manifest.read_text(encoding="utf-8").splitlines()]
     assert kept_ids == [rid for rid in EXPECTED_KEPT if rid != "r7"]
 

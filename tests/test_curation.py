@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -446,8 +447,15 @@ def test_record_validation():
 
 @pytest.mark.parametrize(
     "times",
-    [[(5.0, 5.3), (0.2, 0.5)], [(0.2, 0.6), (0.5, 0.9)], [(0.2, 0.6), (0.9, 0.7)], [(0.2, float("nan")), (1.0, 1.2)]],
-    ids=["unordered", "overlapping", "inverted", "nan"],
+    [
+        [(5.0, 5.3), (0.2, 0.5)],
+        [(0.2, 0.6), (0.5, 0.9)],
+        [(0.2, 0.6), (0.9, 0.7)],
+        [(0.2, float("nan")), (1.0, 1.2)],
+        [(-math.inf, 0.4), (1.0, 1.2)],
+        [(0.2, 0.4), (5.5, math.inf)],
+    ],
+    ids=["unordered", "overlapping", "inverted", "nan", "infinite-start", "infinite-end"],
 )
 def test_record_rejects_unordered_word_times(tmp_path, times):
     with pytest.raises(ValueError, match="word_times"):

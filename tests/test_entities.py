@@ -20,10 +20,6 @@ def test_span_validation():
         EntitySpan(filler="x", type="Person", start=5, end=5)
     with pytest.raises(ValueError):
         EntitySpan(filler="  ", type="Person", start=0, end=2)
-    s = span("Nicolas Cage")
-    s.check_against("Nicolas Cage was here")
-    with pytest.raises(ValueError):
-        s.check_against("xNicolas Cage")
 
 
 def test_similar_fillers_same_type_match():

@@ -14,20 +14,16 @@ from asrlab.transducer import (
     brute_force_logprob,
     build_lm,
     ema_update,
-    frames_for_ms,
     greedy_decode,
-    lm_logprob,
     log_softmax,
     make_stream_mask,
     random_lattice,
-    read_lattice_fixture,
     receptive_field,
     rnnt_grad,
     rnnt_logprob,
-    table_scorer,
-    write_lattice_fixture,
 )
 from asrlab.transducer.loss import finite_difference_grad
+from asrlab.transducer.mask import FRAME_MS
 from tests import transducer_oracles as oracles
 
 
@@ -51,25 +47,6 @@ def test_lattice_validation():
         RnntLattice(logits=nan_cell, targets=[0])
     lat = uniform_lattice(3, 1, 2)
     assert (lat.T, lat.U, lat.V, lat.blank_id) == (3, 1, 2, 2)
-
-
-def test_lattice_fixture_round_trip(tmp_path):
-    rng = np.random.default_rng(5)
-    lat = random_lattice(rng, 3, 2, 2)
-    path = tmp_path / "lat.txt"
-    write_lattice_fixture(lat, str(path))
-    back = read_lattice_fixture(str(path))
-    assert back.targets == lat.targets
-    np.testing.assert_array_equal(back.logits, lat.logits)
-
-
-def test_lattice_fixture_u_zero(tmp_path):
-    lat = uniform_lattice(2, 0, 1)
-    path = tmp_path / "lat0.txt"
-    write_lattice_fixture(lat, str(path))
-    back = read_lattice_fixture(str(path))
-    assert back.targets == []
-    assert back.U == 0
 
 
 # --- forward / brute force ------------------------------------------------
@@ -249,7 +226,7 @@ def test_greedy_spells_from_table():
         (2, (2, 0)): vec(1),
         (2, (2, 0, 1)): blank_vec,
     }
-    scorer = table_scorer(table, blank_vec)
+    scorer = lambda t, prefix: table.get((t, prefix), blank_vec)
     labels, confs = greedy_decode(scorer, n_frames=3)
     assert labels == [2, 0, 1]
     assert all(c == pytest.approx(float(np.exp(vec(0)[0])), abs=1e-9) for c in confs)
@@ -335,7 +312,8 @@ def test_lm_flips_ranking_above_crossover():
     V = 2
     first = log_softmax(np.log(np.array([0.5, 0.3, 0.2])))
     after = log_softmax(np.log(np.array([0.05, 0.05, 0.9])))
-    scorer = table_scorer({(0, ()): first}, after)
+    table = {(0, ()): first}
+    scorer = lambda t, prefix: table.get((t, prefix), after)
     lm = build_lm([[1] * 9 + [0]], n=1, k_smoothing=0.01)
     # score(0) = log .45 + w log P(0); score(1) = log .27 + w log P(1)
     p0 = math.exp(lm.cond_logprob((), 0))
@@ -426,22 +404,17 @@ def test_mask_is_one_read_only_array_per_layer():
 def test_receptive_field_paper_configuration():
     # 11 subsampled frames at 10 ms stride, 8x subsampling: exactly 880 ms
     spec = MaskSpec(n_frames=32, chunk_frames=6, n_layers=5, left_context=1)
-    rf = receptive_field(spec)
-    assert rf.frames == 11
-    assert rf.ms == 880.0
+    assert receptive_field(spec) == 11
+    assert receptive_field(spec) * FRAME_MS == 880.0
 
 
 def test_receptive_field_strictly_increasing_in_depth():
-    spec = MaskSpec(n_frames=16, chunk_frames=4, n_layers=17, left_context=1)
-    values = [receptive_field(spec, layers).frames for layers in range(1, 18)]
+    values = [
+        receptive_field(MaskSpec(n_frames=16, chunk_frames=4, n_layers=layers, left_context=1))
+        for layers in range(1, 18)
+    ]
     assert values == sorted(values) and len(set(values)) == len(values)
     assert values[-1] == 4 + 17
-
-
-def test_frames_for_ms():
-    assert frames_for_ms(880.0) == 11
-    assert frames_for_ms(450.0) == 6  # 450 ms rounds to six 80 ms frames
-    assert frames_for_ms(1.0) == 1
 
 
 def test_mask_spec_validation():
@@ -497,14 +470,6 @@ def test_lm_conditionals_sum_to_one():
     for h in histories:
         total = sum(math.exp(lm.cond_logprob(h, w)) for w in lm.vocabulary)
         assert total == pytest.approx(1.0, abs=1e-12)
-
-
-def test_lm_logprob_monotone_nonincreasing():
-    lm = build_lm([["a", "b", "a", "c"]], n=2)
-    seq = ["a", "b", "a", "c", "a", "b"]
-    values = [lm_logprob(lm, seq[:k]) for k in range(len(seq) + 1)]
-    for prev, cur in zip(values, values[1:]):
-        assert cur <= prev + 1e-12
 
 
 def test_lm_empty_corpus_uniform():
