@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import contextlib
 import wave
 from dataclasses import dataclass
+from typing import Iterable, Iterator
 
 from ._lazy import np
 
-__all__ = ["AudioBuffer", "read_wav", "write_wav"]
+__all__ = ["AudioBuffer", "read_wav", "write_wav", "open_pcm16", "read_pcm16", "pcm16_to_float", "write_pcm16"]
 
 
 @dataclass
@@ -40,28 +42,64 @@ class AudioBuffer:
         return float(np.mean(self.samples**2))
 
 
-def read_wav(path: str) -> AudioBuffer:
-    """Read a mono 16-bit PCM WAV file; a file that is not one raises ValueError naming the path."""
+@contextlib.contextmanager
+def open_pcm16(path: str) -> Iterator[wave.Wave_read]:
+    """Open a WAV for reading once it is checked to be mono 16-bit PCM; if not, ValueError names the path."""
     try:
-        with wave.open(path, "rb") as wf:
-            if wf.getnchannels() != 1:
-                raise ValueError(f"{path}: expected mono, got {wf.getnchannels()} channels")
-            if wf.getsampwidth() != 2:
-                raise ValueError(f"{path}: expected 16-bit samples, got {8 * wf.getsampwidth()}-bit")
-            raw = wf.readframes(wf.getnframes())
-            rate = wf.getframerate()
+        wf = wave.open(path, "rb")
     except (wave.Error, EOFError) as exc:
         raise ValueError(f"{path}: not a readable WAV file: {str(exc) or 'unexpected end of file'}") from None
-    samples = np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32767.0
-    return AudioBuffer(samples=samples, sample_rate_hz=rate)
+    with wf:
+        if wf.getnchannels() != 1:
+            raise ValueError(f"{path}: expected mono, got {wf.getnchannels()} channels")
+        if wf.getsampwidth() != 2:
+            raise ValueError(f"{path}: expected 16-bit samples, got {8 * wf.getsampwidth()}-bit")
+        yield wf
+
+
+def read_pcm16(wf: wave.Wave_read, path: str, start: int, count: int) -> np.ndarray:
+    """`count` int16 samples from sample `start` of a file opened with open_pcm16.
+
+    Data that ends before the header's frame count raises ValueError naming the path.
+    """
+    wf.setpos(start)
+    raw = wf.readframes(count)
+    if len(raw) != 2 * count:
+        raise ValueError(
+            f"{path}: truncated WAV: header says {wf.getnframes()} frames, data holds {start + len(raw) // 2}"
+        )
+    return np.frombuffer(raw, dtype="<i2")
+
+
+def pcm16_to_float(ints: np.ndarray) -> np.ndarray:
+    """int16 samples as float64 in [-1, 1]: each divided by 32767."""
+    samples = ints.astype(np.float64)
+    samples /= 32767.0
+    return samples
+
+
+def read_wav(path: str) -> AudioBuffer:
+    """Read a mono 16-bit PCM WAV file; a file that is not one, or is truncated, raises ValueError naming the path."""
+    with open_pcm16(path) as wf:
+        samples = pcm16_to_float(read_pcm16(wf, path, 0, wf.getnframes()))
+        return AudioBuffer(samples=samples, sample_rate_hz=wf.getframerate())
+
+
+def write_pcm16(path: str, sample_rate_hz: int, pieces: Iterable[np.ndarray]) -> None:
+    """Write int16 sample arrays, one after another, as one mono 16-bit PCM WAV.
+
+    -32768 is written as -32767, so the file holds exactly what write_wav
+    makes of the samples read_wav returns.
+    """
+    with wave.open(path, "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(sample_rate_hz)
+        for ints in pieces:
+            wf.writeframesraw(np.maximum(ints, -32767).astype("<i2", copy=False).tobytes())
 
 
 def write_wav(buf: AudioBuffer, path: str) -> None:
     """Write mono 16-bit PCM; samples are clipped to [-1, 1] at quantization."""
     scaled = np.clip(buf.samples, -1.0, 1.0)
-    ints = np.round(scaled * 32767.0).astype("<i2")
-    with wave.open(path, "wb") as wf:
-        wf.setnchannels(1)
-        wf.setsampwidth(2)
-        wf.setframerate(buf.sample_rate_hz)
-        wf.writeframes(ints.tobytes())
+    write_pcm16(path, buf.sample_rate_hz, [np.round(scaled * 32767.0).astype("<i2")])

@@ -28,7 +28,6 @@ from typing import Sequence
 
 from . import __version__
 from ._lazy import np
-from .audio import AudioBuffer, read_wav, write_wav
 from .config import load_config, utf8_lines
 from .curation import (
     ManifestParseError,
@@ -42,7 +41,7 @@ from .entities import align_entities, pn_score, read_entity_file
 from .metrics import EvalRow, build_report, wer
 from .noise import SweepSpec, ordered_map, run_sweep, transcribe_file, write_sweep_csv
 from .planner import ScalingAssumptions, optimal_hours
-from .stitch import PartialTranscript, energy_vad, plan_chunks, remove_silences, stitch
+from .stitch import PartialTranscript, plan_chunks, stitch, voiced_ranges, write_voiced_chunks
 from .textnorm import DEFAULT_RULES, load_rules, normalize, tokenize_words
 from .transducer import random_lattice, rnnt_logprob, brute_force_logprob, rnnt_grad
 from .transducer.loss import BRUTE_T_MAX, BRUTE_U_MAX, finite_difference_grad
@@ -325,26 +324,24 @@ def _read_partials_dir(path: str, rules) -> list[PartialTranscript]:
 def _transcribe_audio(args: argparse.Namespace, rules) -> list[PartialTranscript]:
     """Strip the silences from --audio, cut the rest into overlapping chunks, and transcribe each chunk.
 
-    The chunk WAVs are written one by one on this thread; only the transcriber
-    calls run in the --jobs pool, so its threads never touch numpy. A failure
-    names the lowest failing chunk, whatever the number of jobs.
+    The recording is read from disk a block at a time, and each chunk WAV is
+    read and written in order on this thread; only the transcriber calls run
+    in the --jobs pool, so its threads never touch numpy. A failure names the
+    lowest failing chunk, whatever the number of jobs.
     """
-    audio = read_wav(_require_file(args.audio, "audio"))
-    voiced = remove_silences(audio, energy_vad(audio)) if len(audio) else audio
-    if len(voiced) == 0:
+    path = _require_file(args.audio, "audio")
+    sr, ranges = voiced_ranges(path)
+    n_voiced = sum(stop - start for start, stop in ranges)
+    if n_voiced == 0:
         raise ValueError(f"no speech detected in {args.audio}")
-    plan = plan_chunks(voiced.duration_sec, chunk_len=args.chunk_len, overlap=args.overlap)
-    sr = voiced.sample_rate_hz
+    plan = plan_chunks(n_voiced / sr, chunk_len=args.chunk_len, overlap=args.overlap)
     partials = []
     # chunk WAVs stay in --workdir; without it they go to a directory removed when the run ends
     with contextlib.nullcontext(args.workdir) if args.workdir else tempfile.TemporaryDirectory() as workdir:
         os.makedirs(workdir, exist_ok=True)
-        chunk_paths = []
-        for i, (start, end) in enumerate(plan.bounds):
-            piece = voiced.samples[int(round(start * sr)) : int(round(end * sr))]
-            chunk_paths.append(os.path.join(workdir, f"chunk{i:04d}.wav"))
-            write_wav(AudioBuffer(samples=piece, sample_rate_hz=sr), chunk_paths[-1])
-        texts = ordered_map(lambda path: transcribe_file(args.transcriber, path), chunk_paths, args.jobs)
+        chunk_paths = [os.path.join(workdir, f"chunk{i:04d}.wav") for i in range(len(plan.bounds))]
+        write_voiced_chunks(path, ranges, plan.bounds, chunk_paths)
+        texts = ordered_map(lambda chunk_path: transcribe_file(args.transcriber, chunk_path), chunk_paths, args.jobs)
         for i, (chunk_path, text) in enumerate(zip(chunk_paths, texts)):
             if text is None:
                 raise ValueError(f"transcriber failed on chunk {i} ({chunk_path})")

@@ -10,15 +10,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from difflib import SequenceMatcher
+from itertools import accumulate
+from typing import Iterable
 
 from ._lazy import np
-from .audio import AudioBuffer
+from .audio import AudioBuffer, open_pcm16, pcm16_to_float, read_pcm16, write_pcm16
 
 __all__ = [
     "SpeechSegment",
     "energy_vad",
     "speech_stats",
     "remove_silences",
+    "voiced_ranges",
+    "write_voiced_chunks",
     "ChunkPlan",
     "plan_chunks",
     "PartialTranscript",
@@ -39,7 +43,49 @@ class SpeechSegment:
 VAD_FRAME_MS = 30.0
 VAD_FLOOR_DBFS = -40.0
 VAD_HANGOVER = 5  # frames a speech run is extended by
-_VAD_BLOCK_SAMPLES = 1 << 16  # samples squared at once when computing frame energies
+_VAD_BLOCK_SAMPLES = 1 << 16  # samples read and squared at once when computing frame energies
+
+
+def _frame_len(sample_rate_hz: int) -> int:
+    return max(1, int(round(sample_rate_hz * VAD_FRAME_MS / 1000.0)))
+
+
+def _block_len(frame_len: int) -> int:
+    """Samples in one block of the frame-energy pass: whole frames, about _VAD_BLOCK_SAMPLES."""
+    return max(1, _VAD_BLOCK_SAMPLES // frame_len) * frame_len
+
+
+def _frame_energies(blocks: Iterable[np.ndarray], frame_len: int, n_samples: int) -> np.ndarray:
+    """Mean-square energy of each frame of a signal given as consecutive blocks.
+
+    Every block holds whole frames except the last, which may end in the
+    signal's part frame; so no signal-sized temporary is made.
+    """
+    n_full, tail = divmod(n_samples, frame_len)
+    energy = np.empty(n_full + (tail > 0))
+    first = 0
+    for block in blocks:
+        k = len(block) // frame_len
+        energy[first : first + k] = np.mean(block[: k * frame_len].reshape(-1, frame_len) ** 2, axis=1)
+        first += k
+        if len(block) > k * frame_len:
+            energy[first] = np.mean(block[k * frame_len :] ** 2)
+    return energy
+
+
+def _speech_segments(energy: np.ndarray, frame_len: int, n_samples: int, sample_rate_hz: int) -> list[SpeechSegment]:
+    """Threshold the frame energies, extend each speech run by the hangover, and return the runs."""
+    active = 10.0 * np.log10(energy + 1e-12) > VAD_FLOOR_DBFS
+
+    # hangover: a frame is speech if an active frame lies at most VAD_HANGOVER frames before it
+    index = np.arange(len(energy))
+    last_active = np.maximum.accumulate(np.where(active, index, -(VAD_HANGOVER + 1)))
+    speech = index - last_active <= VAD_HANGOVER
+
+    edges = np.diff(speech.astype(np.int8), prepend=0, append=0)
+    starts, ends = np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist()
+    return [SpeechSegment(s * frame_len / sample_rate_hz, min(e * frame_len, n_samples) / sample_rate_hz)
+            for s, e in zip(starts, ends)]
 
 
 def energy_vad(audio: AudioBuffer) -> list[SpeechSegment]:
@@ -53,28 +99,53 @@ def energy_vad(audio: AudioBuffer) -> list[SpeechSegment]:
     if len(audio) == 0:
         raise ValueError("audio is empty")
     sr, samples = audio.sample_rate_hz, audio.samples
-    frame_len = max(1, int(round(sr * VAD_FRAME_MS / 1000.0)))
-    n_full, tail = divmod(len(samples), frame_len)
-    energy = np.empty(n_full + (tail > 0))
-    # a block of frames at a time, so no signal-sized temporary is made
-    step = max(1, _VAD_BLOCK_SAMPLES // frame_len)
-    for first in range(0, n_full, step):
-        stop = min(first + step, n_full)
-        block = samples[first * frame_len : stop * frame_len]
-        energy[first:stop] = np.mean(block.reshape(-1, frame_len) ** 2, axis=1)
-    if tail:
-        energy[-1] = np.mean(samples[n_full * frame_len :] ** 2)
-    active = 10.0 * np.log10(energy + 1e-12) > VAD_FLOOR_DBFS
+    frame_len = _frame_len(sr)
+    step = _block_len(frame_len)
+    blocks = (samples[first : first + step] for first in range(0, len(samples), step))
+    return _speech_segments(_frame_energies(blocks, frame_len, len(samples)), frame_len, len(samples), sr)
 
-    # hangover: a frame is speech if an active frame lies at most VAD_HANGOVER frames before it
-    index = np.arange(len(energy))
-    last_active = np.maximum.accumulate(np.where(active, index, -(VAD_HANGOVER + 1)))
-    speech = index - last_active <= VAD_HANGOVER
 
-    edges = np.diff(speech.astype(np.int8), prepend=0, append=0)
-    starts, ends = np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist()
-    return [SpeechSegment(s * frame_len / sr, min(e * frame_len, len(samples)) / sr)
-            for s, e in zip(starts, ends)]
+def _sample_ranges(segments: list[SpeechSegment], sample_rate_hz: int) -> list[tuple[int, int]]:
+    return [(int(round(s.start_sec * sample_rate_hz)), int(round(s.end_sec * sample_rate_hz))) for s in segments]
+
+
+def voiced_ranges(path: str) -> tuple[int, list[tuple[int, int]]]:
+    """The sample rate of a mono 16-bit WAV and the [start, stop) sample ranges of its speech.
+
+    The ranges are those remove_silences keeps of energy_vad's segments of
+    read_wav(path), but the file is read a block at a time and only the frame
+    energies are kept, so memory does not grow with the recording. An empty
+    file has no ranges.
+    """
+    with open_pcm16(path) as wf:
+        sr, n = wf.getframerate(), wf.getnframes()
+        frame_len = _frame_len(sr)
+        step = _block_len(frame_len)
+        blocks = (pcm16_to_float(read_pcm16(wf, path, first, min(step, n - first))) for first in range(0, n, step))
+        energy = _frame_energies(blocks, frame_len, n)
+    return sr, _sample_ranges(_speech_segments(energy, frame_len, n, sr), sr)
+
+
+def write_voiced_chunks(
+    path: str, ranges: list[tuple[int, int]], bounds: list[tuple[float, float]], out_paths: list[str]
+) -> None:
+    """Write each chunk of a WAV's voiced audio to its own mono 16-bit WAV.
+
+    The voiced audio is the file's samples in `ranges`, joined; chunk i spans
+    bounds[i], in seconds of voiced audio, and goes to out_paths[i]. Each chunk
+    is read from the file when it is written, so the voiced audio is never held.
+    """
+    offsets = list(accumulate((stop - start for start, stop in ranges), initial=0))
+    with open_pcm16(path) as wf:
+        sr = wf.getframerate()
+        for (start_sec, end_sec), out_path in zip(bounds, out_paths):
+            lo, hi = int(round(start_sec * sr)), int(round(end_sec * sr))
+            pieces = []
+            for (start, stop), offset in zip(ranges, offsets):
+                first, last = max(lo, offset), min(hi, offset + stop - start)
+                if first < last:
+                    pieces.append(read_pcm16(wf, path, start + first - offset, last - first))
+            write_pcm16(out_path, sr, pieces)
 
 
 def speech_stats(segments: list[SpeechSegment], duration_sec: float) -> tuple[float, float]:
@@ -99,9 +170,8 @@ def remove_silences(audio: AudioBuffer, segments: list[SpeechSegment]) -> AudioB
     """Concatenate the speech segments, dropping everything between them."""
     if not segments:
         return AudioBuffer(samples=np.zeros(0), sample_rate_hz=audio.sample_rate_hz)
-    sr = audio.sample_rate_hz
-    parts = [audio.samples[int(round(s.start_sec * sr)) : int(round(s.end_sec * sr))] for s in segments]
-    return AudioBuffer(samples=np.concatenate(parts), sample_rate_hz=sr)
+    parts = [audio.samples[start:stop] for start, stop in _sample_ranges(segments, audio.sample_rate_hz)]
+    return AudioBuffer(samples=np.concatenate(parts), sample_rate_hz=audio.sample_rate_hz)
 
 
 @dataclass

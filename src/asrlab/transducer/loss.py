@@ -144,10 +144,13 @@ def rnnt_grad(lat: RnntLattice) -> np.ndarray:
     u, y = np.arange(U), lat.targets
     edge[:, u, y] = alpha[:, :-1] + lp[:, u, y] + beta[:, 1:] - log_p
 
-    edge_post = np.exp(edge)
+    # in place: besides the logits, only the edge posteriors and the result are lattice-sized
+    edge_post = np.exp(edge, out=edge)
     node_post = edge_post.sum(axis=2, keepdims=True)
-    softmax = np.exp(lp)
-    return softmax * node_post - edge_post
+    grad = np.exp(lp)
+    grad *= node_post
+    grad -= edge_post
+    return grad
 
 
 def finite_difference_grad(lat: RnntLattice, eps: float = 1e-5) -> np.ndarray:

@@ -1,17 +1,23 @@
-"""Frame-by-frame reference loop for the VAD's array passes.
+"""Reference implementations for the VAD's array passes and the streamed audio path.
 
 ``asrlab.stitch.energy_vad`` computes frame energies a block of frames at a
 time, the hangover as a running maximum and the segment edges from a diff of
 the speech mask. The loop below visits one frame at a time, as the detector
 was first written, so the library must return exactly its segments.
+
+``asrlab.stitch.voiced_ranges`` and ``write_voiced_chunks`` read a WAV from
+disk a block and a chunk at a time. ``whole_file_voiced`` and ``write_chunks``
+are the whole-file path they replace: read_wav, the VAD, remove_silences,
+then each chunk sliced out of the voiced audio and written with write_wav.
+The streamed path must find the same ranges and write the same bytes.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from asrlab.audio import AudioBuffer
-from asrlab.stitch import VAD_FLOOR_DBFS, VAD_FRAME_MS, VAD_HANGOVER, SpeechSegment
+from asrlab.audio import AudioBuffer, read_wav, write_wav
+from asrlab.stitch import VAD_FLOOR_DBFS, VAD_FRAME_MS, VAD_HANGOVER, SpeechSegment, remove_silences
 
 
 def energy_vad(audio: AudioBuffer) -> list[SpeechSegment]:
@@ -45,3 +51,19 @@ def energy_vad(audio: AudioBuffer) -> list[SpeechSegment]:
     if start is not None:
         segments.append(segment(start, n_frames))
     return segments
+
+
+def whole_file_voiced(path: str) -> tuple[AudioBuffer, list[tuple[int, int]]]:
+    """The voiced audio of a WAV, cut from the recording held in memory, and the sample ranges it came from."""
+    audio = read_wav(path)
+    segments = energy_vad(audio) if len(audio) else []
+    sr = audio.sample_rate_hz
+    ranges = [(int(round(s.start_sec * sr)), int(round(s.end_sec * sr))) for s in segments]
+    return remove_silences(audio, segments), ranges
+
+
+def write_chunks(voiced: AudioBuffer, bounds: list[tuple[float, float]], out_paths: list[str]) -> None:
+    sr = voiced.sample_rate_hz
+    for (start, end), path in zip(bounds, out_paths):
+        piece = voiced.samples[int(round(start * sr)) : int(round(end * sr))]
+        write_wav(AudioBuffer(samples=piece, sample_rate_hz=sr), path)

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from asrlab.audio import AudioBuffer, read_wav, write_wav
+from asrlab.audio import AudioBuffer, pcm16_to_float, read_wav, write_pcm16, write_wav
 from asrlab.curation import ManifestRecord
 from asrlab.metrics import EmptyReferenceError
 from asrlab.noise import (
@@ -54,6 +54,18 @@ def test_read_wav_rejects_stereo(tmp_path):
         wf.writeframes(b"\x00\x00" * 200)
     with pytest.raises(ValueError):
         read_wav(str(path))
+
+
+def test_pcm16_writer_matches_write_wav_on_every_int16(tmp_path):
+    # write_pcm16 writes int16 samples as they are, but -32768 as -32767: exactly
+    # what write_wav makes of each sample read_wav returns
+    ints = np.arange(-32768, 32768).astype(np.int16)
+    direct, through_float = tmp_path / "direct.wav", tmp_path / "float.wav"
+    write_pcm16(str(direct), 16000, [ints[:1000], ints[1000:]])
+    write_wav(AudioBuffer(samples=pcm16_to_float(ints)), str(through_float))
+    assert direct.read_bytes() == through_float.read_bytes()
+    back = np.round(read_wav(str(direct)).samples * 32767.0).astype(np.int16)
+    assert back[0] == -32767 and np.array_equal(back[1:], ints[1:])
 
 
 # --- gaussian noise ---------------------------------------------------------

@@ -19,6 +19,8 @@ from hypothesis import given, settings, strategies as st
 from asrlab import cli, curation
 from asrlab.audio import AudioBuffer, write_wav
 from asrlab.curation import write_manifest
+from asrlab.stitch import plan_chunks
+from tests import stitch_oracles
 from tests.conftest import make_script, tone
 
 from tests.test_curation import golden_manifest, EXPECTED_KEPT
@@ -937,12 +939,20 @@ def write_pcm_wav(path, samples, channels=1):
         wf.writeframes(np.asarray(samples, dtype="<i2").tobytes())
 
 
+def truncated_wav(path, cut):
+    write_pcm_wav(path, np.round(tone(1.0) * 16000))
+    path.write_bytes(path.read_bytes()[:-cut])
+
+
 BAD_CLIPS = {
     "empty-file": lambda path: path.write_bytes(b""),
     "no-frames": lambda path: write_pcm_wav(path, []),
     "stereo": lambda path: write_pcm_wav(path, np.round(tone(1.0) * 16000).repeat(2), channels=2),
     "not-wav": lambda path: path.write_bytes(b"this is not a wav file\n"),
     "silent": lambda path: write_pcm_wav(path, np.zeros(16000)),
+    # data that ends before the header's frame count, on a frame boundary or inside a frame
+    "truncated-even": lambda path: truncated_wav(path, 1000),
+    "truncated-odd": lambda path: truncated_wav(path, 1001),
 }
 
 
@@ -1023,6 +1033,14 @@ def test_rejected_input_exits_2_naming_the_file(tmp_path, capsys, case):
     assert str(culprit) in err and "internal error" not in err
     # one prefix: the command's name is not repeated in the message
     assert f"{argv[0]}: {argv[0]}:" not in err
+
+
+@pytest.mark.parametrize("case", [stitch_audio_case, noise_sweep_case])
+@pytest.mark.parametrize("kind,held", [("truncated-even", 15500), ("truncated-odd", 15499)])
+def test_truncated_wav_error_says_what_the_header_promised(tmp_path, capsys, case, kind, held):
+    argv, wav = case(tmp_path, kind)
+    assert cli.main(argv) == 2
+    assert f"{wav}: truncated WAV: header says 16000 frames, data holds {held}" in capsys.readouterr().err
 
 
 def test_undecodable_config_file_exit_2(tmp_path, capsys):
@@ -1164,6 +1182,42 @@ def test_stitch_audio_jobs_do_not_change_output_or_chunks(tmp_path):
         chunks.append({p.name: p.read_bytes() for p in sorted(workdir.iterdir())})
     assert outputs[0] == outputs[1] == (" ".join(f"w{k}" for k in range(15)) + "\n").encode()
     assert chunks[0] == chunks[1] and len(chunks[0]) == 4
+    # the chunks hold what the whole-file path wrote: read_wav, VAD, remove_silences, write_wav
+    voiced, _ = stitch_oracles.whole_file_voiced(str(tmp_path / "long.wav"))
+    oracle = [str(tmp_path / f"oracle{i}.wav") for i in range(4)]
+    stitch_oracles.write_chunks(voiced, plan_chunks(voiced.duration_sec, 3.0, 1.0).bounds, oracle)
+    assert list(chunks[0].values()) == [open(path, "rb").read() for path in oracle]
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux, in other units elsewhere")
+def test_stitch_audio_memory_does_not_grow_with_the_recording(tmp_path):
+    # 40 s of tone, then silence to 2 or 12 minutes: the same two chunks, ten
+    # more minutes of samples to read
+    transcriber = " ".join(make_script(tmp_path, "t.py", "print('a b c')\n"))
+    peaks_mb = []
+    for minutes in (2, 12):
+        wav = tmp_path / f"{minutes}min.wav"
+        with wave.open(str(wav), "wb") as wf:
+            wf.setnchannels(1)
+            wf.setsampwidth(2)
+            wf.setframerate(16000)
+            wf.writeframes(np.round(tone(40.0, amplitude=0.4) * 32767).astype("<i2").tobytes())
+            for _ in range(minutes * 60 - 40):
+                wf.writeframes(bytes(2 * 16000))
+        workdir, err = tmp_path / f"chunks{minutes}", tmp_path / f"{minutes}.err"
+        with open(err, "wb") as err_file:
+            child = subprocess.Popen(
+                [sys.executable, "-m", "asrlab", "stitch", "--audio", str(wav), "--transcriber", transcriber,
+                 "--jobs", "1", "--workdir", str(workdir)],
+                stdout=subprocess.DEVNULL, stderr=err_file,
+            )
+            # wait4 gives this child's own peak RSS; RUSAGE_CHILDREN would give the largest of all children so far
+            _, status, usage = os.wait4(child.pid, 0)
+            child.returncode = os.waitstatus_to_exitcode(status)
+        assert child.returncode == 0, err.read_text()
+        assert sorted(os.listdir(workdir)) == ["chunk0000.wav", "chunk0001.wav"]
+        peaks_mb.append(usage.ru_maxrss / 1024.0)
+    assert abs(peaks_mb[1] - peaks_mb[0]) < 8.0, peaks_mb
 
 
 def test_stitch_audio_failure_names_the_lowest_chunk_for_any_jobs(tmp_path):

@@ -1,3 +1,7 @@
+import os
+import tempfile
+import wave
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +18,8 @@ from asrlab.stitch import (
     remove_silences,
     speech_stats,
     stitch,
+    voiced_ranges,
+    write_voiced_chunks,
 )
 from tests import stitch_oracles
 from tests.conftest import tone
@@ -121,6 +127,71 @@ def test_remove_silences():
     # silence collapsed away; hangover keeps a little of it
     assert 2.0 <= voiced.duration_sec <= 2.5
     assert remove_silences(buf, []).duration_sec == 0.0
+
+
+# --- streamed audio ---------------------------------------------------------
+
+def write_int16_wav(path: str, ints: np.ndarray, sr: int) -> None:
+    with wave.open(path, "wb") as wf:
+        wf.setnchannels(1)
+        wf.setsampwidth(2)
+        wf.setframerate(sr)
+        wf.writeframes(ints.astype("<i2").tobytes())
+
+
+@st.composite
+def recordings(draw):
+    """(int16 samples, sample rate): silence, tone or noise around the VAD floor, with silent gaps near block edges."""
+    sr = draw(st.sampled_from([8000, 11025, 16000]), label="sr")
+    frame_len = max(1, int(round(sr * VAD_FRAME_MS / 1000.0)))
+    block = max(1, _VAD_BLOCK_SAMPLES // frame_len) * frame_len
+    length = draw(st.sampled_from(["empty", "part frame", "frames", "blocks", "blocks"]), label="length")
+    n = {"empty": st.just(0), "part frame": st.integers(1, frame_len - 1),
+         "frames": st.integers(frame_len, 40 * frame_len),
+         "blocks": st.builds(lambda k, off: k * block + off, st.integers(1, 3), st.integers(-block // 2, 2 * frame_len))}
+    n = draw(n[length], label="n")
+    kind = draw(st.sampled_from(["silence", "tone", "noise"]), label="kind")
+    level_db = draw(st.floats(VAD_FLOOR_DBFS - 10.0, -6.0), label="level_db")
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1), label="seed"))
+    rms = 32767.0 * 10.0 ** (level_db / 20.0)
+    if kind == "silence":
+        samples = np.zeros(n)
+    elif kind == "tone":
+        samples = rms * np.sqrt(2.0) * np.sin(2 * np.pi * rng.uniform(0.01, 0.45) * np.arange(n))
+    else:
+        samples = rng.normal(0.0, rms, n)
+    ints = np.clip(np.round(samples), -32768, 32767).astype(np.int16)
+    gaps = st.tuples(st.integers(1, 3), st.integers(-2 * frame_len, 2 * frame_len), st.integers(1, 30 * frame_len))
+    for edge, offset, width in draw(st.lists(gaps, min_size=n > block, max_size=4), label="gaps"):
+        start = max(min(edge, n // block) * block + offset, 0)
+        ints[start : start + width] = 0
+    if n:
+        ints[draw(st.lists(st.integers(0, n - 1), max_size=5), label="minima")] = -32768
+    return ints, sr
+
+
+@settings(max_examples=80, deadline=None)
+@given(recordings(), st.sampled_from([(0.5, 0.2), (1.0, 0.25), (2.5, 1.0), (25.0, 5.0)]))
+def test_streamed_chunks_match_whole_file_oracle(recording, chunking):
+    ints, sr = recording
+    with tempfile.TemporaryDirectory() as tmp:
+        wav = os.path.join(tmp, "rec.wav")
+        write_int16_wav(wav, ints, sr)
+        rate, ranges = voiced_ranges(wav)
+        voiced, oracle_ranges = stitch_oracles.whole_file_voiced(wav)
+        assert rate == sr and ranges == oracle_ranges
+        n_voiced = sum(stop - start for start, stop in ranges)
+        assert n_voiced == len(voiced)
+        if not n_voiced:
+            return
+        bounds = plan_chunks(n_voiced / sr, *chunking).bounds
+        streamed = [os.path.join(tmp, f"s{i}.wav") for i in range(len(bounds))]
+        oracle = [os.path.join(tmp, f"o{i}.wav") for i in range(len(bounds))]
+        write_voiced_chunks(wav, ranges, bounds, streamed)
+        stitch_oracles.write_chunks(voiced, bounds, oracle)
+        for mine, theirs in zip(streamed, oracle):
+            with open(mine, "rb") as a, open(theirs, "rb") as b:
+                assert a.read() == b.read()
 
 
 # --- chunk planning -----------------------------------------------------
