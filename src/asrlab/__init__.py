@@ -4,14 +4,11 @@ __version__ = "0.1.0"
 
 from .textnorm import NormRuleSet, DEFAULT_RULES, normalize, tokenize_words, load_rules
 from .metrics import (
-    EditAlignment,
     EmptyReferenceError,
-    word_align,
     wer,
     jaro_winkler,
     weighted_average,
     EvalRow,
-    EvalReport,
     build_report,
 )
 from .entities import EntitySpan, EntityAlignment, align_entities, pn_score
@@ -35,14 +32,11 @@ __all__ = [
     "normalize",
     "tokenize_words",
     "load_rules",
-    "EditAlignment",
     "EmptyReferenceError",
-    "word_align",
     "wer",
     "jaro_winkler",
     "weighted_average",
     "EvalRow",
-    "EvalReport",
     "build_report",
     "EntitySpan",
     "EntityAlignment",

@@ -39,7 +39,7 @@ from .curation import (
 )
 from .entities import align_entities, pn_score, read_entity_file
 from .metrics import EvalRow, build_report, wer
-from .noise import SweepSpec, ordered_map, run_sweep, transcribe_file, write_sweep_csv
+from .noise import SweepSpec, _snr_list_fault, ordered_map, run_sweep, transcribe_file, write_sweep_csv
 from .planner import ScalingAssumptions, optimal_hours
 from .stitch import PartialTranscript, plan_chunks, stitch, voiced_ranges, write_voiced_chunks
 from .textnorm import DEFAULT_RULES, load_rules, normalize, tokenize_words
@@ -60,11 +60,13 @@ def _require_file(path: str, what: str) -> str:
 _NOT_IN_HEADER = {"command", "func", "config", "seed", "jobs", "workdir", "out", "out_manifest", "report"}
 
 
-def _header(args: argparse.Namespace) -> list[str]:
-    """Report header: version, the seed where one is used, and the options that can change the report."""
-    seed = [f"seed={args.seed}"] if "seed" in vars(args) else []
+def _write_header(out, args: argparse.Namespace) -> None:
+    """A report's '# ' lines: version, the seed where one is used, and the options that can change the report."""
+    out.write(f"# asrlab {__version__}\n")
+    if "seed" in vars(args):
+        out.write(f"# seed={args.seed}\n")
     options = {k: v for k, v in vars(args).items() if k not in _NOT_IN_HEADER}
-    return [f"asrlab {__version__}", *seed, "config=" + json.dumps(options, sort_keys=True)]
+    out.write("# config=" + json.dumps(options, sort_keys=True) + "\n")
 
 
 # Options naming a file that a command reads; an output written in place must not be one of them.
@@ -163,15 +165,15 @@ def _fmt(value: float | None) -> str:
     return "n/a" if value is None else f"{value:.6f}"
 
 
-def _write_scores(out, args: argparse.Namespace, report, weight_column: str, metrics: tuple[str, ...]) -> None:
+def _write_scores(out, args: argparse.Namespace, rows: list[EvalRow], weight_column: str, metrics: tuple[str, ...]) -> None:
     """Header, one CSV row per file, then the length-weighted AGGREGATE row."""
-    for line in _header(args):
-        out.write(f"# {line}\n")
+    _write_header(out, args)
     writer = csv.writer(out)
     writer.writerow(["file_id", weight_column, *metrics])
-    for row in report.rows:
+    for row in rows:
         writer.writerow([row.file_id, f"{row.audio_sec:g}", *(_fmt(getattr(row, m)) for m in metrics)])
-    writer.writerow(["AGGREGATE", "", *(_fmt(report.aggregates[m]) for m in metrics)])
+    aggregates = build_report(rows)
+    writer.writerow(["AGGREGATE", "", *(_fmt(aggregates[m]) for m in metrics)])
 
 
 def _score_entities(row: EvalRow, gold: dict, pred: dict, sim_threshold: float) -> EvalRow:
@@ -254,7 +256,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 _score_entities(row, gold_entities, pred_entities, args.sim_threshold)
             rows.append(row)
 
-        _write_scores(out, args, build_report(rows), "audio_sec", ("wer", "pn_jaro", "pn_wer"))
+        _write_scores(out, args, rows, "audio_sec", ("wer", "pn_jaro", "pn_wer"))
     return 0
 
 
@@ -271,7 +273,7 @@ def cmd_ppn_score(args: argparse.Namespace) -> int:
             _score_entities(EvalRow(file_id, durations.get(file_id, 1.0)), gold, pred, args.sim_threshold)
             for file_id in sorted(set(gold) | set(pred))
         ]
-        _write_scores(out, args, build_report(rows), "weight_sec", ("pn_jaro", "pn_wer"))
+        _write_scores(out, args, rows, "weight_sec", ("pn_jaro", "pn_wer"))
     return 0
 
 
@@ -279,12 +281,15 @@ def cmd_curate(args: argparse.Namespace) -> int:
     pipeline_cfg = PipelineConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)})
     with _replaced_together(args.out_manifest, args.report, reads=_inputs(args)) as (kept_out, report_out):
         entries = iter_manifest(_require_file(args.manifest, "manifest"))
-        n_kept, n_rejected = curate_stream(entries, pipeline_cfg, kept_out, report_out, _header(args))
+        _write_header(report_out, args)
+        n_kept, n_rejected = curate_stream(entries, pipeline_cfg, kept_out, report_out)
     print(f"kept={n_kept} rejected={n_rejected} out_manifest={args.out_manifest} report={args.report}")
     return 0
 
 
 def cmd_noise_sweep(args: argparse.Namespace) -> int:
+    if fault := _snr_list_fault(args.snrs):
+        raise ValueError(f"--snrs (config key sweep.snr_list) {fault}")
     rules = _load_rules(args.rules)
     spec = SweepSpec(args.snrs, args.noise_kind, noise_corpus_dir=args.noise_dir, seed=args.seed)
     with _replaced_together(args.out, reads=_inputs(args)) as (out,):
@@ -292,7 +297,8 @@ def cmd_noise_sweep(args: argparse.Namespace) -> int:
         for rec in records:
             _require_file(rec.audio_path, f"audio for {rec.id}")
         report = run_sweep(records, spec, args.transcriber, args.workdir, rules=rules, jobs=args.jobs)
-        write_sweep_csv(report, out, _header(args))
+        _write_header(out, args)
+        write_sweep_csv(report, out)
     print(f"rows={len(report.rows)} out={args.out}")
     return 0
 

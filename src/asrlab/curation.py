@@ -131,6 +131,8 @@ class PipelineConfig:
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
+        if math.isnan(self.max_silence_sec):  # every silence would compare as within it
+            raise ValueError("max_silence_sec must be a number, got nan")
         for pattern in self.blocklist:
             try:
                 re.compile(pattern)
@@ -345,14 +347,13 @@ def curate_stream(
     cfg: PipelineConfig,
     kept_out: TextIO,
     report_out: TextIO,
-    header_lines: list[str] | None = None,
 ) -> tuple[int, int]:
     """Judge each record and write it at once: (kept segments, rejected records).
 
     Writes the bytes that ``run_pipeline`` followed by ``write_manifest`` and
     ``write_rejection_csv`` would, holding one record in memory at a time.
     """
-    rows = _report_writer(report_out, header_lines)
+    rows = _report_writer(report_out)
     n_kept = n_rejected = 0
     for survivors, outcome in judge_records(manifest, cfg):
         for child in survivors:
@@ -449,10 +450,8 @@ def write_manifest(records: Iterable[ManifestRecord], path: str) -> None:
             fh.write(_manifest_line(rec))
 
 
-def _report_writer(fh: TextIO, header_lines: list[str] | None):
-    """A CSV writer on `fh`, after the '# ' header lines and the column row."""
-    for line in header_lines or []:
-        fh.write(f"# {line}\n")
+def _report_writer(fh: TextIO):
+    """A CSV writer on `fh`, after the column row."""
     writer = csv.writer(fh)
     writer.writerow(["id", "verdict", "reasons", "measured_values"])
     return writer
@@ -462,9 +461,9 @@ def _report_row(o: FilterOutcome) -> list[str]:
     return [o.id, o.verdict, ";".join(r.filter_id for r in o.reasons), ";".join(r.measured for r in o.reasons)]
 
 
-def write_rejection_csv(outcomes: Iterable[FilterOutcome], path: str, header_lines: list[str] | None = None) -> None:
+def write_rejection_csv(outcomes: Iterable[FilterOutcome], path: str) -> None:
     """CSV columns: id, verdict, reasons (;-joined ids), measured_values (;-joined)."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = _report_writer(fh, header_lines)
+        writer = _report_writer(fh)
         for o in outcomes:
             writer.writerow(_report_row(o))

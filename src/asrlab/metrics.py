@@ -1,26 +1,23 @@
-"""Word-level transcript metrics: edit alignment, WER, Jaro-Winkler, aggregation.
+"""Word-level transcript metrics: WER, Jaro-Winkler, aggregation.
 
 WER = (substitutions + insertions + deletions) / reference word count, the
 unit-cost minimum over all word alignments. `wer` counts the errors with the
 bit-vector edit distance of Myers (1999) in the global form of Hyyrö (2001),
-which equals the unit-cost DP minimum in O(m * ceil(n / 64)) time; `word_align`
-runs the full DP and returns the alignment itself. Dataset-level numbers are
-weighted by audio length so long files are not under-represented.
+which equals the unit-cost DP minimum in O(m * ceil(n / 64)) time and builds
+no alignment. Dataset-level numbers are weighted by audio length so long files
+are not under-represented.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 __all__ = [
-    "EditAlignment",
     "EmptyReferenceError",
-    "word_align",
     "wer",
     "jaro_winkler",
     "weighted_average",
     "EvalRow",
-    "EvalReport",
     "build_report",
 ]
 
@@ -29,74 +26,12 @@ class EmptyReferenceError(ValueError):
     """Raised when WER is requested against an empty reference (undefined denominator)."""
 
 
-@dataclass
-class EditAlignment:
-    """Counts and word pairs from a minimum-cost alignment.
-
-    ``pairs`` lists (ref_word, hyp_word) in order; a gap is represented by None
-    (None on the ref side is an insertion, None on the hyp side a deletion).
-    Invariants: S + D + hits == len(ref) and S + I + hits == len(hyp).
-    """
-
-    substitutions: int
-    insertions: int
-    deletions: int
-    hits: int
-    pairs: list[tuple[str | None, str | None]]
-
-    @property
-    def errors(self) -> int:
-        return self.substitutions + self.insertions + self.deletions
-
-
-def word_align(ref: list[str], hyp: list[str]) -> EditAlignment:
-    """Align two token lists with minimal S+I+D under unit costs.
-
-    Ties are broken preferring substitution over insertion over deletion, which
-    makes the returned alignment deterministic.
-    """
-    n, m = len(ref), len(hyp)
-    dp = [[0] * (m + 1) for _ in range(n + 1)]
-    for i in range(n + 1):
-        dp[i][0] = i
-    for j in range(m + 1):
-        dp[0][j] = j
-    for i in range(1, n + 1):
-        for j in range(1, m + 1):
-            cost = 0 if ref[i - 1] == hyp[j - 1] else 1
-            dp[i][j] = min(dp[i - 1][j - 1] + cost, dp[i][j - 1] + 1, dp[i - 1][j] + 1)
-
-    pairs: list[tuple[str | None, str | None]] = []
-    subs = ins = dels = hits = 0
-    i, j = n, m
-    while i > 0 or j > 0:
-        if i > 0 and j > 0 and dp[i][j] == dp[i - 1][j - 1] + (0 if ref[i - 1] == hyp[j - 1] else 1):
-            pairs.append((ref[i - 1], hyp[j - 1]))
-            if ref[i - 1] == hyp[j - 1]:
-                hits += 1
-            else:
-                subs += 1
-            i -= 1
-            j -= 1
-        elif j > 0 and dp[i][j] == dp[i][j - 1] + 1:
-            pairs.append((None, hyp[j - 1]))
-            ins += 1
-            j -= 1
-        else:
-            pairs.append((ref[i - 1], None))
-            dels += 1
-            i -= 1
-    pairs.reverse()
-    return EditAlignment(subs, ins, dels, hits, pairs)
-
-
 def wer(ref: list[str], hyp: list[str]) -> float:
     """Word error rate (S+I+D)/len(ref); may exceed 1.0.
 
-    The error count is the bit-vector edit distance, equal to
-    ``word_align(ref, hyp).errors``; call `word_align` for the alignment.
-    Raises EmptyReferenceError for an empty reference rather than silently
-    returning 0 or infinity.
+    The error count is the bit-vector edit distance, the minimum S+I+D over
+    all word alignments under unit costs. Raises EmptyReferenceError for an
+    empty reference rather than silently returning 0 or infinity.
     """
     if not ref:
         raise EmptyReferenceError("WER is undefined for an empty reference")
@@ -195,14 +130,8 @@ class EvalRow:
     pn_wer: float | None = None
 
 
-@dataclass
-class EvalReport:
-    rows: list[EvalRow] = field(default_factory=list)
-    aggregates: dict[str, float | None] = field(default_factory=dict)
-
-
-def build_report(rows: list[EvalRow]) -> EvalReport:
-    """Aggregate per-file rows into length-weighted dataset averages.
+def build_report(rows: list[EvalRow]) -> dict[str, float | None]:
+    """Length-weighted dataset average of each metric over per-file rows, keyed by metric name.
 
     Files whose score is None are excluded from that metric's aggregate instead
     of contributing a zero; a metric no file has aggregates to None.
@@ -214,4 +143,4 @@ def build_report(rows: list[EvalRow]) -> EvalReport:
             aggregates[name] = weighted_average([s for s, _ in scored], [l for _, l in scored])
         else:
             aggregates[name] = None
-    return EvalReport(rows=rows, aggregates=aggregates)
+    return aggregates

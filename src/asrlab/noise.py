@@ -8,8 +8,8 @@ jointly so the SNR stays exact.
 
 from __future__ import annotations
 
-import contextlib
 import csv
+import math
 import os
 import shlex
 import subprocess
@@ -45,14 +45,6 @@ def gaussian_noise(n_samples: int, rng_seed: int) -> AudioBuffer:
         raise ValueError("n_samples must be positive")
     rng = np.random.default_rng(rng_seed)
     return AudioBuffer(samples=rng.standard_normal(n_samples))
-
-
-def _fit_length(noise: np.ndarray, n: int) -> np.ndarray:
-    """Loop or truncate noise to exactly n samples."""
-    if len(noise) >= n:
-        return noise[:n]
-    reps = int(np.ceil(n / len(noise)))
-    return np.tile(noise, reps)[:n]
 
 
 @dataclass
@@ -99,7 +91,7 @@ def mix_at_snr(clean: AudioBuffer, noise: AudioBuffer, target_snr_db: float) -> 
         raise ValueError("clean clip is silent (zero power)")
     if len(noise) == 0:
         raise ValueError("noise buffer is empty")
-    fitted = _fit_length(noise.samples, len(clean))
+    fitted = np.resize(noise.samples, len(clean))  # looped or truncated to the clean length
     p_noise = float(np.mean(fitted**2))
     if p_noise == 0.0:
         raise ValueError("noise is silent (zero power)")
@@ -126,6 +118,22 @@ def mix_at_snr(clean: AudioBuffer, noise: AudioBuffer, target_snr_db: float) -> 
     )
 
 
+def _snr_list_fault(snrs: list[float]) -> str | None:
+    """Why a list of target SNRs cannot be swept, or None if it can.
+
+    +inf is allowed: it mixes in no noise, so its row is the clean baseline.
+    A repeated SNR would write its report rows and its mixes twice.
+    """
+    if not snrs:
+        return "is empty"
+    for i, snr in enumerate(snrs):
+        if math.isnan(snr) or snr == -math.inf:
+            return f"holds {snr}, which no noise gain reaches"
+        if snr in snrs[:i]:
+            return f"repeats {snr:g} dB"
+    return None
+
+
 @dataclass
 class SweepSpec:
     snr_list_db: list[float]
@@ -134,6 +142,8 @@ class SweepSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
+        if fault := _snr_list_fault(self.snr_list_db):
+            raise ValueError(f"snr_list_db {fault}")
         if self.noise_kind not in ("gaussian", "ambient"):
             raise ValueError(f"noise_kind must be gaussian or ambient, got {self.noise_kind!r}")
         if self.noise_kind == "ambient" and not self.noise_corpus_dir:
@@ -248,25 +258,20 @@ def run_sweep(
 
     # build_report skips failed rows (wer None) and gives None when all failed
     aggregate = {
-        snr_db: build_report([EvalRow(r.file_id, r.duration_sec, r.wer) for r in rows if r.snr_db == snr_db])
-        .aggregates["wer"]
+        snr_db: build_report([EvalRow(r.file_id, r.duration_sec, r.wer) for r in rows if r.snr_db == snr_db])["wer"]
         for snr_db in spec.snr_list_db
     }
     return SweepReport(rows, aggregate)
 
 
-def write_sweep_csv(report: SweepReport, out: str | TextIO, header_lines: list[str] | None = None) -> None:
-    """Per-row CSV ``snr_db,file_id,wer`` followed by an aggregate table, written to a path or an open text file."""
-    opened = open(out, "w", encoding="utf-8", newline="") if isinstance(out, str) else contextlib.nullcontext(out)
-    with opened as fh:
-        for line in header_lines or []:
-            fh.write(f"# {line}\n")
-        writer = csv.writer(fh)
-        writer.writerow(["snr_db", "file_id", "wer"])
-        for r in report.rows:
-            writer.writerow([f"{r.snr_db:g}", r.file_id, "failed" if r.failed else f"{r.wer:.6f}"])
-        writer.writerow([])
-        writer.writerow(["snr_db", "aggregate_wer"])
-        for snr_db in sorted(report.aggregate):
-            agg = report.aggregate[snr_db]
-            writer.writerow([f"{snr_db:g}", "n/a" if agg is None else f"{agg:.6f}"])
+def write_sweep_csv(report: SweepReport, out: TextIO) -> None:
+    """Per-row CSV ``snr_db,file_id,wer`` followed by an aggregate table, written to an open text file."""
+    writer = csv.writer(out)
+    writer.writerow(["snr_db", "file_id", "wer"])
+    for r in report.rows:
+        writer.writerow([f"{r.snr_db:g}", r.file_id, "failed" if r.failed else f"{r.wer:.6f}"])
+    writer.writerow([])
+    writer.writerow(["snr_db", "aggregate_wer"])
+    for snr_db in sorted(report.aggregate):
+        agg = report.aggregate[snr_db]
+        writer.writerow([f"{snr_db:g}", "n/a" if agg is None else f"{agg:.6f}"])

@@ -7,6 +7,7 @@ With the defaults (120 WpM, 4/3 tokens per word, 20 tokens per parameter) a
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = ["ScalingAssumptions", "optimal_hours"]
@@ -19,8 +20,10 @@ class ScalingAssumptions:
     tpp: float = 20.0
 
     def __post_init__(self) -> None:
-        if min(self.wpm, self.tpw, self.tpp) <= 0:
-            raise ValueError("all scaling assumptions must be strictly positive")
+        for name in ("wpm", "tpw", "tpp"):
+            value = getattr(self, name)
+            if not 0 < value < math.inf:  # False for NaN too
+                raise ValueError(f"{name} must be finite and strictly positive, got {value}")
 
 
 def optimal_hours(params: int, a: ScalingAssumptions = ScalingAssumptions()) -> float:

@@ -189,7 +189,8 @@ def test_noise_lab_criterion(tmp_path, echo_transcriber):
                 work = tmp_path / f"work_{kind}_{tag}"
                 report = run_sweep([rec], spec, cmd, str(work))
                 out = tmp_path / f"{kind}_{tag}.csv"
-                write_sweep_csv(report, str(out), header_lines=["seed=11"])
+                with open(out, "w", encoding="utf-8", newline="") as fh:
+                    write_sweep_csv(report, fh)
                 blob = out.read_bytes() + b"".join(p.read_bytes() for p in sorted(work.iterdir()))
                 pair.append(blob)
             assert pair[0] == pair[1], f"{kind} sweep not byte-identical"

@@ -1,4 +1,6 @@
+import io
 import json
+import math
 import os
 
 import numpy as np
@@ -158,11 +160,37 @@ def test_mix_errors():
         mix_at_snr(AudioBuffer(samples=np.zeros(0)), gaussian_noise(10, 0), 5.0)
 
 
+@pytest.mark.parametrize("n_noise", [1, 7, 4799, 4800, 4801, 9600])
+def test_mix_loops_or_truncates_noise_to_the_clean_length(n_noise):
+    clean = AudioBuffer(samples=tone(0.3, amplitude=0.1))
+    noise = gaussian_noise(n_noise, 2)
+    mix = mix_at_snr(clean, noise, 10.0)
+    looped = np.concatenate([noise.samples] * (len(clean) // n_noise + 1))[: len(clean)]
+    assert mix.rescale == 1.0 and np.array_equal(mix.noise, mix.gain * looped)
+
+
+def test_mix_at_infinite_snr_adds_no_noise():
+    clean = AudioBuffer(samples=tone(0.3))
+    mix = mix_at_snr(clean, gaussian_noise(len(clean), 4), math.inf)
+    assert mix.gain == 0.0 and np.array_equal(mix.mixed.samples, clean.samples)
+
+
 def test_sweep_spec_validation():
     with pytest.raises(ValueError):
         SweepSpec(snr_list_db=[0.0], noise_kind="ambient")
     with pytest.raises(ValueError):
         SweepSpec(snr_list_db=[0.0], noise_kind="pink")
+
+
+@pytest.mark.parametrize(
+    "snrs,fault",
+    [([], "is empty"), ([math.nan], "holds nan"), ([5.0, -math.inf], "holds -inf"),
+     ([0.0, 5.0, 0.0], "repeats 0 dB"), ([0.0, -0.0], "repeats -0 dB")],
+)
+def test_sweep_spec_rejects_an_snr_list_it_cannot_sweep(snrs, fault):
+    with pytest.raises(ValueError, match=f"^snr_list_db {fault}"):
+        SweepSpec(snr_list_db=snrs)
+    SweepSpec(snr_list_db=[math.inf, 0.0])  # +inf is the clean baseline
 
 
 # --- sweeps -------------------------------------------------------------
@@ -215,7 +243,8 @@ def test_sweep_rerun_byte_identical(tmp_path, echo_transcriber):
         work = tmp_path / f"work_{run}"
         report = run_sweep(records, spec, cmd, str(work), jobs=2)
         csv_path = tmp_path / f"sweep_{run}.csv"
-        write_sweep_csv(report, str(csv_path), header_lines=["seed=7"])
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+            write_sweep_csv(report, fh)
         wavs = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
         outputs.append((csv_path.read_bytes(), wavs))
     assert outputs[0] == outputs[1]
@@ -282,12 +311,12 @@ def test_write_sweep_csv_format(tmp_path, echo_transcriber):
     records = _manifest_with_tones(tmp_path, ["one two"])
     cmd = echo_transcriber({r.id: r.transcript for r in records})
     report = run_sweep(records, SweepSpec(snr_list_db=[0.0], seed=2), cmd, str(tmp_path / "w"))
-    out = tmp_path / "report.csv"
-    write_sweep_csv(report, str(out), header_lines=["asrlab x", "seed=2"])
-    lines = out.read_text(encoding="utf-8").splitlines()
-    assert lines[0] == "# asrlab x"
-    assert lines[2] == "snr_db,file_id,wer"
-    assert lines[3].startswith("0,clip0,")
+    out = io.StringIO(newline="")
+    write_sweep_csv(report, out)
+    lines = out.getvalue().splitlines()
+    assert lines[0] == "snr_db,file_id,wer"
+    assert lines[1].startswith("0,clip0,")
+    assert lines[2:4] == ["", "snr_db,aggregate_wer"]
 
 
 def test_sweep_normalizes_each_reference_once(tmp_path, echo_transcriber, monkeypatch):

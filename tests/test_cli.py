@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import asrlab
 from asrlab import cli, curation
 from asrlab.audio import AudioBuffer, write_wav
 from asrlab.curation import write_manifest
@@ -51,6 +52,14 @@ def test_plan_data_validation_error_exit_2():
 def test_plan_data_flag_overrides():
     proc = run_cli("plan-data", "--params", "264000000", "--tpp", "40")
     assert "hours_rounded=1100000" in proc.stdout
+
+
+@pytest.mark.parametrize("flag,value", [("--tpp", "inf"), ("--wpm", "nan"), ("--tpw", "nan")])
+def test_plan_data_non_finite_assumption_exit_2_before_printing(capsys, flag, value):
+    assert cli.main(["plan-data", "--params", "264000000", flag, value]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert f"{flag[2:]} must be finite" in err and "internal error" not in err
 
 
 def test_unknown_subcommand_exits_2():
@@ -181,6 +190,19 @@ def test_curate_flag_overrides_config(tmp_path):
     assert kept_ids == EXPECTED_KEPT
 
 
+def test_curate_nan_max_silence_exit_2(tmp_path, capsys):
+    # NaN would compare as no silence too long, keeping r4, which the golden manifest rejects for silence
+    manifest = tmp_path / "in.jsonl"
+    write_manifest(golden_manifest(), str(manifest))
+    kept, report = tmp_path / "kept.jsonl", tmp_path / "r.csv"
+    argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(kept), "--report", str(report),
+            "--max-silence-sec", "nan"]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "max_silence_sec" in err and "internal error" not in err
+    assert not kept.exists() and not report.exists()
+
+
 # --- stitch ------------------------------------------------------------------
 
 def test_stitch_partials_dir(tmp_path):
@@ -300,6 +322,32 @@ def test_noise_sweep_corrupt_wav_exit_2_names_file(tmp_path, empty_transcriber):
     assert str(bad) in proc.stderr and "internal error" not in proc.stderr
 
 
+@pytest.mark.parametrize("where,snrs", [
+    ("flag", "-inf"), ("flag", "nan"), ("flag", "0,0"), ("flag", "5,0,-0"), ("flag", ""), ("config", "0,0"),
+])
+def test_noise_sweep_bad_snr_list_exit_2_before_the_transcriber_starts(tmp_path, capsys, where, snrs):
+    wav = tmp_path / "clip.wav"
+    write_wav(AudioBuffer(samples=tone(0.25)), str(wav))
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps({"id": "clip", "audio_path": str(wav), "duration_sec": 0.25,
+                                    "transcript": "brook"}) + "\n", encoding="utf-8")
+    mark = tmp_path / "transcribed"
+    transcriber = " ".join(make_script(tmp_path, "mark.py", f"open({str(mark)!r}, 'w').write('x')\nprint('brook')\n"))
+    workdir, out = tmp_path / "work", tmp_path / "o.csv"
+    argv = ["noise-sweep", "--manifest", str(manifest), "--transcriber", transcriber,
+            "--workdir", str(workdir), "--out", str(out), "--jobs", "2"]
+    if where == "flag":
+        argv.append(f"--snrs={snrs}")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"sweep.snr_list = {snrs}\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--snrs (config key sweep.snr_list)" in err and "internal error" not in err
+    assert not mark.exists() and not workdir.exists() and not out.exists()
+
+
 # --- rnnt-check ----------------------------------------------------------------
 
 def test_rnnt_check_passes():
@@ -410,6 +458,49 @@ def test_seed_only_where_randomness_is(name, capsys):
         cli.parse_args(required_argv(name) + ["--seed", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
+
+
+def report_header_case(tmp_path, command):
+    """argv of a run of `command` that writes a report, the report's path, and its column row."""
+    if command == "evaluate":
+        manifest, hyps = write_eval_inputs(tmp_path)
+        out = tmp_path / "report.csv"
+        return ["evaluate", "--manifest", str(manifest), "--hyps", str(hyps), "--out", str(out)], out, \
+            "file_id,audio_sec,wer,pn_jaro,pn_wer"
+    if command == "ppn-score":
+        gold, pred, out = tmp_path / "gold.tsv", tmp_path / "pred.tsv", tmp_path / "report.csv"
+        gold.write_text("f1\t0\t12\tPerson\tNicolas Cage\n", encoding="utf-8")
+        pred.write_text("f1\t0\t15\tPerson\tRidiculous Cage\n", encoding="utf-8")
+        return ["ppn-score", "--gold-entities", str(gold), "--pred-entities", str(pred), "--out", str(out)], out, \
+            "file_id,weight_sec,pn_jaro,pn_wer"
+    if command == "curate":
+        manifest, report = tmp_path / "in.jsonl", tmp_path / "rejects.csv"
+        write_manifest(golden_manifest(), str(manifest))
+        return ["curate", "--manifest", str(manifest), "--out-manifest", str(tmp_path / "kept.jsonl"),
+                "--report", str(report)], report, "id,verdict,reasons,measured_values"
+    wav, manifest = tmp_path / "clip.wav", tmp_path / "m.jsonl"
+    write_wav(AudioBuffer(samples=tone(0.25)), str(wav))
+    write_manifest([dataclasses.replace(rec, audio_path=str(wav)) for rec in golden_manifest()[:2]], str(manifest))
+    transcriber = " ".join(make_script(tmp_path, "say.py", "print('words')\n"))
+    out = tmp_path / "sweep.csv"
+    return ["noise-sweep", "--manifest", str(manifest), "--transcriber", transcriber, "--workdir", str(tmp_path / "w"),
+            "--out", str(out), "--snrs", "0", "--seed", "5", "--jobs", "1"], out, "snr_db,file_id,wer"
+
+
+@pytest.mark.parametrize("command", ["evaluate", "ppn-score", "curate", "noise-sweep"])
+def test_report_starts_with_version_seed_and_config_header(tmp_path, capsys, command):
+    argv, report, columns = report_header_case(tmp_path, command)
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    lines = report.read_text(encoding="utf-8").splitlines()
+    expected = [f"# asrlab {asrlab.__version__}", *(["# seed=5"] if command == "noise-sweep" else [])]
+    assert lines[: len(expected)] == expected
+    config_line, column_row = lines[len(expected) : len(expected) + 2]
+    assert config_line.startswith("# config=")
+    config = json.loads(config_line[len("# config="):])
+    assert config and list(config) == sorted(config)
+    assert not {"command", "func", "out", "report", "out_manifest", "workdir", "jobs", "seed", "config"} & set(config)
+    assert column_row == columns
+    assert not any(line.startswith("#") for line in lines[len(expected) + 1 :])
 
 
 @pytest.mark.parametrize(
@@ -899,12 +990,14 @@ def test_streamed_curate_matches_the_list_pipeline(lines, trailing_newline):
         records, outcomes = curation.run_pipeline(curation.read_manifest(manifest), cfg)
         list_kept, list_report = os.path.join(tmp, "list_kept.jsonl"), os.path.join(tmp, "list_r.csv")
         write_manifest(records, list_kept)
-        curation.write_rejection_csv(outcomes, list_report, cli._header(cli.parse_args(argv)))
+        curation.write_rejection_csv(outcomes, list_report)
+        header = io.StringIO(newline="")
+        cli._write_header(header, cli.parse_args(argv))
         n_rejected = sum(o.verdict == "rejected" for o in outcomes)
         with open(kept, "rb") as a, open(list_kept, "rb") as b:
             assert a.read() == b.read()
         with open(report, "rb") as a, open(list_report, "rb") as b:
-            assert a.read() == b.read()
+            assert a.read() == header.getvalue().encode("utf-8") + b.read()
         assert stdout.getvalue() == f"kept={len(records)} rejected={n_rejected} out_manifest={kept} report={report}\n"
 
 

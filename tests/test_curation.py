@@ -411,10 +411,9 @@ def test_read_manifest_numeric_fields(tmp_path):
 def test_rejection_csv(tmp_path):
     path = tmp_path / "rejects.csv"
     _, outcomes = run_pipeline(golden_manifest(), PipelineConfig())
-    write_rejection_csv(outcomes, str(path), header_lines=["asrlab test"])
+    write_rejection_csv(outcomes, str(path))
     text = path.read_text(encoding="utf-8")
-    assert text.startswith("# asrlab test\n")
-    assert "id,verdict,reasons,measured_values" in text
+    assert text.startswith("id,verdict,reasons,measured_values\n")
     assert "r0,rejected,wpm,25" in text
 
 

@@ -9,9 +9,9 @@ from asrlab.metrics import (
     jaro_winkler,
     weighted_average,
     wer,
-    word_align,
 )
 from asrlab.textnorm import normalize, tokenize_words
+from tests.metrics_oracles import word_align
 
 
 # --- independent oracles -----------------------------------------------------
@@ -255,17 +255,17 @@ def test_build_report_aggregates_and_none_exclusion():
         EvalRow("f1", 10.0, 0.2, pn_jaro=10.0, pn_wer=None),
         EvalRow("f2", 30.0, 0.1, pn_jaro=None, pn_wer=None),
     ]
-    report = build_report(rows)
-    assert report.aggregates["wer"] == pytest.approx(0.125)
-    assert report.aggregates["pn_jaro"] == pytest.approx(10.0)  # only f1 contributes
-    assert report.aggregates["pn_wer"] is None
+    aggregates = build_report(rows)
+    assert aggregates["wer"] == pytest.approx(0.125)
+    assert aggregates["pn_jaro"] == pytest.approx(10.0)  # only f1 contributes
+    assert aggregates["pn_wer"] is None
     # aggregates recomputable from rows with weights summing to one
     weights = np.array([10.0, 30.0]) / 40.0
     assert weights.sum() == pytest.approx(1.0)
-    assert float(weights @ np.array([0.2, 0.1])) == pytest.approx(report.aggregates["wer"])
+    assert float(weights @ np.array([0.2, 0.1])) == pytest.approx(aggregates["wer"])
 
 
 def test_build_report_without_wer():
     # proper-noun-only rows (ppn-score) leave wer unset; it aggregates like a PN metric
-    report = build_report([EvalRow("f1", 1.0, pn_jaro=20.0), EvalRow("f2", 3.0, pn_jaro=40.0)])
-    assert report.aggregates == {"wer": None, "pn_jaro": pytest.approx(35.0), "pn_wer": None}
+    aggregates = build_report([EvalRow("f1", 1.0, pn_jaro=20.0), EvalRow("f2", 3.0, pn_jaro=40.0)])
+    assert aggregates == {"wer": None, "pn_jaro": pytest.approx(35.0), "pn_wer": None}
