@@ -43,8 +43,8 @@ from .noise import SweepSpec, _snr_list_fault, ordered_map, run_sweep, transcrib
 from .planner import ScalingAssumptions, optimal_hours
 from .stitch import PartialTranscript, plan_chunks, stitch, voiced_ranges, write_voiced_chunks
 from .textnorm import DEFAULT_RULES, load_rules, normalize, tokenize_words
-from .transducer import random_lattice, rnnt_logprob, brute_force_logprob, rnnt_grad
-from .transducer.loss import BRUTE_T_MAX, BRUTE_U_MAX, finite_difference_grad
+from .transducer import random_lattice, brute_force_logprob, rnnt_grad
+from .transducer.loss import BATCH_CELLS, BRUTE_T_MAX, BRUTE_U_MAX, finite_difference_grad, rnnt_logprobs
 
 __all__ = ["main", "parse_args", "COMMANDS"]
 
@@ -222,7 +222,11 @@ def _records_or_die(path: str) -> list[ManifestRecord]:
 
 
 def cmd_plan_data(args: argparse.Namespace) -> int:
-    hours = optimal_hours(args.params, ScalingAssumptions(wpm=args.wpm, tpw=args.tpw, tpp=args.tpp))
+    assumptions = ScalingAssumptions(wpm=args.wpm, tpw=args.tpw, tpp=args.tpp)
+    try:
+        hours = optimal_hours(args.params, assumptions)
+    except ValueError as exc:
+        raise ValueError(f"--params: {exc}") from None
     print(f"params={args.params}")
     print(f"hours={hours:.6f}")
     print(f"hours_rounded={round(hours)}")
@@ -396,24 +400,32 @@ def cmd_rnnt_check(args: argparse.Namespace) -> int:
             raise ValueError(f"{flag} must lie in [{lo}, {hi}], got {value}")
 
     rng = np.random.default_rng(args.seed)
+
+    def draw(t_min: int, u_min: int, v_min: int):
+        t = int(rng.integers(t_min, args.t_max + 1))
+        u = int(rng.integers(u_min, args.u_max + 1))
+        v = int(rng.integers(v_min, args.v_max + 1))
+        return random_lattice(rng, t, u, v)
+
+    # the DP scores the lattices in blocks of about BATCH_CELLS cells, so memory
+    # stays flat in --lattices and --v-max; the deviations are taken in draw order
     max_dev = 0.0
     bound_ok = True
-    for _ in range(args.lattices):
-        t = int(rng.integers(1, args.t_max + 1))
-        u = int(rng.integers(0, args.u_max + 1))
-        v = int(rng.integers(1, args.v_max + 1))
-        lat = random_lattice(rng, t, u, v)
-        dp = rnnt_logprob(lat)
-        brute = brute_force_logprob(lat)
-        max_dev = max(max_dev, abs(dp - brute))
-        bound_ok = bound_ok and dp <= 1e-12
+    block, cells = [], 0
+    for i in range(args.lattices):
+        block.append(draw(1, 0, 1))
+        cells += block[-1].logits.size
+        if cells < BATCH_CELLS and i + 1 < args.lattices:
+            continue
+        for lat, dp in zip(block, rnnt_logprobs(block)):
+            brute = brute_force_logprob(lat)
+            max_dev = max(max_dev, abs(dp - brute))
+            bound_ok = bound_ok and dp <= 1e-12
+        block, cells = [], 0
 
     max_rel = 0.0
     for _ in range(args.grad_checks):
-        t = int(rng.integers(2, args.t_max + 1))
-        u = int(rng.integers(1, args.u_max + 1))
-        v = int(rng.integers(2, args.v_max + 1))
-        lat = random_lattice(rng, t, u, v)
+        lat = draw(2, 1, 2)
         analytic = rnnt_grad(lat)
         fd = finite_difference_grad(lat)
         denom = max(float(np.max(np.abs(fd))), 1e-12)

@@ -96,7 +96,12 @@ def mix_at_snr(clean: AudioBuffer, noise: AudioBuffer, target_snr_db: float) -> 
     if p_noise == 0.0:
         raise ValueError("noise is silent (zero power)")
 
-    gain = float(np.sqrt(p_clean / (p_noise * 10.0 ** (target_snr_db / 10.0))))
+    try:
+        gain = float(np.sqrt(p_clean / (p_noise * 10.0 ** (target_snr_db / 10.0))))
+    except (OverflowError, ZeroDivisionError):  # the power ratio left the float range
+        gain = math.nan
+    if not math.isfinite(gain):  # +inf dB gives gain 0
+        raise ValueError(f"the noise gain for {target_snr_db:g} dB SNR is not a finite number")
     clean_part = clean.samples.copy()
     noise_part = gain * fitted
     mixed = clean_part + noise_part
@@ -122,13 +127,22 @@ def _snr_list_fault(snrs: list[float]) -> str | None:
     """Why a list of target SNRs cannot be swept, or None if it can.
 
     +inf is allowed: it mixes in no noise, so its row is the clean baseline.
-    A repeated SNR would write its report rows and its mixes twice.
+    A finite SNR whose power ratio 10 ** (snr / 10) overflows or rounds to 0
+    has no finite noise gain. A repeated SNR would write its report rows and
+    its mixes twice.
     """
     if not snrs:
         return "is empty"
     for i, snr in enumerate(snrs):
         if math.isnan(snr) or snr == -math.inf:
             return f"holds {snr}, which no noise gain reaches"
+        if math.isfinite(snr):
+            try:
+                ratio = 10.0 ** (snr / 10.0)
+            except OverflowError:
+                ratio = math.inf
+            if not 0.0 < ratio < math.inf:
+                return f"holds {snr:g} dB, whose power ratio 10**(snr/10) is out of the float range"
         if snr in snrs[:i]:
             return f"repeats {snr:g} dB"
     return None

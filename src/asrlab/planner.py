@@ -30,4 +30,10 @@ def optimal_hours(params: int, a: ScalingAssumptions = ScalingAssumptions()) -> 
     """Hours of speech that match the token budget for `params` parameters."""
     if params <= 0:
         raise ValueError("params must be positive")
-    return params * a.tpp / (a.wpm * a.tpw * 60.0)
+    try:
+        hours = params * a.tpp / (a.wpm * a.tpw * 60.0)
+    except OverflowError:  # params itself is beyond the float range
+        hours = math.inf
+    if not math.isfinite(hours):
+        raise ValueError("params gives a number of hours beyond the float range")
+    return hours

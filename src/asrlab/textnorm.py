@@ -8,6 +8,7 @@ a user-supplied rule file can replace the tables.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass, field
 
@@ -22,7 +23,7 @@ __all__ = [
 ]
 
 # Apostrophe look-alikes folded to U+0027 before any other step.
-_APOSTROPHES = {"’": "'", "ʼ": "'", "‘": "'"}
+_APOSTROPHES = str.maketrans({"’": "'", "ʼ": "'", "‘": "'"})
 
 _DEFAULT_CONTRACTIONS = {
     # negations
@@ -150,34 +151,34 @@ class NormRuleSet:
                 raise ValueError(f"expansion of {key!r} changes when normalized by these rules: {value!r} -> {again!r}")
 
 
-def _punctuation_to_spaces(text: str) -> str:
-    """Replace punctuation with spaces, keeping intra-word apostrophes and hyphens.
+class _PunctuationToSpace(dict):
+    """``str.translate`` table that maps every Unicode punctuation code point
+    except ``'`` and ``-`` to a space and leaves the rest unchanged.
 
-    Apostrophes must survive until contraction expansion; hyphens must survive
-    so hyphenated fillers like "mm-hmm" stay matchable as single tokens.
+    Each code point's category is looked up the first time it is translated
+    and cached, so no import-time scan of all code points is needed.
     """
-    out = []
-    n = len(text)
-    for i, ch in enumerate(text):
-        if unicodedata.category(ch).startswith("P"):
-            if ch in "'-":
-                prev_ok = i > 0 and text[i - 1].isalnum()
-                next_ok = i + 1 < n and text[i + 1].isalnum()
-                if prev_ok and next_ok:
-                    out.append(ch)
-                    continue
-            out.append(" ")
-        else:
-            out.append(ch)
-    return "".join(out)
+
+    def __missing__(self, code: int) -> int | str:
+        ch = chr(code)
+        self[code] = out = " " if unicodedata.category(ch).startswith("P") and ch not in "'-" else code
+        return out
+
+
+_PUNCTUATION_TO_SPACE = _PunctuationToSpace()
+# An apostrophe or hyphen without an alphanumeric on both sides; [^\W_] is str.isalnum.
+# Apostrophes must survive until contraction expansion; hyphens must survive so
+# hyphenated fillers like "mm-hmm" stay matchable as single tokens.
+_EDGE_MARK = re.compile(r"(?<![^\W_])['-]|['-](?![^\W_])")
 
 
 def _normalize(text: str, contractions: dict[str, str], fillers: frozenset[str]) -> str:
     if not text:
         return ""
-    for variant, plain in _APOSTROPHES.items():
-        text = text.replace(variant, plain)
-    text = _punctuation_to_spaces(text.casefold())
+    # fold before casefold: "ŉ" casefolds to U+02BC + "n", which must stay a letter
+    text = text.translate(_APOSTROPHES).casefold().translate(_PUNCTUATION_TO_SPACE)
+    if "'" in text or "-" in text:
+        text = _EDGE_MARK.sub(" ", text)
     expanded: list[str] = []
     for token in text.split():
         expanded.extend(contractions.get(token, token).split())

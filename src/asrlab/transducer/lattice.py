@@ -22,6 +22,14 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
 
 
+def _check_normalized(logits: np.ndarray) -> None:
+    """Raise ValueError unless every slice along the last axis is a distribution in log space."""
+    slice_sums = np.logaddexp.reduce(logits, axis=-1)
+    worst = float(np.max(np.abs(slice_sums)))
+    if not worst <= _NORM_TOL:  # NaN fails too
+        raise ValueError(f"lattice slices not normalized: max |logsumexp| = {worst:.3g}")
+
+
 @dataclass
 class RnntLattice:
     """Log-probability lattice of shape (T, U+1, V+1) plus the U target labels."""
@@ -41,11 +49,7 @@ class RnntLattice:
             )
         if any(not 0 <= y < self.V for y in self.targets):
             raise ValueError(f"target labels must lie in [0, {self.V})")
-        # each slice must be a normalized distribution (in log space)
-        slice_sums = np.logaddexp.reduce(self.logits, axis=2)
-        worst = float(np.max(np.abs(slice_sums)))
-        if not worst <= _NORM_TOL:  # NaN fails too
-            raise ValueError(f"lattice slices not normalized: max |logsumexp| = {worst:.3g}")
+        _check_normalized(self.logits)
 
     @property
     def T(self) -> int:

@@ -128,6 +128,13 @@ def test_mix_huge_snr_is_effectively_clean():
     assert mix.gain < 1e-5
 
 
+@pytest.mark.parametrize("snr_db", [4000.0, -4000.0, -3235.0])
+def test_mix_without_a_finite_gain_is_a_value_error(snr_db):
+    clean = AudioBuffer(samples=tone(0.1))
+    with pytest.raises(ValueError, match="not a finite number"):
+        mix_at_snr(clean, gaussian_noise(len(clean), 3), snr_db)
+
+
 def test_mix_clipping_rescales_jointly():
     clean = AudioBuffer(samples=tone(0.5, amplitude=0.95))
     mix = mix_at_snr(clean, gaussian_noise(len(clean), 5), -5.0)
@@ -185,7 +192,8 @@ def test_sweep_spec_validation():
 @pytest.mark.parametrize(
     "snrs,fault",
     [([], "is empty"), ([math.nan], "holds nan"), ([5.0, -math.inf], "holds -inf"),
-     ([0.0, 5.0, 0.0], "repeats 0 dB"), ([0.0, -0.0], "repeats -0 dB")],
+     ([0.0, 5.0, 0.0], "repeats 0 dB"), ([0.0, -0.0], "repeats -0 dB"),
+     ([4000.0], "holds 4000 dB"), ([0.0, -4000.0], "holds -4000 dB"), ([-3240.0], "holds -3240 dB")],
 )
 def test_sweep_spec_rejects_an_snr_list_it_cannot_sweep(snrs, fault):
     with pytest.raises(ValueError, match=f"^snr_list_db {fault}"):

@@ -54,6 +54,14 @@ def test_plan_data_flag_overrides():
     assert "hours_rounded=1100000" in proc.stdout
 
 
+@pytest.mark.parametrize("params", [10**308, 10**400])
+def test_plan_data_hours_beyond_float_range_exit_2_before_printing(capsys, params):
+    assert cli.main(["plan-data", "--params", str(params)]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "--params" in err and "internal error" not in err
+
+
 @pytest.mark.parametrize("flag,value", [("--tpp", "inf"), ("--wpm", "nan"), ("--tpw", "nan")])
 def test_plan_data_non_finite_assumption_exit_2_before_printing(capsys, flag, value):
     assert cli.main(["plan-data", "--params", "264000000", flag, value]) == 2
@@ -324,6 +332,7 @@ def test_noise_sweep_corrupt_wav_exit_2_names_file(tmp_path, empty_transcriber):
 
 @pytest.mark.parametrize("where,snrs", [
     ("flag", "-inf"), ("flag", "nan"), ("flag", "0,0"), ("flag", "5,0,-0"), ("flag", ""), ("config", "0,0"),
+    ("flag", "4000"), ("flag", "-4000"), ("config", "0,-3240"),
 ])
 def test_noise_sweep_bad_snr_list_exit_2_before_the_transcriber_starts(tmp_path, capsys, where, snrs):
     wav = tmp_path / "clip.wav"
@@ -369,6 +378,28 @@ def test_rnnt_check_gates_are_not_options(flag, capsys):
 def test_rnnt_check_validation():
     proc = run_cli("rnnt-check", "--lattices", "0")
     assert proc.returncode == 2
+
+
+# stdout of the per-lattice DP and finite-difference loops that the batched passes replaced;
+# the last case spreads its lattices over several DP blocks and finite-difference batches
+_RNNT_BENCH_SIZE = ["--lattices", "3000", "--grad-checks", "30", "--t-max", "6", "--u-max", "4", "--v-max", "4"]
+
+
+@pytest.mark.parametrize("argv,expected", [
+    ([*_RNNT_BENCH_SIZE, "--seed", "0"], ("7.105e-15", "2.433e-10", 30)),
+    ([*_RNNT_BENCH_SIZE, "--seed", "3"], ("8.882e-15", "3.705e-10", 30)),
+    ([*_RNNT_BENCH_SIZE, "--seed", "7"], ("8.882e-15", "2.653e-10", 30)),
+    ([*_RNNT_BENCH_SIZE[:2], "--grad-checks", "2", *_RNNT_BENCH_SIZE[4:8], "--v-max", "60", "--seed", "1"],
+     ("4.974e-14", "3.195e-10", 2)),
+])
+def test_rnnt_check_prints_the_unbatched_lines(argv, expected, capsys):
+    dev, rel, grad_checks = expected
+    assert cli.main(["rnnt-check", *argv]) == 0
+    assert capsys.readouterr().out == (
+        f"oracle-agreement: PASS max_abs_dev={dev} (n=3000, tol=1e-09)\n"
+        f"gradient-fd: PASS max_rel_err={rel} (n={grad_checks}, tol=0.0001)\n"
+        "likelihood-bound: PASS\n"
+    )
 
 
 def test_noise_sweep_jobs_do_not_change_report(tmp_path, echo_transcriber):

@@ -32,3 +32,9 @@ def test_validation():
         optimal_hours(-5)
     with pytest.raises(ValueError):
         ScalingAssumptions(wpm=0.0)
+
+
+@pytest.mark.parametrize("params", [10**308, 10**400])
+def test_hours_beyond_the_float_range_are_refused(params):
+    with pytest.raises(ValueError, match="float range"):
+        optimal_hours(params)

@@ -1,7 +1,11 @@
+import re
+import sys
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from asrlab.textnorm import DEFAULT_RULES, NormRuleSet, load_rules, normalize, tokenize_words
+from tests import textnorm_oracles as oracles
 
 
 def test_contraction_and_punctuation():
@@ -70,6 +74,37 @@ def test_every_accepted_rule_set_is_idempotent(contractions, fillers, words):
         return
     once = normalize(" ".join(words), rules)
     assert normalize(once, rules) == once
+
+
+# arbitrary Unicode, weighted towards what the punctuation step decides on:
+# apostrophes and hyphens (look-alikes too) at text edges and doubled, next to
+# letters, digits, "_", combining marks and other punctuation
+_EDGY = st.sampled_from(
+    ["'", "-", "''", "--", "'-", "’", "ʼ", "‘", "ŉ", "_", "7", "²", "a", "É", "\u0301", "ß", "İ", ".", "—", "¿", " ", "um"]
+)
+
+
+@settings(max_examples=500)
+@given(st.lists(st.one_of(st.text(max_size=4), _EDGY), max_size=16).map("".join))
+def test_normalize_matches_the_character_loop(text):
+    assert normalize(text) == oracles.normalize(text)
+
+
+@pytest.mark.parametrize("text", ["ŉ", "'ŉ'", "don’t-", "-'a'-", "a''b", "x--y", "_'_", "1-2", "é\u0301-b"])
+def test_normalize_matches_the_character_loop_on_edge_cases(text):
+    assert normalize(text) == oracles.normalize(text)
+
+
+def test_apostrophes_fold_before_casefold():
+    # "ŉ" casefolds to U+02BC + "n"; folding afterwards would split it into "'n"
+    assert normalize("ŉ") == "ʼn"
+
+
+def test_regex_alphanumeric_class_is_isalnum():
+    alnum = re.compile(r"[^\W_]")
+    assert all(
+        bool(alnum.match(ch)) == ch.isalnum() for ch in map(chr, range(sys.maxunicode + 1))
+    )
 
 
 def test_tokenize_examples():

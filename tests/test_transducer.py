@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from asrlab.transducer import (
     rnnt_grad,
     rnnt_logprob,
 )
-from asrlab.transducer.loss import finite_difference_grad
+from asrlab.transducer.lattice import _check_normalized
+from asrlab.transducer.loss import BATCH_CELLS, finite_difference_grad, rnnt_logprobs
 from asrlab.transducer.mask import FRAME_MS
 from tests import transducer_oracles as oracles
 
@@ -143,6 +145,31 @@ def test_dp_matches_cell_by_cell_oracle(seed, T, U, V, hole_rate):
     np.testing.assert_array_equal(rnnt_grad(lat), want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    shapes=st.lists(
+        st.tuples(st.integers(1, 6), st.integers(0, 4), st.integers(1, 4), st.sampled_from([0.0, 0.3])),
+        min_size=1,
+        max_size=40,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_dp_matches_cell_by_cell_oracle(shapes, seed):
+    # mixed shapes, repeated ones batched together; T = 1 and U = 0 included
+    lattices = [lattice_with_holes(seed + i, T, U, V, holes) for i, (T, U, V, holes) in enumerate(shapes)]
+    assert rnnt_logprobs(lattices) == [oracles.rnnt_logprob(lat) for lat in lattices]
+
+
+def test_batched_dp_splits_a_group_larger_than_one_batch():
+    rng = np.random.default_rng(9)
+    T, U, V = 6, 4, 1
+    n = BATCH_CELLS // (T * (U + 1)) + 5  # one (T, U) group that fills more than one batch
+    logits = log_softmax(rng.normal(size=(n, T, U + 1, V + 1)))
+    lattices = [RnntLattice(logits=x, targets=[0] * U) for x in logits] + [random_lattice(rng, 1, 0, 2)]
+    assert rnnt_logprobs(lattices) == [rnnt_logprob(lat) for lat in lattices]
+    assert rnnt_logprobs([]) == []
+
+
 def test_dp_long_lattice_matches_oracle():
     lat = random_lattice(np.random.default_rng(2024), 1000, 200, 4)
     assert abs(rnnt_logprob(lat) - oracles.rnnt_logprob(lat)) <= 1e-9
@@ -161,6 +188,45 @@ def test_gradient_matches_finite_differences():
         fd = finite_difference_grad(lat)
         denom = max(float(np.max(np.abs(fd))), 1e-12)
         assert float(np.max(np.abs(analytic - fd))) / denom <= 1e-4
+
+
+def test_batched_finite_differences_match_the_loop():
+    rng = np.random.default_rng(41)
+    shapes = rng.integers((1, 0, 1), (5, 4, 5), size=(8, 3))
+    lattices = [random_lattice(rng, int(T), int(U), int(V)) for T, U, V in shapes]
+    wide = random_lattice(rng, 2, 1, 99)  # 800 perturbations: more than one batch holds
+    assert 2 * wide.logits.size > BATCH_CELLS // wide.logits.size
+    for lat in [*lattices, wide]:
+        np.testing.assert_array_equal(finite_difference_grad(lat), oracles.finite_difference_grad(lat))
+
+
+def test_finite_differences_reject_a_lattice_that_stopped_being_normalized():
+    lat = random_lattice(np.random.default_rng(2), 3, 2, 3)
+    lat.logits[1, 2, 0] = np.nan
+    with np.errstate(invalid="ignore"):
+        with pytest.raises(ValueError, match="not normalized"):
+            oracles.finite_difference_grad(lat)
+        with pytest.raises(ValueError, match="not normalized"):
+            finite_difference_grad(lat)
+
+
+def test_normalization_check_covers_every_slice_of_a_batch():
+    batch = np.stack([random_lattice(np.random.default_rng(s), 3, 2, 3).logits for s in range(5)])
+    _check_normalized(batch)
+    batch[-1, 2, 1] += 2e-9  # one slice of the last lattice, just past the 1e-9 tolerance
+    with pytest.raises(ValueError, match="not normalized"):
+        _check_normalized(batch)
+
+
+def test_finite_difference_memory_is_bounded_in_v():
+    lat = random_lattice(np.random.default_rng(6), 6, 4, 100)  # one unbatched pass would take ~150 MB
+    tracemalloc.start()
+    try:
+        finite_difference_grad(lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32 * 2**20
 
 
 def test_gradient_slice_sums_are_zero():

@@ -1,14 +1,18 @@
 """Cell-by-cell reference loops for the transducer's array passes.
 
-``asrlab.transducer`` runs its DP one anti-diagonal at a time and expands each
-beam hypothesis with one array sort. The loops below visit one lattice cell,
-or one (hypothesis, label) pair, at a time and do the same float operations in
-the same order, so the library must reproduce their results exactly.
+``asrlab.transducer`` runs its DP one anti-diagonal at a time over a batch of
+lattices, scores all finite-difference perturbations of a lattice in one pass,
+and expands each beam hypothesis with one array sort. The loops below visit one
+lattice cell, one perturbation, or one (hypothesis, label) pair at a time and
+do the same float operations in the same order, so the library must reproduce
+their results exactly.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from asrlab.transducer import RnntLattice, log_softmax
 
 NEG_INF = -np.inf
 
@@ -73,6 +77,20 @@ def rnnt_grad(lat):
     edge_post = np.exp(edge)
     node_post = edge_post.sum(axis=2, keepdims=True)
     return np.exp(lp) * node_post - edge_post
+
+
+def finite_difference_grad(lat, eps=1e-5):
+    """Central differences, one perturbed and re-validated lattice per activation and sign."""
+    grad = np.zeros_like(lat.logits)
+    for idx in np.ndindex(lat.logits.shape):
+        losses = []
+        for sign in (1.0, -1.0):
+            perturbed = lat.logits.copy()
+            perturbed[idx] += sign * eps
+            relat = RnntLattice(logits=log_softmax(perturbed, axis=2), targets=list(lat.targets))
+            losses.append(-rnnt_logprob(relat))
+        grad[idx] = (losses[0] - losses[1]) / (2.0 * eps)
+    return grad
 
 
 def beam_decode(scorer, n_frames, lm=None, lm_weight=0.0, beam_size=3, max_symbols_per_frame=10):
