@@ -7,7 +7,8 @@ Running both sides through the shared rule set first gives a number that
 tracks meaning instead of typography.
 """
 
-from asrlab import normalize, tokenize_words, wer, weighted_average
+from asrlab.metrics import weighted_average, wer
+from asrlab.textnorm import normalize, tokenize_words
 
 reference = "There's a cat."
 hypothesis = "there is a cat"

@@ -8,7 +8,7 @@ the named entities of reference and hypothesis and scoring each pair by
 lexical distance exposes exactly this class of error.
 """
 
-from asrlab import EntitySpan, align_entities, pn_score
+from asrlab.entities import EntitySpan, align_entities, pn_score
 
 gold = [
     EntitySpan("Nicolas Cage", "Person", 0, 12),

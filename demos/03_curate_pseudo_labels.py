@@ -8,7 +8,7 @@ words-per-minute, and confidence gates, and records why each clip was
 rejected.
 """
 
-from asrlab import ManifestRecord, PipelineConfig, run_pipeline
+from asrlab.curation import ManifestRecord, PipelineConfig, run_pipeline
 
 def clip(rid, duration, n_words, conf, **kw):
     words = " ".join(f"w{i}" for i in range(n_words))

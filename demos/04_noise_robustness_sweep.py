@@ -11,7 +11,8 @@ clips at several SNRs and reports WER per point.
 
 import numpy as np
 
-from asrlab import AudioBuffer, gaussian_noise, measure_snr, mix_at_snr
+from asrlab.audio import AudioBuffer
+from asrlab.noise import gaussian_noise, measure_snr, mix_at_snr
 
 sr = 16000
 t = np.arange(sr) / sr

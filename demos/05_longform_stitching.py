@@ -9,8 +9,8 @@ joined back by locating the shared token run at each junction.
 
 import numpy as np
 
-from asrlab import AudioBuffer, PartialTranscript, energy_vad, plan_chunks, stitch
-from asrlab.stitch import remove_silences, speech_stats
+from asrlab.audio import AudioBuffer
+from asrlab.stitch import PartialTranscript, energy_vad, plan_chunks, remove_silences, speech_stats, stitch
 
 # --- silence stripping -----------------------------------------------------
 sr = 16000

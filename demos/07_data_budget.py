@@ -7,7 +7,7 @@ Token-budget scaling carried over to speech: hours = params * tokens-per-param
 minute, 4/3 subword tokens per word, and 20 training tokens per parameter.
 """
 
-from asrlab import ScalingAssumptions, optimal_hours
+from asrlab.planner import ScalingAssumptions, optimal_hours
 
 for params in (130_000_000, 264_000_000, 1_000_000_000):
     hours = optimal_hours(params)

@@ -1,15 +1,15 @@
 """numpy, bound on first use.
 
 Modules of this package bind ``np`` from here, never with ``import numpy``, and
-touch no numpy attribute at module level. Importing asrlab then leaves
+touch no numpy attribute at module level. Importing one of them then leaves
 ``sys.modules["numpy"]`` a lazy module, and numpy's own import runs on the
 first attribute access, so commands that never touch an array start without
 it. A later ``import numpy`` anywhere in the process simply loads it.
 
 Before Python 3.12 the first load of a lazy module is not thread-safe, and
-this one is the process's ``numpy`` for every caller. So after ``import
-asrlab``, code that starts threads which may touch numpy, through asrlab or
-through any other import of numpy, must run ``import numpy`` first, on the
+this one is the process's ``numpy`` for every caller. So after importing an
+asrlab module, code that starts threads which may touch numpy, through asrlab
+or through any other import of numpy, must run ``import numpy`` first, on the
 starting thread; the statement loads it.
 """
 

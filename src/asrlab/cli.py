@@ -37,14 +37,16 @@ from .curation import (
     iter_manifest,
     read_manifest,
 )
-from .entities import align_entities, pn_score, read_entity_file
+from .entities import _sim_threshold_fault, align_entities, pn_score, read_entity_file
 from .metrics import EvalRow, build_report, wer
 from .noise import SweepSpec, _snr_list_fault, ordered_map, run_sweep, transcribe_file, write_sweep_csv
 from .planner import ScalingAssumptions, optimal_hours
 from .stitch import PartialTranscript, plan_chunks, stitch, voiced_ranges, write_voiced_chunks
 from .textnorm import DEFAULT_RULES, load_rules, normalize, tokenize_words
-from .transducer import random_lattice, brute_force_logprob, rnnt_grad
-from .transducer.loss import BATCH_CELLS, BRUTE_T_MAX, BRUTE_U_MAX, finite_difference_grad, rnnt_logprobs
+from .transducer.lattice import random_lattice
+from .transducer.loss import (
+    BATCH_CELLS, BRUTE_T_MAX, BRUTE_U_MAX, brute_force_logprob, finite_difference_grad, rnnt_grad, rnnt_logprobs,
+)
 
 __all__ = ["main", "parse_args", "COMMANDS"]
 
@@ -176,6 +178,11 @@ def _write_scores(out, args: argparse.Namespace, rows: list[EvalRow], weight_col
     writer.writerow(["AGGREGATE", "", *(_fmt(aggregates[m]) for m in metrics)])
 
 
+def _check_sim_threshold(args: argparse.Namespace) -> None:
+    if fault := _sim_threshold_fault(args.sim_threshold):
+        raise ValueError(f"--sim-threshold (config key entities.sim_threshold) {fault}")
+
+
 def _score_entities(row: EvalRow, gold: dict, pred: dict, sim_threshold: float) -> EvalRow:
     """Fill the row's proper-noun metrics from the file's gold and predicted entities."""
     align = align_entities(gold.get(row.file_id, []), pred.get(row.file_id, []), sim_threshold)
@@ -234,6 +241,7 @@ def cmd_plan_data(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    _check_sim_threshold(args)
     with _replaced_together(args.out, reads=_inputs(args)) as (out,):
         rules = _load_rules(args.rules)
         records = _records_or_die(args.manifest)
@@ -265,6 +273,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_ppn_score(args: argparse.Namespace) -> int:
+    _check_sim_threshold(args)
     with _replaced_together(args.out, reads=_inputs(args)) as (out,):
         gold = read_entity_file(_require_file(args.gold_entities, "gold entities"))
         pred = read_entity_file(_require_file(args.pred_entities, "pred entities"))
@@ -561,8 +570,14 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
 
 
 def _config_defaults(path: str, options: list) -> dict[str, object]:
-    """Values from the config file at `path` for `options`, cast by each option's type."""
+    """Values from the config file at `path` for `options`, cast by each option's type.
+
+    A key that no subcommand knows is refused; one that another subcommand knows is ignored.
+    """
     cfg = load_config(_require_file(path, "config file"))
+    known = {key for _, _, opts in COMMANDS.values() for _, key, _ in opts}
+    if unknown := sorted(cfg.keys() - known):
+        raise ValueError(f"{path}: unknown config key {unknown[0]!r}")
     defaults = {}
     for flag, key, kwargs in options:
         if key in cfg:

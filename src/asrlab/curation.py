@@ -33,7 +33,6 @@ __all__ = [
     "filter_speech_and_silence",
     "filter_language",
     "segment",
-    "judge_records",
     "run_pipeline",
     "curate_stream",
     "iter_manifest",
@@ -316,7 +315,7 @@ def _judge(
     return survivors, [] if survivors else reasons
 
 
-def judge_records(
+def _judge_records(
     manifest: Iterable[ManifestRecord | ManifestParseError], cfg: PipelineConfig
 ) -> Iterator[tuple[list[ManifestRecord], FilterOutcome]]:
     """(kept segments, outcome) for each input record, in input order, one record at a time.
@@ -336,7 +335,7 @@ def run_pipeline(
     """Apply all filters; return (kept records, one outcome per input record), in input order."""
     kept: list[ManifestRecord] = []
     outcomes: list[FilterOutcome] = []
-    for survivors, outcome in judge_records(manifest, cfg):
+    for survivors, outcome in _judge_records(manifest, cfg):
         kept.extend(survivors)
         outcomes.append(outcome)
     return kept, outcomes
@@ -355,7 +354,7 @@ def curate_stream(
     """
     rows = _report_writer(report_out)
     n_kept = n_rejected = 0
-    for survivors, outcome in judge_records(manifest, cfg):
+    for survivors, outcome in _judge_records(manifest, cfg):
         for child in survivors:
             kept_out.write(_manifest_line(child))
         rows.writerow(_report_row(outcome))

@@ -57,6 +57,11 @@ class EntityAlignment:
     unmatched_pred: list[EntitySpan] = field(default_factory=list)
 
 
+def _sim_threshold_fault(sim_threshold: float) -> str | None:
+    """Why a similarity threshold cannot be used, or None: Jaro-Winkler similarity lies in [0, 1]."""
+    return None if 0.0 <= sim_threshold <= 1.0 else f"must lie in [0, 1], got {sim_threshold}"
+
+
 def align_entities(
     gold: list[EntitySpan], pred: list[EntitySpan], sim_threshold: float = 0.5
 ) -> EntityAlignment:
@@ -69,8 +74,11 @@ def align_entities(
     identical fillers, 'delete' and 'insert' blocks pair nothing). The returned
     buckets partition the spans exactly: a candidate pair is kept only when the
     types are equal and the casefolded fillers have Jaro-Winkler similarity >=
-    sim_threshold; everything else lands in an unmatched bucket.
+    sim_threshold; everything else lands in an unmatched bucket. A threshold
+    outside [0, 1], NaN included, raises ValueError.
     """
+    if fault := _sim_threshold_fault(sim_threshold):
+        raise ValueError(f"sim_threshold {fault}")
     gold = sorted((s for s in gold if s.type in SUPPORTED_TYPES), key=lambda s: (s.start, s.end))
     pred = sorted((s for s in pred if s.type in SUPPORTED_TYPES), key=lambda s: (s.start, s.end))
     g_text = [s.filler.casefold() for s in gold]

@@ -471,8 +471,9 @@ def test_config_key_takes_effect_and_flag_overrides(tmp_path, name, flag, key, k
 
 @pytest.mark.parametrize(
     "text,where",
-    [("oops\n", "'oops'"), ("planner.wpm = abc\n", "planner.wpm = 'abc'")],
-    ids=["no-equals", "uncastable"],
+    [("oops\n", "'oops'"), ("planner.wpm = abc\n", "planner.wpm = 'abc'"),
+     ("planner.wpm = 150\nplanner.wpmx = 5\n", "unknown config key 'planner.wpmx'")],
+    ids=["no-equals", "uncastable", "unknown-key"],
 )
 def test_bad_config_is_validation_error(tmp_path, text, where):
     cfg = tmp_path / "bad.cfg"
@@ -481,6 +482,33 @@ def test_bad_config_is_validation_error(tmp_path, text, where):
     assert proc.returncode == 2
     assert str(cfg) in proc.stderr and where in proc.stderr
     assert "internal error" not in proc.stderr
+
+
+def test_config_key_of_another_subcommand_is_ignored(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("curation.wpm_min = 40\nsweep.snr_list = 0,5\nplanner.wpm = 150\n", encoding="utf-8")
+    assert cli.parse_args(["plan-data", "--params", "1000", "--config", str(cfg)]).wpm == 150.0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "5", "-0.5"])
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("command", ["evaluate", "ppn-score"])
+def test_out_of_range_sim_threshold_exit_2_writes_nothing(tmp_path, capsys, command, source, value):
+    argv, out, _ = report_header_case(tmp_path, command)
+    if command == "evaluate":
+        gold = tmp_path / "gold.tsv"
+        gold.write_text("r0\t0\t12\tPerson\tNicolas Cage\n", encoding="utf-8")
+        argv += ["--gold-entities", str(gold), "--pred-entities", str(gold)]
+    if source == "flag":
+        argv.append(f"--sim-threshold={value}")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"entities.sim_threshold = {value}\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert "--sim-threshold" in err and "entities.sim_threshold" in err and "[0, 1]" in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("name", ["evaluate", "ppn-score", "curate"])

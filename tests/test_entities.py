@@ -46,6 +46,18 @@ def test_below_threshold_unmatches_both():
     assert len(out.unmatched_gold) == 1 and len(out.unmatched_pred) == 1
 
 
+@pytest.mark.parametrize("threshold", [float("nan"), float("inf"), -float("inf"), 5.0, -0.1, 1.000001])
+def test_sim_threshold_outside_unit_interval_is_refused(threshold):
+    # Jaro-Winkler similarity lies in [0, 1]: such a threshold would match every pair or none
+    with pytest.raises(ValueError, match="sim_threshold must lie in \\[0, 1\\]"):
+        align_entities([span("Paris", "GPE")], [span("Paris", "GPE")], sim_threshold=threshold)
+
+
+def test_sim_threshold_bounds_are_allowed():
+    assert len(align_entities([span("Paris", "GPE")], [span("Paris", "GPE")], sim_threshold=1.0).matched) == 1
+    assert len(align_entities([span("Paris", "GPE")], [span("Lyon", "GPE")], sim_threshold=0.0).matched) == 1
+
+
 def test_unsupported_types_dropped_before_alignment():
     out = align_entities([span("Tuesday", "Date")], [span("Tuesday", "Date")])
     assert out.matched == [] and out.unmatched_gold == [] and out.unmatched_pred == []

@@ -85,10 +85,21 @@ def test_import_cli_loads_every_traced_module():
 
 def test_import_numpy_statement_loads_the_lazy_module():
     # The README tells threaded callers to run `import numpy` before starting threads.
+    # asrlab.stitch binds np from asrlab._lazy, so importing it leaves numpy lazy.
     check = (
-        "import sys, asrlab; before = 'numpy.core' in sys.modules or 'numpy._core' in sys.modules; "
-        "import numpy; print(before, 'numpy._core' in sys.modules or 'numpy.core' in sys.modules)"
+        "import sys, asrlab.stitch; lazy = type(sys.modules['numpy']).__name__; "
+        "before = 'numpy.core' in sys.modules or 'numpy._core' in sys.modules; "
+        "import numpy; print(lazy, before, 'numpy._core' in sys.modules or 'numpy.core' in sys.modules)"
     )
     proc = fresh_python("-c", check)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "False True\n"
+    assert proc.stdout == "_LazyModule False True\n"
+
+
+def test_import_transducer_loads_no_other_asrlab_module():
+    check = "import json, sys, asrlab.transducer; print(json.dumps(sorted(m for m in sys.modules if m.startswith('asrlab'))))"
+    proc = fresh_python("-c", check)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout)
+    assert "asrlab.transducer.loss" in loaded
+    assert [m for m in loaded if m not in ("asrlab", "asrlab._lazy") and not m.startswith("asrlab.transducer")] == []
