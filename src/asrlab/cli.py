@@ -51,12 +51,6 @@ from .transducer.loss import (
 __all__ = ["main", "parse_args", "COMMANDS"]
 
 
-def _require_file(path: str, what: str) -> str:
-    if not os.path.isfile(path):
-        raise ValueError(f"{what} not found: {path}")
-    return path
-
-
 # Options that cannot change a report: where it goes, working files, parallelism.
 # The seed gets a header line of its own.
 _NOT_IN_HEADER = {"command", "func", "config", "seed", "jobs", "workdir", "out", "out_manifest", "report"}
@@ -71,12 +65,10 @@ def _write_header(out, args: argparse.Namespace) -> None:
     out.write("# config=" + json.dumps(options, sort_keys=True) + "\n")
 
 
-# Options naming a file that a command reads; an output written in place must not be one of them.
-_INPUTS = ("manifest", "refs", "hyps", "rules", "gold_entities", "pred_entities", "audio")
-
-
 def _inputs(args: argparse.Namespace) -> list[str]:
-    return [path for name in _INPUTS if (path := getattr(args, name, None))]
+    """The files the command reads, named by its options that _file_fault checks; no output may be written over one."""
+    return [path for flag, _, kwargs in COMMANDS[args.command][2]
+            if kwargs.get("check") is _file_fault and (path := getattr(args, _dest(flag)))]
 
 
 def _staging_file(path: str, i: int) -> tuple[str, str, int | None] | None:
@@ -178,11 +170,6 @@ def _write_scores(out, args: argparse.Namespace, rows: list[EvalRow], weight_col
     writer.writerow(["AGGREGATE", "", *(_fmt(aggregates[m]) for m in metrics)])
 
 
-def _check_sim_threshold(args: argparse.Namespace) -> None:
-    if fault := _sim_threshold_fault(args.sim_threshold):
-        raise ValueError(f"--sim-threshold (config key entities.sim_threshold) {fault}")
-
-
 def _score_entities(row: EvalRow, gold: dict, pred: dict, sim_threshold: float) -> EvalRow:
     """Fill the row's proper-noun metrics from the file's gold and predicted entities."""
     align = align_entities(gold.get(row.file_id, []), pred.get(row.file_id, []), sim_threshold)
@@ -192,7 +179,7 @@ def _score_entities(row: EvalRow, gold: dict, pred: dict, sim_threshold: float) 
 
 
 def _load_rules(path: str | None):
-    return DEFAULT_RULES if path is None else load_rules(_require_file(path, "rule file"))
+    return DEFAULT_RULES if path is None else load_rules(path)
 
 
 def _read_tsv(path: str) -> dict[str, str]:
@@ -212,7 +199,7 @@ def _read_tsv(path: str) -> dict[str, str]:
 
 def _records_or_die(path: str) -> list[ManifestRecord]:
     """The manifest's records, for commands that key their work by record id."""
-    entries = read_manifest(_require_file(path, "manifest"))
+    entries = read_manifest(path)
     bad = [e for e in entries if isinstance(e, ManifestParseError)]
     if bad:
         detail = "; ".join(f"{e.id}: {e.error}" for e in bad[:3])
@@ -241,15 +228,14 @@ def cmd_plan_data(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    _check_sim_threshold(args)
     with _replaced_together(args.out, reads=_inputs(args)) as (out,):
         rules = _load_rules(args.rules)
         records = _records_or_die(args.manifest)
-        refs = _read_tsv(_require_file(args.refs, "refs file")) if args.refs else {r.id: r.transcript for r in records}
-        hyps = _read_tsv(_require_file(args.hyps, "hyps file"))
+        refs = _read_tsv(args.refs) if args.refs else {r.id: r.transcript for r in records}
+        hyps = _read_tsv(args.hyps)
 
-        gold_entities = read_entity_file(_require_file(args.gold_entities, "gold entities")) if args.gold_entities else None
-        pred_entities = read_entity_file(_require_file(args.pred_entities, "pred entities")) if args.pred_entities else None
+        gold_entities = read_entity_file(args.gold_entities) if args.gold_entities else None
+        pred_entities = read_entity_file(args.pred_entities) if args.pred_entities else None
         if (gold_entities is None) != (pred_entities is None):
             raise ValueError("--gold-entities and --pred-entities must be given together")
 
@@ -273,10 +259,9 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_ppn_score(args: argparse.Namespace) -> int:
-    _check_sim_threshold(args)
     with _replaced_together(args.out, reads=_inputs(args)) as (out,):
-        gold = read_entity_file(_require_file(args.gold_entities, "gold entities"))
-        pred = read_entity_file(_require_file(args.pred_entities, "pred entities"))
+        gold = read_entity_file(args.gold_entities)
+        pred = read_entity_file(args.pred_entities)
         durations: dict[str, float] = {}
         if args.manifest:
             durations = {r.id: r.duration_sec for r in _records_or_die(args.manifest)}
@@ -293,7 +278,7 @@ def cmd_ppn_score(args: argparse.Namespace) -> int:
 def cmd_curate(args: argparse.Namespace) -> int:
     pipeline_cfg = PipelineConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)})
     with _replaced_together(args.out_manifest, args.report, reads=_inputs(args)) as (kept_out, report_out):
-        entries = iter_manifest(_require_file(args.manifest, "manifest"))
+        entries = iter_manifest(args.manifest)
         _write_header(report_out, args)
         n_kept, n_rejected = curate_stream(entries, pipeline_cfg, kept_out, report_out)
     print(f"kept={n_kept} rejected={n_rejected} out_manifest={args.out_manifest} report={args.report}")
@@ -301,14 +286,13 @@ def cmd_curate(args: argparse.Namespace) -> int:
 
 
 def cmd_noise_sweep(args: argparse.Namespace) -> int:
-    if fault := _snr_list_fault(args.snrs):
-        raise ValueError(f"--snrs (config key sweep.snr_list) {fault}")
     rules = _load_rules(args.rules)
     spec = SweepSpec(args.snrs, args.noise_kind, noise_corpus_dir=args.noise_dir, seed=args.seed)
     with _replaced_together(args.out, reads=_inputs(args)) as (out,):
         records = _records_or_die(args.manifest)
         for rec in records:
-            _require_file(rec.audio_path, f"audio for {rec.id}")
+            if fault := _file_fault(rec.audio_path):
+                raise ValueError(f"audio for {rec.id} {fault}")
         report = run_sweep(records, spec, args.transcriber, args.workdir, rules=rules, jobs=args.jobs)
         _write_header(out, args)
         write_sweep_csv(report, out)
@@ -324,11 +308,9 @@ def _read_partials_dir(path: str, rules) -> list[PartialTranscript]:
         stem, ext = os.path.splitext(name)
         if ext != ".txt":
             continue
-        try:
-            idx = int(stem)
-        except ValueError:
+        if not (stem.isascii() and stem.isdigit()):
             raise ValueError(f"partial file name must be <index>.txt, got {name!r}")
-        entries.append((idx, name, "".join(line for _, line in utf8_lines(os.path.join(path, name)))))
+        entries.append((int(stem), name, "".join(line for _, line in utf8_lines(os.path.join(path, name)))))
     if not entries:
         raise ValueError(f"no <index>.txt partials in {path}")
     entries.sort()
@@ -348,8 +330,12 @@ def _transcribe_audio(args: argparse.Namespace, rules) -> list[PartialTranscript
     in the --jobs pool, so its threads never touch numpy. A failure names the
     lowest failing chunk, whatever the number of jobs.
     """
-    path = _require_file(args.audio, "audio")
-    sr, ranges = voiced_ranges(path)
+    sr, ranges = voiced_ranges(args.audio)
+    if args.chunk_len - args.overlap < 1 / sr:  # below one sample the chunk starts could stop advancing
+        raise ValueError(
+            f"need --chunk-len - --overlap >= 1/{sr} s, one sample (config keys stitch.chunk_len_sec, "
+            f"stitch.overlap_sec), got {args.chunk_len:g} and {args.overlap:g}"
+        )
     n_voiced = sum(stop - start for start, stop in ranges)
     if n_voiced == 0:
         raise ValueError(f"no speech detected in {args.audio}")
@@ -359,7 +345,7 @@ def _transcribe_audio(args: argparse.Namespace, rules) -> list[PartialTranscript
     with contextlib.nullcontext(args.workdir) if args.workdir else tempfile.TemporaryDirectory() as workdir:
         os.makedirs(workdir, exist_ok=True)
         chunk_paths = [os.path.join(workdir, f"chunk{i:04d}.wav") for i in range(len(plan.bounds))]
-        write_voiced_chunks(path, ranges, plan.bounds, chunk_paths)
+        write_voiced_chunks(args.audio, ranges, plan.bounds, chunk_paths)
         texts = ordered_map(lambda chunk_path: transcribe_file(args.transcriber, chunk_path), chunk_paths, args.jobs)
         for i, (chunk_path, text) in enumerate(zip(chunk_paths, texts)):
             if text is None:
@@ -372,10 +358,6 @@ def cmd_stitch(args: argparse.Namespace) -> int:
     rules = _load_rules(args.rules)
     if (args.partials_dir is None) == (args.audio is None):
         raise ValueError("give exactly one of --partials-dir or --audio")
-    if args.min_match < 1:
-        raise ValueError(
-            f"--min-match (config key stitch.min_match_tokens) must be >= 1, got {args.min_match}"
-        )
 
     if not args.partials_dir:
         if not args.transcriber:
@@ -397,17 +379,6 @@ RNNT_TOL_GRAD = 1e-4
 
 
 def cmd_rnnt_check(args: argparse.Namespace) -> int:
-    if args.lattices < 1 or args.grad_checks < 1:
-        raise ValueError("lattice and gradient counts must be positive")
-    # gradient checks draw T >= 2, U >= 1 and V >= 2; the oracle enumerates up to the brute-force guard
-    for flag, value, lo, hi in (
-        ("--t-max", args.t_max, 2, BRUTE_T_MAX),
-        ("--u-max", args.u_max, 1, BRUTE_U_MAX),
-        ("--v-max", args.v_max, 2, math.inf),
-    ):
-        if not lo <= value <= hi:
-            raise ValueError(f"{flag} must lie in [{lo}, {hi}], got {value}")
-
     rng = np.random.default_rng(args.seed)
 
     def draw(t_min: int, u_min: int, v_min: int):
@@ -474,13 +445,32 @@ def _default(fn, param: str):
     return inspect.signature(fn).parameters[param].default
 
 
+def _file_fault(path: str) -> str | None:
+    """Why `path` cannot be read as an input file, or None if it can."""
+    return None if os.path.isfile(path) else f"not found: {path}"
+
+
+def _in_range(lo: float, hi: float = math.inf):
+    """A check that a number lies in [lo, hi]."""
+    return lambda value: None if lo <= value <= hi else f"must lie in [{lo}, {hi}], got {value}"
+
+
 def _opt(flag: str, key: str | None = None, **kwargs) -> tuple[str, str | None, dict]:
-    """One option: its flag, its --config key (None: flag only), and add_argument kwargs."""
+    """One option: its flag, its --config key (None: flag only), and add_argument kwargs.
+
+    The kwarg `check`, kept from add_argument, maps a given value (from a flag or
+    the config file alike) to why it is refused, or None; `main` runs it before
+    any work. Options checked by `_file_fault` name the files the command reads.
+    """
     return flag, key, kwargs
 
 
-_RULES = _opt("--rules", "norm.rules", help="normalization rule file")
-_SIM_THRESHOLD = _opt("--sim-threshold", "entities.sim_threshold", type=float,
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+_RULES = _opt("--rules", "norm.rules", check=_file_fault, help="normalization rule file")
+_SIM_THRESHOLD = _opt("--sim-threshold", "entities.sim_threshold", type=float, check=_sim_threshold_fault,
                       default=_default(align_entities, "sim_threshold"))
 _JOBS = _opt("--jobs", "jobs", type=positive_int, default=os.cpu_count() or 1,
              help="files transcribed at once")
@@ -494,24 +484,24 @@ COMMANDS = {
         _opt("--tpp", "planner.tpp", type=float, default=ScalingAssumptions.tpp),
     ]),
     "evaluate": ("normalized WER (and optional PN metrics) over a manifest", cmd_evaluate, [
-        _opt("--manifest", required=True),
-        _opt("--refs", help="TSV id<TAB>text; defaults to manifest transcripts"),
-        _opt("--hyps", required=True, help="TSV id<TAB>text"),
+        _opt("--manifest", required=True, check=_file_fault),
+        _opt("--refs", check=_file_fault, help="TSV id<TAB>text; defaults to manifest transcripts"),
+        _opt("--hyps", required=True, check=_file_fault, help="TSV id<TAB>text"),
         _RULES,
-        _opt("--gold-entities"),
-        _opt("--pred-entities"),
+        _opt("--gold-entities", check=_file_fault),
+        _opt("--pred-entities", check=_file_fault),
         _SIM_THRESHOLD,
         _opt("--out"),
     ]),
     "ppn-score": ("proper-noun metrics from entity annotation files", cmd_ppn_score, [
-        _opt("--gold-entities", required=True),
-        _opt("--pred-entities", required=True),
-        _opt("--manifest", help="optional, for length weighting"),
+        _opt("--gold-entities", required=True, check=_file_fault),
+        _opt("--pred-entities", required=True, check=_file_fault),
+        _opt("--manifest", check=_file_fault, help="optional, for length weighting"),
         _SIM_THRESHOLD,
         _opt("--out"),
     ]),
     "curate": ("run the pseudo-label filter pipeline", cmd_curate, [
-        _opt("--manifest", required=True),
+        _opt("--manifest", required=True, check=_file_fault),
         _opt("--out-manifest", required=True),
         _opt("--report", required=True),
         # one option per PipelineConfig threshold: --wpm-min / curation.wpm_min, ...
@@ -520,11 +510,11 @@ COMMANDS = {
         _opt("--blocklist", "curation.blocklist", type=pattern_list, default="", help=";;-separated regex patterns"),
     ]),
     "noise-sweep": ("WER vs SNR through an external transcriber", cmd_noise_sweep, [
-        _opt("--manifest", required=True),
+        _opt("--manifest", required=True, check=_file_fault),
         _opt("--transcriber", required=True, help="command invoked as CMD <wav>"),
         _opt("--workdir", required=True),
         _opt("--out", required=True),
-        _opt("--snrs", "sweep.snr_list", type=float_list, default="-5,0,5,10,20", help="comma-separated dB list"),
+        _opt("--snrs", "sweep.snr_list", type=float_list, check=_snr_list_fault, default="-5,0,5,10,20", help="comma-separated dB list"),
         _opt("--noise-kind", "sweep.noise_kind", choices=["gaussian", "ambient"], default=SweepSpec.noise_kind),
         _opt("--noise-dir", "sweep.noise_dir", default=SweepSpec.noise_corpus_dir),
         _RULES,
@@ -533,22 +523,23 @@ COMMANDS = {
     ]),
     "stitch": ("join chunk transcripts (or decode+join an audio file)", cmd_stitch, [
         _opt("--partials-dir", help="directory of <index>.txt chunk transcripts"),
-        _opt("--audio", help="WAV to chunk, transcribe, and stitch"),
+        _opt("--audio", check=_file_fault, help="WAV to chunk, transcribe, and stitch"),
         _opt("--transcriber"),
         _opt("--workdir"),
         _RULES,
-        _opt("--min-match", "stitch.min_match_tokens", type=int, default=_default(stitch, "min_match_tokens")),
+        _opt("--min-match", "stitch.min_match_tokens", type=int, check=_in_range(1), default=_default(stitch, "min_match_tokens")),
         _opt("--chunk-len", "stitch.chunk_len_sec", type=float, default=_default(plan_chunks, "chunk_len")),
         _opt("--overlap", "stitch.overlap_sec", type=float, default=_default(plan_chunks, "overlap")),
         _JOBS,
         _opt("--out"),
     ]),
     "rnnt-check": ("oracle and gradient verification suite", cmd_rnnt_check, [
-        _opt("--lattices", "rnnt.lattices", type=int, default=1000),
-        _opt("--grad-checks", "rnnt.grad_checks", type=int, default=25),
-        _opt("--t-max", type=int, default=4),
-        _opt("--u-max", type=int, default=3),
-        _opt("--v-max", type=int, default=3),
+        _opt("--lattices", "rnnt.lattices", type=int, check=_in_range(1), default=1000),
+        _opt("--grad-checks", "rnnt.grad_checks", type=int, check=_in_range(1), default=25),
+        # gradient checks draw T >= 2, U >= 1 and V >= 2; the oracle enumerates up to the brute-force guard
+        _opt("--t-max", type=int, check=_in_range(2, BRUTE_T_MAX), default=4),
+        _opt("--u-max", type=int, check=_in_range(1, BRUTE_U_MAX), default=3),
+        _opt("--v-max", type=int, check=_in_range(2), default=3),
         _opt("--seed", "seed", type=int, default=0),
     ]),
 }
@@ -562,6 +553,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     for name, (summary, func, options) in COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         for flag, key, kwargs in options:
+            kwargs = {k: v for k, v in kwargs.items() if k != "check"}
             notes = [kwargs.get("help"), key and f"config key {key}", "default" in kwargs and "default %(default)s"]
             p.add_argument(flag, **{**kwargs, "help": "; ".join(filter(None, notes)) or None})
         p.add_argument("--config", help="file of 'key = value' lines; flags override it")
@@ -574,17 +566,20 @@ def _config_defaults(path: str, options: list) -> dict[str, object]:
 
     A key that no subcommand knows is refused; one that another subcommand knows is ignored.
     """
-    cfg = load_config(_require_file(path, "config file"))
+    if fault := _file_fault(path):
+        raise ValueError(f"--config {fault}")
+    cfg = load_config(path)
     known = {key for _, _, opts in COMMANDS.values() for _, key, _ in opts}
-    if unknown := sorted(cfg.keys() - known):
-        raise ValueError(f"{path}: unknown config key {unknown[0]!r}")
+    if unknown := [key for key in cfg if key not in known]:
+        raise ValueError(f"{path}:{cfg[unknown[0]][0]}: unknown config key {unknown[0]!r}")
     defaults = {}
     for flag, key, kwargs in options:
         if key in cfg:
+            value = cfg[key][1]
             try:
-                defaults[flag[2:].replace("-", "_")] = kwargs.get("type", str)(cfg[key])
+                defaults[_dest(flag)] = kwargs.get("type", str)(value)
             except (ValueError, argparse.ArgumentTypeError) as exc:
-                raise ValueError(f"{path}: {key} = {cfg[key]!r}: {exc}") from exc
+                raise ValueError(f"{path}: {key} = {value!r}: {exc}") from exc
     return defaults
 
 
@@ -604,6 +599,10 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 def main(argv: list[str] | None = None) -> int:
     args = parse_args(argv)
     try:
+        for flag, key, kwargs in COMMANDS[args.command][2]:
+            value = getattr(args, _dest(flag))
+            if value is not None and "check" in kwargs and (fault := kwargs["check"](value)):
+                raise ValueError(f"{flag} (config key {key}) {fault}" if key else f"{flag} {fault}")
         return args.func(args)
     except (ValueError, OSError) as exc:  # the run was refused: its inputs, flags or environment
         print(f"asrlab {args.command}: {exc}", file=sys.stderr)

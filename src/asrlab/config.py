@@ -28,14 +28,20 @@ def utf8_lines(path: str) -> Iterator[tuple[int, str]]:
             yield line_no, line
 
 
-def load_config(path: str) -> dict[str, str]:
-    cfg: dict[str, str] = {}
+def load_config(path: str) -> dict[str, tuple[int, str]]:
+    """Each key of a config file, with the number of the line that sets it and its value, in file order.
+
+    A line without ``=``, or a key set a second time, raises ValueError naming ``path:line``.
+    """
+    cfg: dict[str, tuple[int, str]] = {}
     for line_no, raw in utf8_lines(path):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{line_no}: expected 'key = value', got {line!r}")
-        key, value = line.split("=", 1)
-        cfg[key.strip()] = value.strip()
+        key, value = (part.strip() for part in line.split("=", 1))
+        if key in cfg:
+            raise ValueError(f"{path}:{line_no}: config key {key!r} is repeated (line {cfg[key][0]} sets it too)")
+        cfg[key] = line_no, value
     return cfg

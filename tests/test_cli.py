@@ -4,6 +4,7 @@ import io
 import json
 import math
 import os
+import resource
 import stat
 import subprocess
 import sys
@@ -472,8 +473,10 @@ def test_config_key_takes_effect_and_flag_overrides(tmp_path, name, flag, key, k
 @pytest.mark.parametrize(
     "text,where",
     [("oops\n", "'oops'"), ("planner.wpm = abc\n", "planner.wpm = 'abc'"),
-     ("planner.wpm = 150\nplanner.wpmx = 5\n", "unknown config key 'planner.wpmx'")],
-    ids=["no-equals", "uncastable", "unknown-key"],
+     ("planner.wpm = 150\nplanner.wpmx = 5\n", "unknown config key 'planner.wpmx'"),
+     ("# run\nplanner.wpm = 150\nplanner.wpmx = 5\n", "bad.cfg:3: unknown config key 'planner.wpmx'"),
+     ("planner.wpm = 100\nplanner.tpw = 1.3\nplanner.wpm = 200\n", "bad.cfg:3: config key 'planner.wpm' is repeated")],
+    ids=["no-equals", "uncastable", "unknown-key", "unknown-key-line", "repeated-key"],
 )
 def test_bad_config_is_validation_error(tmp_path, text, where):
     cfg = tmp_path / "bad.cfg"
@@ -509,6 +512,57 @@ def test_out_of_range_sim_threshold_exit_2_writes_nothing(tmp_path, capsys, comm
     err = capsys.readouterr().err
     assert "--sim-threshold" in err and "entities.sim_threshold" in err and "[0, 1]" in err
     assert not out.exists()
+
+
+def checked_options():
+    for name, (_, _, options) in cli.COMMANDS.items():
+        for flag, key, kwargs in options:
+            if "check" in kwargs:
+                for source in ("flag", "config") if key else ("flag",):
+                    yield pytest.param(name, flag, key, kwargs, source, id=f"{name}:{flag}:{source}")
+
+
+def refused_value(kwargs, candidates):
+    """The first candidate that the option's type parses and its check refuses, with the check's fault."""
+    for raw in candidates:
+        try:
+            value = kwargs.get("type", str)(raw)
+        except ValueError:
+            continue
+        if fault := kwargs["check"](value):
+            return raw, fault
+    raise AssertionError(f"the check refuses none of {candidates}")
+
+
+@pytest.mark.parametrize("name,flag,key,kwargs,source", list(checked_options()))
+def test_checked_option_refused_before_any_work(tmp_path, capsys, name, flag, key, kwargs, source):
+    # every other option without a default is given: an existing file for an input, a transcriber
+    # that leaves a mark, and otherwise a path under tmp_path that the run would create
+    given = tmp_path / "given.txt"
+    given.write_text("x\n", encoding="utf-8")
+    transcriber = " ".join(make_script(tmp_path, "mark.py", f"open({str(tmp_path / 'transcribed')!r}, 'w')\n"))
+    argv = [name]
+    for other, _, other_kwargs in cli.COMMANDS[name][2]:
+        if other == flag or "default" in other_kwargs:
+            continue
+        if other_kwargs.get("check") is cli._file_fault:
+            argv += [other, str(given)]
+        elif other == "--transcriber":
+            argv += [other, transcriber]
+        else:
+            argv += [other, "1000" if "type" in other_kwargs else str(tmp_path / other[2:])]
+    raw, fault = refused_value(kwargs, [str(tmp_path / "missing.txt"), "nan", "-1"])
+    if source == "flag":
+        argv.append(f"{flag}={raw}")
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"{key} = {raw}\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    before = tree(tmp_path)
+    assert cli.main(argv) == 2
+    named = f"{flag} (config key {key})" if key else flag
+    assert capsys.readouterr() == ("", f"asrlab {name}: {named} {fault}\n")
+    assert tree(tmp_path) == before  # no output, working directory or transcriber mark
 
 
 @pytest.mark.parametrize("name", ["evaluate", "ppn-score", "curate"])
@@ -564,8 +618,10 @@ def test_report_starts_with_version_seed_and_config_header(tmp_path, capsys, com
 
 @pytest.mark.parametrize(
     "names,message",
-    [(["0.txt", "1.txt", "01.txt"], "share index 1"), (["0.txt", "2.txt"], "index 1 is missing")],
-    ids=["duplicate", "missing"],
+    [(["0.txt", "1.txt", "01.txt"], "share index 1"), (["0.txt", "2.txt"], "index 1 is missing"),
+     (["0.txt", "+1.txt"], "must be <index>.txt"), (["0.txt", "0_1.txt"], "must be <index>.txt"),
+     (["0.txt", "\uff11.txt"], "must be <index>.txt")],
+    ids=["duplicate", "missing", "signed", "underscore", "non-ascii-digit"],
 )
 def test_stitch_bad_partial_indices_exit_2(tmp_path, names, message):
     pdir = tmp_path / "partials"
@@ -652,6 +708,21 @@ def test_stitch_audio_flags_checked_before_any_work(tmp_path, capsys, flag, valu
     err = capsys.readouterr().err
     assert flag in err and "internal error" not in err
     assert not mark.exists()
+
+
+def test_stitch_audio_stride_below_one_sample_exit_2_before_any_chunk(tmp_path):
+    wav = tmp_path / "clip.wav"
+    write_wav(AudioBuffer(samples=tone(3.0, amplitude=0.4)), str(wav))
+    mark, workdir = tmp_path / "transcribed", tmp_path / "work"
+    transcriber = " ".join(make_script(tmp_path, "mark.py", f"open({str(mark)!r}, 'w').write('x')\nprint('a b c')\n"))
+    # a plan with such a stride grows without bound: cap the child's memory and time
+    proc = run_cli("stitch", "--audio", str(wav), "--transcriber", transcriber, "--workdir", str(workdir),
+                   "--chunk-len", "2e-12", "--overlap", "1e-12", "--jobs", "1", timeout=60,
+                   preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)))
+    assert proc.returncode == 2
+    assert proc.stderr == ("asrlab stitch: need --chunk-len - --overlap >= 1/16000 s, one sample (config keys "
+                           "stitch.chunk_len_sec, stitch.overlap_sec), got 2e-12 and 1e-12\n")
+    assert not mark.exists() and not workdir.exists()
 
 
 def test_noise_sweep_empty_reference_exit_2_before_sweep(tmp_path, capsys):
