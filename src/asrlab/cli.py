@@ -33,9 +33,9 @@ from .curation import (
     ManifestParseError,
     ManifestRecord,
     PipelineConfig,
-    curate_stream,
-    iter_manifest,
+    curate_manifest,
     read_manifest,
+    usable_cpus,
 )
 from .entities import _sim_threshold_fault, align_entities, pn_score, read_entity_file
 from .metrics import EvalRow, build_report, wer
@@ -278,9 +278,8 @@ def cmd_ppn_score(args: argparse.Namespace) -> int:
 def cmd_curate(args: argparse.Namespace) -> int:
     pipeline_cfg = PipelineConfig(**{f.name: getattr(args, f.name) for f in dataclasses.fields(PipelineConfig)})
     with _replaced_together(args.out_manifest, args.report, reads=_inputs(args)) as (kept_out, report_out):
-        entries = iter_manifest(args.manifest)
         _write_header(report_out, args)
-        n_kept, n_rejected = curate_stream(entries, pipeline_cfg, kept_out, report_out)
+        n_kept, n_rejected = curate_manifest(args.manifest, pipeline_cfg, kept_out, report_out, args.jobs)
     print(f"kept={n_kept} rejected={n_rejected} out_manifest={args.out_manifest} report={args.report}")
     return 0
 
@@ -472,8 +471,8 @@ def _dest(flag: str) -> str:
 _RULES = _opt("--rules", "norm.rules", check=_file_fault, help="normalization rule file")
 _SIM_THRESHOLD = _opt("--sim-threshold", "entities.sim_threshold", type=float, check=_sim_threshold_fault,
                       default=_default(align_entities, "sim_threshold"))
-_JOBS = _opt("--jobs", "jobs", type=positive_int, default=os.cpu_count() or 1,
-             help="files transcribed at once")
+_JOBS = _opt("--jobs", "jobs", type=positive_int, default=usable_cpus(),
+             help="work at once: noise-sweep files and stitch chunks transcribed, curate manifest shards")
 
 # subcommand -> (help, handler, options). Every subcommand also takes --config.
 COMMANDS = {
@@ -508,6 +507,7 @@ COMMANDS = {
         *(_opt("--" + f.name.replace("_", "-"), "curation." + f.name, type=float, default=f.default)
           for f in dataclasses.fields(PipelineConfig) if isinstance(f.default, float)),
         _opt("--blocklist", "curation.blocklist", type=pattern_list, default="", help=";;-separated regex patterns"),
+        _JOBS,
     ]),
     "noise-sweep": ("WER vs SNR through an external transcriber", cmd_noise_sweep, [
         _opt("--manifest", required=True, check=_file_fault),

@@ -8,19 +8,29 @@ the offending measured value attached to each failed filter, and an outcome is
 ``kept`` exactly when it has no reasons. ``curate_stream`` judges and writes
 each record as ``iter_manifest`` reads it, so its memory does not grow with the
 manifest; ``read_manifest``, ``run_pipeline`` and the two writers are loops
-over the same per-record pieces. ``ManifestRecord`` is the manifest schema: its
-fields are the JSON keys, written in declaration order, and a field that is
-None is left out.
+over the same per-record pieces. ``curate_manifest`` runs ``curate_stream`` on
+byte-range shards of a manifest file in forked processes at once, and writes
+the same bytes for any number of shards. ``ManifestRecord`` is the manifest
+schema: its fields are the JSON keys, written in declaration order, and a field
+that is None is left out.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import io
+import itertools
 import json
 import math
+import os
 import re
+import shutil
+import signal
+import tempfile
+import threading
 from dataclasses import dataclass, field, fields
-from typing import Iterable, Iterator, TextIO
+from typing import Iterable, Iterator, NoReturn, TextIO
 
 __all__ = [
     "ManifestRecord",
@@ -35,6 +45,9 @@ __all__ = [
     "segment",
     "run_pipeline",
     "curate_stream",
+    "curate_manifest",
+    "plan_shards",
+    "usable_cpus",
     "iter_manifest",
     "read_manifest",
     "write_manifest",
@@ -363,6 +376,162 @@ def curate_stream(
     return n_kept, n_rejected
 
 
+# --- shards ---------------------------------------------------------------
+
+# (first byte, number of lines or None for all that follow, number of the first line)
+Shard = tuple[int, int | None, int]
+
+MIN_SHARD_BYTES = 1 << 20  # a manifest below twice this size is one shard
+_COUNT_BLOCK = 1 << 16
+
+
+def usable_cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def plan_shards(path: str, jobs: int) -> list[Shard]:
+    r"""The manifest at `path` cut into consecutive shards of about equal size.
+
+    There are at most `jobs` shards, at most ``usable_cpus()``, and each holds
+    at least about MIN_SHARD_BYTES. A cut falls just after a newline byte, so
+    it splits no line and no UTF-8 character. A shard's first line number
+    counts the line ends before it as text mode reads them (``\n``, ``\r`` and
+    ``\r\n``), in blocks of the file. Where this process cannot fork safely,
+    without ``os.fork`` or with other threads running, there is one shard.
+    """
+    size = os.path.getsize(path)
+    n = min(jobs, usable_cpus(), size // MIN_SHARD_BYTES)
+    if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
+        return [(0, None, 1)]
+    cuts: list[int] = []
+    firsts = [1]
+    with open(path, "rb") as fh:
+        for k in range(1, n):
+            fh.seek(size * k // n)
+            fh.readline()
+            if (cuts[-1] if cuts else 0) < fh.tell() < size:
+                cuts.append(fh.tell())
+        fh.seek(0)
+        line_ends, last_byte = 0, b""
+        for cut in cuts:
+            while fh.tell() < cut:
+                block = fh.read(min(_COUNT_BLOCK, cut - fh.tell()))
+                line_ends += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
+                line_ends -= last_byte == b"\r" and block[:1] == b"\n"  # a \r\n split between two blocks
+                last_byte = block[-1:]
+            firsts.append(line_ends + 1)
+    counts = [b - a for a, b in zip(firsts, firsts[1:])]
+    return list(zip([0, *cuts], [*counts, None], firsts))
+
+
+def curate_manifest(path: str, cfg: PipelineConfig, kept_out: TextIO, report_out: TextIO, jobs: int = 1) -> tuple[int, int]:
+    """``curate_stream`` over the manifest at `path`, in up to `jobs` shards at once (see ``plan_shards``).
+
+    The outputs are the same bytes for any `jobs`. Shard 0 is judged in this
+    process, straight into the outputs; each other shard in a forked child,
+    into anonymous temporary files that are appended in shard order once shard
+    0 is done. If shards fail, the exception of the first in file order is
+    raised, and no child outlives the call.
+    """
+    shards = plan_shards(path, jobs)
+    with contextlib.ExitStack() as stack:
+        workers = [stack.enter_context(_ShardWorker(path, shard, cfg)) for shard in shards[1:]]
+        n_kept, n_rejected = curate_stream(iter_manifest(path, shards[0]), cfg, kept_out, report_out)
+        for worker in workers:
+            kept, rejected = worker.append_to(kept_out, report_out)
+            n_kept += kept
+            n_rejected += rejected
+    return n_kept, n_rejected
+
+
+class _ShardWorker:
+    """A forked child that judges one shard into two anonymous temporary files.
+
+    Through a pipe it sends ``b"<kept> <rejected>"``, or else the pickle of
+    the exception it raised, which starts with the byte 0x80.
+    """
+
+    def __init__(self, path: str, shard: Shard, cfg: PipelineConfig) -> None:
+        self.pid = 0
+        self.files = [tempfile.TemporaryFile(), tempfile.TemporaryFile()]
+        self.pipe, write_end = os.pipe()
+        try:
+            self.pid = os.fork()
+            if self.pid == 0:
+                _work_shard(path, shard, cfg, self.files, write_end)
+        except BaseException:
+            self.__exit__()
+            raise
+        finally:
+            os.close(write_end)
+
+    def __enter__(self) -> "_ShardWorker":
+        return self
+
+    def append_to(self, kept_out: TextIO, report_out: TextIO) -> tuple[int, int]:
+        """Wait for the child, then append its kept lines and its report rows; raises what the child raised."""
+        with open(self.pipe, "rb") as pipe:
+            self.pipe = -1
+            sent = pipe.read()
+        _, status = os.waitpid(self.pid, 0)
+        self.pid = 0
+        if not sent:
+            raise RuntimeError(f"a curate shard worker ended without a result (wait status {status})")
+        if not sent[:1].isdigit():
+            import pickle  # only a failed run loads it
+
+            raise pickle.loads(sent)  # bytes that the child wrote
+        n_kept, n_rejected = map(int, sent.split())
+        for tmp, out in zip(self.files, (kept_out, report_out)):
+            tmp.seek(0)
+            text = io.TextIOWrapper(tmp, encoding="utf-8", newline="")
+            if out is report_out:
+                text.readline()  # the report's column row, which shard 0 wrote
+            shutil.copyfileobj(text, out)
+            text.detach()
+        return n_kept, n_rejected
+
+    def __exit__(self, *exc) -> None:
+        """Kill and reap the child if it is still unwaited for, and close the pipe and the files."""
+        if self.pid:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(self.pid, signal.SIGKILL)
+            os.waitpid(self.pid, 0)
+            self.pid = 0
+        if self.pipe >= 0:
+            os.close(self.pipe)
+            self.pipe = -1
+        for tmp in self.files:
+            tmp.close()
+
+
+def _work_shard(path: str, shard: Shard, cfg: PipelineConfig, files: list, write_end: int) -> NoReturn:
+    """The child's whole life: judge the shard, send its two counts or its pickled exception, and exit.
+
+    It ends with ``os._exit``, so no buffer it shares with the parent is
+    flushed twice. If it cannot send a result, the parent gets none.
+    """
+    status = 1
+    try:
+        try:
+            kept_out, report_out = (io.TextIOWrapper(f, encoding="utf-8", newline="") for f in files)
+            sent = b"%d %d" % curate_stream(iter_manifest(path, shard), cfg, kept_out, report_out)
+            kept_out.flush()
+            report_out.flush()
+        except Exception as exc:  # the parent raises it
+            import pickle  # only a failed run loads it
+
+            sent = pickle.dumps(exc)
+        with open(write_end, "wb") as pipe:
+            pipe.write(sent)
+        status = 0
+    finally:
+        os._exit(status)
+
+
 # --- manifest and report I/O ---------------------------------------------
 
 _FIELD_NAMES = tuple(f.name for f in fields(ManifestRecord))
@@ -398,16 +567,21 @@ def _record_from_json(obj: object) -> ManifestRecord:
     )
 
 
-def iter_manifest(path: str) -> Iterator[ManifestRecord | ManifestParseError]:
+def iter_manifest(path: str, shard: Shard = (0, None, 1)) -> Iterator[ManifestRecord | ManifestParseError]:
     """Each entry of a JSON Lines manifest, read one line at a time; a malformed
     line becomes a ManifestParseError entry.
 
     A line holding a byte that is not UTF-8 is malformed too, and its error
     names the first such byte. So is a line nested too deep for the JSON
-    decoder, which raises RecursionError.
+    decoder, which raises RecursionError. Lines end as in text mode, and a
+    parse error's id is ``line-N`` with N its line number. ``shard`` (see
+    ``plan_shards``) reads only the lines of one shard.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
-        for line_no, line in enumerate(fh, start=1):
+    start, n_lines, first_line = shard
+    with open(path, "rb") as raw:
+        raw.seek(start)
+        fh = io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
+        for line_no, line in enumerate(itertools.islice(fh, n_lines), start=first_line):
             if not line.strip():
                 continue
             try:

@@ -8,6 +8,7 @@ left copy, so overlap text is never duplicated.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from difflib import SequenceMatcher
 from itertools import accumulate
@@ -179,19 +180,27 @@ class ChunkPlan:
     bounds: list[tuple[float, float]]
 
 
+# A plan of more chunks is refused: its stride is too small for its duration,
+# down to one that no longer advances a start at all.
+MAX_CHUNKS = 1_000_000
+
+
 def plan_chunks(duration_sec: float, chunk_len: float = 25.0, overlap: float = 5.0) -> ChunkPlan:
     """Overlapping chunk boundaries covering [0, duration].
 
     Starts advance by the stride chunk_len - overlap; the final chunk is
-    right-aligned to the end so the union covers the whole input.
+    right-aligned to the end so the union covers the whole input. A plan of
+    more than MAX_CHUNKS chunks raises ValueError.
     """
-    if duration_sec <= 0:
-        raise ValueError("duration_sec must be positive")
+    if not (math.isfinite(duration_sec) and duration_sec > 0):
+        raise ValueError(f"duration_sec must be positive and finite, got {duration_sec}")
     if not 0 < overlap < chunk_len:
         raise ValueError("need 0 < overlap < chunk_len")
     if duration_sec <= chunk_len:
         return ChunkPlan([(0.0, duration_sec)])
     stride = chunk_len - overlap
+    if (duration_sec - chunk_len) / stride > MAX_CHUNKS:
+        raise ValueError(f"a stride of {stride:g} s over {duration_sec:g} s makes more than {MAX_CHUNKS} chunks")
     bounds: list[tuple[float, float]] = []
     start = 0.0
     while start + chunk_len < duration_sec:

@@ -4,11 +4,13 @@ import io
 import json
 import math
 import os
+import pathlib
 import resource
 import stat
 import subprocess
 import sys
 import tempfile
+import threading
 import time
 import tracemalloc
 import wave
@@ -25,7 +27,7 @@ from asrlab.stitch import plan_chunks
 from tests import stitch_oracles
 from tests.conftest import make_script, tone
 
-from tests.test_curation import golden_manifest, EXPECTED_KEPT
+from tests.test_curation import golden_copies, golden_manifest, EXPECTED_KEPT
 
 
 def run_cli(*args, **kw):
@@ -1064,10 +1066,12 @@ def mostly(good, *others):
 @st.composite
 def manifest_lines(draw) -> bytes:
     kind = draw(st.sampled_from(["blank", "not-json", "not-utf8", "bad-field", *["record"] * 6]))
+    # a line ends in \n, \r\n or a lone \r, which a blank line after it may join into \r\n
+    end = draw(st.sampled_from([b"\n", b"\n", b"\r\n", b"\r"]))
     if kind == "blank":
-        return draw(st.sampled_from([b"\n", b"  \n", b"\t\r\n"]))
+        return draw(st.sampled_from([b"", b"  ", b"\t"])) + end
     if kind == "not-json":
-        return b'{"id": "half a rec\n'
+        return b'{"id": "half a rec' + end
     rid = f"r{draw(st.integers(0, 5))}"  # curate accepts a repeated id
     duration = draw(st.floats(0.5, 60.0))
     n = min(int(duration * draw(st.floats(20.0, 300.0)) / 60.0), 200)  # 50-250 words a minute pass
@@ -1098,7 +1102,7 @@ def manifest_lines(draw) -> bytes:
     line = json.dumps(obj, ensure_ascii=draw(st.booleans())).encode("utf-8")
     if kind == "not-utf8":
         line = line.replace(b'.wav"', b'\xff.wav"', 1)
-    return line + b"\n"
+    return line + end
 
 
 @settings(max_examples=60, deadline=None)
@@ -1106,7 +1110,7 @@ def manifest_lines(draw) -> bytes:
 def test_streamed_curate_matches_the_list_pipeline(lines, trailing_newline):
     data = b"".join(lines)
     if not trailing_newline:
-        data = data.rstrip(b"\n")
+        data = data.rstrip(b"\r\n")
     with tempfile.TemporaryDirectory() as tmp:
         manifest, kept, report = (os.path.join(tmp, name) for name in ("in.jsonl", "kept.jsonl", "r.csv"))
         with open(manifest, "wb") as fh:
@@ -1149,6 +1153,176 @@ def test_curate_memory_does_not_grow_with_the_manifest(tmp_path):
     traced_peak(1)  # first-use allocations (caches, interned strings) are not the manifest's
     small, large = traced_peak(15), traced_peak(150)  # 150 and 1500 records
     assert large < 1.5 * small, (small, large)
+
+
+# --- curate in shards ----------------------------------------------------------
+# The tests cut small manifests into several shards: a minimum shard size of
+# one byte, and as many CPUs as the test asks for.
+
+@contextlib.contextmanager
+def small_shards(cpus: int = 4):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(curation, "MIN_SHARD_BYTES", 1)
+        mp.setattr(curation, "usable_cpus", lambda: cpus)
+        assert hasattr(os, "fork") and threading.active_count() == 1  # else there is one shard
+        yield
+
+
+def curate_outputs(argv: list[str], kept: str, report: str) -> tuple[int, bytes, bytes, str, str]:
+    """(exit code, kept manifest, report, stdout, stderr) of an in-process curate run; no child may outlive it."""
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = cli.main(argv)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    outputs = [pathlib.Path(path).read_bytes() if os.path.exists(path) else None for path in (kept, report)]
+    return code, *outputs, stdout.getvalue(), stderr.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(lines=st.lists(manifest_lines(), max_size=25), trailing_newline=st.booleans())
+def test_curate_gives_the_same_bytes_for_any_jobs(lines, trailing_newline):
+    data = b"".join(lines)
+    if not trailing_newline:
+        data = data.rstrip(b"\r\n")
+    with tempfile.TemporaryDirectory() as tmp, small_shards():
+        manifest, kept, report = (os.path.join(tmp, name) for name in ("in.jsonl", "kept.jsonl", "r.csv"))
+        with open(manifest, "wb") as fh:
+            fh.write(data)
+        argv = ["curate", "--manifest", manifest, "--out-manifest", kept, "--report", report, "--blocklist", "zzblock"]
+        runs = [curate_outputs([*argv, "--jobs", str(jobs)], kept, report) for jobs in (1, 2, 3, 4)]
+    assert runs[0][0] == 0
+    assert runs[1:] == runs[:1] * 3
+
+
+def test_curate_golden_manifest_at_four_jobs(tmp_path):
+    manifest = tmp_path / "in.jsonl"
+    write_manifest(golden_manifest(), str(manifest))
+    kept, report = str(tmp_path / "kept.jsonl"), str(tmp_path / "r.csv")
+    argv = ["curate", "--manifest", str(manifest), "--out-manifest", kept, "--report", report]
+    with small_shards():
+        assert len(curation.plan_shards(str(manifest), 4)) == 4
+        runs = [curate_outputs([*argv, "--jobs", jobs], kept, report) for jobs in ("1", "4")]
+    assert runs[0] == runs[1]
+    assert [json.loads(line)["id"] for line in runs[1][1].decode().splitlines()] == EXPECTED_KEPT
+
+
+# record id -> what judging it raises; the manifest holds 30 copies of the
+# golden manifest, cut in three shards: r2-3 lies in shard 0, r5-15 in shard 1
+# and r2-25 in shard 2
+JUDGE_FAILURES = {
+    "later-shard-refused": {"r2-25": OSError("disk gone")},
+    "later-shard-internal": {"r2-25": RuntimeError("judge broke")},
+    "first-shard": {"r2-3": ValueError("bad record")},
+    "two-shards": {"r2-25": OSError("disk gone"), "r5-15": OSError("disk gone earlier")},
+}
+
+
+@pytest.mark.parametrize("case", list(JUDGE_FAILURES))
+def test_curate_failing_shard_gives_the_jobs_1_error_and_changes_no_output(tmp_path, monkeypatch, case):
+    manifest = tmp_path / "in.jsonl"
+    golden_copies(manifest, 30)
+    out, scratch = tmp_path / "out", tmp_path / "tmp"
+    out.mkdir()
+    scratch.mkdir()
+    kept, report = out / "kept.jsonl", out / "r.csv"
+    kept.write_bytes(b"old kept\n")
+    report.write_bytes(b"old report\n")
+    before = tree(out)
+    judge, failures = curation._judge, JUDGE_FAILURES[case]
+
+    def failing_judge(rec, cfg, blockers):
+        if rec.id in failures:
+            raise failures[rec.id]
+        return judge(rec, cfg, blockers)
+
+    monkeypatch.setattr(curation, "_judge", failing_judge)
+    monkeypatch.setattr(tempfile, "tempdir", str(scratch))
+    argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(kept), "--report", str(report)]
+    with small_shards(cpus=3):
+        firsts = [first_line for _, _, first_line in curation.plan_shards(str(manifest), 3)]
+        assert len(firsts) == 3
+        for rid, shard in (("r2-3", 0), ("r5-15", 1), ("r2-25", 2)):  # record r<i>-<k> is on line 10k + i + 1
+            line = 10 * int(rid.split("-")[1]) + int(rid[1]) + 1
+            assert sum(first <= line for first in firsts) - 1 == shard
+        runs = [curate_outputs([*argv, "--jobs", jobs], str(kept), str(report)) for jobs in ("1", "3")]
+    code, _, _, stdout, stderr = runs[0]
+    assert runs[1] == runs[0]
+    first = min(failures, key=lambda rid: (int(rid.split("-")[1]), rid))
+    assert (code, stdout) == (1 if case.endswith("internal") else 2, "")
+    assert str(failures[first]) in stderr and stderr.count("\n") == 1
+    assert tree(out) == before and list(scratch.iterdir()) == []
+
+
+def test_curate_worker_that_dies_exits_1_and_changes_no_output(tmp_path, monkeypatch):
+    manifest = tmp_path / "in.jsonl"
+    golden_copies(manifest, 30)
+    kept, report = tmp_path / "kept.jsonl", tmp_path / "r.csv"
+    judge, parent = curation._judge, os.getpid()
+
+    def dying_judge(rec, cfg, blockers):
+        if rec.id == "r2-25" and os.getpid() != parent:
+            os._exit(3)
+        return judge(rec, cfg, blockers)
+
+    monkeypatch.setattr(curation, "_judge", dying_judge)
+    argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(kept), "--report", str(report), "--jobs", "3"]
+    with small_shards(cpus=3):
+        code, kept_bytes, report_bytes, _, stderr = curate_outputs(argv, str(kept), str(report))
+    assert (code, kept_bytes, report_bytes) == (1, None, None)
+    assert stderr == ("asrlab curate: internal error: RuntimeError: a curate shard worker ended without a result "
+                      f"(wait status {3 << 8})\n")
+
+
+def test_curate_interrupted_leaves_no_worker_and_no_output(tmp_path, monkeypatch):
+    manifest = tmp_path / "in.jsonl"
+    golden_copies(manifest, 30)
+    kept, report = tmp_path / "kept.jsonl", tmp_path / "r.csv"
+    judge, parent = curation._judge, os.getpid()
+
+    def interrupted_judge(rec, cfg, blockers):
+        if rec.id == "r2-3" and os.getpid() == parent:
+            raise KeyboardInterrupt
+        return judge(rec, cfg, blockers)
+
+    monkeypatch.setattr(curation, "_judge", interrupted_judge)
+    argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(kept), "--report", str(report), "--jobs", "3"]
+    with small_shards(cpus=3), contextlib.redirect_stdout(io.StringIO()), pytest.raises(KeyboardInterrupt):
+        cli.main(argv)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert sorted(os.listdir(tmp_path)) == ["in.jsonl"]
+
+
+# Runs the command in argv, then prints its exit code and its peak RSS in kB. A
+# waited child's rusage includes the children it waited for, so the peak covers
+# curate's shard workers. On Linux a child starts from the peak RSS of the
+# process it was started from, so the command is started from this small
+# interpreter and not from the test process.
+PEAK_RSS = """
+import os, subprocess, sys
+child = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(child.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux, in other units elsewhere")
+def test_curate_sharded_memory_does_not_grow_with_the_manifest(tmp_path):
+    # 2.5 and 25 MB of manifest, two shards each: a shard read whole, or its output held, would show
+    peaks_mb = []
+    for n_copies in (330, 3300):
+        manifest = tmp_path / f"in{n_copies}.jsonl"
+        golden_copies(manifest, n_copies)
+        kept = tmp_path / "kept.jsonl"
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "asrlab", "curate", "--manifest",
+                               str(manifest), "--out-manifest", str(kept), "--report", str(tmp_path / "r.csv"),
+                               "--jobs", "2"], capture_output=True, text=True, timeout=300)
+        code, peak_kb = proc.stdout.split()
+        assert code == "0", proc.stderr
+        assert kept.read_bytes().count(b"\n") == len(EXPECTED_KEPT) * n_copies
+        peaks_mb.append(int(peak_kb) / 1024.0)
+    assert abs(peaks_mb[1] - peaks_mb[0]) < 4.0, peaks_mb
 
 
 # --- exit codes: a rejected input exits 2, anything else exits 1 -------------------
@@ -1456,7 +1630,7 @@ def test_stitch_audio_failure_names_the_lowest_chunk_for_any_jobs(tmp_path):
     assert f"chunk 2 ({tmp_path / 'work' / 'chunk0002.wav'})" in errors[0]
 
 
-@pytest.mark.parametrize("command", ["noise-sweep", "stitch"])
+@pytest.mark.parametrize("command", ["noise-sweep", "stitch", "curate"])
 @pytest.mark.parametrize("where,value", [("flag", "0"), ("flag", "-3"), ("config", "0")])
 def test_jobs_below_one_exit_2_before_the_transcriber_starts(tmp_path, capsys, command, where, value):
     wav = tmp_path / "clip.wav"
@@ -1464,14 +1638,17 @@ def test_jobs_below_one_exit_2_before_the_transcriber_starts(tmp_path, capsys, c
     mark = tmp_path / "transcribed"
     transcriber = " ".join(make_script(tmp_path, "mark.py", f"open({str(mark)!r}, 'w').write('x')\nprint('a b c')\n"))
     workdir = tmp_path / "work"
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps({"id": "clip", "audio_path": str(wav), "duration_sec": 30.0,
+                                    "transcript": "a b c"}) + "\n", encoding="utf-8")
     if command == "noise-sweep":
-        manifest = tmp_path / "m.jsonl"
-        manifest.write_text(json.dumps({"id": "clip", "audio_path": str(wav), "duration_sec": 30.0,
-                                        "transcript": "a b c"}) + "\n", encoding="utf-8")
         argv = ["noise-sweep", "--manifest", str(manifest), "--out", str(tmp_path / "o.csv")]
-    else:
+    elif command == "stitch":
         argv = ["stitch", "--audio", str(wav)]
-    argv += ["--transcriber", transcriber, "--workdir", str(workdir)]
+    else:  # curate starts no transcriber; its outputs stand in for the mark and the workdir
+        argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(mark), "--report", str(workdir)]
+    if command != "curate":
+        argv += ["--transcriber", transcriber, "--workdir", str(workdir)]
     if where == "flag":
         argv += ["--jobs", value]
     else:

@@ -1,10 +1,14 @@
 import dataclasses
+import io
 import json
 import math
+import os
+import threading
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from asrlab import curation
 from asrlab.curation import (
     FilterOutcome,
     FilterReason,
@@ -484,3 +488,81 @@ def test_verdict_follows_reasons():
     assert "verdict" not in {f.name for f in dataclasses.fields(FilterOutcome)}
     assert FilterOutcome("a").verdict == "kept"
     assert FilterOutcome("a", [FilterReason("wpm", "300")]).verdict == "rejected"
+
+
+# --- shards --------------------------------------------------------------
+
+def golden_copies(path, n_copies: int) -> None:
+    """`n_copies` of the golden manifest, ids made unique by a -k suffix, as one manifest file."""
+    write_manifest((dataclasses.replace(rec, id=f"{rec.id}-{k}") for k in range(n_copies) for rec in golden_manifest()),
+                   str(path))
+
+
+def text_lines(data: bytes) -> list[str]:
+    """The lines of `data` as text mode reads them."""
+    return io.TextIOWrapper(io.BytesIO(data), encoding="latin-1").readlines()
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.lists(st.sampled_from([b"a", b"bc", b"\n", b"\r", b"\r\n"]), max_size=60).map(b"".join),
+       jobs=st.integers(1, 8), block=st.integers(1, 5))
+def test_plan_shards_cuts_after_a_newline_and_numbers_lines_as_text_mode(tmp_path_factory, data, jobs, block):
+    path = tmp_path_factory.mktemp("shards") / "m.jsonl"
+    path.write_bytes(data)
+    with pytest.MonkeyPatch.context() as mp:
+        # blocks of a few bytes split many \r\n pairs between two blocks
+        mp.setattr(curation, "MIN_SHARD_BYTES", 1)
+        mp.setattr(curation, "_COUNT_BLOCK", block)
+        mp.setattr(curation, "usable_cpus", lambda: 8)
+        shards = curation.plan_shards(str(path), jobs)
+    starts = [start for start, _, _ in shards]
+    assert starts[0] == 0 and starts == sorted(set(starts)) and len(shards) <= max(jobs, 1)
+    assert all(data[start - 1:start] == b"\n" and start < len(data) for start in starts[1:])
+    ends = [*starts[1:], len(data)]
+    for (start, n_lines, first_line), end in zip(shards, ends):
+        assert first_line == len(text_lines(data[:start])) + 1
+        assert n_lines == (None if end == len(data) else len(text_lines(data[start:end])))
+    assert [line for start, end in zip(starts, ends) for line in text_lines(data[start:end])] == text_lines(data)
+
+
+def test_plan_shards_count(tmp_path, monkeypatch):
+    path = tmp_path / "m.jsonl"
+    golden_copies(path, 3)  # 30 lines, 22 kB
+    # below twice the minimum shard size a manifest is one shard, whatever the jobs
+    assert curation.plan_shards(str(path), 10000) == [(0, None, 1)]
+    monkeypatch.setattr(curation, "MIN_SHARD_BYTES", path.stat().st_size // 2)
+    assert len(curation.plan_shards(str(path), 10000)) == min(2, curation.usable_cpus())
+    monkeypatch.setattr(curation, "MIN_SHARD_BYTES", 1)
+    assert len(curation.plan_shards(str(path), 10000)) <= curation.usable_cpus()
+    monkeypatch.setattr(curation, "usable_cpus", lambda: 3)
+    assert len(curation.plan_shards(str(path), 10000)) == 3
+    assert len(curation.plan_shards(str(path), 2)) == 2
+    assert curation.plan_shards(str(path), 1) == [(0, None, 1)]
+
+
+def test_plan_shards_one_shard_while_other_threads_run(tmp_path, monkeypatch):
+    # a fork copies only the calling thread, so a lock another thread holds would stay held in the child
+    path = tmp_path / "m.jsonl"
+    golden_copies(path, 3)
+    monkeypatch.setattr(curation, "MIN_SHARD_BYTES", 1)
+    monkeypatch.setattr(curation, "usable_cpus", lambda: 3)
+    release = threading.Event()
+    thread = threading.Thread(target=release.wait)
+    thread.start()
+    try:
+        assert curation.plan_shards(str(path), 3) == [(0, None, 1)]
+    finally:
+        release.set()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
+    assert len(curation.plan_shards(str(path), 3)) == 3
+
+
+def test_usable_cpus_counts_the_affinity_mask(monkeypatch):
+    if hasattr(os, "sched_getaffinity"):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5})
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        assert curation.usable_cpus() == 2
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert curation.usable_cpus() == 1

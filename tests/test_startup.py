@@ -1,7 +1,9 @@
 """Start-up: commands that never touch an array run without importing numpy.
 
 asrlab binds numpy lazily (``asrlab._lazy``). Each test starts a fresh
-interpreter, because the test process itself has numpy loaded.
+interpreter, because the test process itself has numpy loaded. No command
+imports multiprocessing or a process pool: ``curate`` forks its shard workers
+itself, from a process with one thread.
 """
 
 import json
@@ -17,8 +19,9 @@ from tests.test_curation import golden_manifest
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
 # Runs asrlab.cli.main on each argv of a JSON list, in order, and prints one JSON
-# row per run: [argv, exit code, numpy modules imported so far]. A numpy that has
-# really been imported has imported its submodules too.
+# row per run: [argv, exit code, numpy modules and process-pool modules imported
+# so far]. A numpy that has really been imported has imported its submodules too.
+# pickle is loaded only by a curate shard that fails.
 PROBE = """
 import contextlib, io, json, sys
 from asrlab.cli import main
@@ -29,7 +32,8 @@ for argv in json.loads(sys.argv[1]):
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    rows.append([argv, code, sorted(m for m in sys.modules if m.startswith("numpy."))])
+    pools = ("multiprocessing", "concurrent.futures.process", "pickle")
+    rows.append([argv, code, sorted(m for m in sys.modules if m.startswith("numpy.") or m in pools)])
 print(json.dumps(rows))
 """
 
@@ -67,8 +71,8 @@ def test_numpy_free_commands_never_load_numpy(tmp_path):
     assert proc.returncode == 0, proc.stderr
     rows = json.loads(proc.stdout)
     assert [argv for argv, _, _ in rows] == argvs
-    for argv, code, numpy_modules in rows:
-        assert (code, numpy_modules) == (0, []), argv
+    for argv, code, modules in rows:
+        assert (code, modules) == (0, []), argv
     assert (tmp_path / "kept.jsonl").stat().st_size > 0
 
 

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 import tempfile
 import wave
 
@@ -217,6 +219,33 @@ def test_plan_chunks_errors():
         plan_chunks(10.0, 25.0, 25.0)
     with pytest.raises(ValueError):
         plan_chunks(10.0, 25.0, 0.0)
+
+
+# each case ran without end at one time (a plan of NaN bounds, or one grown until memory ran out),
+# so each runs in a child with a bound on its time and its memory
+PLAN_IN_A_CHILD = """
+import sys
+from asrlab.stitch import plan_chunks
+try:
+    plan_chunks(*map(float, sys.argv[1:]))
+except ValueError as exc:
+    print(exc)
+"""
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="RLIMIT_AS is POSIX")
+@pytest.mark.parametrize("args,message", [
+    (["nan"], "duration_sec must be positive and finite, got nan"),
+    (["inf"], "duration_sec must be positive and finite, got inf"),
+    (["20", "2e-12", "1e-12"], "a stride of 1e-12 s over 20 s makes more than 1000000 chunks"),
+    (["1e300"], "a stride of 20 s over 1e+300 s makes more than 1000000 chunks"),
+], ids=["nan", "inf", "tiny-stride", "huge-duration"])
+def test_plan_chunks_refuses_a_plan_it_cannot_build(args, message):
+    import resource
+
+    proc = subprocess.run([sys.executable, "-c", PLAN_IN_A_CHILD, *args], capture_output=True, text=True, timeout=30,
+                          preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)))
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, message + "\n", "")
 
 
 @given(st.floats(0.5, 300.0))
