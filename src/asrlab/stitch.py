@@ -180,17 +180,12 @@ class ChunkPlan:
     bounds: list[tuple[float, float]]
 
 
-# A plan of more chunks is refused: its stride is too small for its duration,
-# down to one that no longer advances a start at all.
-MAX_CHUNKS = 1_000_000
-
-
 def plan_chunks(duration_sec: float, chunk_len: float = 25.0, overlap: float = 5.0) -> ChunkPlan:
     """Overlapping chunk boundaries covering [0, duration].
 
     Starts advance by the stride chunk_len - overlap; the final chunk is
-    right-aligned to the end so the union covers the whole input. A plan of
-    more than MAX_CHUNKS chunks raises ValueError.
+    right-aligned to the end so the union covers the whole input. A stride no
+    larger than the float step at the last start raises ValueError.
     """
     if not (math.isfinite(duration_sec) and duration_sec > 0):
         raise ValueError(f"duration_sec must be positive and finite, got {duration_sec}")
@@ -199,14 +194,14 @@ def plan_chunks(duration_sec: float, chunk_len: float = 25.0, overlap: float = 5
     if duration_sec <= chunk_len:
         return ChunkPlan([(0.0, duration_sec)])
     stride = chunk_len - overlap
-    if (duration_sec - chunk_len) / stride > MAX_CHUNKS:
-        raise ValueError(f"a stride of {stride:g} s over {duration_sec:g} s makes more than {MAX_CHUNKS} chunks")
+    last_start = duration_sec - chunk_len
+    if stride <= math.ulp(last_start):  # a start could round back onto itself: the loop below would never end
+        raise ValueError(f"a stride of {stride:g} s is too small to advance a start of {last_start:g} s")
     bounds: list[tuple[float, float]] = []
     start = 0.0
     while start + chunk_len < duration_sec:
         bounds.append((start, start + chunk_len))
         start += stride
-    last_start = duration_sec - chunk_len
     # chunks the right-aligned tail makes redundant would triple-cover points
     while len(bounds) >= 2 and bounds[-2][1] > last_start:
         bounds.pop()

@@ -1294,6 +1294,73 @@ def test_curate_interrupted_leaves_no_worker_and_no_output(tmp_path, monkeypatch
     assert sorted(os.listdir(tmp_path)) == ["in.jsonl"]
 
 
+# Runs curate with the arguments after the first, in two shards whose judge
+# appends the pid of its process to the file named by the first, then sleeps.
+SLEEPING_CURATE = """
+import os, sys, time
+from asrlab import cli, curation
+curation.MIN_SHARD_BYTES = 1
+curation.usable_cpus = lambda: 2
+def judge(rec, cfg, blockers):
+    with open(sys.argv[1], "a") as fh:
+        fh.write(f"{os.getpid()}\\n")
+    time.sleep(60)
+curation._judge = judge
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="curate forks its shard workers only where os.fork exists")
+def test_curate_terminated_leaves_no_worker_and_no_output(tmp_path):
+    manifest, pids = tmp_path / "in.jsonl", tmp_path / "pids"
+    golden_copies(manifest, 3)
+    proc = subprocess.Popen([sys.executable, "-c", SLEEPING_CURATE, str(pids), "curate", "--manifest", str(manifest),
+                             "--out-manifest", str(tmp_path / "kept.jsonl"), "--report", str(tmp_path / "r.csv"),
+                             "--jobs", "2"], stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    judges: set[int] = set()
+    try:
+        deadline = time.monotonic() + 60
+        while len(judges) < 2 and time.monotonic() < deadline and proc.poll() is None:
+            time.sleep(0.05)
+            judges = set(map(int, pids.read_text().split())) if pids.exists() else set()
+        assert judges - {proc.pid}, "no shard worker started judging"
+        proc.terminate()
+        stdout, stderr = proc.communicate(timeout=30)
+        assert (proc.returncode, stdout, stderr) == (128 + 15, "", "")
+        for pid in judges - {proc.pid}:  # reaped by curate, so gone; an orphan would still sleep
+            with pytest.raises(ProcessLookupError):
+                os.kill(pid, 0)
+        assert sorted(os.listdir(tmp_path)) == ["in.jsonl", "pids"]
+    finally:
+        for pid in {proc.pid} | judges:
+            with contextlib.suppress(ProcessLookupError):
+                os.kill(pid, 9)
+        proc.wait(timeout=30)
+
+
+def test_curate_spills_each_shard_beside_its_output(tmp_path, monkeypatch):
+    manifest = tmp_path / "in.jsonl"
+    golden_copies(manifest, 30)
+    kept_dir, report_dir = tmp_path / "kept", tmp_path / "report"
+    kept_dir.mkdir()
+    report_dir.mkdir()
+    kept, report = kept_dir / "kept.jsonl", report_dir / "r.csv"
+    spill_dirs, temporary_file = [], tempfile.TemporaryFile
+
+    def recorded_temporary_file(*args, dir=None, **kwargs):
+        spill_dirs.append(dir)
+        return temporary_file(*args, dir=dir, **kwargs)
+
+    monkeypatch.setattr(tempfile, "TemporaryFile", recorded_temporary_file)
+    argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(kept), "--report", str(report)]
+    with small_shards(cpus=3):
+        runs = [curate_outputs([*argv, "--jobs", jobs], str(kept), str(report)) for jobs in ("1", "3")]
+    assert runs[0][0] == 0 and runs[1] == runs[0]
+    # not the default temporary directory, which may be a RAM disk or small
+    assert spill_dirs == [os.path.realpath(kept_dir), os.path.realpath(report_dir)] * 2
+    assert sorted(os.listdir(kept_dir)) == ["kept.jsonl"] and sorted(os.listdir(report_dir)) == ["r.csv"]
+
+
 # Runs the command in argv, then prints its exit code and its peak RSS in kB. A
 # waited child's rusage includes the children it waited for, so the peak covers
 # curate's shard workers. On Linux a child starts from the peak RSS of the
@@ -1309,11 +1376,12 @@ print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
 
 @pytest.mark.skipif(sys.platform != "linux", reason="ru_maxrss is in kilobytes on Linux, in other units elsewhere")
 def test_curate_sharded_memory_does_not_grow_with_the_manifest(tmp_path):
-    # 2.5 and 25 MB of manifest, two shards each: a shard read whole, or its output held, would show
+    # 4.5 and 45 MB of manifest, two shards each: a shard read whole, or its output held, would show
     peaks_mb = []
-    for n_copies in (330, 3300):
+    for n_copies in (600, 6000):
         manifest = tmp_path / f"in{n_copies}.jsonl"
         golden_copies(manifest, n_copies)
+        assert len(curation.plan_shards(str(manifest), 2)) == min(2, curation.usable_cpus())
         kept = tmp_path / "kept.jsonl"
         proc = subprocess.run([sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "asrlab", "curate", "--manifest",
                                str(manifest), "--out-manifest", str(kept), "--report", str(tmp_path / "r.csv"),

@@ -558,6 +558,22 @@ def test_plan_shards_one_shard_while_other_threads_run(tmp_path, monkeypatch):
     assert len(curation.plan_shards(str(path), 3)) == 3
 
 
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="FIFOs are POSIX")
+def test_read_manifest_from_a_pipe(tmp_path):
+    data = "".join(json.dumps(dataclasses.asdict(rec)) + "\n" for rec in golden_manifest()[:3]) + "not json\n"
+    regular, fifo = tmp_path / "m.jsonl", tmp_path / "m.fifo"
+    regular.write_text(data, encoding="utf-8")
+    os.mkfifo(fifo)
+    writer = threading.Thread(target=fifo.write_text, args=(data,), kwargs={"encoding": "utf-8"})
+    writer.start()
+    try:
+        entries = read_manifest(str(fifo))  # a pipe cannot seek, so the whole-file shard must not
+    finally:
+        writer.join(timeout=10)
+    assert entries == read_manifest(str(regular))
+    assert len(entries) == 4 and isinstance(entries[-1], ManifestParseError)
+
+
 def test_usable_cpus_counts_the_affinity_mask(monkeypatch):
     if hasattr(os, "sched_getaffinity"):
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 5})

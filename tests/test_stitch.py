@@ -221,8 +221,9 @@ def test_plan_chunks_errors():
         plan_chunks(10.0, 25.0, 0.0)
 
 
-# each case ran without end at one time (a plan of NaN bounds, or one grown until memory ran out),
-# so each runs in a child with a bound on its time and its memory
+# each case once ran without end (a plan of NaN bounds, or starts that stopped
+# advancing while the plan grew until memory ran out), so each runs in a child
+# with a bound on its time and its memory
 PLAN_IN_A_CHILD = """
 import sys
 from asrlab.stitch import plan_chunks
@@ -237,9 +238,10 @@ except ValueError as exc:
 @pytest.mark.parametrize("args,message", [
     (["nan"], "duration_sec must be positive and finite, got nan"),
     (["inf"], "duration_sec must be positive and finite, got inf"),
-    (["20", "2e-12", "1e-12"], "a stride of 1e-12 s over 20 s makes more than 1000000 chunks"),
-    (["1e300"], "a stride of 20 s over 1e+300 s makes more than 1000000 chunks"),
-], ids=["nan", "inf", "tiny-stride", "huge-duration"])
+    (["1e300"], "a stride of 20 s is too small to advance a start of 1e+300 s"),
+    (["5e15", "3", "2"], "a stride of 1 s is too small to advance a start of 5e+15 s"),
+    (["5e15", "3", "2.5"], "a stride of 0.5 s is too small to advance a start of 5e+15 s"),
+], ids=["nan", "inf", "huge-duration", "one-float-step", "half-a-float-step"])
 def test_plan_chunks_refuses_a_plan_it_cannot_build(args, message):
     import resource
 
