@@ -39,7 +39,7 @@ from .curation import (
 )
 from .entities import _sim_threshold_fault, align_entities, pn_score, read_entity_file
 from .metrics import EvalRow, build_report, wer
-from .noise import SweepSpec, _snr_list_fault, ordered_map, run_sweep, transcribe_file, write_sweep_csv
+from .noise import SweepSpec, _snr_list_fault, _transcriber_fault, ordered_map, run_sweep, transcribe_file, write_sweep_csv
 from .planner import ScalingAssumptions, optimal_hours
 from .stitch import PartialTranscript, plan_chunks, stitch, voiced_ranges, write_voiced_chunks
 from .textnorm import DEFAULT_RULES, load_rules, normalize, tokenize_words
@@ -326,8 +326,8 @@ def _transcribe_audio(args: argparse.Namespace, rules) -> list[PartialTranscript
 
     The recording is read from disk a block at a time, and each chunk WAV is
     read and written in order on this thread; only the transcriber calls run
-    in the --jobs pool, so its threads never touch numpy. A failure names the
-    lowest failing chunk, whatever the number of jobs.
+    in the --jobs pool. A failure names the lowest failing chunk, whatever the
+    number of jobs.
     """
     sr, ranges = voiced_ranges(args.audio)
     if args.chunk_len - args.overlap < 1 / sr:  # below one sample the chunk starts could stop advancing
@@ -511,7 +511,7 @@ COMMANDS = {
     ]),
     "noise-sweep": ("WER vs SNR through an external transcriber", cmd_noise_sweep, [
         _opt("--manifest", required=True, check=_file_fault),
-        _opt("--transcriber", required=True, help="command invoked as CMD <wav>"),
+        _opt("--transcriber", required=True, check=_transcriber_fault, help="command invoked as CMD <wav>"),
         _opt("--workdir", required=True),
         _opt("--out", required=True),
         _opt("--snrs", "sweep.snr_list", type=float_list, check=_snr_list_fault, default="-5,0,5,10,20", help="comma-separated dB list"),
@@ -524,7 +524,7 @@ COMMANDS = {
     "stitch": ("join chunk transcripts (or decode+join an audio file)", cmd_stitch, [
         _opt("--partials-dir", help="directory of <index>.txt chunk transcripts"),
         _opt("--audio", check=_file_fault, help="WAV to chunk, transcribe, and stitch"),
-        _opt("--transcriber"),
+        _opt("--transcriber", check=_transcriber_fault),
         _opt("--workdir"),
         _RULES,
         _opt("--min-match", "stitch.min_match_tokens", type=int, check=_in_range(1), default=_default(stitch, "min_match_tokens")),

@@ -214,6 +214,15 @@ def transcribe_file(transcriber_cmd: list[str] | str, wav_path: str) -> str | No
         return None
 
 
+def _transcriber_fault(cmd: str) -> str | None:
+    """Why a transcriber command line names no program to run, or None if it names one."""
+    try:
+        words = shlex.split(cmd)
+    except ValueError as exc:  # e.g. an unclosed quote
+        return f"cannot be split into words: {exc}"
+    return None if words else "names no command"
+
+
 def ordered_map(fn: Callable, items: Iterable, jobs: int) -> list:
     """fn over items in a pool of `jobs` threads (ValueError if jobs < 1), results in item order.
 
@@ -236,16 +245,19 @@ def run_sweep(
 
     The reference for each file is its manifest transcript, normalized once
     with the same rules as the hypothesis; one that normalizes to no words
-    raises EmptyReferenceError before any file is mixed. A clip that cannot be
-    mixed (empty or silent) raises ValueError naming its file. Transcriber
-    failures mark the row failed and the sweep continues. Reruns with the same
-    spec and inputs are byte-identical because all randomness comes from
-    per-(file, SNR) substreams of spec.seed.
+    raises EmptyReferenceError before any file is mixed. So does an id that is
+    not a plain file name (ValueError), since each mix is named by its id. A
+    clip that cannot be mixed (empty or silent) raises ValueError naming its
+    file. Transcriber failures mark the row failed and the sweep continues.
+    Reruns with the same spec and inputs are byte-identical because all
+    randomness comes from per-(file, SNR) substreams of spec.seed.
     """
     refs = [tokenize_words(normalize(rec.transcript, rules)) for rec in records]
     for rec, ref in zip(records, refs):
         if not ref:
             raise EmptyReferenceError(f"reference for {rec.id!r} is empty after normalization")
+        if os.path.basename(rec.id) != rec.id or "\0" in rec.id:  # a "/" would put its mixes elsewhere
+            raise ValueError(f"record id {rec.id!r} is not a plain file name, so it cannot name a mix in {workdir}")
     os.makedirs(workdir, exist_ok=True)
     corpus = _ambient_corpus(spec.noise_corpus_dir) if spec.noise_kind == "ambient" else []
 
@@ -267,7 +279,6 @@ def run_sweep(
         hyp = tokenize_words(normalize(hyp_text, rules))
         return SweepRow(snr_db, rec.id, wer(ref, hyp), rec.duration_sec)
 
-    np.ndarray  # load numpy before the pool: a lazy module's first load is not thread-safe before 3.12
     rows = ordered_map(one, tasks, jobs)
 
     # build_report skips failed rows (wer None) and gives None when all failed

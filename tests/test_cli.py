@@ -406,8 +406,7 @@ def test_rnnt_check_prints_the_unbatched_lines(argv, expected, capsys):
 
 
 def test_noise_sweep_jobs_do_not_change_report(tmp_path, echo_transcriber):
-    # each run starts a fresh interpreter, where numpy is still lazy: with --jobs 2
-    # the pool's threads would race its first load unless run_sweep loads it first
+    # each run starts a fresh interpreter, where with --jobs 2 the pool's threads make the first numpy use
     records = []
     for i in range(3):
         wav = tmp_path / f"clip{i}.wav"
@@ -553,7 +552,7 @@ def test_checked_option_refused_before_any_work(tmp_path, capsys, name, flag, ke
             argv += [other, transcriber]
         else:
             argv += [other, "1000" if "type" in other_kwargs else str(tmp_path / other[2:])]
-    raw, fault = refused_value(kwargs, [str(tmp_path / "missing.txt"), "nan", "-1"])
+    raw, fault = refused_value(kwargs, [str(tmp_path / "missing.txt"), "nan", "-1", ""])
     if source == "flag":
         argv.append(f"{flag}={raw}")
     else:
@@ -744,6 +743,46 @@ def test_noise_sweep_empty_reference_exit_2_before_sweep(tmp_path, capsys):
     err = capsys.readouterr().err
     assert "'fillers'" in err and "empty after normalization" in err
     assert not mark.exists() and not workdir.exists()
+
+
+def one_clip_manifest(tmp_path, rid="clip"):
+    """A manifest of one 0.25 s tone clip with the id `rid`."""
+    wav, manifest = tmp_path / "clip.wav", tmp_path / "m.jsonl"
+    write_wav(AudioBuffer(samples=tone(0.25)), str(wav))
+    manifest.write_text(json.dumps({"id": rid, "audio_path": str(wav), "duration_sec": 0.25,
+                                    "transcript": "brook"}) + "\n", encoding="utf-8")
+    return wav, manifest
+
+
+@pytest.mark.parametrize("rid", ["/x/y", "../up", "a/b", "a\0b"])
+def test_noise_sweep_id_that_is_not_a_file_name_exit_2_before_any_mix(tmp_path, capsys, rid):
+    # each mix is named <id>_snr<dB>.wav in --workdir: ../up would land beside it, /x/y in /x
+    _, manifest = one_clip_manifest(tmp_path, rid)
+    transcriber = make_script(tmp_path, "mark.py", f"open({str(tmp_path / 'transcribed')!r}, 'w')\n")
+    workdir = tmp_path / "w"
+    argv = ["noise-sweep", "--manifest", str(manifest), "--transcriber", " ".join(transcriber),
+            "--workdir", str(workdir), "--out", str(tmp_path / "o.csv"), "--snrs", "0", "--jobs", "2"]
+    before = tree(tmp_path)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == (
+        f"asrlab noise-sweep: record id {rid!r} is not a plain file name, so it cannot name a mix in {workdir}\n")
+    assert tree(tmp_path) == before  # no mix, working directory, report or transcriber mark
+
+
+@pytest.mark.parametrize("command", ["noise-sweep", "stitch"])
+@pytest.mark.parametrize("value,fault", [
+    ("   ", "names no command"), ("'unclosed", "cannot be split into words: No closing quotation"),
+])
+def test_transcriber_that_names_no_command_exit_2_before_any_work(tmp_path, capsys, command, value, fault):
+    # test_checked_option_refused_before_any_work drives "". Run as given, a blank
+    # value would make the mixed or chunk WAV itself the program.
+    wav, manifest = one_clip_manifest(tmp_path)
+    inputs = ["--manifest", str(manifest), "--out", str(tmp_path / "o.csv")] if command == "noise-sweep" else \
+        ["--audio", str(wav)]
+    before = tree(tmp_path)
+    assert cli.main([command, *inputs, "--transcriber", value, "--workdir", str(tmp_path / "w")]) == 2
+    assert capsys.readouterr().err == f"asrlab {command}: --transcriber {fault}\n"
+    assert tree(tmp_path) == before
 
 
 @pytest.mark.parametrize("which", ["--hyps", "--refs"])
@@ -1669,19 +1708,14 @@ def test_stitch_audio_memory_does_not_grow_with_the_recording(tmp_path):
             wf.writeframes(np.round(tone(40.0, amplitude=0.4) * 32767).astype("<i2").tobytes())
             for _ in range(minutes * 60 - 40):
                 wf.writeframes(bytes(2 * 16000))
-        workdir, err = tmp_path / f"chunks{minutes}", tmp_path / f"{minutes}.err"
-        with open(err, "wb") as err_file:
-            child = subprocess.Popen(
-                [sys.executable, "-m", "asrlab", "stitch", "--audio", str(wav), "--transcriber", transcriber,
-                 "--jobs", "1", "--workdir", str(workdir)],
-                stdout=subprocess.DEVNULL, stderr=err_file,
-            )
-            # wait4 gives this child's own peak RSS; RUSAGE_CHILDREN would give the largest of all children so far
-            _, status, usage = os.wait4(child.pid, 0)
-            child.returncode = os.waitstatus_to_exitcode(status)
-        assert child.returncode == 0, err.read_text()
+        workdir = tmp_path / f"chunks{minutes}"
+        proc = subprocess.run([sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "asrlab", "stitch", "--audio",
+                               str(wav), "--transcriber", transcriber, "--jobs", "1", "--workdir", str(workdir)],
+                              capture_output=True, text=True, timeout=300)
+        code, peak_kb = proc.stdout.split()
+        assert code == "0", proc.stderr
         assert sorted(os.listdir(workdir)) == ["chunk0000.wav", "chunk0001.wav"]
-        peaks_mb.append(usage.ru_maxrss / 1024.0)
+        peaks_mb.append(int(peak_kb) / 1024.0)
     assert abs(peaks_mb[1] - peaks_mb[0]) < 8.0, peaks_mb
 
 

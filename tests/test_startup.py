@@ -1,6 +1,6 @@
 """Start-up: commands that never touch an array run without importing numpy.
 
-asrlab binds numpy lazily (``asrlab._lazy``). Each test starts a fresh
+asrlab imports numpy on first use (``asrlab._lazy``). Each test starts a fresh
 interpreter, because the test process itself has numpy loaded. No command
 imports multiprocessing or a process pool: ``curate`` forks its shard workers
 itself, from a process with one thread.
@@ -87,17 +87,39 @@ def test_import_cli_loads_every_traced_module():
     assert proc.stdout == "[]\n"
 
 
-def test_import_numpy_statement_loads_the_lazy_module():
-    # The README tells threaded callers to run `import numpy` before starting threads.
-    # asrlab.stitch binds np from asrlab._lazy, so importing it leaves numpy lazy.
+def test_import_of_every_module_leaves_numpy_unimported():
     check = (
-        "import sys, asrlab.stitch; lazy = type(sys.modules['numpy']).__name__; "
-        "before = 'numpy.core' in sys.modules or 'numpy._core' in sys.modules; "
-        "import numpy; print(lazy, before, 'numpy._core' in sys.modules or 'numpy.core' in sys.modules)"
+        "import importlib, pkgutil, sys, asrlab\n"
+        "for info in pkgutil.walk_packages(asrlab.__path__, 'asrlab.'): importlib.import_module(info.name)\n"
+        "print('asrlab.cli' in sys.modules, 'asrlab.transducer.loss' in sys.modules, 'numpy' in sys.modules)"
     )
     proc = fresh_python("-c", check)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "_LazyModule False True\n"
+    assert proc.stdout == "True True False\n"
+
+
+def test_threads_may_make_the_first_array_call_at_once():
+    # eight threads wait on a barrier, then each makes the process's first numpy use
+    check = """
+import threading
+from asrlab.audio import AudioBuffer
+barrier, errors = threading.Barrier(8), []
+def first_use():
+    barrier.wait()
+    try:
+        AudioBuffer([0.0, 0.5]).power()
+    except Exception as exc:
+        errors.append(repr(exc))
+threads = [threading.Thread(target=first_use) for _ in range(8)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+print(errors)
+"""
+    proc = fresh_python("-c", check)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
 
 
 def test_import_transducer_loads_no_other_asrlab_module():
