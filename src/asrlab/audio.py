@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import contextlib
-import wave
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import TYPE_CHECKING, Iterable, Iterator
 
 from ._lazy import np
+
+if TYPE_CHECKING:
+    import wave
 
 __all__ = ["AudioBuffer", "read_wav", "write_wav", "open_pcm16", "read_pcm16", "pcm16_to_float", "write_pcm16"]
 
@@ -45,6 +47,8 @@ class AudioBuffer:
 @contextlib.contextmanager
 def open_pcm16(path: str) -> Iterator[wave.Wave_read]:
     """Open a WAV for reading once it is checked to be mono 16-bit PCM; if not, ValueError names the path."""
+    import wave
+
     try:
         wf = wave.open(path, "rb")
     except (wave.Error, EOFError) as exc:
@@ -91,6 +95,8 @@ def write_pcm16(path: str, sample_rate_hz: int, pieces: Iterable[np.ndarray]) ->
     -32768 is written as -32767, so the file holds exactly what write_wav
     makes of the samples read_wav returns.
     """
+    import wave
+
     with wave.open(path, "wb") as wf:
         wf.setnchannels(1)
         wf.setsampwidth(2)

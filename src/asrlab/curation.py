@@ -26,7 +26,6 @@ import math
 import os
 import re
 import shutil
-import signal
 import tempfile
 import threading
 from dataclasses import dataclass, field, fields
@@ -73,7 +72,14 @@ class ManifestRecord:
     max_silence_sec: float | None = None
 
     def __post_init__(self) -> None:
+        for name in ("id", "audio_path", "transcript"):
+            if not isinstance(value := getattr(self, name), str):
+                raise ValueError(f"{name} must be a string, got {type(value).__name__}")
+        if self.source_lang is not None and not isinstance(self.source_lang, str):
+            raise ValueError(f"source_lang must be a string or None, got {type(self.source_lang).__name__}")
         lang = self.detected_lang[0] if self.detected_lang is not None else None
+        if self.detected_lang is not None and not isinstance(lang, str):
+            raise ValueError(f"detected_lang's tag must be a string, got {type(lang).__name__}")
         try:  # json.loads turns a \ud800 escape into a lone surrogate, which UTF-8 cannot encode
             f"{self.id}{self.audio_path}{self.transcript}{self.source_lang}{lang}".encode("utf-8")
         except UnicodeEncodeError:
@@ -171,8 +177,8 @@ class FilterOutcome:
 
 
 def compute_wpm(transcript: str, duration_sec: float) -> float:
-    if duration_sec <= 0:
-        raise ValueError("duration_sec must be positive")
+    if not 0 < duration_sec < math.inf:
+        raise ValueError(f"duration_sec must be positive and finite, got {duration_sec}")
     return len(transcript.split()) / (duration_sec / 60.0)
 
 
@@ -446,9 +452,12 @@ def curate_manifest(path: str, cfg: PipelineConfig, kept_out: TextIO, report_out
     """
     shards = plan_shards(path, jobs)
     with contextlib.ExitStack() as stack:
-        if len(shards) > 1 and signal.getsignal(signal.SIGTERM) is signal.SIG_DFL:
-            signal.signal(signal.SIGTERM, _exit_on_sigterm)
-            stack.callback(signal.signal, signal.SIGTERM, signal.SIG_DFL)
+        if len(shards) > 1:
+            import signal  # only a run of more than one shard loads it
+
+            if signal.getsignal(signal.SIGTERM) is signal.SIG_DFL:
+                signal.signal(signal.SIGTERM, _exit_on_sigterm)
+                stack.callback(signal.signal, signal.SIGTERM, signal.SIG_DFL)
         workers = [stack.enter_context(_ShardWorker(path, shard, cfg, (kept_out, report_out))) for shard in shards[1:]]
         n_kept, n_rejected = curate_stream(iter_manifest(path, shards[0]), cfg, kept_out, report_out)
         for worker in workers:
@@ -521,6 +530,8 @@ class _ShardWorker:
     def __exit__(self, *exc) -> None:
         """Kill and reap the child if it is still unwaited for, and close the pipe and the files."""
         if self.pid:
+            import signal
+
             with contextlib.suppress(ProcessLookupError):
                 os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)
@@ -576,12 +587,12 @@ def _record_from_json(obj: object) -> ManifestRecord:
         word_times = [(float(s), float(e)) for s, e in word_times]
     detected = obj.get("detected_lang")
     if detected is not None:
-        detected = (str(detected[0]), float(detected[1]))
+        detected = (detected[0], float(detected[1]))
     return ManifestRecord(
-        id=str(obj["id"]),
-        audio_path=str(obj["audio_path"]),
+        id=obj["id"],
+        audio_path=obj["audio_path"],
         duration_sec=float(obj["duration_sec"]),
-        transcript=str(obj["transcript"]),
+        transcript=obj["transcript"],
         word_confidences=obj.get("word_confidences"),
         word_times=word_times,
         source_lang=obj.get("source_lang"),

@@ -14,7 +14,6 @@ NER itself is consumed, not computed: spans arrive from annotation files
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from difflib import SequenceMatcher
 from itertools import zip_longest
 
 from .config import utf8_lines
@@ -77,6 +76,8 @@ def align_entities(
     sim_threshold; everything else lands in an unmatched bucket. A threshold
     outside [0, 1], NaN included, raises ValueError.
     """
+    from difflib import SequenceMatcher
+
     if fault := _sim_threshold_fault(sim_threshold):
         raise ValueError(f"sim_threshold {fault}")
     gold = sorted((s for s in gold if s.type in SUPPORTED_TYPES), key=lambda s: (s.start, s.end))

@@ -10,6 +10,7 @@ are not under-represented.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 __all__ = [
@@ -112,8 +113,8 @@ def weighted_average(scores: list[float], lengths_sec: list[float]) -> float:
         raise ValueError(f"got {len(scores)} scores but {len(lengths_sec)} lengths")
     if not scores:
         raise ValueError("cannot average an empty list")
-    if any(length <= 0 for length in lengths_sec):
-        raise ValueError("all lengths must be positive")
+    if not all(0 < length < math.inf for length in lengths_sec):  # NaN fails too
+        raise ValueError("all lengths must be positive and finite")
     total = sum(lengths_sec)
     return sum(s * length for s, length in zip(scores, lengths_sec)) / total
 

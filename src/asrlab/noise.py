@@ -11,9 +11,6 @@ from __future__ import annotations
 import csv
 import math
 import os
-import shlex
-import subprocess
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, TextIO
 
@@ -204,6 +201,9 @@ def _noise_for(clean: AudioBuffer, spec: SweepSpec, corpus: list[str], file_id: 
 
 def transcribe_file(transcriber_cmd: list[str] | str, wav_path: str) -> str | None:
     """Run the external transcriber contract (CMD <wav>); None signals a nonzero exit or stdout that is not UTF-8."""
+    import shlex
+    import subprocess
+
     cmd = shlex.split(transcriber_cmd) if isinstance(transcriber_cmd, str) else list(transcriber_cmd)
     proc = subprocess.run(cmd + [wav_path], capture_output=True)
     if proc.returncode != 0:
@@ -216,6 +216,8 @@ def transcribe_file(transcriber_cmd: list[str] | str, wav_path: str) -> str | No
 
 def _transcriber_fault(cmd: str) -> str | None:
     """Why a transcriber command line names no program to run, or None if it names one."""
+    import shlex
+
     try:
         words = shlex.split(cmd)
     except ValueError as exc:  # e.g. an unclosed quote
@@ -229,6 +231,8 @@ def ordered_map(fn: Callable, items: Iterable, jobs: int) -> list:
     If calls raise, the first exception in item order is raised once every
     call already started has returned; calls not yet started are dropped.
     """
+    from concurrent.futures import ThreadPoolExecutor
+
     with ThreadPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(fn, items))
 

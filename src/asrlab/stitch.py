@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from difflib import SequenceMatcher
 from itertools import accumulate
 from typing import Iterable
 
@@ -218,6 +217,8 @@ class PartialTranscript:
 
 
 def _join_pair(left: list[str], right: list[str], min_match_tokens: int) -> list[str]:
+    from difflib import SequenceMatcher
+
     m = SequenceMatcher(None, left, right, autojunk=False).find_longest_match(0, len(left), 0, len(right))
     if m.size >= min_match_tokens:
         # keep the left copy of the shared run, then the right continuation

@@ -183,13 +183,18 @@ def rnnt_grad(lat: RnntLattice) -> np.ndarray:
     u, y = np.arange(U), lat.targets
     edge[:, u, y] = alpha[:, :-1] + lp[:, u, y] + beta[:, 1:] - log_p
 
-    # in place: besides the logits, only the edge posteriors and the result are lattice-sized
+    # in place: besides the logits, the edge posteriors are the one lattice-sized
+    # array; they become the gradient a block of about BATCH_CELLS cells at a time
     edge_post = np.exp(edge, out=edge)
     node_post = edge_post.sum(axis=2, keepdims=True)
-    grad = np.exp(lp)
-    grad *= node_post
-    grad -= edge_post
-    return grad
+    frames = max(1, BATCH_CELLS // ((U + 1) * (V + 1)))
+    buf = np.empty((min(frames, T), U + 1, V + 1))
+    for t0 in range(0, T, frames):
+        grad = edge_post[t0:t0 + frames]
+        y_node = np.exp(lp[t0:t0 + frames], out=buf[:len(grad)])
+        y_node *= node_post[t0:t0 + frames]
+        np.subtract(y_node, grad, out=grad)
+    return edge_post
 
 
 def finite_difference_grad(lat: RnntLattice, eps: float = 1e-5) -> np.ndarray:

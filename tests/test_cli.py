@@ -566,6 +566,93 @@ def test_checked_option_refused_before_any_work(tmp_path, capsys, name, flag, ke
     assert tree(tmp_path) == before  # no output, working directory or transcriber mark
 
 
+# Values a typed option may be given, as flag text or config text: NaN, the infinities,
+# the largest float, negative zero, ints past float range and past int()'s digit limit,
+# and empty and blank strings.
+HOSTILE_VALUES = ["nan", "NaN", "inf", "-inf", "1e308", "-1e308", "-0", "-0.0",
+                  "9" * 400, "-" + "9" * 400, "9" * 5000, "", " "]
+HOSTILE_TYPES = (int, float, cli.float_list, cli.pattern_list, cli.positive_int)
+# options that set how much work, how many threads or how many processes a run makes: an
+# int above the cap is not drawn for them
+HOSTILE_CAPS = {"--lattices": 20, "--grad-checks": 2, "--v-max": 4, "--jobs": 2}
+
+
+def hostile_values(flag):
+    def above_cap(raw):
+        try:
+            return int(raw) > HOSTILE_CAPS[flag]
+        except ValueError:
+            return False
+
+    return [raw for raw in HOSTILE_VALUES if not (flag in HOSTILE_CAPS and above_cap(raw))]
+
+
+HOSTILE_OPTIONS = {
+    name: [(flag, key) for flag, key, kwargs in options if kwargs.get("type") in HOSTILE_TYPES]
+    for name, (_, _, options) in cli.COMMANDS.items()
+}
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """Each subcommand's argv on small valid files, with its outputs to go in a directory given later."""
+    root = tmp_path_factory.mktemp("hostile")
+    wav, manifest = one_clip_manifest(root)
+    hyps, entities = root / "hyps.tsv", root / "entities.tsv"
+    hyps.write_text("clip\tbrook\n", encoding="utf-8")
+    entities.write_text("clip\t0\t1\tPerson\tbrook\n", encoding="utf-8")
+    speech = root / "speech.wav"
+    write_wav(AudioBuffer(samples=tone(2.0)), str(speech))
+    transcriber = " ".join(make_script(root, "say.py", "print('brook')\n"))
+    with_entities = ["--gold-entities", str(entities), "--pred-entities", str(entities)]
+    return {
+        "plan-data": (["--params", "264000000"], []),
+        "evaluate": (["--manifest", str(manifest), "--hyps", str(hyps), *with_entities], ["--out"]),
+        "ppn-score": ([*with_entities, "--manifest", str(manifest)], ["--out"]),
+        "curate": (["--manifest", str(manifest)], ["--out-manifest", "--report"]),
+        "noise-sweep": (["--manifest", str(manifest), "--transcriber", transcriber, "--snrs", "10", "--jobs", "1"],
+                        ["--workdir", "--out"]),
+        "stitch": (["--audio", str(speech), "--transcriber", transcriber, "--jobs", "1"], ["--workdir", "--out"]),
+        "rnnt-check": (["--lattices", "5", "--grad-checks", "1", "--v-max", "3"], []),
+    }
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_hostile_option_values_exit_0_or_2_with_one_message(small_inputs, data):
+    name = data.draw(st.sampled_from(sorted(HOSTILE_OPTIONS)), label="command")
+    options = data.draw(st.lists(st.sampled_from(HOSTILE_OPTIONS[name]), min_size=1, max_size=3, unique=True),
+                        label="options")
+    base, out_flags = small_inputs[name]
+    with tempfile.TemporaryDirectory() as tmp:
+        outs = [os.path.join(tmp, flag[2:]) for flag in out_flags]
+        argv = [name, *base, *(part for flag, out in zip(out_flags, outs) for part in (flag, out))]
+        config = []
+        for flag, key in options:
+            raw = data.draw(st.sampled_from(hostile_values(flag)), label=flag)
+            if key is not None and data.draw(st.booleans(), label=f"{flag} from --config"):
+                config.append(f"{key} = {raw}\n")
+            else:
+                argv.append(f"{flag}={raw}")
+        if config:
+            cfg = os.path.join(tmp, "run.cfg")
+            with open(cfg, "w", encoding="utf-8") as fh:
+                fh.writelines(config)
+            argv += ["--config", cfg]
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            try:
+                code = cli.main(argv)
+            except SystemExit as exc:  # argparse refuses a value it cannot parse
+                code = exc.code
+        assert code in (0, 2), stderr.getvalue()
+        if code == 2:
+            messages = [line for line in stderr.getvalue().splitlines() if line.startswith(f"asrlab {name}: ")]
+            assert len(messages) == 1, stderr.getvalue()
+            assert stdout.getvalue() == ""
+            assert [out for out in outs if os.path.isfile(out)] == []
+
+
 @pytest.mark.parametrize("name", ["evaluate", "ppn-score", "curate"])
 def test_seed_only_where_randomness_is(name, capsys):
     with pytest.raises(SystemExit) as exc:

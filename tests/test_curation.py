@@ -67,6 +67,9 @@ def test_compute_wpm():
     assert compute_wpm("", 30.0) == 0.0
     with pytest.raises(ValueError):
         compute_wpm("a b", 0.0)
+    for duration in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            compute_wpm("a b", duration)
 
 
 def test_filter_confidence():
@@ -410,6 +413,34 @@ def test_read_manifest_numeric_fields(tmp_path):
     _, outcomes = run_pipeline(entries, PipelineConfig())
     assert outcomes[0].reasons[0].filter_id != "parse-error"
     assert [o.reasons[0].filter_id for o in outcomes[1:]] == ["parse-error"] * 8
+
+
+def test_read_manifest_text_fields_must_be_strings(tmp_path):
+    # one parse-error row per case, naming the field; before, str() read null as 'None'
+    base = {"id": "r", "audio_path": "a.wav", "duration_sec": 3.0, "transcript": "hi there"}
+    cases = [
+        ({"transcript": None}, "transcript must be a string, got NoneType"),
+        ({"transcript": ["hello"]}, "transcript must be a string, got list"),
+        ({"transcript": 7}, "transcript must be a string, got int"),
+        ({"id": None}, "id must be a string, got NoneType"),
+        ({"id": 12}, "id must be a string, got int"),
+        ({"audio_path": {"f": 1}}, "audio_path must be a string, got dict"),
+        ({"audio_path": True}, "audio_path must be a string, got bool"),
+        ({"source_lang": 7}, "source_lang must be a string or None, got int"),
+        ({"source_lang": ["en"]}, "source_lang must be a string or None, got list"),
+        ({"detected_lang": [7, 0.9]}, "detected_lang's tag must be a string, got int"),
+        ({"detected_lang": [None, 0.9]}, "detected_lang's tag must be a string, got NoneType"),
+    ]
+    path = tmp_path / "m.jsonl"
+    lines = [base, {**base, "source_lang": None}, *({**base, **change} for change, _ in cases)]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines), encoding="utf-8")
+    entries = read_manifest(str(path))
+    assert isinstance(entries[0], ManifestRecord) and isinstance(entries[1], ManifestRecord)
+    assert entries[2:] == [ManifestParseError(f"line-{i}", error) for i, (_, error) in enumerate(cases, start=3)]
+    _, outcomes = run_pipeline(entries, PipelineConfig())
+    assert [o.reasons[0].filter_id for o in outcomes[2:]] == ["parse-error"] * len(cases)
+    with pytest.raises(ValueError, match="transcript must be a string"):
+        ManifestRecord("r", "a.wav", 3.0, None)
 
 
 def test_rejection_csv(tmp_path):

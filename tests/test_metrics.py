@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -237,6 +239,9 @@ def test_weighted_average_errors():
         weighted_average([0.1, 0.2], [1.0, 0.0])
     with pytest.raises(ValueError):
         weighted_average([], [])
+    for length in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="positive and finite"):
+            weighted_average([0.5, 0.2], [length, 1.0])
 
 
 @given(

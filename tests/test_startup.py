@@ -1,9 +1,11 @@
-"""Start-up: commands that never touch an array run without importing numpy.
+"""Start-up: commands load only the machinery they run.
 
-asrlab imports numpy on first use (``asrlab._lazy``). Each test starts a fresh
-interpreter, because the test process itself has numpy loaded. No command
-imports multiprocessing or a process pool: ``curate`` forks its shard workers
-itself, from a process with one thread.
+asrlab imports numpy on first use (``asrlab._lazy``), and the standard-library
+modules that only the transcriber, audio, entity, stitching and sharded paths
+use inside the functions that use them. Each test starts a fresh interpreter,
+because the test process itself has them loaded. No command imports
+multiprocessing or a process pool: ``curate`` forks its shard workers itself,
+from a process with one thread.
 """
 
 import json
@@ -18,13 +20,20 @@ from tests.test_curation import golden_manifest
 
 ROOT = pathlib.Path(__file__).resolve().parent.parent
 
+# Standard-library modules that asrlab imports on first use.
+MACHINERY = ("concurrent.futures", "subprocess", "shlex", "difflib", "wave", "signal")
+
 # Runs asrlab.cli.main on each argv of a JSON list, in order, and prints one JSON
 # row per run: [argv, exit code, numpy modules and process-pool modules imported
-# so far]. A numpy that has really been imported has imported its submodules too.
-# pickle is loaded only by a curate shard that fails.
+# so far, MACHINERY modules imported so far]. A numpy that has really been
+# imported has imported its submodules too. pickle is loaded only by a curate
+# shard that fails. Modules are counted from the state before asrlab is
+# imported, since site may load standard-library modules by itself.
 PROBE = """
 import contextlib, io, json, sys
+before = set(sys.modules)
 from asrlab.cli import main
+machinery = json.loads(sys.argv[2])
 rows = []
 for argv in json.loads(sys.argv[1]):
     with contextlib.redirect_stdout(io.StringIO()):
@@ -33,7 +42,9 @@ for argv in json.loads(sys.argv[1]):
         except SystemExit as exc:
             code = exc.code
     pools = ("multiprocessing", "concurrent.futures.process", "pickle")
-    rows.append([argv, code, sorted(m for m in sys.modules if m.startswith("numpy.") or m in pools)])
+    added = set(sys.modules) - before
+    rows.append([argv, code, sorted(m for m in added if m.startswith("numpy.") or m in pools),
+                 sorted(m for m in machinery if m in added)])
 print(json.dumps(rows))
 """
 
@@ -44,7 +55,16 @@ def fresh_python(*args: str) -> subprocess.CompletedProcess:
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True, timeout=120)
 
 
-def test_numpy_free_commands_never_load_numpy(tmp_path):
+def probe(argvs: list[list[str]]) -> list[tuple[int, list[str], list[str]]]:
+    """(exit code, numpy and pool modules, MACHINERY modules) loaded after each argv, run in order in one fresh interpreter."""
+    proc = fresh_python("-c", PROBE, json.dumps(argvs), json.dumps(MACHINERY))
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout)
+    assert [argv for argv, _, _, _ in rows] == argvs
+    return [tuple(row[1:]) for row in rows]
+
+
+def test_commands_load_only_the_machinery_they_run(tmp_path):
     manifest = tmp_path / "in.jsonl"
     write_manifest(golden_manifest(), str(manifest))
     hyps = tmp_path / "hyps.tsv"
@@ -55,25 +75,28 @@ def test_numpy_free_commands_never_load_numpy(tmp_path):
     partials.mkdir()
     (partials / "0.txt").write_text("and then we will meet tomorrow", encoding="utf-8")
     (partials / "1.txt").write_text("we will meet tomorrow at noon", encoding="utf-8")
-    argvs = [
+    evaluate = ["evaluate", "--manifest", str(manifest), "--hyps", str(hyps)]
+    with_entities = ["--gold-entities", str(entities), "--pred-entities", str(entities)]
+    numpy_free = [
         ["--help"],
         ["--version"],
         *([name, "--help"] for name in COMMANDS),
         ["plan-data", "--params", "264000000"],
         ["curate", "--manifest", str(manifest), "--out-manifest", str(tmp_path / "kept.jsonl"),
          "--report", str(tmp_path / "r.csv")],
-        ["evaluate", "--manifest", str(manifest), "--hyps", str(hyps),
-         "--gold-entities", str(entities), "--pred-entities", str(entities)],
-        ["ppn-score", "--gold-entities", str(entities), "--pred-entities", str(entities), "--manifest", str(manifest)],
-        ["stitch", "--partials-dir", str(partials)],
+        evaluate,
     ]
-    proc = fresh_python("-c", PROBE, json.dumps(argvs))
-    assert proc.returncode == 0, proc.stderr
-    rows = json.loads(proc.stdout)
-    assert [argv for argv, _, _ in rows] == argvs
-    for argv, code, modules in rows:
-        assert (code, modules) == (0, []), argv
+    rows = probe([*numpy_free, ["rnnt-check", "--lattices", "5", "--grad-checks", "1"]])
+    for argv, (code, pools, machinery) in zip(numpy_free, rows):
+        assert (code, pools, machinery) == (0, [], []), argv
+    code, modules, machinery = rows[-1]  # rnnt-check loads numpy, which loads pickle itself, and no pool
+    assert (code, [m for m in modules if not m.startswith("numpy.") and m != "pickle"], machinery) == (0, [], [])
     assert (tmp_path / "kept.jsonl").stat().st_size > 0
+    # each of these in an interpreter of its own, so what it loads is its own
+    for argv in ([*evaluate, *with_entities],
+                 ["ppn-score", *with_entities, "--manifest", str(manifest)],
+                 ["stitch", "--partials-dir", str(partials)]):
+        assert probe([argv]) == [(0, [], ["difflib"])], argv
 
 
 def test_import_cli_loads_every_traced_module():

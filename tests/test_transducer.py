@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from asrlab.transducer import (
     rnnt_grad,
     rnnt_logprob,
 )
+from asrlab.transducer import loss
 from asrlab.transducer.lattice import _check_normalized
 from asrlab.transducer.loss import BATCH_CELLS, finite_difference_grad, rnnt_logprobs
 from asrlab.transducer.mask import FRAME_MS
@@ -227,6 +229,40 @@ def test_finite_difference_memory_is_bounded_in_v():
     finally:
         tracemalloc.stop()
     assert peak < 32 * 2**20
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    T=st.integers(1, 30),
+    U=st.integers(0, 20),
+    V=st.integers(1, 5),
+    hole_rate=st.sampled_from([0.0, 0.2, 0.5]),
+    block_cells=st.integers(1, 400),
+)
+def test_gradient_in_blocks_of_frames_matches_oracle(seed, T, U, V, hole_rate, block_cells):
+    # a small BATCH_CELLS makes rnnt_grad turn the edge posteriors into the gradient over several blocks
+    lat = lattice_with_holes(seed, T, U, V, hole_rate)
+    try:
+        want = oracles.rnnt_grad(lat)
+    except ValueError:
+        return
+    with mock.patch.object(loss, "BATCH_CELLS", block_cells):
+        np.testing.assert_array_equal(rnnt_grad(lat), want)
+
+
+def test_gradient_memory_is_one_lattice_and_one_block():
+    lat = random_lattice(np.random.default_rng(8), 200, 50, 100)
+    assert 3 * BATCH_CELLS < lat.logits.size < 5 * BATCH_CELLS
+    tracemalloc.start()
+    try:
+        rnnt_grad(lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # edge posteriors that become the gradient, one BATCH_CELLS block, and (T, U+1) tables;
+    # a second lattice-sized array for exp(logits) would read about 2.1
+    assert peak < 1.6 * lat.logits.nbytes
 
 
 def test_gradient_slice_sums_are_zero():
