@@ -46,7 +46,7 @@ class AudioBuffer:
 
 @contextlib.contextmanager
 def open_pcm16(path: str) -> Iterator[wave.Wave_read]:
-    """Open a WAV for reading once it is checked to be mono 16-bit PCM; if not, ValueError names the path."""
+    """Open a WAV once it is checked to be mono 16-bit PCM at 1 Hz or more; if not, ValueError names the path."""
     import wave
 
     try:
@@ -58,6 +58,8 @@ def open_pcm16(path: str) -> Iterator[wave.Wave_read]:
             raise ValueError(f"{path}: expected mono, got {wf.getnchannels()} channels")
         if wf.getsampwidth() != 2:
             raise ValueError(f"{path}: expected 16-bit samples, got {8 * wf.getsampwidth()}-bit")
+        if wf.getframerate() < 1:
+            raise ValueError(f"{path}: expected a frame rate of at least 1 Hz, got {wf.getframerate()}")
         yield wf
 
 

@@ -12,7 +12,8 @@ over the same per-record pieces. ``curate_manifest`` runs ``curate_stream`` on
 byte-range shards of a manifest file in forked processes at once, and writes
 the same bytes for any number of shards. ``ManifestRecord`` is the manifest
 schema: its fields are the JSON keys, written in declaration order, and a field
-that is None is left out.
+that is None is left out. Constructing one, from a manifest line or a library
+call alike, checks and converts each field.
 """
 
 from __future__ import annotations
@@ -28,8 +29,10 @@ import re
 import shutil
 import tempfile
 import threading
-from dataclasses import dataclass, field, fields
+from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterable, Iterator, NoReturn, TextIO
+
+from .config import _utf8_fault
 
 __all__ = [
     "ManifestRecord",
@@ -56,6 +59,23 @@ __all__ = [
 TARGET_LANG = "en"
 
 
+def _number(name: str, value: object) -> float:
+    """A finite JSON number or numeric string as a float; anything else, a bool too, raises ValueError naming `name`."""
+    try:
+        if (isinstance(value, (float, str)) or type(value) is int) and math.isfinite(x := float(value)):
+            return x
+    except (ValueError, OverflowError):  # a string that is not a number, an int beyond a float's range
+        pass
+    raise ValueError(f"{name} must be a finite number, got {value!r:.40}")
+
+
+def _pair(name: str, value: object) -> tuple:
+    """`value` as a tuple if it is a list or tuple of two elements; if not, ValueError names `name`."""
+    if not isinstance(value, (list, tuple)) or len(value) != 2:
+        raise ValueError(f"{name} must be a pair, got {value!r:.40}")
+    return tuple(value)
+
+
 @dataclass
 class ManifestRecord:
     """One audio+transcript unit. Optional fields hold upstream measurements."""
@@ -77,43 +97,54 @@ class ManifestRecord:
                 raise ValueError(f"{name} must be a string, got {type(value).__name__}")
         if self.source_lang is not None and not isinstance(self.source_lang, str):
             raise ValueError(f"source_lang must be a string or None, got {type(self.source_lang).__name__}")
-        lang = self.detected_lang[0] if self.detected_lang is not None else None
-        if self.detected_lang is not None and not isinstance(lang, str):
-            raise ValueError(f"detected_lang's tag must be a string, got {type(lang).__name__}")
-        try:  # json.loads turns a \ud800 escape into a lone surrogate, which UTF-8 cannot encode
-            f"{self.id}{self.audio_path}{self.transcript}{self.source_lang}{lang}".encode("utf-8")
-        except UnicodeEncodeError:
-            raise ValueError("a text field holds a lone surrogate, which UTF-8 cannot encode") from None
-        if not math.isfinite(self.duration_sec) or self.duration_sec <= 0:
+        lang = None
+        if self.detected_lang is not None:
+            lang, conf = _pair("detected_lang", self.detected_lang)
+            if not isinstance(lang, str):
+                raise ValueError(f"detected_lang's tag must be a string, got {type(lang).__name__}")
+            self.detected_lang = lang, self._unit("detected_lang confidence", conf)
+        if _utf8_fault(f"{self.id}{self.audio_path}{self.transcript}{self.source_lang}{lang}"):  # from a \ud800 escape
+            raise ValueError("a text field holds a lone surrogate, which UTF-8 cannot encode")
+        self.duration_sec = _number("duration_sec", self.duration_sec)
+        if self.duration_sec <= 0:
             raise ValueError(f"{self.id}: duration_sec must be positive")
+        for name in ("speech_ratio", "max_silence_sec"):
+            if (value := getattr(self, name)) is not None:
+                setattr(self, name, _number(name, value))
         n_words = len(self.transcript.split())
         for name in ("word_confidences", "word_times"):
-            values = getattr(self, name)
+            if (values := getattr(self, name)) is not None and not isinstance(values, (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {type(values).__name__}")
             if values is not None and len(values) != n_words:
-                raise ValueError(
-                    f"{self.id}: {name} has {len(values)} entries for {n_words} words"
-                )
-        if self.word_confidences is not None and any(
-            not 0.0 <= c <= 1.0 for c in self.word_confidences
-        ):
-            raise ValueError(f"{self.id}: word confidences must lie in [0, 1]")
-        if self.detected_lang is not None and not 0.0 <= self.detected_lang[1] <= 1.0:
-            raise ValueError(f"{self.id}: detected_lang confidence must lie in [0, 1]")
-        for name in ("speech_ratio", "max_silence_sec"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{self.id}: {name} must be finite")
+                raise ValueError(f"{self.id}: {name} has {len(values)} entries for {n_words} words")
+        for c in self.word_confidences or ():  # a list of floats in [0, 1] is kept as it is; any other is converted
+            if type(c) is not float or not 0.0 <= c <= 1.0:
+                self.word_confidences = [self._unit("a word_confidences entry", c) for c in self.word_confidences]
+                break
         if self.word_times is not None:
+            times = []
             prev_end = -math.inf
-            for start, end in self.word_times:
+            for pair in self.word_times:
+                try:  # a list of two floats, the common case, needs no helper
+                    start, end = pair
+                except (TypeError, ValueError):  # not two elements: _pair refuses it below
+                    start = end = None
+                if type(start) is not float or type(end) is not float:
+                    start, end = (_number("a time in word_times", x) for x in _pair("a word_times entry", pair))
                 if not prev_end <= start <= end:
                     raise ValueError(f"{self.id}: word_times must be ordered and non-overlapping")
+                times.append((start, end))
                 prev_end = end
             # the order bounds every other time, and NaN already failed it
-            if self.word_times and not (
-                math.isfinite(self.word_times[0][0]) and math.isfinite(self.word_times[-1][1])
-            ):
+            if times and not (math.isfinite(times[0][0]) and math.isfinite(prev_end)):
                 raise ValueError(f"{self.id}: word_times must be finite")
+            self.word_times = times
+
+    def _unit(self, name: str, value: object) -> float:
+        """`value` as a float in [0, 1]; if it is not one, ValueError names `name`."""
+        if not 0.0 <= (x := _number(name, value)) <= 1.0:
+            raise ValueError(f"{self.id}: {name} must lie in [0, 1]")
+        return x
 
     @property
     def words(self) -> list[str]:
@@ -146,8 +177,7 @@ class PipelineConfig:
         if not self.seg_min_sec < self.seg_max_sec:
             raise ValueError("seg_min_sec must be < seg_max_sec")
         for name in ("conf_threshold", "min_speech_ratio", "lang_conf_min"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+            if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
         if math.isnan(self.max_silence_sec):  # every silence would compare as within it
             raise ValueError("max_silence_sec must be a number, got nan")
@@ -256,13 +286,9 @@ def segment(rec: ManifestRecord, cfg: PipelineConfig) -> tuple[list[ManifestReco
     through unsegmented, flagged ``unsegmentable`` when it exceeds seg_max_sec.
     """
     if rec.word_times is None:
-        if rec.duration_sec > cfg.seg_max_sec:
-            return [rec], "unsegmentable"
-        return [rec], None
-    if rec.duration_sec <= cfg.seg_max_sec:
-        if rec.duration_sec >= cfg.seg_min_sec:
-            return [rec], None  # already in range: pass through unchanged
-        return [], None  # too short to ever reach seg_min
+        return [rec], "unsegmentable" if rec.duration_sec > cfg.seg_max_sec else None
+    if rec.duration_sec <= cfg.seg_max_sec:  # in range: passed through unchanged; else too short to reach seg_min
+        return ([rec] if rec.duration_sec >= cfg.seg_min_sec else []), None
     if not rec.word_times:
         return [], None
 
@@ -271,14 +297,13 @@ def segment(rec: ManifestRecord, cfg: PipelineConfig) -> tuple[list[ManifestReco
     children: list[ManifestRecord] = []
     n = len(times)
     cur = 0
-    child_idx = 0
     while cur < n:
         start = times[cur][0]
         remaining = times[n - 1][1] - start
         if remaining <= cfg.seg_max_sec:
             # no cut needed; a too-short trailing remainder is dropped
             if remaining >= cfg.seg_min_sec:
-                children.append(_slice_record(rec, words, cur, n, child_idx))
+                children.append(_slice_record(rec, words, cur, n, len(children)))
             break
         # a cut is forced: widest window ending at or under seg_max
         hi = cur
@@ -298,8 +323,7 @@ def segment(rec: ManifestRecord, cfg: PipelineConfig) -> tuple[list[ManifestReco
             if gap > best_gap:
                 best_gap = gap
                 best_j = j
-        children.append(_slice_record(rec, words, cur, best_j + 1, child_idx))
-        child_idx += 1
+        children.append(_slice_record(rec, words, cur, best_j + 1, len(children)))
         cur = best_j + 1
     return children, None
 
@@ -352,12 +376,8 @@ def run_pipeline(
     manifest: Iterable[ManifestRecord | ManifestParseError], cfg: PipelineConfig
 ) -> tuple[list[ManifestRecord], list[FilterOutcome]]:
     """Apply all filters; return (kept records, one outcome per input record), in input order."""
-    kept: list[ManifestRecord] = []
-    outcomes: list[FilterOutcome] = []
-    for survivors, outcome in _judge_records(manifest, cfg):
-        kept.extend(survivors)
-        outcomes.append(outcome)
-    return kept, outcomes
+    judged = list(_judge_records(manifest, cfg))
+    return [child for survivors, _ in judged for child in survivors], [outcome for _, outcome in judged]
 
 
 def curate_stream(
@@ -570,36 +590,18 @@ def _work_shard(path: str, shard: Shard, cfg: PipelineConfig, files: list, write
 # --- manifest and report I/O ---------------------------------------------
 
 _FIELD_NAMES = tuple(f.name for f in fields(ManifestRecord))
-
-
-def _optional_float(value) -> float | None:
-    return None if value is None else float(value)
+_REQUIRED_FIELDS = frozenset(f.name for f in fields(ManifestRecord) if f.default is MISSING)
 
 
 def _record_from_json(obj: object) -> ManifestRecord:
+    """The record a manifest line's JSON value holds: the line's own checks here, each field's in ``ManifestRecord``."""
     if not isinstance(obj, dict):
         raise ValueError("a manifest line must be a JSON object")
-    unknown = set(obj).difference(_FIELD_NAMES)
-    if unknown:
+    if unknown := obj.keys() - _FIELD_NAMES:
         raise ValueError(f"unknown manifest fields: {sorted(unknown)}")
-    word_times = obj.get("word_times")
-    if word_times is not None:
-        word_times = [(float(s), float(e)) for s, e in word_times]
-    detected = obj.get("detected_lang")
-    if detected is not None:
-        detected = (detected[0], float(detected[1]))
-    return ManifestRecord(
-        id=obj["id"],
-        audio_path=obj["audio_path"],
-        duration_sec=float(obj["duration_sec"]),
-        transcript=obj["transcript"],
-        word_confidences=obj.get("word_confidences"),
-        word_times=word_times,
-        source_lang=obj.get("source_lang"),
-        detected_lang=detected,
-        speech_ratio=_optional_float(obj.get("speech_ratio")),
-        max_silence_sec=_optional_float(obj.get("max_silence_sec")),
-    )
+    if not obj.keys() >= _REQUIRED_FIELDS:
+        raise ValueError(f"missing manifest field {next(name for name in _FIELD_NAMES if name not in obj)!r}")
+    return ManifestRecord(**obj)
 
 
 def iter_manifest(path: str, shard: Shard = (0, None, 1)) -> Iterator[ManifestRecord | ManifestParseError]:
@@ -618,32 +620,19 @@ def iter_manifest(path: str, shard: Shard = (0, None, 1)) -> Iterator[ManifestRe
             raw.seek(start)
         fh = io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
         for line_no, line in enumerate(itertools.islice(fh, n_lines), start=first_line):
-            if not line.strip():
+            if line.isspace():  # a line read from a file is never empty
                 continue
             try:
-                if not line.isascii():
-                    _check_utf8(line)
+                if (bad := _utf8_fault(line)) is not None:
+                    raise ValueError(f"line is not valid UTF-8: {bad}")
                 yield _record_from_json(json.loads(line))
-            except (ValueError, KeyError, TypeError, IndexError, RecursionError) as exc:
+            except (ValueError, RecursionError) as exc:
                 yield ManifestParseError(id=f"line-{line_no}", error=str(exc))
 
 
 def read_manifest(path: str) -> list[ManifestRecord | ManifestParseError]:
     """Every entry of a JSON Lines manifest (see ``iter_manifest``)."""
     return list(iter_manifest(path))
-
-
-def _check_utf8(line: str) -> None:
-    """Raise ValueError naming the first undecodable byte of a line read with surrogateescape.
-
-    JSON escapes are still ASCII here, so only a byte of the file can fail to encode.
-    """
-    try:
-        line.encode("utf-8")
-    except UnicodeEncodeError as exc:
-        byte = ord(line[exc.start]) - 0xDC00  # surrogateescape reads byte b as U+DC00 + b
-        offset = len(line[: exc.start].encode("utf-8"))
-        raise ValueError(f"line is not valid UTF-8: byte 0x{byte:02x} at offset {offset}") from None
 
 
 def _manifest_line(rec: ManifestRecord) -> str:

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import dataclasses
 import io
 import json
@@ -27,7 +28,7 @@ from asrlab.stitch import plan_chunks
 from tests import stitch_oracles
 from tests.conftest import make_script, tone
 
-from tests.test_curation import golden_copies, golden_manifest, EXPECTED_KEPT
+from tests.test_curation import EXPECTED_KEPT, HOSTILE_BASE, HOSTILE_FIELDS, golden_copies, golden_manifest
 
 
 def run_cli(*args, **kw):
@@ -1321,6 +1322,24 @@ def test_curate_gives_the_same_bytes_for_any_jobs(lines, trailing_newline):
     assert runs[1:] == runs[:1] * 3
 
 
+def test_curate_hostile_field_values_are_report_rows_at_any_jobs(tmp_path):
+    # one line of each hostile kind: a parse-error row each, never exit 1, the same bytes at --jobs 1 and 2
+    lines = [json.dumps({**HOSTILE_BASE, name: value}) for name, value in HOSTILE_FIELDS]
+    manifest = tmp_path / "in.jsonl"
+    manifest.write_text("\n".join([json.dumps(HOSTILE_BASE), *lines]) + "\n", encoding="utf-8")
+    kept, report = str(tmp_path / "kept.jsonl"), str(tmp_path / "r.csv")
+    argv = ["curate", "--manifest", str(manifest), "--out-manifest", kept, "--report", report]
+    with small_shards():
+        assert len(curation.plan_shards(str(manifest), 2)) == 2
+        runs = [curate_outputs([*argv, "--jobs", jobs], kept, report) for jobs in ("1", "2")]
+    assert runs[0] == runs[1]
+    code, _, report_bytes, _, stderr = runs[0]
+    assert code == 0 and stderr == ""
+    rows = [row for row in csv.reader(io.StringIO(report_bytes.decode("utf-8"))) if not row[0].startswith("#")]
+    assert rows[0] == ["id", "verdict", "reasons", "measured_values"] and rows[1][2] != "parse-error"
+    assert [row[:3] for row in rows[2:]] == [[f"line-{i}", "rejected", "parse-error"] for i in range(2, len(lines) + 2)]
+
+
 def test_curate_golden_manifest_at_four_jobs(tmp_path):
     manifest = tmp_path / "in.jsonl"
     write_manifest(golden_manifest(), str(manifest))
@@ -1535,6 +1554,14 @@ def truncated_wav(path, cut):
     path.write_bytes(path.read_bytes()[:-cut])
 
 
+def zero_rate_wav(path):
+    """A WAV whose header gives a frame rate of 0 Hz, which the wave module reads without complaint."""
+    write_pcm_wav(path, np.round(tone(1.0) * 16000))
+    data = bytearray(path.read_bytes())
+    data[24:32] = bytes(8)  # the fmt chunk's frame rate and byte rate
+    path.write_bytes(bytes(data))
+
+
 BAD_CLIPS = {
     "empty-file": lambda path: path.write_bytes(b""),
     "no-frames": lambda path: write_pcm_wav(path, []),
@@ -1544,6 +1571,7 @@ BAD_CLIPS = {
     # data that ends before the header's frame count, on a frame boundary or inside a frame
     "truncated-even": lambda path: truncated_wav(path, 1000),
     "truncated-odd": lambda path: truncated_wav(path, 1001),
+    "zero-rate": zero_rate_wav,
 }
 
 
@@ -1566,6 +1594,16 @@ def noise_sweep_case(tmp_path, kind):
     argv = ["noise-sweep", "--manifest", str(manifest), "--transcriber", " ".join(transcriber),
             "--workdir", str(tmp_path / "w"), "--out", str(tmp_path / "o.csv"), "--snrs", "0", "--jobs", "1"]
     return argv, wav
+
+
+def test_stitch_audio_zero_rate_wav_exit_2_without_output(tmp_path):
+    # the frame rate divides the recording into seconds, so 0 Hz is refused before any chunk is cut
+    argv, wav = stitch_audio_case(tmp_path, "zero-rate")
+    out = tmp_path / "out.txt"
+    proc = run_cli(*argv, "--out", str(out), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr == f"asrlab stitch: {wav}: expected a frame rate of at least 1 Hz, got 0\n"
+    assert not out.exists()
 
 
 def evaluate_undecodable_hyps_case(tmp_path):

@@ -25,6 +25,7 @@ from asrlab.curation import (
     write_manifest,
     write_rejection_csv,
 )
+from tests import curation_oracles
 
 
 def record(
@@ -441,6 +442,139 @@ def test_read_manifest_text_fields_must_be_strings(tmp_path):
     assert [o.reasons[0].filter_id for o in outcomes[2:]] == ["parse-error"] * len(cases)
     with pytest.raises(ValueError, match="transcript must be a string"):
         ManifestRecord("r", "a.wav", 3.0, None)
+
+
+# --- one schema, against the parser it replaced ------------------------------
+
+def _json_number(x: float):
+    """A strategy for `x` as a manifest may write it: a JSON float, a numeric string, or an int where it is whole."""
+    forms = [st.just(x), st.just(repr(x))]
+    if x.is_integer():
+        forms.append(st.just(int(x)))
+    return st.one_of(forms)
+
+
+@st.composite
+def manifest_objects(draw):
+    """A valid manifest line's JSON object, its numbers in every form the old parser converted too."""
+    transcript = draw(_text)
+    n_words = len(transcript.split())
+    edges = sorted(draw(st.lists(st.floats(0.0, 1e4) | st.integers(0, 10_000).map(float),
+                                 min_size=2 * n_words, max_size=2 * n_words)))
+    times = [[draw(_json_number(x)) for x in edges[2 * i : 2 * i + 2]] for i in range(n_words)]
+    # the old parser took a confidence as it came: a JSON float or int, never a string
+    confidence = st.floats(0.0, 1.0) | st.sampled_from([0, 1])
+    optional = {
+        "word_confidences": st.lists(confidence, min_size=n_words, max_size=n_words),
+        "word_times": st.just(times),
+        "source_lang": _text,
+        "detected_lang": st.tuples(_text, st.floats(0.0, 1.0).flatmap(_json_number)).map(list),
+        "speech_ratio": _finite.flatmap(_json_number),
+        "max_silence_sec": _finite.flatmap(_json_number),
+    }
+    obj = {
+        "id": draw(_text),
+        "audio_path": draw(_text),
+        "duration_sec": draw(st.floats(min_value=1e-6, allow_infinity=False).flatmap(_json_number)),
+        "transcript": transcript,
+    }
+    obj.update({name: draw(values) for name, values in optional.items() if draw(st.booleans())})
+    return obj
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(manifest_objects(), min_size=1, max_size=4))
+def test_parser_matches_the_old_parser_on_valid_records(tmp_path_factory, objs):
+    path = tmp_path_factory.mktemp("diff") / "m.jsonl"
+    path.write_text("".join(json.dumps(obj, ensure_ascii=False) + "\n" for obj in objs), encoding="utf-8")
+    for obj, rec in zip(objs, read_manifest(str(path)), strict=True):
+        old = curation_oracles._record_from_json(json.loads(json.dumps(obj)))
+        assert isinstance(rec, ManifestRecord) and vars(rec) == vars(old)
+        assert rec == ManifestRecord(**json.loads(json.dumps(obj)))
+        if all(type(c) is float for c in old.word_confidences or []):  # the old parser kept an int as it was
+            assert curation._manifest_line(rec) == curation._manifest_line(old)
+        else:
+            assert rec.word_confidences == [float(c) for c in old.word_confidences]
+
+
+HOSTILE_BASE = {
+    "id": "r", "audio_path": "r.wav", "duration_sec": 3.0, "transcript": "hi there",
+    "word_confidences": [0.9, 0.95], "word_times": [[0.1, 0.4], [0.5, 0.9]], "source_lang": "en",
+    "detected_lang": ["en", 0.99], "speech_ratio": 0.9, "max_silence_sec": 0.5,
+}
+_NAN, _INF = float("nan"), float("inf")
+# (field, hostile value): a bool, a non-numeric string, a nested list, a pair of the
+# wrong length, null for a required field, a NaN or Infinity literal, {} for a list
+HOSTILE_FIELDS = [
+    *((name, value) for name in ("id", "audio_path", "transcript") for value in (True, ["x"], None, {}, _NAN)),
+    *(("source_lang", value) for value in (True, ["en"], {}, _NAN)),
+    *((name, value)
+      for name in ("duration_sec", "speech_ratio", "max_silence_sec")
+      for value in (True, False, "high", [3.0], [[3.0]], {}, _NAN, _INF, -_INF)),
+    ("duration_sec", None),
+    *(("word_confidences", value) for value in (
+        {}, True, "0.9 0.95", [0.9], [True, 0.95], ["high", 0.95], [[0.9], 0.95], [{}, 0.95],
+        [_NAN, 0.95], [_INF, 0.95], [0.9, 1.5],
+    )),
+    *(("word_times", value) for value in (
+        {}, True, "ab", [[0.1, 0.4]], [0.1, 0.4], [[True, 0.4], [0.5, 0.9]], [[0.1, False], [0.5, 0.9]],
+        [["a", 0.4], [0.5, 0.9]], [[[0.1], 0.4], [0.5, 0.9]], [[0.1, 0.2, 0.4], [0.5, 0.9]],
+        [[0.1], [0.5, 0.9]], [{}, [0.5, 0.9]], ["ab", [0.5, 0.9]], [[_NAN, 0.4], [0.5, 0.9]],
+        [[0.1, 0.4], [0.5, _INF]], [[-_INF, 0.4], [0.5, 0.9]], [[0.5, 0.9], [0.1, 0.4]],
+    )),
+    *(("detected_lang", value) for value in (
+        True, "en", {}, ["en"], ["en", 0.9, "x"], [["en", 0.9]], ["en", True], ["en", "high"],
+        ["en", [0.9]], ["en", {}], ["en", _NAN], ["en", _INF], [True, 0.9], [{}, 0.9], [None, 0.9],
+    )),
+]
+
+
+def test_hostile_field_values_are_one_parse_error_naming_the_field(tmp_path):
+    # the parser and a library call give the same refusal; none of these ends the run
+    objs = [{**HOSTILE_BASE, name: value} for name, value in HOSTILE_FIELDS]
+    assert {name for name, _ in HOSTILE_FIELDS} == set(HOSTILE_BASE)
+    path = tmp_path / "m.jsonl"
+    path.write_text("".join(json.dumps(obj) + "\n" for obj in [HOSTILE_BASE, *objs]), encoding="utf-8")
+    entries = read_manifest(str(path))
+    assert isinstance(entries[0], ManifestRecord)
+    _, outcomes = run_pipeline(entries, PipelineConfig())
+    assert len(outcomes) == len(objs) + 1
+    for (name, value), entry, outcome in zip(HOSTILE_FIELDS, entries[1:], outcomes[1:], strict=True):
+        assert isinstance(entry, ManifestParseError), (name, value)
+        assert [r.filter_id for r in outcome.reasons] == ["parse-error"]
+        assert name in entry.error, (name, value, entry.error)
+        with pytest.raises(ValueError) as exc:
+            ManifestRecord(**{**HOSTILE_BASE, name: value})
+        assert str(exc.value) == entry.error
+
+
+def test_read_manifest_line_checks(tmp_path):
+    missing = {k: v for k, v in HOSTILE_BASE.items() if k != "audio_path"}
+    lines = [json.dumps(missing), json.dumps({**HOSTILE_BASE, "speaker": "x"}), "[1, 2]", "7"]
+    path = tmp_path / "m.jsonl"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert [e.error for e in read_manifest(str(path))] == [
+        "missing manifest field 'audio_path'",
+        "unknown manifest fields: ['speaker']",
+        "a manifest line must be a JSON object",
+        "a manifest line must be a JSON object",
+    ]
+
+
+def test_numbers_are_floats_after_construction():
+    rec = ManifestRecord(
+        "r", "a.wav", 3, "hi there", word_confidences=(1, 0), word_times=[[0, 1], ("1", 2)],
+        detected_lang=["en", 1], speech_ratio="0.5", max_silence_sec=10,
+    )
+    assert rec == ManifestRecord(
+        "r", "a.wav", 3.0, "hi there", word_confidences=[1.0, 0.0], word_times=[(0.0, 1.0), (1.0, 2.0)],
+        detected_lang=("en", 1.0), speech_ratio=0.5, max_silence_sec=10.0,
+    )
+    assert all(type(x) is float for x in [rec.duration_sec, *rec.word_confidences, *rec.word_times[1], rec.detected_lang[1]])
+    # an int beyond a float's range is refused as 1e400 is, not an OverflowError that ends the run
+    for value in (10**400, -(10**400), 1e400, float("nan")):
+        with pytest.raises(ValueError, match="speech_ratio must be a finite number"):
+            ManifestRecord("r", "a.wav", 3.0, "hi", speech_ratio=value)
 
 
 def test_rejection_csv(tmp_path):
