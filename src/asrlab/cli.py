@@ -112,6 +112,15 @@ def _staging_file(path: str, i: int) -> tuple[str, str, int | None] | None:
     return tmp, real, stat.S_IMODE(st.st_mode)
 
 
+def _same_output(a: str, b: str) -> bool:
+    """Whether outputs `a` and `b` resolve to one path or are one existing regular file; a device may be both."""
+    try:
+        st = os.stat(a)
+    except FileNotFoundError:
+        return os.path.realpath(a) == os.path.realpath(b)
+    return stat.S_ISREG(st.st_mode) and os.path.exists(b) and os.path.samefile(a, b)
+
+
 @contextlib.contextmanager
 def _replaced_together(*paths: str | None, reads: Sequence[str] = ()):
     """Text files to write `paths` through (stdout for None); staged ones are moved into place once the block completes.
@@ -120,8 +129,14 @@ def _replaced_together(*paths: str | None, reads: Sequence[str] = ()):
     before the block completes changes no staged target, truncates none, and
     leaves no temporary file behind; an existing target keeps its mode and
     owner. A target written in place is opened, and so truncated, as the block
-    starts, so one that is the same file as a path in `reads` is refused.
+    starts, so one that is the same file as a path in `reads` is refused. Two
+    targets that are one path or one regular file are refused too: one would
+    replace the other.
     """
+    for i, path in enumerate(paths):
+        for other in paths[:i]:
+            if path is not None and other is not None and _same_output(other, path):
+                raise ValueError(f"outputs {other} and {path} are the same file: one would replace the other")
     staged: list[tuple[str, str, int | None] | None] = []
     opened: list = []
     try:

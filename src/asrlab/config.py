@@ -20,20 +20,20 @@ def utf8_lines(path: str) -> Iterator[tuple[int, str]]:
     """
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
-            if _utf8_fault(line) is not None:
+            if not _is_utf8(line):
                 raise ValueError(f"{path}:{line_no}: not valid UTF-8")
             yield line_no, line
 
 
-def _utf8_fault(text: str) -> str | None:
-    """None if `text` encodes as UTF-8, else where it first fails: ``byte 0xff at offset 75`` (in bytes) for text read
-    with errors="surrogateescape", which holds a byte b that is not UTF-8 as the lone surrogate U+DC00 + b."""
+def _is_utf8(text: str) -> bool:
+    """Whether `text` encodes as UTF-8: text read with errors="surrogateescape" holds a byte that is not UTF-8 as a
+    lone surrogate, which does not."""
     if not text.isascii():
         try:
             text.encode("utf-8")
-        except UnicodeEncodeError as exc:
-            return f"byte 0x{ord(text[exc.start]) - 0xDC00:02x} at offset {len(text[: exc.start].encode('utf-8'))}"
-    return None
+        except UnicodeEncodeError:
+            return False
+    return True
 
 
 def load_config(path: str) -> dict[str, tuple[int, str]]:

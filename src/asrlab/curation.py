@@ -21,7 +21,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import io
-import itertools
 import json
 import math
 import os
@@ -32,7 +31,7 @@ import threading
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterable, Iterator, NoReturn, TextIO
 
-from .config import _utf8_fault
+from .config import _is_utf8
 
 __all__ = [
     "ManifestRecord",
@@ -103,7 +102,7 @@ class ManifestRecord:
             if not isinstance(lang, str):
                 raise ValueError(f"detected_lang's tag must be a string, got {type(lang).__name__}")
             self.detected_lang = lang, self._unit("detected_lang confidence", conf)
-        if _utf8_fault(f"{self.id}{self.audio_path}{self.transcript}{self.source_lang}{lang}"):  # from a \ud800 escape
+        if not _is_utf8(f"{self.id}{self.audio_path}{self.transcript}{self.source_lang}{lang}"):  # from a \ud800 escape
             raise ValueError("a text field holds a lone surrogate, which UTF-8 cannot encode")
         self.duration_sec = _number("duration_sec", self.duration_sec)
         if self.duration_sec <= 0:
@@ -404,8 +403,8 @@ def curate_stream(
 
 # --- shards ---------------------------------------------------------------
 
-# (first byte, number of lines or None for all that follow, number of the first line)
-Shard = tuple[int, int | None, int]
+# (first byte, first byte past the shard or None for the end of the file)
+Shard = tuple[int, int | None]
 
 # A manifest below twice this size is one shard: there a second process won
 # no time. curate --jobs 2 without this floor against --jobs 1 on a shared
@@ -413,7 +412,6 @@ Shard = tuple[int, int | None, int]
 # 0.5 MB +6 %, 1 MB 0 %, 2 MB -8 % and +1 % in two rounds (6 and 5 wins),
 # 3 MB +1 % (4 wins); 4 MB -27 % (13 wins), 8 MB -29 % (10 of 10 pairs).
 MIN_SHARD_BYTES = 2 << 20
-_COUNT_BLOCK = 1 << 16
 
 
 def usable_cpus() -> int:
@@ -424,38 +422,26 @@ def usable_cpus() -> int:
 
 
 def plan_shards(path: str, jobs: int) -> list[Shard]:
-    r"""The manifest at `path` cut into consecutive shards of about equal size.
+    """The manifest at `path` cut into consecutive byte ranges of about equal size.
 
     There are at most `jobs` shards, at most ``usable_cpus()``, and each holds
     at least about MIN_SHARD_BYTES. A cut falls just after a newline byte, so
-    it splits no line and no UTF-8 character. A shard's first line number
-    counts the line ends before it as text mode reads them (``\n``, ``\r`` and
-    ``\r\n``), in blocks of the file. Where this process cannot fork safely,
-    without ``os.fork`` or with other threads running, there is one shard.
+    it splits no line and no UTF-8 character. Where this process cannot fork
+    safely, without ``os.fork`` or with other threads running, there is one
+    shard.
     """
     size = os.path.getsize(path)
     n = min(jobs, usable_cpus(), size // MIN_SHARD_BYTES)
     if n < 2 or not hasattr(os, "fork") or threading.active_count() > 1:
-        return [(0, None, 1)]
+        return [(0, None)]
     cuts: list[int] = []
-    firsts = [1]
     with open(path, "rb") as fh:
         for k in range(1, n):
             fh.seek(size * k // n)
             fh.readline()
             if (cuts[-1] if cuts else 0) < fh.tell() < size:
                 cuts.append(fh.tell())
-        fh.seek(0)
-        line_ends, last_byte = 0, b""
-        for cut in cuts:
-            while fh.tell() < cut:
-                block = fh.read(min(_COUNT_BLOCK, cut - fh.tell()))
-                line_ends += block.count(b"\n") + block.count(b"\r") - block.count(b"\r\n")
-                line_ends -= last_byte == b"\r" and block[:1] == b"\n"  # a \r\n split between two blocks
-                last_byte = block[-1:]
-            firsts.append(line_ends + 1)
-    counts = [b - a for a, b in zip(firsts, firsts[1:])]
-    return list(zip([0, *cuts], [*counts, None], firsts))
+    return list(zip([0, *cuts], [*cuts, None]))
 
 
 def curate_manifest(path: str, cfg: PipelineConfig, kept_out: TextIO, report_out: TextIO, jobs: int = 1) -> tuple[int, int]:
@@ -604,28 +590,34 @@ def _record_from_json(obj: object) -> ManifestRecord:
     return ManifestRecord(**obj)
 
 
-def iter_manifest(path: str, shard: Shard = (0, None, 1)) -> Iterator[ManifestRecord | ManifestParseError]:
-    """Each entry of a JSON Lines manifest, read one line at a time; a malformed
+def iter_manifest(path: str, shard: Shard = (0, None)) -> Iterator[ManifestRecord | ManifestParseError]:
+    r"""Each entry of a JSON Lines manifest, read one line at a time; a malformed
     line becomes a ManifestParseError entry.
 
-    A line holding a byte that is not UTF-8 is malformed too, and its error
-    names the first such byte. So is a line nested too deep for the JSON
-    decoder, which raises RecursionError. Lines end as in text mode, and a
-    parse error's id is ``line-N`` with N its line number. ``shard`` (see
-    ``plan_shards``) reads only the lines of one shard.
+    A line ends at ``\n``, and one that ends in ``\r\n`` is read as if it
+    ended in ``\n``: a bare ``\r`` ends no line. A parse error's id is
+    ``line-N``, with N the line's number. A line holding a byte that is not
+    UTF-8 is malformed, and its error names the first such byte. So is a line
+    nested too deep for the JSON decoder, which raises RecursionError.
+    ``shard`` (see ``plan_shards``) yields only the lines that start in its
+    byte range; the lines before the range are counted, not decoded.
     """
-    start, n_lines, first_line = shard
-    with open(path, "rb") as raw:
-        if start:  # a pipe cannot seek
-            raw.seek(start)
-        fh = io.TextIOWrapper(raw, encoding="utf-8", errors="surrogateescape")
-        for line_no, line in enumerate(itertools.islice(fh, n_lines), start=first_line):
-            if line.isspace():  # a line read from a file is never empty
+    start, stop = shard
+    with open(path, "rb") as fh:  # read from the first byte, never seeking, so a pipe works too
+        end = 0
+        for line_no, raw in enumerate(fh, start=1):
+            at, end = end, end + len(raw)
+            if at < start:
                 continue
+            if stop is not None and at >= stop:
+                return
             try:
-                if (bad := _utf8_fault(line)) is not None:
-                    raise ValueError(f"line is not valid UTF-8: {bad}")
-                yield _record_from_json(json.loads(line))
+                if (line := raw.decode("utf-8")).isspace():  # a line read from a file is never empty
+                    continue
+                yield _record_from_json(json.loads(line[:-2] + "\n" if line.endswith("\r\n") else line))
+            except UnicodeDecodeError as exc:  # only the decode above raises one
+                bad = f"byte 0x{raw[exc.start]:02x} at offset {exc.start}"
+                yield ManifestParseError(id=f"line-{line_no}", error=f"line is not valid UTF-8: {bad}")
             except (ValueError, RecursionError) as exc:
                 yield ManifestParseError(id=f"line-{line_no}", error=str(exc))
 

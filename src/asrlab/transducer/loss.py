@@ -63,41 +63,29 @@ def _unskew(d: np.ndarray, T: int) -> np.ndarray:
     return np.ndarray((T, W), buffer=d, strides=(W * step, (W + 1) * step))
 
 
-def _forward(blank: np.ndarray, emit: np.ndarray) -> np.ndarray:
-    """alpha[t + u, b, u] = log-prob of consuming t frames and emitting u labels in lattice b.
+def _sweep(blank: np.ndarray, emit: np.ndarray, start: np.ndarray | float) -> np.ndarray:
+    """d[n, b, u] = log-sum of the paths of lattice b from node (0, 0), which holds `start`, to node (n - u, u).
 
-    A node on anti-diagonal n = t + u is reached only from diagonal n - 1, so
-    each diagonal is one array step over the skewed edge tables of the whole
-    batch, with the same additions as a cell-by-cell pass. Cells with t = T
-    take the blanks out of the last frame; nothing reads them back.
+    ``blank`` (N, B, U+1) and ``emit`` (N, B, U) are the skewed edges out of
+    anti-diagonals 0..N-1 (see ``_skewed_edges``). A node on diagonal n is
+    reached only from diagonal n - 1, so each diagonal is one array step over
+    the batch, with the same additions as a cell-by-cell pass. On the edges as
+    they are, this is the forward pass, alpha; on the edges reversed in n and
+    u, started from the blank out of the last node, the backward pass, beta,
+    reversed in both. Cells with t = T are never read.
     """
-    alpha = np.full(blank.shape, NEG_INF)
-    alpha[0, :, 0] = 0.0
-    steps = zip(alpha, alpha[:, :, :-1], alpha[1:], alpha[1:, :, 1:], blank, emit[:, :, :-1])
-    for prev, prev_head, cur, cur_tail, blank_out, emit_out in steps:
+    d = np.full((len(blank) + 1, *blank.shape[1:]), NEG_INF)
+    d[0, :, 0] = start
+    for prev, prev_head, cur, cur_tail, blank_out, emit_out in zip(d, d[:, :, :-1], d[1:], d[1:, :, 1:], blank, emit):
         np.add(prev, blank_out, cur)
         np.logaddexp(cur_tail, prev_head + emit_out, cur_tail)
-    return alpha
-
-
-def _backward(blank: np.ndarray, emit: np.ndarray) -> np.ndarray:
-    """beta[t + u, b, u] = log-prob of completing lattice b's alignment from node (t, u)."""
-    beta = np.full(blank.shape, NEG_INF)
-    beta[-1, :, -1] = blank[-1, :, -1]
-    steps = zip(
-        beta[::-1], beta[::-1, :, 1:], beta[-2::-1], beta[-2::-1, :, :-1], blank[-2::-1], emit[-2::-1, :, :-1]
-    )
-    for nxt, nxt_tail, cur, cur_head, blank_out, emit_out in steps:
-        np.add(blank_out, nxt, cur)
-        np.logaddexp(cur_head, emit_out + nxt_tail, cur_head)
-    return beta
+    return d
 
 
 def _logprobs(blank: np.ndarray, emit: np.ndarray) -> np.ndarray:
     """log P(targets) of each of B same-shape lattices, from their (B, T, U+1) and (B, T, U) edge tables."""
-    edges = _skewed_edges(blank, emit)
-    alpha = _forward(*edges)
-    return alpha[-1, :, -1] + edges[0, -1, :, -1]
+    blank, emit = _skewed_edges(blank, emit)
+    return _sweep(blank[:-1], emit[:-1, :, :-1], 0.0)[-1, :, -1] + blank[-1, :, -1]
 
 
 def rnnt_logprob(lat: RnntLattice) -> float:
@@ -167,8 +155,9 @@ def rnnt_grad(lat: RnntLattice) -> np.ndarray:
     T, U, V = lat.T, lat.U, lat.V
     lp = lat.logits
     blank, emit = _skewed_edges(*_edge_tables(lp[None], lat.targets))
-    alpha = _unskew(_forward(blank, emit)[:, 0], T)
-    beta = _unskew(_backward(blank, emit)[:, 0], T)
+    alpha = _unskew(_sweep(blank[:-1], emit[:-1, :, :-1], 0.0)[:, 0], T)
+    beta = _sweep(blank[-2::-1, :, ::-1], emit[-2::-1, :, -2::-1], blank[-1, :, -1])
+    beta = _unskew(np.ascontiguousarray(beta[::-1, 0, ::-1]), T)
     log_p = float(alpha[T - 1, U] + lp[T - 1, U, lat.blank_id])
     if not np.isfinite(log_p):
         raise ValueError("target sequence has zero probability under this lattice")

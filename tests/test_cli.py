@@ -1130,6 +1130,33 @@ def test_curate_refuses_an_output_hard_linked_to_the_manifest(tmp_path, capsys, 
     assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl", "link"]  # nothing written, no temporary left
 
 
+@pytest.mark.parametrize("link", ["same-path", "symlink", "hardlink"])
+def test_curate_refuses_one_file_for_both_outputs(tmp_path, capsys, link):
+    manifest = tmp_path / "in.jsonl"
+    write_manifest(golden_manifest(), str(manifest))
+    kept, report = tmp_path / "out.x", tmp_path / "other.x"
+    kept.write_bytes(b"old kept\n")
+    if link == "same-path":
+        report = kept
+    else:
+        report.symlink_to(kept) if link == "symlink" else os.link(kept, report)
+    argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(kept), "--report", str(report)]
+    assert cli.main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"asrlab curate: outputs {kept} and {report} are the same file: one would replace the other\n"
+    assert kept.read_bytes() == report.read_bytes() == b"old kept\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted({"in.jsonl", kept.name, report.name})
+
+
+def test_curate_may_write_both_outputs_to_one_device(tmp_path, capsys):
+    manifest = tmp_path / "in.jsonl"
+    write_manifest(golden_manifest(), str(manifest))
+    argv = ["curate", "--manifest", str(manifest), "--out-manifest", os.devnull, "--report", os.devnull]
+    assert cli.main(argv) == 0
+    assert capsys.readouterr().out.startswith("kept=4 rejected=7 ")
+
+
 def test_curate_output_may_be_the_manifest_itself(tmp_path):
     # a manifest with one link is staged: it is read whole before the kept records replace it
     plain = tmp_path / "plain"
@@ -1193,7 +1220,7 @@ def mostly(good, *others):
 @st.composite
 def manifest_lines(draw) -> bytes:
     kind = draw(st.sampled_from(["blank", "not-json", "not-utf8", "bad-field", *["record"] * 6]))
-    # a line ends in \n, \r\n or a lone \r, which a blank line after it may join into \r\n
+    # a line ends in \n or \r\n; a lone \r ends none, so it joins its line to the next
     end = draw(st.sampled_from([b"\n", b"\n", b"\r\n", b"\r"]))
     if kind == "blank":
         return draw(st.sampled_from([b"", b"  ", b"\t"])) + end
@@ -1385,11 +1412,12 @@ def test_curate_failing_shard_gives_the_jobs_1_error_and_changes_no_output(tmp_p
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(kept), "--report", str(report)]
     with small_shards(cpus=3):
-        firsts = [first_line for _, _, first_line in curation.plan_shards(str(manifest), 3)]
-        assert len(firsts) == 3
-        for rid, shard in (("r2-3", 0), ("r5-15", 1), ("r2-25", 2)):  # record r<i>-<k> is on line 10k + i + 1
-            line = 10 * int(rid.split("-")[1]) + int(rid[1]) + 1
-            assert sum(first <= line for first in firsts) - 1 == shard
+        shards = curation.plan_shards(str(manifest), 3)
+        assert len(shards) == 3
+        data = manifest.read_bytes()
+        for rid, shard in (("r2-3", 0), ("r5-15", 1), ("r2-25", 2)):
+            at = data.index(b'\n{"id": "%s"' % rid.encode()) + 1  # the first byte of the record's line
+            assert [k for k, (start, stop) in enumerate(shards) if start <= at and (stop is None or at < stop)] == [shard]
         runs = [curate_outputs([*argv, "--jobs", jobs], str(kept), str(report)) for jobs in ("1", "3")]
     code, _, _, stdout, stderr = runs[0]
     assert runs[1] == runs[0]

@@ -1,5 +1,4 @@
 import dataclasses
-import io
 import json
 import math
 import os
@@ -663,38 +662,76 @@ def golden_copies(path, n_copies: int) -> None:
                    str(path))
 
 
-def text_lines(data: bytes) -> list[str]:
-    """The lines of `data` as text mode reads them."""
-    return io.TextIOWrapper(io.BytesIO(data), encoding="latin-1").readlines()
+SHARD_RECORD = json.dumps(HOSTILE_BASE).encode()
+
+
+def expected_entries(data: bytes) -> list[str]:
+    """Oracle of the line rule: for each line that is not blank, the record's id, or ``line-N`` for a parse error.
+
+    A line ends at \\n, so N is 1 plus the number of \\n before the line; a
+    \\r, at either end of a line or alone, is JSON whitespace.
+    """
+    ids = []
+    for n, line in enumerate(data.split(b"\n"), start=1):
+        if line.strip(b"\r"):
+            ids.append(HOSTILE_BASE["id"] if line.strip(b"\r") == SHARD_RECORD else f"line-{n}")
+    return ids
 
 
 @settings(max_examples=200, deadline=None)
-@given(data=st.lists(st.sampled_from([b"a", b"bc", b"\n", b"\r", b"\r\n"]), max_size=60).map(b"".join),
-       jobs=st.integers(1, 8), block=st.integers(1, 5))
-def test_plan_shards_cuts_after_a_newline_and_numbers_lines_as_text_mode(tmp_path_factory, data, jobs, block):
+@given(data=st.lists(st.sampled_from([b"a", b"bc", b"\n", b"\r", b"\r\n", b"\xff", SHARD_RECORD, b"[]"]),
+                     max_size=60).map(b"".join),
+       jobs=st.integers(1, 8))
+def test_plan_shards_cuts_after_a_newline_and_shards_read_as_the_whole_file(tmp_path_factory, data, jobs):
     path = tmp_path_factory.mktemp("shards") / "m.jsonl"
     path.write_bytes(data)
     with pytest.MonkeyPatch.context() as mp:
-        # blocks of a few bytes split many \r\n pairs between two blocks
         mp.setattr(curation, "MIN_SHARD_BYTES", 1)
-        mp.setattr(curation, "_COUNT_BLOCK", block)
         mp.setattr(curation, "usable_cpus", lambda: 8)
         shards = curation.plan_shards(str(path), jobs)
-    starts = [start for start, _, _ in shards]
+    starts = [start for start, _ in shards]
     assert starts[0] == 0 and starts == sorted(set(starts)) and len(shards) <= max(jobs, 1)
+    assert [stop for _, stop in shards] == [*starts[1:], None]
     assert all(data[start - 1:start] == b"\n" and start < len(data) for start in starts[1:])
-    ends = [*starts[1:], len(data)]
-    for (start, n_lines, first_line), end in zip(shards, ends):
-        assert first_line == len(text_lines(data[:start])) + 1
-        assert n_lines == (None if end == len(data) else len(text_lines(data[start:end])))
-    assert [line for start, end in zip(starts, ends) for line in text_lines(data[start:end])] == text_lines(data)
+    whole = read_manifest(str(path))
+    assert [entry for shard in shards for entry in curation.iter_manifest(str(path), shard)] == whole
+    assert [entry.id for entry in whole] == expected_entries(data)
+
+
+def test_crlf_manifest_reads_as_its_lf_twin(tmp_path):
+    lines = [json.dumps(dataclasses.asdict(rec)) for rec in golden_manifest()[:3]] + [
+        '{"id": "half a rec',  # truncated: each error names a position that a \r before the \n would move
+        '{"id": "x", "audio_path": ',
+        '["not", "an", "object"]',
+        "",
+        "   ",
+        '{"id": "x", "audio_path": "x.wav", "duration_sec": 1.0, "transcript": "a", "bad": 1}',
+    ]
+    lf, crlf = tmp_path / "lf.jsonl", tmp_path / "crlf.jsonl"
+    lf.write_bytes("\n".join(lines).encode() + b"\n\xff\n")
+    crlf.write_bytes(lf.read_bytes().replace(b"\n", b"\r\n"))
+    entries = read_manifest(str(lf))
+    assert read_manifest(str(crlf)) == entries
+    errors = [entry.error for entry in entries if isinstance(entry, ManifestParseError)]
+    assert len(entries) == 8 and len(errors) == 5
+    assert errors[0] == "Invalid control character at: line 1 column 19 (char 18)"
+    assert errors[1] == "Expecting value: line 2 column 1 (char 27)"
+    assert errors[4] == "line is not valid UTF-8: byte 0xff at offset 0"
+
+
+def test_bare_carriage_return_ends_no_line(tmp_path):
+    path = tmp_path / "m.jsonl"
+    path.write_bytes(SHARD_RECORD + b"\r" + SHARD_RECORD + b"\n" + SHARD_RECORD + b"\r")
+    entries = read_manifest(str(path))
+    assert [entry.id for entry in entries] == ["line-1", HOSTILE_BASE["id"]]
+    assert entries[0].error.startswith("Extra data")
 
 
 def test_plan_shards_count(tmp_path, monkeypatch):
     path = tmp_path / "m.jsonl"
     golden_copies(path, 3)  # 30 lines, 22 kB
     # below twice the minimum shard size a manifest is one shard, whatever the jobs
-    assert curation.plan_shards(str(path), 10000) == [(0, None, 1)]
+    assert curation.plan_shards(str(path), 10000) == [(0, None)]
     monkeypatch.setattr(curation, "MIN_SHARD_BYTES", path.stat().st_size // 2)
     assert len(curation.plan_shards(str(path), 10000)) == min(2, curation.usable_cpus())
     monkeypatch.setattr(curation, "MIN_SHARD_BYTES", 1)
@@ -702,7 +739,7 @@ def test_plan_shards_count(tmp_path, monkeypatch):
     monkeypatch.setattr(curation, "usable_cpus", lambda: 3)
     assert len(curation.plan_shards(str(path), 10000)) == 3
     assert len(curation.plan_shards(str(path), 2)) == 2
-    assert curation.plan_shards(str(path), 1) == [(0, None, 1)]
+    assert curation.plan_shards(str(path), 1) == [(0, None)]
 
 
 def test_plan_shards_one_shard_while_other_threads_run(tmp_path, monkeypatch):
@@ -715,7 +752,7 @@ def test_plan_shards_one_shard_while_other_threads_run(tmp_path, monkeypatch):
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert curation.plan_shards(str(path), 3) == [(0, None, 1)]
+        assert curation.plan_shards(str(path), 3) == [(0, None)]
     finally:
         release.set()
         thread.join(timeout=10)
