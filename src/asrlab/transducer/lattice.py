@@ -15,6 +15,7 @@ from .._lazy import np
 __all__ = ["RnntLattice", "log_softmax", "random_lattice"]
 
 _NORM_TOL = 1e-9
+_CHECK_CELLS = 1 << 15  # cells per block of the normalization check
 
 
 def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
@@ -24,10 +25,12 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def _check_normalized(logits: np.ndarray) -> None:
     """Raise ValueError unless every slice along the last axis is a distribution in log space."""
-    slice_sums = np.logaddexp.reduce(logits, axis=-1)
-    worst = float(np.max(np.abs(slice_sums)))
-    if not worst <= _NORM_TOL:  # NaN fails too
-        raise ValueError(f"lattice slices not normalized: max |logsumexp| = {worst:.3g}")
+    step = max(1, _CHECK_CELLS // max(1, logits[0].size))  # blocks of the first axis: no lattice-sized temporary
+    with np.errstate(all="ignore"):  # NaN, and a slice that under- or overflows exp, is refused
+        for start in range(0, len(logits), step):
+            if not np.abs(np.log(np.exp(logits[start:start + step]).sum(axis=-1))).max() <= _NORM_TOL:
+                worst = float(np.max(np.abs(np.logaddexp.reduce(logits, axis=-1))))
+                raise ValueError(f"lattice slices not normalized: max |logsumexp| = {worst:.3g}")
 
 
 @dataclass
@@ -44,9 +47,7 @@ class RnntLattice:
         if self.T < 1:
             raise ValueError("need at least one time frame")
         if self.logits.shape[1] != self.U + 1:
-            raise ValueError(
-                f"logits second dim is {self.logits.shape[1]}, expected U+1={self.U + 1}"
-            )
+            raise ValueError(f"logits second dim is {self.logits.shape[1]}, expected U+1={self.U + 1}")
         if any(not 0 <= y < self.V for y in self.targets):
             raise ValueError(f"target labels must lie in [0, {self.V})")
         _check_normalized(self.logits)

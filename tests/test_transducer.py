@@ -1,5 +1,6 @@
 import math
 import tracemalloc
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -24,7 +25,7 @@ from asrlab.transducer import (
     rnnt_grad,
     rnnt_logprob,
 )
-from asrlab.transducer import loss
+from asrlab.transducer import lattice, loss
 from asrlab.transducer.lattice import _check_normalized
 from asrlab.transducer.loss import BATCH_CELLS, finite_difference_grad, rnnt_logprobs
 from asrlab.transducer.mask import FRAME_MS
@@ -218,6 +219,46 @@ def test_normalization_check_covers_every_slice_of_a_batch():
     batch[-1, 2, 1] += 2e-9  # one slice of the last lattice, just past the 1e-9 tolerance
     with pytest.raises(ValueError, match="not normalized"):
         _check_normalized(batch)
+
+
+def test_normalization_check_verdicts_match_logaddexp_at_the_tolerance():
+    # slices shifted off normalization by 1e-9 * (1 -/+ 1e-6), either sign: half sit just
+    # inside the tolerance, half just outside, and each gets logaddexp.reduce's verdict
+    rng = np.random.default_rng(5)
+    shift = 1e-9 * (1.0 + rng.choice([-1e-6, 1e-6], size=400)) * rng.choice([-1.0, 1.0], size=400)
+    slices = log_softmax(rng.normal(size=(400, 1, 4)), axis=2) + shift[:, None, None]
+    verdicts = set()
+    for one in slices:
+        want = float(np.abs(np.logaddexp.reduce(one, axis=-1)).max()) <= 1e-9
+        try:
+            _check_normalized(one[None])
+            got = True
+        except ValueError:
+            got = False
+        assert got == want
+        verdicts.add(got)
+    assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("value", [800.0, -800.0, -np.inf])
+def test_normalization_check_refuses_overflow_and_underflow_quietly(value):
+    logits = log_softmax(np.zeros((3, 2, 4)), axis=2)
+    logits[1, 0] = value  # exp over- or underflows on every cell of this slice
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not normalized"):
+            _check_normalized(logits)
+
+
+def test_normalization_check_spans_blocks_and_keeps_its_message():
+    logits = log_softmax(np.zeros((3 * lattice._CHECK_CELLS // 12 + 5, 2, 6)), axis=2)
+    _check_normalized(logits)
+    logits[-1, 1, 2] += 6e-8  # one slice of the last block, its logsumexp now 1e-8
+    worst = float(np.max(np.abs(np.logaddexp.reduce(logits, axis=-1))))
+    with pytest.raises(ValueError) as err:
+        _check_normalized(logits)
+    assert str(err.value) == f"lattice slices not normalized: max |logsumexp| = {worst:.3g}"
+    assert str(err.value).endswith("= 1e-08")
 
 
 def test_finite_difference_memory_is_bounded_in_v():
@@ -456,6 +497,76 @@ def test_beam_matches_full_expansion_oracle(seed, V, n_frames, beam, max_symbols
         lm = build_lm(corpus, lm_order, vocabulary=range(V))
     kw = dict(lm=lm, lm_weight=lm_weight or 0.0, beam_size=beam, max_symbols_per_frame=max_symbols)
     assert beam_decode(scorer, n_frames, **kw) == oracles.beam_decode(scorer, n_frames, **kw)
+
+
+class RecordingTable:
+    """Whole-number scorer rows keyed by (t, prefix length mod k, last label), logging each call."""
+
+    def __init__(self, seed, n_frames, V, k=3):
+        rng = np.random.default_rng(seed)
+        self.table = np.round(2.0 * rng.normal(size=(n_frames, k, V + 1, V + 1))) - 3.0
+        self.table[..., -1] -= rng.integers(0, 4)  # a blank handicap makes the prefixes long
+        self.calls = []
+
+    def __call__(self, t, prefix):
+        self.calls.append((t, prefix))
+        k, last = self.table.shape[1], prefix[-1] if prefix else -1
+        return self.table[t, len(prefix) % k, last]
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    V=st.integers(1, 6),
+    n_frames=st.integers(20, 40),
+    beam=st.integers(1, 8),
+    max_symbols=st.integers(1, 3),
+    lm_weight=st.sampled_from([None, 0.5]),
+)
+def test_long_beam_decode_calls_the_scorer_as_the_oracle_does(seed, V, n_frames, beam, max_symbols, lm_weight):
+    lm = None
+    if lm_weight is not None:
+        corpus = np.random.default_rng(seed).integers(V, size=(6, 8)).tolist()
+        lm = build_lm(corpus, 3, vocabulary=range(V))
+    kw = dict(lm=lm, lm_weight=lm_weight or 0.0, beam_size=beam, max_symbols_per_frame=max_symbols)
+    got_scorer, want_scorer = RecordingTable(seed, n_frames, V), RecordingTable(seed, n_frames, V)
+    assert beam_decode(got_scorer, n_frames, **kw) == oracles.beam_decode(want_scorer, n_frames, **kw)
+    assert got_scorer.calls == want_scorer.calls
+
+
+def test_beam_decode_memory_holds_only_live_hypotheses():
+    # the bench's decoding shape: 200 frames, beam 8, 12 labels, a trigram LM; the
+    # output runs to hundreds of labels, so a label tuple cached per search node
+    # (thousands of them) would take several MiB
+    rng = np.random.default_rng(0)
+    table = log_softmax(2.0 * rng.normal(size=(200, 5, 13)), axis=2)
+    lm = build_lm(rng.integers(0, 12, size=(200, 12)).tolist(), 3, vocabulary=range(12))
+    scorer = lambda t, prefix: table[t, len(prefix) % 5]
+    tracemalloc.start()
+    try:
+        labels, _ = beam_decode(scorer, 200, lm=lm, lm_weight=0.3, beam_size=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(labels) > 300
+    assert peak < 1 << 20
+
+
+def test_decoders_refuse_a_nan_score_naming_its_frame():
+    row = np.log([0.2, 0.3, 0.5])
+    nan_blank = row.copy()
+    nan_blank[-1] = np.nan
+    with pytest.raises(ValueError, match="frame 1 holds NaN"):
+        beam_decode(lambda t, prefix: nan_blank if t == 1 else row, 3)
+    nan_label = row.copy()
+    nan_label[0] = np.nan
+    with pytest.raises(ValueError, match="frame 0 holds NaN"):
+        greedy_decode(lambda t, prefix: nan_label, 2)
+    plus_inf = row.copy()
+    plus_inf[1] = np.inf  # -inf + inf would rank a later hypothesis as NaN
+    for decode in (greedy_decode, beam_decode):
+        with pytest.raises(ValueError, match="frame 0 holds NaN or \\+inf"):
+            decode(lambda t, prefix: plus_inf, 2)
 
 
 def test_beam_validation():

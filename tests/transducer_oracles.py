@@ -2,10 +2,10 @@
 
 ``asrlab.transducer`` runs its DP one anti-diagonal at a time over a batch of
 lattices, scores all finite-difference perturbations of a lattice in one pass,
-and expands each beam hypothesis with one array sort. The loops below visit one
-lattice cell, one perturbation, or one (hypothesis, label) pair at a time and
-do the same float operations in the same order, so the library must reproduce
-their results exactly.
+and expands only the top beam_size labels of each beam hypothesis. The loops
+below visit one lattice cell, one perturbation, or one (hypothesis, label) pair
+at a time and do the same float operations in the same order, so the library
+must reproduce their results exactly.
 """
 
 from __future__ import annotations
