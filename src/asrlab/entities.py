@@ -41,6 +41,9 @@ class EntitySpan:
     end: int
 
     def __post_init__(self) -> None:
+        # alignment sorts spans by (start, end): a negative or non-int offset would silently reorder them
+        if not (isinstance(self.start, int) and isinstance(self.end, int) and self.start >= 0):
+            raise ValueError(f"span offsets must be integers >= 0, got {self.start!r} and {self.end!r}")
         if self.start >= self.end:
             raise ValueError(f"span [{self.start}, {self.end}) is empty or inverted")
         if not self.filler.strip():
@@ -84,8 +87,12 @@ def align_entities(
     pred = sorted((s for s in pred if s.type in SUPPORTED_TYPES), key=lambda s: (s.start, s.end))
     g_text = [s.filler.casefold() for s in gold]
     p_text = [s.filler.casefold() for s in pred]
+    if g_text == p_text:  # empty lists included: the opcodes are one 'equal' block
+        opcodes = [("equal", 0, len(gold), 0, len(pred))]
+    else:
+        opcodes = SequenceMatcher(None, g_text, p_text, autojunk=False).get_opcodes()
     out = EntityAlignment()
-    for _, i1, i2, j1, j2 in SequenceMatcher(None, g_text, p_text, autojunk=False).get_opcodes():
+    for _, i1, i2, j1, j2 in opcodes:
         for g, p in zip_longest(gold[i1:i2], pred[j1:j2]):
             if g is None:
                 out.unmatched_pred.append(p)
@@ -131,7 +138,8 @@ def pn_score(align: EntityAlignment, lexical_metric: str = "jaro_distance") -> f
 def read_entity_file(path: str) -> dict[str, list[EntitySpan]]:
     """Parse a line-delimited annotation file: file_id<TAB>start<TAB>end<TAB>type<TAB>filler.
 
-    Blank lines are skipped; a malformed line raises ValueError naming ``path:line``.
+    Offsets are ASCII digits only. Blank lines are skipped; a malformed line
+    raises ValueError naming ``path:line``.
     """
     spans: dict[str, list[EntitySpan]] = {}
     for line_no, raw in utf8_lines(path):
@@ -143,6 +151,8 @@ def read_entity_file(path: str) -> dict[str, list[EntitySpan]]:
             if len(parts) != 5:
                 raise ValueError("expected 5 tab-separated fields")
             file_id, start, end, etype, filler = parts
+            if bad := [o for o in (start, end) if not (o.isascii() and o.isdigit())]:
+                raise ValueError(f"invalid literal for an offset, which takes ASCII digits only: {bad[0]!r}")
             span = EntitySpan(filler=filler, type=etype, start=int(start), end=int(end))
         except ValueError as exc:
             raise ValueError(f"{path}:{line_no}: {exc}") from exc

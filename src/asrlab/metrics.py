@@ -34,19 +34,29 @@ def wer(ref: list[str], hyp: list[str]) -> float:
     all word alignments under unit costs. Raises EmptyReferenceError for an
     empty reference rather than silently returning 0 or infinity.
     """
-    if not ref:
+    n, m = len(ref), len(hyp)
+    if not n:
         raise EmptyReferenceError("WER is undefined for an empty reference")
-    # Bit i of each vector is reference word i. vp/vn mark the rows where the
-    # current DP column rises/falls by one from the row above; dist is the last
-    # row, D[n][j]. One match mask per distinct word is built once.
+    # Words shared at either end cost nothing. The suffix scan stops at the
+    # prefix, so the two never overlap; the denominator stays len(ref).
+    lo, hi, top = 0, 0, min(n, m)
+    while lo < top and ref[lo] == hyp[lo]:
+        lo += 1
+    while hi < top - lo and ref[n - 1 - hi] == hyp[m - 1 - hi]:
+        hi += 1
+    if lo + hi == n:
+        return (m - n) / n
+    # Bit i of each vector is word i of the trimmed reference. vp/vn mark the
+    # rows where the current DP column rises/falls by one from the row above;
+    # dist is the last row. One match mask per distinct word is built once.
     match: dict[str, int] = {}
     bit = 1
-    for word in ref:
+    for word in ref[lo:n - hi]:
         match[word] = match.get(word, 0) | bit
         bit <<= 1
     mask, last = bit - 1, bit >> 1
-    vp, vn, dist = mask, 0, len(ref)
-    for word in hyp:
+    vp, vn, dist = mask, 0, n - lo - hi
+    for word in hyp[lo:m - hi]:
         eq = match.get(word, 0)
         xv = eq | vn
         xh = (((eq & vp) + vp) ^ vp) | eq
@@ -60,7 +70,7 @@ def wer(ref: list[str], hyp: list[str]) -> float:
         hp = (hp << 1) | 1
         vp = ((hn << 1) | ~(xv | hp)) & mask
         vn = hp & xv
-    return dist / len(ref)
+    return dist / n
 
 
 def jaro_winkler(a: str, b: str) -> float:

@@ -22,9 +22,6 @@ __all__ = [
     "load_rules",
 ]
 
-# Apostrophe look-alikes folded to U+0027 before any other step.
-_APOSTROPHES = str.maketrans({"’": "'", "ʼ": "'", "‘": "'"})
-
 _DEFAULT_CONTRACTIONS = {
     # negations
     "ain't": "is not",
@@ -168,22 +165,21 @@ class _PunctuationToSpace(dict):
 _PUNCTUATION_TO_SPACE = _PunctuationToSpace()
 # An apostrophe or hyphen without an alphanumeric on both sides; [^\W_] is str.isalnum.
 # Apostrophes must survive until contraction expansion; hyphens must survive so
-# hyphenated fillers like "mm-hmm" stay matchable as single tokens.
-_EDGE_MARK = re.compile(r"(?<![^\W_])['-]|['-](?![^\W_])")
+# hyphenated fillers like "mm-hmm" stay matchable as single tokens. The mark
+# comes first so that re scans for it instead of trying a lookbehind everywhere.
+_EDGE_MARK = re.compile(r"['-](?:(?<![^\W_]['-])|(?![^\W_]))")
 
 
 def _normalize(text: str, contractions: dict[str, str], fillers: frozenset[str]) -> str:
     if not text:
         return ""
-    # fold before casefold: "ŉ" casefolds to U+02BC + "n", which must stay a letter
-    text = text.translate(_APOSTROPHES).casefold().translate(_PUNCTUATION_TO_SPACE)
+    # casefold first, so the U+02BC that "ŉ" casefolds to folds too; str.replace stays fast on non-ASCII
+    text = text.casefold().replace("’", "'").replace("ʼ", "'").replace("‘", "'").translate(_PUNCTUATION_TO_SPACE)
     if "'" in text or "-" in text:
         text = _EDGE_MARK.sub(" ", text)
-    expanded: list[str] = []
-    for token in text.split():
-        expanded.extend(contractions.get(token, token).split())
-    kept = [tok for tok in expanded if tok not in fillers]
-    return " ".join(kept)
+    tokens = text.split()
+    tokens = " ".join(map(contractions.get, tokens, tokens)).split()
+    return " ".join([tok for tok in tokens if tok not in fillers])
 
 
 DEFAULT_RULES = NormRuleSet()

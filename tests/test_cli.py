@@ -516,6 +516,20 @@ def test_out_of_range_sim_threshold_exit_2_writes_nothing(tmp_path, capsys, comm
     assert not out.exists()
 
 
+@pytest.mark.parametrize("offset", ["-5", "1_0", " 7", "\u0663", "+3"])
+@pytest.mark.parametrize("command", ["evaluate", "ppn-score"])
+def test_entity_offset_that_is_not_ascii_digits_exit_2_naming_its_line(tmp_path, capsys, command, offset):
+    argv, out, _ = report_header_case(tmp_path, command)
+    gold = tmp_path / "gold.tsv"
+    gold.write_text(f"r0\t0\t12\tPerson\tNicolas Cage\nr0\t{offset}\t20\tGPE\tParis\n", encoding="utf-8")
+    if command == "evaluate":
+        argv += ["--gold-entities", str(gold), "--pred-entities", str(gold)]
+    assert cli.main(argv) == 2
+    err = capsys.readouterr().err
+    assert f"{gold}:2:" in err and repr(offset) in err
+    assert not out.exists()
+
+
 def checked_options():
     for name, (_, _, options) in cli.COMMANDS.items():
         for flag, key, kwargs in options:

@@ -22,6 +22,13 @@ def test_span_validation():
         EntitySpan(filler="  ", type="Person", start=0, end=2)
 
 
+@pytest.mark.parametrize("start,end", [(-5, 3), (-1, 0), (1.0, 2), (0, 2.5), ("1", "2"), (None, 3)])
+def test_span_refuses_negative_or_non_integer_offsets(start, end):
+    # alignment sorts spans by (start, end), so such an offset would reorder them
+    with pytest.raises(ValueError, match="offsets must be integers >= 0"):
+        EntitySpan(filler="x", type="Person", start=start, end=end)
+
+
 def test_similar_fillers_same_type_match():
     out = align_entities([span("Nicolas Cage")], [span("Ridiculous Cage")], sim_threshold=0.5)
     assert len(out.matched) == 1
@@ -133,6 +140,26 @@ def test_alignment_matches_opcode_oracle(gold, pred, threshold):
         assert [id(x) for x in _flat(getattr(got, bucket))] == [id(x) for x in _flat(getattr(want, bucket))]
 
 
+_fillers = st.sampled_from(["alice", "Alice", "ALICE", "bob", "acme corp", "Acme Corp", "paris"])
+_types_or_dropped = st.sampled_from(["Person", "Organization", "GPE", "LOC", "Date"])
+
+
+@settings(max_examples=300)
+@given(st.lists(st.tuples(_fillers, _types_or_dropped, _types_or_dropped, st.booleans()), max_size=8),
+       st.floats(0.0, 1.0))
+def test_alignment_of_equal_filler_lists_matches_the_oracle(rows, threshold):
+    # gold and pred name the same entities in the same order, each side in its own case and with
+    # its own type; such lists, empty ones included, skip the sequence matcher when they agree
+    gold = [EntitySpan(f, g, 2 * i, 2 * i + 1) for i, (f, g, _, _) in enumerate(rows)]
+    pred = [EntitySpan(f.swapcase() if flip else f, p, 2 * i, 2 * i + 1) for i, (f, _, p, flip) in enumerate(rows)]
+    for g, p in ((gold, pred), (pred, gold), (gold, list(gold)), ([], []), (gold, []), ([], pred)):
+        want = entity_oracles.align_entities(g, p, threshold)
+        got = align_entities(g, p, threshold)
+        assert got == want
+        for bucket in ("matched", "unmatched_gold", "unmatched_pred"):
+            assert [id(x) for x in _flat(getattr(got, bucket))] == [id(x) for x in _flat(getattr(want, bucket))]
+
+
 def _flat(items):
     return [s for item in items for s in (item if isinstance(item, tuple) else (item,))]
 
@@ -186,6 +213,24 @@ def test_read_entity_file(tmp_path):
     assert set(spans) == {"f1", "f2"}
     assert [s.filler for s in spans["f1"]] == ["Nicolas Cage", "Paris"]
     assert spans["f2"][0].type == "LOC"
+
+
+@pytest.mark.parametrize("field", [1, 2])
+@pytest.mark.parametrize("offset", ["-5", "1_0", " 7", "7 ", "\u0663", "+3", "", "1.0", "\uff17"])
+def test_read_entity_file_refuses_offsets_that_are_not_ascii_digits(tmp_path, field, offset):
+    path = tmp_path / "ents.tsv"
+    fields = ["f1", "3", "9", "GPE", "Paris"]
+    fields[field] = offset
+    path.write_text("f1\t0\t5\tPerson\tAlice\n" + "\t".join(fields) + "\n", encoding="utf-8")
+    with pytest.raises(ValueError) as exc:
+        read_entity_file(str(path))
+    assert str(exc.value) == f"{path}:2: invalid literal for an offset, which takes ASCII digits only: {offset!r}"
+
+
+def test_read_entity_file_takes_leading_zeros(tmp_path):
+    path = tmp_path / "ents.tsv"
+    path.write_text("f1\t007\t012\tGPE\tParis\n", encoding="utf-8")
+    assert [(s.start, s.end) for s in read_entity_file(str(path))["f1"]] == [(7, 12)]
 
 
 def test_read_entity_file_rejects_bad_lines(tmp_path):

@@ -135,6 +135,36 @@ def test_wer_count_matches_word_align(ref, hyp):
     assert wer(ref, hyp) == word_align(ref, hyp).errors / len(ref)
 
 
+# --- the shared-ends trim in front of the bit-vector loop --------------------
+
+RUNS = st.lists(st.sampled_from(["a", "a", "a", "b"]), max_size=6)  # runs of "a" let prefix and suffix overlap
+
+
+@settings(max_examples=400, deadline=None)
+@given(RUNS, RUNS, RUNS, RUNS, st.sampled_from(["both", "equal", "ref_longer", "hyp_longer", "no_hyp"]))
+def test_wer_with_shared_ends_matches_word_align(prefix, ref_mid, hyp_mid, suffix, shape):
+    if shape == "equal":
+        hyp_mid = ref_mid
+    elif shape == "ref_longer":  # hyp is a prefix, suffix or part of ref
+        hyp_mid = []
+    elif shape == "hyp_longer":
+        ref_mid = []
+    ref = prefix + ref_mid + suffix
+    hyp = [] if shape == "no_hyp" else prefix + hyp_mid + suffix
+    if ref:
+        assert wer(ref, hyp) == word_align(ref, hyp).errors / len(ref)
+
+
+@pytest.mark.parametrize("ref,hyp,errors", [
+    ("a a a", "a a", 1), ("a a", "a a a", 1), ("a a a a", "a", 3), ("a", "a a a a", 3),
+    ("a b a", "a a", 1), ("a a", "a b a", 1), ("a b", "a b", 0), ("a b c", "", 3), ("a b a", "a b a b a", 2),
+])
+def test_wer_when_prefix_and_suffix_could_overlap(ref, hyp, errors):
+    ref, hyp = ref.split(), hyp.split()
+    assert word_align(ref, hyp).errors == errors
+    assert wer(ref, hyp) == errors / len(ref)
+
+
 def test_wer_one_word_reference():
     assert wer(["a"], ["a"]) == 0.0
     assert wer(["a"], ["b"]) == 1.0

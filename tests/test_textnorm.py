@@ -1,5 +1,6 @@
 import re
 import sys
+import unicodedata
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -90,14 +91,61 @@ def test_normalize_matches_the_character_loop(text):
     assert normalize(text) == oracles.normalize(text)
 
 
+# custom rule sets, accepted by construction: multi-word, hyphenated and empty
+# expansions, fillers that are also contraction keys, and text separated by
+# tabs, newlines and runs of spaces
+_KEYS = ["gonna", "wanna", "y'all", "x-ray", "um", "like"]
+_FILLERS = ["um", "hmm", "like", "uh-huh"]
+_EXPANSION_WORDS = ["going", "to", "want", "you", "all", "x", "ray", "mm-hmm"]
+_OTHER_PIECES = ["Gonna", "Y’ALL", "y‘all", "hmm,", "-", "'", "um.", "ŉ"]
+_SPACES = st.sampled_from([" ", "  ", "\t", "\n", " \t\n ", "\r\n"])
+
+
+@settings(max_examples=300)
+@given(
+    st.dictionaries(st.sampled_from(_KEYS), st.lists(st.sampled_from(_EXPANSION_WORDS), max_size=3).map(" ".join)),
+    st.frozensets(st.sampled_from(_FILLERS)),
+    st.lists(
+        st.tuples(
+            st.sampled_from(_KEYS + _FILLERS + _EXPANSION_WORDS + _OTHER_PIECES),
+            _SPACES,
+        ),
+        max_size=12,
+    ),
+)
+def test_normalize_matches_the_oracle_under_custom_rules(contractions, fillers, pieces):
+    rules = NormRuleSet(contractions=contractions, fillers=fillers)
+    text = "".join(word + space for word, space in pieces)
+    assert normalize(text, rules) == oracles.normalize(text, rules)
+
+
 @pytest.mark.parametrize("text", ["ŉ", "'ŉ'", "don’t-", "-'a'-", "a''b", "x--y", "_'_", "1-2", "é\u0301-b"])
 def test_normalize_matches_the_character_loop_on_edge_cases(text):
     assert normalize(text) == oracles.normalize(text)
 
 
-def test_apostrophes_fold_before_casefold():
-    # "ŉ" casefolds to U+02BC + "n"; folding afterwards would split it into "'n"
-    assert normalize("ŉ") == "ʼn"
+@pytest.mark.parametrize("text,want", [("ŉ", "n"), ("aŉb", "a'nb"), ("Aŉ", "a'n"), ("ʼn", "n"), ("a'nb", "a'nb")])
+def test_apostrophes_fold_after_casefold(text, want):
+    # "ŉ" casefolds to U+02BC + "n", and that look-alike folds to "'" like any other, so the
+    # result is already in normal form; folding first would leave "ʼn", which normalizes to "n"
+    assert normalize(text) == want
+    assert normalize(want) == want
+
+
+def _idempotence_probes():
+    """Every code point that casefold changes, every punctuation code point and the three
+    apostrophe look-alikes: alone, between letters, after an apostrophe and before one."""
+    chars = [
+        ch for ch in map(chr, range(sys.maxunicode + 1))
+        if ch.casefold() != ch or unicodedata.category(ch).startswith("P")
+    ]
+    for ch in chars + ["’", "ʼ", "‘"]:
+        yield from (ch, f"a{ch}b", f"'{ch}", f"{ch}'")
+
+
+def test_normalize_is_idempotent_on_every_casefolded_or_punctuation_code_point():
+    bad = [text for text in _idempotence_probes() if normalize(normalize(text)) != normalize(text)]
+    assert bad == []
 
 
 def test_regex_alphanumeric_class_is_isalnum():

@@ -1,10 +1,10 @@
 """Character-loop reference for the punctuation step of ``asrlab.textnorm.normalize``.
 
-``normalize`` folds apostrophe look-alikes and punctuation with ``str.translate``
-and finds the apostrophes and hyphens to drop with one regular expression. The
-loop below asks ``unicodedata`` about one character at a time and checks the
-neighbours of each ``'`` and ``-`` with ``str.isalnum``, so ``normalize`` must
-return exactly what ``normalize`` below returns.
+``normalize`` folds apostrophe look-alikes with ``str.replace`` and punctuation
+with ``str.translate``, and finds the apostrophes and hyphens to drop with one
+regular expression. The loop below asks ``unicodedata`` about one character at
+a time and checks the neighbours of each ``'`` and ``-`` with ``str.isalnum``,
+so ``normalize`` must return exactly what ``normalize`` below returns.
 """
 
 from __future__ import annotations
@@ -37,9 +37,10 @@ def punctuation_to_spaces(text: str) -> str:
 def normalize(text: str, rules=DEFAULT_RULES) -> str:
     if not text:
         return ""
+    text = text.casefold()  # first, so the U+02BC that "ŉ" casefolds to is folded too
     for variant, plain in APOSTROPHES.items():
         text = text.replace(variant, plain)
-    text = punctuation_to_spaces(text.casefold())
+    text = punctuation_to_spaces(text)
     expanded: list[str] = []
     for token in text.split():
         expanded.extend(rules.contractions.get(token, token).split())
