@@ -27,7 +27,7 @@ import tempfile
 from typing import Sequence
 
 from . import __version__
-from ._lazy import np
+from ._lazy import mark_program, np
 from .config import load_config, utf8_lines
 from .curation import (
     ManifestParseError,
@@ -487,7 +487,8 @@ _RULES = _opt("--rules", "norm.rules", check=_file_fault, help="normalization ru
 _SIM_THRESHOLD = _opt("--sim-threshold", "entities.sim_threshold", type=float, check=_sim_threshold_fault,
                       default=_default(align_entities, "sim_threshold"))
 _JOBS = _opt("--jobs", "jobs", type=positive_int, default=usable_cpus(),
-             help="work at once: noise-sweep files and stitch chunks transcribed, curate manifest shards")
+             help="work at once, at most the usable CPUs: noise-sweep files and stitch chunks transcribed, "
+                  "curate manifest shards")
 
 # subcommand -> (help, handler, options). Every subcommand also takes --config.
 COMMANDS = {
@@ -612,6 +613,7 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 
 def main(argv: list[str] | None = None) -> int:
+    mark_program()  # numpy, if this run loads it, starts no BLAS worker threads
     args = parse_args(argv)
     try:
         for flag, key, kwargs in COMMANDS[args.command][2]:

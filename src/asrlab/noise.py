@@ -16,7 +16,7 @@ from typing import Callable, Iterable, TextIO
 
 from ._lazy import np
 from .audio import AudioBuffer, read_wav, write_wav
-from .curation import ManifestRecord
+from .curation import ManifestRecord, usable_cpus
 from .metrics import EmptyReferenceError, EvalRow, build_report, wer
 from .seeding import substream
 from .textnorm import NormRuleSet, DEFAULT_RULES, normalize, tokenize_words
@@ -200,12 +200,15 @@ def _noise_for(clean: AudioBuffer, spec: SweepSpec, corpus: list[str], file_id: 
 
 
 def transcribe_file(transcriber_cmd: list[str] | str, wav_path: str) -> str | None:
-    """Run the external transcriber contract (CMD <wav>); None signals a nonzero exit or stdout that is not UTF-8."""
+    """Run the external transcriber contract (CMD <wav>); None signals a nonzero exit or stdout that is not UTF-8.
+
+    The child's stdin is at end of file, so it cannot wait on a terminal or take asrlab's input.
+    """
     import shlex
     import subprocess
 
     cmd = shlex.split(transcriber_cmd) if isinstance(transcriber_cmd, str) else list(transcriber_cmd)
-    proc = subprocess.run(cmd + [wav_path], capture_output=True)
+    proc = subprocess.run(cmd + [wav_path], stdin=subprocess.DEVNULL, capture_output=True)
     if proc.returncode != 0:
         return None
     try:
@@ -226,14 +229,14 @@ def _transcriber_fault(cmd: str) -> str | None:
 
 
 def ordered_map(fn: Callable, items: Iterable, jobs: int) -> list:
-    """fn over items in a pool of `jobs` threads (ValueError if jobs < 1), results in item order.
+    """fn over items in a pool of min(jobs, usable_cpus()) threads (ValueError if jobs < 1), results in item order.
 
     If calls raise, the first exception in item order is raised once every
     call already started has returned; calls not yet started are dropped.
     """
     from concurrent.futures import ThreadPoolExecutor
 
-    with ThreadPoolExecutor(max_workers=jobs) as pool:
+    with ThreadPoolExecutor(max_workers=min(jobs, usable_cpus())) as pool:
         return list(pool.map(fn, items))
 
 

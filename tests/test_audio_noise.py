@@ -1,3 +1,4 @@
+import concurrent.futures
 import io
 import json
 import math
@@ -9,11 +10,13 @@ import pytest
 from asrlab.audio import AudioBuffer, pcm16_to_float, read_wav, write_pcm16, write_wav
 from asrlab.curation import ManifestRecord
 from asrlab.metrics import EmptyReferenceError
+from asrlab import noise
 from asrlab.noise import (
     SweepSpec,
     gaussian_noise,
     measure_snr,
     mix_at_snr,
+    ordered_map,
     run_sweep,
     write_sweep_csv,
 )
@@ -256,6 +259,45 @@ def test_sweep_rerun_byte_identical(tmp_path, echo_transcriber):
         wavs = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
         outputs.append((csv_path.read_bytes(), wavs))
     assert outputs[0] == outputs[1]
+
+
+# --- ordered_map: the --jobs pool ----------------------------------------------
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+def test_ordered_map_keeps_item_order(jobs):
+    assert ordered_map(lambda x: x * x, range(20), jobs) == [x * x for x in range(20)]
+
+
+@pytest.mark.parametrize("jobs", [1, 2, 3, 4])
+def test_ordered_map_raises_the_first_failing_items_exception(jobs):
+    def fn(x):
+        if x in (2, 5):
+            raise ValueError(f"item {x}")
+        return x
+
+    with pytest.raises(ValueError, match="^item 2$"):
+        ordered_map(fn, range(8), jobs)
+
+
+@pytest.mark.parametrize("jobs", [0, -1])
+def test_ordered_map_refuses_fewer_than_one_job(jobs):
+    with pytest.raises(ValueError):
+        ordered_map(str, range(3), jobs)
+
+
+@pytest.mark.parametrize("jobs, workers", [(1, 1), (2, 2), (3, 3), (4, 3), (10**6, 3)])
+def test_ordered_map_pool_is_bounded_by_the_usable_cpus(monkeypatch, jobs, workers):
+    built = []
+
+    class RecordingPool(concurrent.futures.ThreadPoolExecutor):
+        def __init__(self, max_workers):
+            built.append(max_workers)
+            super().__init__(max_workers)
+
+    monkeypatch.setattr(noise, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", RecordingPool)
+    assert ordered_map(str, range(3), jobs) == ["0", "1", "2"]
+    assert built == [workers]
 
 
 def _bit_pattern_wav(path, bits, block=1600, amplitude=0.5):

@@ -279,6 +279,30 @@ def test_stitch_audio_failing_transcriber_exit_2(tmp_path, failing_transcriber):
 
 # --- noise-sweep --------------------------------------------------------------
 
+@pytest.mark.parametrize("command", ["stitch", "noise-sweep"])
+def test_transcriber_reads_end_of_file_on_stdin(tmp_path, command):
+    # each call records what it read from stdin; asrlab's own stdin holds a line
+    wav = tmp_path / "clip.wav"
+    write_wav(AudioBuffer(samples=tone(30.0 if command == "stitch" else 0.25, amplitude=0.4)), str(wav))
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps({"id": "clip", "audio_path": str(wav), "duration_sec": 0.25,
+                                    "transcript": "brook"}) + "\n", encoding="utf-8")
+    seen = tmp_path / "seen"
+    seen.mkdir()
+    transcriber = " ".join(make_script(
+        tmp_path, "reads_stdin.py",
+        f"import os, sys\nopen(os.path.join({str(seen)!r}, os.path.basename(sys.argv[1])), 'w').write(sys.stdin.read())\n"
+        "print('brook')\n",
+    ))
+    inputs = (["--audio", str(wav)] if command == "stitch"
+              else ["--manifest", str(manifest), "--snrs", "0,10", "--out", str(tmp_path / "sweep.csv")])
+    proc = run_cli(command, *inputs, "--transcriber", transcriber, "--workdir", str(tmp_path / "w"), "--jobs", "1",
+                   input="typed into asrlab\n", timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(list(seen.iterdir())) == 2
+    assert {p.read_text() for p in seen.iterdir()} == {""}
+
+
 def test_noise_sweep_cli_and_rerun(tmp_path, echo_transcriber):
     wav = tmp_path / "clip.wav"
     write_wav(AudioBuffer(samples=tone(0.25)), str(wav))
