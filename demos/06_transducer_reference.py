@@ -12,12 +12,10 @@ pluggable scorer, with optional n-gram shallow fusion.
 import numpy as np
 
 from asrlab.transducer import (
-    EmaState,
     MaskSpec,
     beam_decode,
     brute_force_logprob,
     build_lm,
-    ema_update,
     greedy_decode,
     make_stream_mask,
     random_lattice,
@@ -62,10 +60,4 @@ masks = make_stream_mask(spec)
 rf_frames = receptive_field(spec)
 print(f"{spec.n_layers} layers, chunk {spec.chunk_frames} frames, left context {spec.left_context}:")
 print(f"  receptive field {rf_frames} frames = {rf_frames * FRAME_MS:.0f} ms")
-print(f"  frame 10 attends to frames {np.flatnonzero(masks[0][10]).tolist()}\n")
-
-# --- EMA weights ----------------------------------------------------------------
-state = EmaState(shadow=np.zeros(3), decay=0.999)
-for _ in range(2000):
-    state = ema_update(state, np.ones(3))
-print(f"EMA shadow after 2000 steps toward 1.0: {state.shadow.round(4)}")
+print(f"  frame 10 attends to frames {np.flatnonzero(masks[0][10]).tolist()}")

@@ -43,9 +43,9 @@ from .noise import SweepSpec, _snr_list_fault, _transcriber_fault, ordered_map, 
 from .planner import ScalingAssumptions, optimal_hours
 from .stitch import PartialTranscript, plan_chunks, stitch, voiced_ranges, write_voiced_chunks
 from .textnorm import DEFAULT_RULES, load_rules, normalize, tokenize_words
-from .transducer.lattice import random_lattice
+from .transducer.lattice import _draw, _random_lattices, random_lattice
 from .transducer.loss import (
-    BATCH_CELLS, BRUTE_T_MAX, BRUTE_U_MAX, brute_force_logprob, finite_difference_grad, rnnt_grad, rnnt_logprobs,
+    BATCH_CELLS, BRUTE_T_MAX, BRUTE_U_MAX, brute_force_logprobs, finite_difference_grad, rnnt_grad, rnnt_logprobs,
 )
 
 __all__ = ["main", "parse_args", "COMMANDS"]
@@ -395,31 +395,30 @@ RNNT_TOL_GRAD = 1e-4
 def cmd_rnnt_check(args: argparse.Namespace) -> int:
     rng = np.random.default_rng(args.seed)
 
-    def draw(t_min: int, u_min: int, v_min: int):
-        t = int(rng.integers(t_min, args.t_max + 1))
-        u = int(rng.integers(u_min, args.u_max + 1))
-        v = int(rng.integers(v_min, args.v_max + 1))
-        return random_lattice(rng, t, u, v)
+    def shape(t_min: int, u_min: int, v_min: int) -> tuple[int, int, int]:
+        return (int(rng.integers(t_min, args.t_max + 1)), int(rng.integers(u_min, args.u_max + 1)),
+                int(rng.integers(v_min, args.v_max + 1)))
 
-    # the DP scores the lattices in blocks of about BATCH_CELLS cells, so memory
-    # stays flat in --lattices and --v-max; the deviations are taken in draw order
+    # the lattices are drawn in blocks of about BATCH_CELLS cells, so memory stays flat in --lattices;
+    # a block's lattices of one shape are normalized, validated, scored and enumerated as one batch,
+    # and the deviations are taken in draw order
     max_dev = 0.0
     bound_ok = True
-    block, cells = [], 0
+    draws, cells = [], 0
     for i in range(args.lattices):
-        block.append(draw(1, 0, 1))
-        cells += block[-1].logits.size
+        draws.append(_draw(rng, *shape(1, 0, 1)))
+        cells += draws[-1][0].size
         if cells < BATCH_CELLS and i + 1 < args.lattices:
             continue
-        for lat, dp in zip(block, rnnt_logprobs(block)):
-            brute = brute_force_logprob(lat)
+        block = _random_lattices(draws)
+        for dp, brute in zip(rnnt_logprobs(block), brute_force_logprobs(block)):
             max_dev = max(max_dev, abs(dp - brute))
             bound_ok = bound_ok and dp <= 1e-12
-        block, cells = [], 0
+        draws, cells = [], 0
 
     max_rel = 0.0
     for _ in range(args.grad_checks):
-        lat = draw(2, 1, 2)
+        lat = random_lattice(rng, *shape(2, 1, 2))
         analytic = rnnt_grad(lat)
         fd = finite_difference_grad(lat)
         denom = max(float(np.max(np.abs(fd))), 1e-12)

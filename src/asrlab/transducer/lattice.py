@@ -25,12 +25,29 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
 
 def _check_normalized(logits: np.ndarray) -> None:
     """Raise ValueError unless every slice along the last axis is a distribution in log space."""
-    step = max(1, _CHECK_CELLS // max(1, logits[0].size))  # blocks of the first axis: no lattice-sized temporary
+    frames = logits.reshape(-1, *logits.shape[-2:])  # one lattice's or a stacked batch's frames in a row, as a view
+    step = max(1, _CHECK_CELLS // max(1, frames[0].size))  # blocks of frames: no lattice-sized temporary
     with np.errstate(all="ignore"):  # NaN, and a slice that under- or overflows exp, is refused
-        for start in range(0, len(logits), step):
-            if not np.abs(np.log(np.exp(logits[start:start + step]).sum(axis=-1))).max() <= _NORM_TOL:
+        for start in range(0, len(frames), step):
+            if not np.abs(np.log(np.exp(frames[start:start + step]).sum(axis=-1))).max() <= _NORM_TOL:
                 worst = float(np.max(np.abs(np.logaddexp.reduce(logits, axis=-1))))
                 raise ValueError(f"lattice slices not normalized: max |logsumexp| = {worst:.3g}")
+
+
+def _validate(logits: np.ndarray, targets: list[list[int]]) -> None:
+    """RnntLattice's checks, run once for B lattices of one shape: (B, T, U+1, V+1) logits and B target lists."""
+    T, W, V = logits.shape[1], logits.shape[2], logits.shape[3] - 1
+    if T < 1:
+        raise ValueError("need at least one time frame")
+    for labels in targets:
+        if len(labels) + 1 != W:
+            raise ValueError(f"logits second dim is {W}, expected U+1={len(labels) + 1}")
+        for i, y in enumerate(labels):
+            if isinstance(y, bool) or not isinstance(y, (int, np.integer)):
+                raise ValueError(f"target {i} is {y!r}, not an integer label")
+            if not 0 <= y < V:
+                raise ValueError(f"target labels must lie in [0, {V})")
+    _check_normalized(logits)
 
 
 @dataclass
@@ -44,13 +61,7 @@ class RnntLattice:
         self.logits = np.asarray(self.logits, dtype=np.float64)
         if self.logits.ndim != 3:
             raise ValueError("logits must have shape (T, U+1, V+1)")
-        if self.T < 1:
-            raise ValueError("need at least one time frame")
-        if self.logits.shape[1] != self.U + 1:
-            raise ValueError(f"logits second dim is {self.logits.shape[1]}, expected U+1={self.U + 1}")
-        if any(not 0 <= y < self.V for y in self.targets):
-            raise ValueError(f"target labels must lie in [0, {self.V})")
-        _check_normalized(self.logits)
+        _validate(self.logits[None], [self.targets])
 
     @property
     def T(self) -> int:
@@ -69,8 +80,30 @@ class RnntLattice:
         return self.V
 
 
+def _draw(rng: np.random.Generator, T: int, U: int, V: int) -> tuple[np.ndarray, list[int]]:
+    """The raw normals and the targets of one random lattice, in the order random_lattice draws them."""
+    raw = rng.normal(size=(T, U + 1, V + 1))
+    return raw, [int(rng.integers(V)) for _ in range(U)]
+
+
 def random_lattice(rng: np.random.Generator, T: int, U: int, V: int) -> RnntLattice:
     """Random normalized lattice with uniformly drawn targets."""
-    raw = rng.normal(size=(T, U + 1, V + 1))
-    targets = [int(rng.integers(V)) for _ in range(U)]
+    raw, targets = _draw(rng, T, U, V)
     return RnntLattice(logits=log_softmax(raw, axis=2), targets=targets)
+
+
+def _random_lattices(draws: list[tuple[np.ndarray, list[int]]]) -> list[RnntLattice]:
+    """The lattices random_lattice builds from these ``_draw`` results, with one log-softmax and one run of
+    RnntLattice's checks per (T, U, V); each lattice's logits are a view of its shape's batch."""
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, (raw, _) in enumerate(draws):
+        groups.setdefault(raw.shape, []).append(i)
+    out: list[RnntLattice] = [None] * len(draws)  # type: ignore[list-item]
+    for members in groups.values():
+        logits = log_softmax(np.stack([draws[i][0] for i in members]), axis=-1)
+        targets = [draws[i][1] for i in members]
+        _validate(logits, targets)
+        for i, x, y in zip(members, logits, targets):
+            lat = out[i] = object.__new__(RnntLattice)  # checked above as one batch
+            lat.logits, lat.targets = x, y
+    return out

@@ -11,12 +11,14 @@ as an independent check.
 
 from __future__ import annotations
 
+import functools
 import math
 
 from .._lazy import np
 from .lattice import RnntLattice, _check_normalized, log_softmax
 
-__all__ = ["rnnt_logprob", "rnnt_logprobs", "brute_force_logprob", "rnnt_grad", "finite_difference_grad"]
+__all__ = ["rnnt_logprob", "rnnt_logprobs", "brute_force_logprob", "brute_force_logprobs", "rnnt_grad",
+           "finite_difference_grad"]
 
 NEG_INF = -math.inf
 
@@ -25,9 +27,13 @@ NEG_INF = -math.inf
 BATCH_CELLS = 1 << 18
 
 
-def _edge_tables(logits: np.ndarray, targets: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """The only columns the DP reads of (..., T, U+1, V+1) logits: blank (..., T, U+1) and next target (..., T, U)."""
-    return logits[..., -1], logits[..., np.arange(len(targets)), targets]
+def _edge_tables(logits: np.ndarray, targets: list[list[int]]) -> tuple[np.ndarray, np.ndarray]:
+    """The only columns the DP reads of (B, T, U+1, V+1) logits: blank (B, T, U+1) and next target (B, T, U).
+
+    ``targets`` holds the U labels of each of the B lattices, or one list that all B share.
+    """
+    y = np.asarray(targets, dtype=np.intp)[:, None, :, None]
+    return logits[..., -1], np.take_along_axis(logits[:, :, :-1], y, axis=3)[..., 0]
 
 
 def _skewed_edges(blank: np.ndarray, emit: np.ndarray) -> np.ndarray:
@@ -88,30 +94,82 @@ def _logprobs(blank: np.ndarray, emit: np.ndarray) -> np.ndarray:
     return _sweep(blank[:-1], emit[:-1, :, :-1], 0.0)[-1, :, -1] + blank[-1, :, -1]
 
 
+def _by_shape(lattices: list[RnntLattice], score) -> list[float]:
+    """Each lattice's ``score(blank, emit)``, which maps a batch's edge tables to its B results.
+
+    A batch holds lattices of one shape, at most BATCH_CELLS cells of them.
+    """
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for i, lat in enumerate(lattices):
+        groups.setdefault(lat.logits.shape, []).append(i)
+    out = [0.0] * len(lattices)
+    for shape, members in groups.items():
+        per_batch = max(1, BATCH_CELLS // math.prod(shape))
+        for start in range(0, len(members), per_batch):
+            batch = members[start:start + per_batch]
+            # a lattice alone in its batch, as one larger than BATCH_CELLS is, is read in place
+            logits = (np.stack([lattices[i].logits for i in batch]) if len(batch) > 1
+                      else lattices[batch[0]].logits[None])
+            edges = _edge_tables(logits, [lattices[i].targets for i in batch])
+            for i, value in zip(batch, score(*edges).tolist()):
+                out[i] = value
+    return out
+
+
 def rnnt_logprob(lat: RnntLattice) -> float:
     """log P(targets | lattice) over all monotone alignments; always <= 0."""
-    return float(_logprobs(*_edge_tables(lat.logits[None], lat.targets))[0])
+    return rnnt_logprobs([lat])[0]
 
 
 def rnnt_logprobs(lattices: list[RnntLattice]) -> list[float]:
-    """``rnnt_logprob`` of each lattice, run as one DP per batch of lattices that share (T, U)."""
-    groups: dict[tuple[int, int], list[int]] = {}
-    for i, lat in enumerate(lattices):
-        groups.setdefault((lat.T, lat.U), []).append(i)
-    out = [0.0] * len(lattices)
-    for (T, U), members in groups.items():
-        per_batch = max(1, BATCH_CELLS // (T * (U + 1)))
-        for start in range(0, len(members), per_batch):
-            batch = members[start:start + per_batch]
-            blank, emit = zip(*(_edge_tables(lattices[i].logits, lattices[i].targets) for i in batch))
-            for i, lp in zip(batch, _logprobs(np.stack(blank), np.stack(emit)).tolist()):
-                out[i] = lp
-    return out
+    """``rnnt_logprob`` of each lattice, run as one DP per batch of lattices that share (T, U, V)."""
+    return _by_shape(lattices, _logprobs)
 
 
 # largest lattice brute_force_logprob enumerates
 BRUTE_T_MAX = 6
 BRUTE_U_MAX = 4
+
+
+@functools.cache
+def _alignments(T: int, U: int) -> np.ndarray:
+    """Every alignment of a (T, U) lattice, one row of T + U edge indices each, in depth-first, blank-first order.
+
+    An index points into the blank then the emit table, each flattened: the
+    blank out of node (t, u) is t * (U+1) + u, its label T * (U+1) + t * U + u.
+    """
+    paths: list[list[int]] = []
+
+    def walk(t: int, u: int, path: list[int]) -> None:
+        if t == T - 1 and u == U:
+            paths.append([*path, t * (U + 1) + u])
+            return
+        if t + 1 < T:
+            walk(t + 1, u, [*path, t * (U + 1) + u])
+        if u < U:
+            walk(t, u + 1, [*path, T * (U + 1) + t * U + u])
+
+    walk(0, 0, [])
+    table = np.array(paths, dtype=np.intp)
+    table.flags.writeable = False  # one table per shape, shared by every caller
+    return table
+
+
+def _enumerate(blank: np.ndarray, emit: np.ndarray) -> np.ndarray:
+    """log P of B same-shape lattices as the log-sum of their alignments' path log-probs.
+
+    A path's steps are added one at a time from 0.0, and the paths reduced in
+    enumeration order, so each result is the float a recursive walk gives.
+    """
+    B, T, W = blank.shape
+    if T > BRUTE_T_MAX or W - 1 > BRUTE_U_MAX:
+        raise ValueError(f"brute force guard: T <= {BRUTE_T_MAX} and U <= {BRUTE_U_MAX} required")
+    paths = _alignments(T, W - 1)
+    edges = np.concatenate([blank.reshape(B, -1), emit.reshape(B, -1)], axis=1)
+    acc = np.zeros((B, len(paths)))
+    for step in paths.T:
+        acc += edges[:, step]
+    return np.logaddexp.reduce(acc, axis=1)
 
 
 def brute_force_logprob(lat: RnntLattice) -> float:
@@ -121,28 +179,12 @@ def brute_force_logprob(lat: RnntLattice) -> float:
     final step a blank); its probability is the product of the per-step
     conditionals read off the lattice. Guarded to T <= 6, U <= 4.
     """
-    if lat.T > BRUTE_T_MAX or lat.U > BRUTE_U_MAX:
-        raise ValueError(
-            f"brute force guard: T <= {BRUTE_T_MAX} and U <= {BRUTE_U_MAX} required"
-        )
-    lp = lat.logits.tolist()
-    y = lat.targets
-    blank = lat.blank_id
-    T, U = lat.T, lat.U
-    path_logprobs: list[float] = []
+    return brute_force_logprobs([lat])[0]
 
-    def walk(t: int, u: int, acc: float) -> None:
-        row = lp[t][u]
-        if t == T - 1 and u == U:
-            path_logprobs.append(acc + row[blank])
-            return
-        if t + 1 < T:
-            walk(t + 1, u, acc + row[blank])
-        if u < U:
-            walk(t, u + 1, acc + row[y[u]])
 
-    walk(0, 0, 0.0)
-    return float(np.logaddexp.reduce(path_logprobs))
+def brute_force_logprobs(lattices: list[RnntLattice]) -> list[float]:
+    """``brute_force_logprob`` of each lattice, one array pass per batch of lattices of one shape."""
+    return _by_shape(lattices, _enumerate)
 
 
 def rnnt_grad(lat: RnntLattice) -> np.ndarray:
@@ -154,7 +196,7 @@ def rnnt_grad(lat: RnntLattice) -> np.ndarray:
     """
     T, U, V = lat.T, lat.U, lat.V
     lp = lat.logits
-    blank, emit = _skewed_edges(*_edge_tables(lp[None], lat.targets))
+    blank, emit = _skewed_edges(*_edge_tables(lp[None], [lat.targets]))
     alpha = _unskew(_sweep(blank[:-1], emit[:-1, :, :-1], 0.0)[:, 0], T)
     beta = _sweep(blank[-2::-1, :, ::-1], emit[-2::-1, :, -2::-1], blank[-1, :, -1])
     beta = _unskew(np.ascontiguousarray(beta[::-1, 0, ::-1]), T)
@@ -203,6 +245,6 @@ def finite_difference_grad(lat: RnntLattice, eps: float = 1e-5) -> np.ndarray:
         perturbed[np.arange(len(p)), p // 2] += np.where(p % 2 == 0, eps, -eps)
         relat = log_softmax(perturbed.reshape(len(p), *shape), axis=-1)
         _check_normalized(relat)
-        logprob[start:start + len(p)] = _logprobs(*_edge_tables(relat, lat.targets))
+        logprob[start:start + len(p)] = _logprobs(*_edge_tables(relat, [lat.targets]))
     loss = -logprob
     return ((loss[0::2] - loss[1::2]) / (2.0 * eps)).reshape(shape)

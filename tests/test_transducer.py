@@ -9,14 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from asrlab.seeding import substream
 from asrlab.transducer import (
-    EmaState,
     MaskSpec,
     NgramLm,
     RnntLattice,
     beam_decode,
     brute_force_logprob,
     build_lm,
-    ema_update,
     greedy_decode,
     log_softmax,
     make_stream_mask,
@@ -27,7 +25,7 @@ from asrlab.transducer import (
 )
 from asrlab.transducer import lattice, loss
 from asrlab.transducer.lattice import _check_normalized
-from asrlab.transducer.loss import BATCH_CELLS, finite_difference_grad, rnnt_logprobs
+from asrlab.transducer.loss import BATCH_CELLS, brute_force_logprobs, finite_difference_grad, rnnt_logprobs
 from asrlab.transducer.mask import FRAME_MS
 from tests import transducer_oracles as oracles
 
@@ -52,6 +50,37 @@ def test_lattice_validation():
         RnntLattice(logits=nan_cell, targets=[0])
     lat = uniform_lattice(3, 1, 2)
     assert (lat.T, lat.U, lat.V, lat.blank_id) == (3, 1, 2, 2)
+
+
+@pytest.mark.parametrize("targets,position", [
+    ([0.5], 0), ([1.0], 0), ([True], 0), (["1"], 0), ([0, np.float64(1.0)], 1), ([1, np.bool_(False)], 1),
+])
+def test_lattice_refuses_a_target_that_is_not_an_integer(targets, position):
+    logits = log_softmax(np.zeros((2, len(targets) + 1, 3)))
+    with pytest.raises(ValueError, match=f"target {position} is .*not an integer label"):
+        RnntLattice(logits=logits, targets=targets)
+
+
+def test_lattice_takes_numpy_integer_targets():
+    lat = RnntLattice(logits=log_softmax(np.zeros((2, 3, 3))), targets=[np.int64(1), np.uint8(0)])
+    assert brute_force_logprob(lat) == oracles.brute_force_logprob(lat)
+    assert rnnt_logprob(lat) == oracles.rnnt_logprob(lat)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 4), st.integers(1, 5)), min_size=1, max_size=40),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_draws_match_random_lattice(shapes, seed):
+    # a repeated shape makes a batch of several lattices, whose draws interleave with other shapes'
+    rng = np.random.default_rng(seed)
+    per_lattice = [random_lattice(rng, *shape) for shape in shapes]
+    rng = np.random.default_rng(seed)
+    batched = lattice._random_lattices([lattice._draw(rng, *shape) for shape in shapes])
+    for want, got in zip(per_lattice, batched, strict=True):
+        assert np.array_equal(got.logits, want.logits)
+        assert got.targets == want.targets
 
 
 # --- forward / brute force ------------------------------------------------
@@ -98,6 +127,9 @@ def test_brute_force_guard():
         brute_force_logprob(uniform_lattice(7, 1, 1))
     with pytest.raises(ValueError):
         brute_force_logprob(uniform_lattice(2, 5, 1, targets=[0] * 5))
+    with pytest.raises(ValueError):
+        brute_force_logprobs([uniform_lattice(2, 1, 1), uniform_lattice(7, 1, 1)])
+    assert brute_force_logprobs([]) == []
 
 
 def test_logprob_zero_only_for_deterministic_single_path():
@@ -161,6 +193,21 @@ def test_batched_dp_matches_cell_by_cell_oracle(shapes, seed):
     # mixed shapes, repeated ones batched together; T = 1 and U = 0 included
     lattices = [lattice_with_holes(seed + i, T, U, V, holes) for i, (T, U, V, holes) in enumerate(shapes)]
     assert rnnt_logprobs(lattices) == [oracles.rnnt_logprob(lat) for lat in lattices]
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    shapes=st.lists(
+        st.tuples(st.integers(1, 6), st.integers(0, 4), st.integers(1, 5), st.sampled_from([0.0, 0.2, 0.5])),
+        min_size=1,
+        max_size=40,
+    ),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_batched_brute_force_matches_the_recursive_walk(shapes, seed):
+    # -inf holes make paths, and whole lattices, of zero probability
+    lattices = [lattice_with_holes(seed + i, T, U, V, holes) for i, (T, U, V, holes) in enumerate(shapes)]
+    assert brute_force_logprobs(lattices) == [oracles.brute_force_logprob(lat) for lat in lattices]
 
 
 def test_batched_dp_splits_a_group_larger_than_one_batch():
@@ -635,36 +682,6 @@ def test_mask_spec_validation():
         MaskSpec(n_frames=4, chunk_frames=0, n_layers=1, left_context=0)
     with pytest.raises(ValueError):
         MaskSpec(n_frames=4, chunk_frames=1, n_layers=0, left_context=0)
-
-
-# --- EMA ---------------------------------------------------------------------
-
-def test_ema_decay_zero_copies_params():
-    state = EmaState(shadow=np.zeros(4), decay=0.0)
-    params = np.array([1.0, -2.0, 3.0, 4.0])
-    assert np.array_equal(ema_update(state, params).shadow, params)
-
-
-def test_ema_decay_one_freezes_shadow():
-    state = EmaState(shadow=np.array([1.0, 2.0]), decay=1.0)
-    out = ema_update(state, np.array([9.0, 9.0]))
-    assert np.array_equal(out.shadow, np.array([1.0, 2.0]))
-
-
-def test_ema_geometric_convergence():
-    decay = 0.9
-    params = np.array([1.0, 1.0, 1.0])
-    state = EmaState(shadow=np.zeros(3), decay=decay)
-    for k in range(1, 30):
-        state = ema_update(state, params)
-        # closed form: error ratio decays as decay^k
-        np.testing.assert_allclose(params - state.shadow, decay**k * params, atol=1e-12)
-
-
-def test_ema_dimension_mismatch():
-    state = EmaState(shadow=np.zeros(3), decay=0.5)
-    with pytest.raises(ValueError):
-        ema_update(state, np.zeros(4))
 
 
 # --- n-gram LM ---------------------------------------------------------------

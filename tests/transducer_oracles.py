@@ -1,11 +1,12 @@
 """Cell-by-cell reference loops for the transducer's array passes.
 
 ``asrlab.transducer`` runs its DP one anti-diagonal at a time over a batch of
-lattices, scores all finite-difference perturbations of a lattice in one pass,
-and expands only the top beam_size labels of each beam hypothesis. The loops
-below visit one lattice cell, one perturbation, or one (hypothesis, label) pair
-at a time and do the same float operations in the same order, so the library
-must reproduce their results exactly.
+lattices, sums a batch's alignments one path step at a time, scores all
+finite-difference perturbations of a lattice in one pass, and expands only the
+top beam_size labels of each beam hypothesis. The loops below visit one lattice
+cell, one alignment, one perturbation, or one (hypothesis, label) pair at a
+time and do the same float operations in the same order, so the library must
+reproduce their results exactly.
 """
 
 from __future__ import annotations
@@ -53,6 +54,28 @@ def beta(lat):
 
 def rnnt_logprob(lat) -> float:
     return float(alpha(lat)[lat.T - 1, lat.U] + lat.logits[lat.T - 1, lat.U, lat.blank_id])
+
+
+def brute_force_logprob(lat) -> float:
+    """Walk every alignment depth first, blank before label, adding each step's log-prob to the path's."""
+    lp = lat.logits.tolist()
+    y = lat.targets
+    blank = lat.blank_id
+    T, U = lat.T, lat.U
+    path_logprobs = []
+
+    def walk(t, u, acc):
+        row = lp[t][u]
+        if t == T - 1 and u == U:
+            path_logprobs.append(acc + row[blank])
+            return
+        if t + 1 < T:
+            walk(t + 1, u, acc + row[blank])
+        if u < U:
+            walk(t, u + 1, acc + row[y[u]])
+
+    walk(0, 0, 0.0)
+    return float(np.logaddexp.reduce(path_logprobs))
 
 
 def rnnt_grad(lat):
