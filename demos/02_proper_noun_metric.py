@@ -24,11 +24,12 @@ print("matched: ", [(g.filler, p.filler) for g, p in alignment.matched])
 print("deleted: ", [s.filler for s in alignment.unmatched_gold])
 print("inserted:", [s.filler for s in alignment.unmatched_pred])
 
-# two flavors of the same metric: Jaro-Winkler distance is forgiving of
-# near-misses, pair-level WER counts whole wrong words
-print(f"PN (Jaro x100): {pn_score(alignment, 'jaro_distance'):.2f}")
-print(f"PN (WER  x100): {pn_score(alignment, 'pair_wer'):.2f}")
+# two flavors of the same metric, from one call: Jaro-Winkler distance is
+# forgiving of near-misses, pair-level WER counts whole wrong words
+pn_jaro, pn_wer = pn_score(alignment)
+print(f"PN (Jaro x100): {pn_jaro:.2f}")
+print(f"PN (WER  x100): {pn_wer:.2f}")
 
 # the matched pair alone reproduces the canonical 0.5 pair-WER example
 only_pair = align_entities(gold[:1], pred[:1], sim_threshold=0.5)
-print(f"Nicolas/Ridiculous pair alone: {pn_score(only_pair, 'pair_wer'):.1f}")
+print(f"Nicolas/Ridiculous pair alone: {pn_score(only_pair)[1]:.1f}")

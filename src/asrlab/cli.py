@@ -188,8 +188,7 @@ def _write_scores(out, args: argparse.Namespace, rows: list[EvalRow], weight_col
 def _score_entities(row: EvalRow, gold: dict, pred: dict, sim_threshold: float) -> EvalRow:
     """Fill the row's proper-noun metrics from the file's gold and predicted entities."""
     align = align_entities(gold.get(row.file_id, []), pred.get(row.file_id, []), sim_threshold)
-    row.pn_jaro = pn_score(align, "jaro_distance")
-    row.pn_wer = pn_score(align, "pair_wer")
+    row.pn_jaro, row.pn_wer = pn_score(align) or (None, None)
     return row
 
 

@@ -1,19 +1,21 @@
 """Pseudo-label curation: threshold filters, segmentation, and rejection provenance.
 
-Filters run in a fixed order (blocklist, language, speech/silence, segmentation,
-words-per-minute, confidence) so reruns are deterministic and cheap metadata
-checks happen before per-word work. One judge decides each input record; every
-record, a manifest line that failed to parse included, gets one outcome with
-the offending measured value attached to each failed filter, and an outcome is
-``kept`` exactly when it has no reasons. ``curate_stream`` judges and writes
-each record as ``iter_manifest`` reads it, so its memory does not grow with the
-manifest; ``read_manifest``, ``run_pipeline`` and the two writers are loops
-over the same per-record pieces. ``curate_manifest`` runs ``curate_stream`` on
-byte-range shards of a manifest file in forked processes at once, and writes
-the same bytes for any number of shards. ``ManifestRecord`` is the manifest
-schema: its fields are the JSON keys, written in declaration order, and a field
-that is None is left out. Constructing one, from a manifest line or a library
-call alike, checks and converts each field.
+``_RECORD_FILTERS``, then ``segment``, then ``_CHILD_FILTERS`` is the one
+statement of filter order, so reruns are deterministic and cheap metadata
+checks happen before per-word work. Each filter takes ``(record, config)`` and
+returns its reasons, an empty list meaning pass. One judge decides each input
+record; every record, a manifest line that failed to parse included, gets one
+outcome with the offending measured value attached to each failed filter, and
+an outcome is ``kept`` exactly when it has no reasons. ``curate_stream``
+judges and writes each record as ``iter_manifest`` reads it, so its memory
+does not grow with the manifest; ``read_manifest``, ``run_pipeline`` and the
+two writers are loops over the same per-record pieces. ``curate_manifest``
+runs ``curate_stream`` on byte-range shards of a manifest file in forked
+processes at once, and writes the same bytes for any number of shards.
+``ManifestRecord`` is the manifest schema: its fields are the JSON keys,
+written in declaration order, and a field that is None is left out.
+Constructing one, from a manifest line or a library call alike, checks and
+converts each field.
 """
 
 from __future__ import annotations
@@ -39,10 +41,6 @@ __all__ = [
     "PipelineConfig",
     "FilterReason",
     "FilterOutcome",
-    "compute_wpm",
-    "filter_confidence",
-    "filter_speech_and_silence",
-    "filter_language",
     "segment",
     "run_pipeline",
     "curate_stream",
@@ -180,9 +178,10 @@ class PipelineConfig:
                 raise ValueError(f"{name} must be in [0, 1]")
         if math.isnan(self.max_silence_sec):  # every silence would compare as within it
             raise ValueError("max_silence_sec must be a number, got nan")
+        self.blockers: list[re.Pattern] = []  # the blocklist compiled once; an attribute, not a field
         for pattern in self.blocklist:
             try:
-                re.compile(pattern)
+                self.blockers.append(re.compile(pattern))
             except re.error as exc:
                 raise ValueError(f"blocklist pattern {pattern!r} is not a valid regex: {exc}") from exc
 
@@ -205,38 +204,11 @@ class FilterOutcome:
         return "rejected" if self.reasons else "kept"
 
 
-def compute_wpm(transcript: str, duration_sec: float) -> float:
-    if not 0 < duration_sec < math.inf:
-        raise ValueError(f"duration_sec must be positive and finite, got {duration_sec}")
-    return len(transcript.split()) / (duration_sec / 60.0)
+def _blocklist(rec: ManifestRecord, cfg: PipelineConfig) -> list[FilterReason]:
+    return [FilterReason("blocklist", p.pattern) for p in cfg.blockers if p.search(rec.transcript)]
 
 
-def filter_confidence(rec: ManifestRecord, threshold: float) -> tuple[bool, float | None]:
-    """Pass iff the arithmetic mean word confidence is >= threshold.
-
-    Missing confidences are not evaluable; callers reject with reason
-    ``missing-confidence``.
-    """
-    if not rec.word_confidences:
-        return False, None
-    mean = sum(rec.word_confidences) / len(rec.word_confidences)
-    return mean >= threshold, mean
-
-
-def filter_speech_and_silence(rec: ManifestRecord, cfg: PipelineConfig) -> list[FilterReason]:
-    """Empty list = pass. Speech ratio strictly below the floor or continuous
-    silence strictly above the cap rejects, mirroring the threshold wording."""
-    if rec.speech_ratio is None or rec.max_silence_sec is None:
-        return [FilterReason("missing-speech-stats", "missing")]
-    reasons = []
-    if rec.speech_ratio < cfg.min_speech_ratio:
-        reasons.append(FilterReason("speech-activity", f"{rec.speech_ratio:.4g}"))
-    if rec.max_silence_sec > cfg.max_silence_sec:
-        reasons.append(FilterReason("silence", f"{rec.max_silence_sec:.4g}"))
-    return reasons
-
-
-def filter_language(rec: ManifestRecord, cfg: PipelineConfig) -> list[FilterReason]:
+def _language(rec: ManifestRecord, cfg: PipelineConfig) -> list[FilterReason]:
     """Keep only records detected as the target language with enough confidence
     and no source/detected mismatch."""
     if rec.detected_lang is None:
@@ -249,6 +221,33 @@ def filter_language(rec: ManifestRecord, cfg: PipelineConfig) -> list[FilterReas
     if rec.source_lang is not None and rec.source_lang != tag:
         return [FilterReason("language", f"source={rec.source_lang},detected={tag}")]
     return []
+
+
+def _speech_and_silence(rec: ManifestRecord, cfg: PipelineConfig) -> list[FilterReason]:
+    """Speech ratio strictly below the floor or continuous silence strictly
+    above the cap rejects, mirroring the threshold wording."""
+    if rec.speech_ratio is None or rec.max_silence_sec is None:
+        return [FilterReason("missing-speech-stats", "missing")]
+    reasons = []
+    if rec.speech_ratio < cfg.min_speech_ratio:
+        reasons.append(FilterReason("speech-activity", f"{rec.speech_ratio:.4g}"))
+    if rec.max_silence_sec > cfg.max_silence_sec:
+        reasons.append(FilterReason("silence", f"{rec.max_silence_sec:.4g}"))
+    return reasons
+
+
+def _wpm(rec: ManifestRecord, cfg: PipelineConfig) -> list[FilterReason]:
+    """Words per minute in [wpm_min, wpm_max]; a record's duration is positive and finite."""
+    wpm = len(rec.transcript.split()) / (rec.duration_sec / 60.0)
+    return [] if cfg.wpm_min <= wpm <= cfg.wpm_max else [FilterReason("wpm", f"{wpm:.4g}")]
+
+
+def _confidence(rec: ManifestRecord, cfg: PipelineConfig) -> list[FilterReason]:
+    """Pass iff the arithmetic mean word confidence is >= conf_threshold; missing confidences reject."""
+    if not rec.word_confidences:
+        return [FilterReason("missing-confidence", "missing")]
+    mean = sum(rec.word_confidences) / len(rec.word_confidences)
+    return [] if mean >= cfg.conf_threshold else [FilterReason("confidence", f"{mean:.4g}")]
 
 
 def _slice_record(rec: ManifestRecord, words: list[str], lo: int, hi: int, child_idx: int) -> ManifestRecord:
@@ -327,15 +326,23 @@ def segment(rec: ManifestRecord, cfg: PipelineConfig) -> tuple[list[ManifestReco
     return children, None
 
 
+# The filter order: a record stops at the first record filter that gives reasons,
+# is then segmented, and each child stops at the first child filter that gives reasons.
+_RECORD_FILTERS = (_blocklist, _language, _speech_and_silence)
+_CHILD_FILTERS = (_wpm, _confidence)
+
+
+def _first_reasons(filters: tuple, rec: ManifestRecord, cfg: PipelineConfig) -> list[FilterReason]:
+    return next(filter(None, (check(rec, cfg) for check in filters)), [])
+
+
 def _judge(
-    rec: ManifestRecord | ManifestParseError, cfg: PipelineConfig, blockers: list[re.Pattern]
+    rec: ManifestRecord | ManifestParseError, cfg: PipelineConfig
 ) -> tuple[list[ManifestRecord], list[FilterReason]]:
     """(kept segments, reasons) for one manifest entry; exactly one of the two is empty."""
     if isinstance(rec, ManifestParseError):
         return [], [FilterReason("parse-error", rec.error)]
-    reasons = [FilterReason("blocklist", p.pattern) for p in blockers if p.search(rec.transcript)]
-    reasons = reasons or filter_language(rec, cfg) or filter_speech_and_silence(rec, cfg)
-    if reasons:
+    if reasons := _first_reasons(_RECORD_FILTERS, rec, cfg):
         return [], reasons
     children, seg_reason = segment(rec, cfg)
     if seg_reason is not None or not children:
@@ -343,17 +350,10 @@ def _judge(
 
     survivors, reasons = [], []
     for child in children:
-        wpm = compute_wpm(child.transcript, child.duration_sec)
-        if not cfg.wpm_min <= wpm <= cfg.wpm_max:
-            reasons.append(FilterReason("wpm", f"{wpm:.4g}"))
-            continue
-        ok, mean = filter_confidence(child, cfg.conf_threshold)
-        if ok:
-            survivors.append(child)
-        elif mean is None:
-            reasons.append(FilterReason("missing-confidence", "missing"))
+        if child_reasons := _first_reasons(_CHILD_FILTERS, child, cfg):
+            reasons += child_reasons
         else:
-            reasons.append(FilterReason("confidence", f"{mean:.4g}"))
+            survivors.append(child)
     return survivors, [] if survivors else reasons
 
 
@@ -363,11 +363,10 @@ def _judge_records(
     """(kept segments, outcome) for each input record, in input order, one record at a time.
 
     A record survives if at least one of its segmentation children passes the
-    per-segment filters (WpM, confidence).
+    filters of ``_CHILD_FILTERS``.
     """
-    blockers = [re.compile(p) for p in cfg.blocklist]
     for rec in manifest:
-        survivors, reasons = _judge(rec, cfg, blockers)
+        survivors, reasons = _judge(rec, cfg)
         yield survivors, FilterOutcome(rec.id, reasons)
 
 

@@ -106,33 +106,26 @@ def align_entities(
     return out
 
 
-def _pair_distance(gold: EntitySpan, pred: EntitySpan, lexical_metric: str) -> float:
-    g = gold.filler.casefold()
-    p = pred.filler.casefold()
-    if lexical_metric == "jaro_distance":
-        return 1.0 - jaro_winkler(g, p)
-    if lexical_metric == "pair_wer":
-        return wer(g.split(), p.split())
-    raise ValueError(f"unknown lexical metric: {lexical_metric!r}")
+def pn_score(align: EntityAlignment) -> tuple[float, float] | None:
+    """Proper-noun distances, scaled x100 (lower is better): (Jaro-Winkler, pair-level WER).
 
-
-def pn_score(align: EntityAlignment, lexical_metric: str = "jaro_distance") -> float | None:
-    """Proper-noun distance, scaled x100 (lower is better).
-
-    Mean over max(n, m) slots where n/m are the gold/pred span counts: matched
-    pairs contribute their lexical distance (1 - Jaro-Winkler, or pair-level
-    WER), every unmatched span contributes the maximal distance 1.0. Returns
-    None when there are no entities on either side; callers exclude such files
-    from aggregation rather than scoring them 0.
+    Each is a mean over max(n, m) slots where n/m are the gold/pred span
+    counts: matched pairs contribute their lexical distance (1 - Jaro-Winkler
+    similarity, or the WER of the pair's casefolded fillers), every unmatched
+    span contributes the maximal distance 1.0. Returns None when there are no
+    entities on either side; callers exclude such files from aggregation
+    rather than scoring them 0.
     """
-    n = len(align.matched) + len(align.unmatched_gold)
-    m = len(align.matched) + len(align.unmatched_pred)
-    slots = max(n, m)
+    slots = len(align.matched) + max(len(align.unmatched_gold), len(align.unmatched_pred))
     if slots == 0:
         return None
-    total = sum(_pair_distance(g, p, lexical_metric) for g, p in align.matched)
-    total += float(len(align.unmatched_gold) + len(align.unmatched_pred))
-    return 100.0 * total / slots
+    jaro, pair_wer = [], []
+    for g, p in align.matched:
+        g_text, p_text = g.filler.casefold(), p.filler.casefold()
+        jaro.append(1.0 - jaro_winkler(g_text, p_text))
+        pair_wer.append(wer(g_text.split(), p_text.split()))
+    unmatched = float(len(align.unmatched_gold) + len(align.unmatched_pred))
+    return 100.0 * (sum(jaro) + unmatched) / slots, 100.0 * (sum(pair_wer) + unmatched) / slots
 
 
 def read_entity_file(path: str) -> dict[str, list[EntitySpan]]:

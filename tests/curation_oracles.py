@@ -1,4 +1,4 @@
-"""The manifest-record parser that ``ManifestRecord`` replaced, as a reference.
+"""The manifest-record parser and the filter chain that ``curation`` replaced, as references.
 
 ``_record_from_json`` and ``OracleRecord.__post_init__`` are the old
 ``curation._record_from_json`` and ``ManifestRecord.__post_init__``
@@ -6,14 +6,29 @@ verbatim: the parser converted some fields and the record checked others.
 On a valid record the one schema of ``ManifestRecord`` must hold the same
 values; only where the old parser kept an int (a word confidence) or a bool
 un-converted may the written line differ.
+
+``_judge`` and its four filters are the old ``curation._judge`` and the
+public filter functions it called, verbatim: the filter order written out in
+the judge's body, the blocklist compiled by the caller, and four return
+conventions. On any record and config, ``curation._judge`` must keep the same
+segments and give the same reasons.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass
 
-from asrlab.curation import _FIELD_NAMES
+from asrlab.curation import (
+    _FIELD_NAMES,
+    TARGET_LANG,
+    FilterReason,
+    ManifestParseError,
+    ManifestRecord,
+    PipelineConfig,
+    segment,
+)
 
 
 @dataclass
@@ -102,3 +117,79 @@ def _record_from_json(obj: object) -> OracleRecord:
         speech_ratio=_optional_float(obj.get("speech_ratio")),
         max_silence_sec=_optional_float(obj.get("max_silence_sec")),
     )
+
+
+def compute_wpm(transcript: str, duration_sec: float) -> float:
+    if not 0 < duration_sec < math.inf:
+        raise ValueError(f"duration_sec must be positive and finite, got {duration_sec}")
+    return len(transcript.split()) / (duration_sec / 60.0)
+
+
+def filter_confidence(rec: ManifestRecord, threshold: float) -> tuple[bool, float | None]:
+    """Pass iff the arithmetic mean word confidence is >= threshold.
+
+    Missing confidences are not evaluable; callers reject with reason
+    ``missing-confidence``.
+    """
+    if not rec.word_confidences:
+        return False, None
+    mean = sum(rec.word_confidences) / len(rec.word_confidences)
+    return mean >= threshold, mean
+
+
+def filter_speech_and_silence(rec: ManifestRecord, cfg: PipelineConfig) -> list[FilterReason]:
+    """Empty list = pass. Speech ratio strictly below the floor or continuous
+    silence strictly above the cap rejects, mirroring the threshold wording."""
+    if rec.speech_ratio is None or rec.max_silence_sec is None:
+        return [FilterReason("missing-speech-stats", "missing")]
+    reasons = []
+    if rec.speech_ratio < cfg.min_speech_ratio:
+        reasons.append(FilterReason("speech-activity", f"{rec.speech_ratio:.4g}"))
+    if rec.max_silence_sec > cfg.max_silence_sec:
+        reasons.append(FilterReason("silence", f"{rec.max_silence_sec:.4g}"))
+    return reasons
+
+
+def filter_language(rec: ManifestRecord, cfg: PipelineConfig) -> list[FilterReason]:
+    """Keep only records detected as the target language with enough confidence
+    and no source/detected mismatch."""
+    if rec.detected_lang is None:
+        return [FilterReason("missing-language", "missing")]
+    tag, conf = rec.detected_lang
+    if tag != TARGET_LANG:
+        return [FilterReason("language", f"{tag}:{conf:.4g}")]
+    if conf < cfg.lang_conf_min:
+        return [FilterReason("language-confidence", f"{conf:.4g}")]
+    if rec.source_lang is not None and rec.source_lang != tag:
+        return [FilterReason("language", f"source={rec.source_lang},detected={tag}")]
+    return []
+
+
+def _judge(
+    rec: ManifestRecord | ManifestParseError, cfg: PipelineConfig, blockers: list[re.Pattern]
+) -> tuple[list[ManifestRecord], list[FilterReason]]:
+    """(kept segments, reasons) for one manifest entry; exactly one of the two is empty."""
+    if isinstance(rec, ManifestParseError):
+        return [], [FilterReason("parse-error", rec.error)]
+    reasons = [FilterReason("blocklist", p.pattern) for p in blockers if p.search(rec.transcript)]
+    reasons = reasons or filter_language(rec, cfg) or filter_speech_and_silence(rec, cfg)
+    if reasons:
+        return [], reasons
+    children, seg_reason = segment(rec, cfg)
+    if seg_reason is not None or not children:
+        return [], [FilterReason(seg_reason or "segment-too-short", f"{rec.duration_sec:.4g}")]
+
+    survivors, reasons = [], []
+    for child in children:
+        wpm = compute_wpm(child.transcript, child.duration_sec)
+        if not cfg.wpm_min <= wpm <= cfg.wpm_max:
+            reasons.append(FilterReason("wpm", f"{wpm:.4g}"))
+            continue
+        ok, mean = filter_confidence(child, cfg.conf_threshold)
+        if ok:
+            survivors.append(child)
+        elif mean is None:
+            reasons.append(FilterReason("missing-confidence", "missing"))
+        else:
+            reasons.append(FilterReason("confidence", f"{mean:.4g}"))
+    return survivors, [] if survivors else reasons

@@ -4,6 +4,10 @@
 block by position with one ``zip_longest``. The functions below handle the
 four opcodes ('equal', 'replace', 'delete', 'insert') one at a time, as the
 pairing was first written, so the library must return exactly their buckets.
+
+``pn_score`` is the old one-metric-per-call ``entities.pn_score`` with its
+``_pair_distance``, verbatim: ``asrlab.entities.pn_score`` must return the
+same two floats, bit for bit, as its two calls.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 from difflib import SequenceMatcher
 
 from asrlab.entities import SUPPORTED_TYPES, EntityAlignment, EntitySpan
-from asrlab.metrics import jaro_winkler
+from asrlab.metrics import jaro_winkler, wer
 
 
 def candidate_pairs(
@@ -57,3 +61,24 @@ def align_entities(gold: list[EntitySpan], pred: list[EntitySpan], sim_threshold
             out.unmatched_gold.append(g)
             out.unmatched_pred.append(p)
     return out
+
+
+def _pair_distance(gold: EntitySpan, pred: EntitySpan, lexical_metric: str) -> float:
+    g = gold.filler.casefold()
+    p = pred.filler.casefold()
+    if lexical_metric == "jaro_distance":
+        return 1.0 - jaro_winkler(g, p)
+    if lexical_metric == "pair_wer":
+        return wer(g.split(), p.split())
+    raise ValueError(f"unknown lexical metric: {lexical_metric!r}")
+
+
+def pn_score(align: EntityAlignment, lexical_metric: str = "jaro_distance") -> float | None:
+    n = len(align.matched) + len(align.unmatched_gold)
+    m = len(align.matched) + len(align.unmatched_pred)
+    slots = max(n, m)
+    if slots == 0:
+        return None
+    total = sum(_pair_distance(g, p, lexical_metric) for g, p in align.matched)
+    total += float(len(align.unmatched_gold) + len(align.unmatched_pred))
+    return 100.0 * total / slots

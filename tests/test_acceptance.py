@@ -97,7 +97,7 @@ def test_proper_noun_ground_truth():
             sim_threshold=0.5,
         )
         assert len(align.matched) == 1
-        assert pn_score(align, "pair_wer") == 50.0
+        assert pn_score(align)[1] == 50.0
 
         # alignment buckets partition the inputs on 500 random fixtures
         rng = np.random.default_rng(7)

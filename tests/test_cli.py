@@ -1441,10 +1441,10 @@ def test_curate_failing_shard_gives_the_jobs_1_error_and_changes_no_output(tmp_p
     before = tree(out)
     judge, failures = curation._judge, JUDGE_FAILURES[case]
 
-    def failing_judge(rec, cfg, blockers):
+    def failing_judge(rec, cfg):
         if rec.id in failures:
             raise failures[rec.id]
-        return judge(rec, cfg, blockers)
+        return judge(rec, cfg)
 
     monkeypatch.setattr(curation, "_judge", failing_judge)
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
@@ -1471,10 +1471,10 @@ def test_curate_worker_that_dies_exits_1_and_changes_no_output(tmp_path, monkeyp
     kept, report = tmp_path / "kept.jsonl", tmp_path / "r.csv"
     judge, parent = curation._judge, os.getpid()
 
-    def dying_judge(rec, cfg, blockers):
+    def dying_judge(rec, cfg):
         if rec.id == "r2-25" and os.getpid() != parent:
             os._exit(3)
-        return judge(rec, cfg, blockers)
+        return judge(rec, cfg)
 
     monkeypatch.setattr(curation, "_judge", dying_judge)
     argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(kept), "--report", str(report), "--jobs", "3"]
@@ -1491,10 +1491,10 @@ def test_curate_interrupted_leaves_no_worker_and_no_output(tmp_path, monkeypatch
     kept, report = tmp_path / "kept.jsonl", tmp_path / "r.csv"
     judge, parent = curation._judge, os.getpid()
 
-    def interrupted_judge(rec, cfg, blockers):
+    def interrupted_judge(rec, cfg):
         if rec.id == "r2-3" and os.getpid() == parent:
             raise KeyboardInterrupt
-        return judge(rec, cfg, blockers)
+        return judge(rec, cfg)
 
     monkeypatch.setattr(curation, "_judge", interrupted_judge)
     argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(kept), "--report", str(report), "--jobs", "3"]
@@ -1512,7 +1512,7 @@ import os, sys, time
 from asrlab import cli, curation
 curation.MIN_SHARD_BYTES = 1
 curation.usable_cpus = lambda: 2
-def judge(rec, cfg, blockers):
+def judge(rec, cfg):
     with open(sys.argv[1], "a") as fh:
         fh.write(f"{os.getpid()}\\n")
     time.sleep(60)

@@ -2,6 +2,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import threading
 
 import pytest
@@ -14,10 +15,10 @@ from asrlab.curation import (
     ManifestParseError,
     ManifestRecord,
     PipelineConfig,
-    compute_wpm,
-    filter_confidence,
-    filter_language,
-    filter_speech_and_silence,
+    _confidence,
+    _language,
+    _speech_and_silence,
+    _wpm,
     read_manifest,
     run_pipeline,
     segment,
@@ -61,46 +62,46 @@ def record(
 
 # --- unit filters -------------------------------------------------------
 
+def ids(reasons):
+    return [r.filter_id for r in reasons]
+
+
 def test_compute_wpm():
-    assert compute_wpm(" ".join(["w"] * 120), 60.0) == 120.0
-    assert compute_wpm(" ".join(["w"] * 25), 60.0) == 25.0
-    assert compute_wpm("", 30.0) == 0.0
-    with pytest.raises(ValueError):
-        compute_wpm("a b", 0.0)
-    for duration in (math.nan, math.inf, -math.inf):
-        with pytest.raises(ValueError, match="positive and finite"):
-            compute_wpm("a b", duration)
+    cfg = PipelineConfig()
+    assert _wpm(record(duration=60.0, n_words=120), cfg) == []
+    assert _wpm(record(duration=60.0, n_words=25), cfg) == [FilterReason("wpm", "25")]
+    assert _wpm(record(duration=30.0, n_words=0), cfg) == [FilterReason("wpm", "0")]
+    assert _wpm(record(duration=60.0, n_words=50), cfg) == []  # both bounds pass
+    assert _wpm(record(duration=60.0, n_words=250), cfg) == []
 
 
 def test_filter_confidence():
-    ok, mean = filter_confidence(record(conf=0.9), 0.8)
-    assert ok and mean == pytest.approx(0.9)
-    ok, mean = filter_confidence(record(conf=0.79), 0.8)
-    assert not ok and mean == pytest.approx(0.79)
-    ok, _ = filter_confidence(record(conf=1.0, n_words=1), 0.8)
-    assert ok
-    ok, mean = filter_confidence(record(conf=None), 0.8)
-    assert not ok and mean is None
+    cfg = PipelineConfig(conf_threshold=0.8)
+    assert _confidence(record(conf=0.9), cfg) == []
+    assert _confidence(record(conf=0.79), cfg) == [FilterReason("confidence", "0.79")]
+    assert _confidence(record(conf=1.0, n_words=1), cfg) == []
+    assert _confidence(record(conf=0.8, n_words=1), cfg) == []  # the threshold passes
+    assert _confidence(record(conf=None), cfg) == [FilterReason("missing-confidence", "missing")]
 
 
 def test_filter_speech_and_silence():
     cfg = PipelineConfig()
-    assert [r.filter_id for r in filter_speech_and_silence(record(ratio=0.69), cfg)] == ["speech-activity"]
-    assert [r.filter_id for r in filter_speech_and_silence(record(silence=5.1), cfg)] == ["silence"]
-    assert filter_speech_and_silence(record(ratio=1.0, silence=0.0), cfg) == []
-    assert filter_speech_and_silence(record(ratio=0.70, silence=5.0), cfg) == []  # boundary passes
+    assert ids(_speech_and_silence(record(ratio=0.69), cfg)) == ["speech-activity"]
+    assert ids(_speech_and_silence(record(silence=5.1), cfg)) == ["silence"]
+    assert _speech_and_silence(record(ratio=1.0, silence=0.0), cfg) == []
+    assert _speech_and_silence(record(ratio=0.70, silence=5.0), cfg) == []  # boundary passes
     missing = dataclasses.replace(record(), speech_ratio=None)
-    assert [r.filter_id for r in filter_speech_and_silence(missing, cfg)] == ["missing-speech-stats"]
+    assert ids(_speech_and_silence(missing, cfg)) == ["missing-speech-stats"]
 
 
 def test_filter_language():
     cfg = PipelineConfig()
-    assert filter_language(record(detected=("en", 0.99), source="en"), cfg) == []
-    assert [r.filter_id for r in filter_language(record(detected=("es", 0.9)), cfg)] == ["language"]
-    assert [r.filter_id for r in filter_language(record(detected=("en", 0.3)), cfg)] == ["language-confidence"]
-    assert [r.filter_id for r in filter_language(record(detected=("en", 0.9), source="de"), cfg)] == ["language"]
-    assert [r.filter_id for r in filter_language(record(detected=None), cfg)] == ["missing-language"]
-    assert filter_language(record(detected=("en", 0.9), source=None), cfg) == []
+    assert _language(record(detected=("en", 0.99), source="en"), cfg) == []
+    assert ids(_language(record(detected=("es", 0.9)), cfg)) == ["language"]
+    assert ids(_language(record(detected=("en", 0.3)), cfg)) == ["language-confidence"]
+    assert ids(_language(record(detected=("en", 0.9), source="de"), cfg)) == ["language"]
+    assert ids(_language(record(detected=None), cfg)) == ["missing-language"]
+    assert _language(record(detected=("en", 0.9), source=None), cfg) == []
 
 
 # --- segmentation ---------------------------------------------------------
@@ -218,9 +219,8 @@ def test_golden_manifest_kept_set_and_reasons():
 
 def test_five_records_per_spec_wpm_example():
     # 120 wpm passes the [50, 250] gate inclusively; 25 and 300 fail
-    assert not 50 <= compute_wpm(" ".join(["w"] * 25), 60.0) <= 250
-    assert 50 <= compute_wpm(" ".join(["w"] * 120), 60.0) <= 250
-    assert not 50 <= compute_wpm(" ".join(["w"] * 300), 60.0) <= 250
+    cfg = PipelineConfig()
+    assert [ids(_wpm(record(duration=60.0, n_words=n), cfg)) for n in (25, 120, 300)] == [["wpm"], [], ["wpm"]]
 
 
 # --- pipeline behavior -----------------------------------------------
@@ -307,6 +307,85 @@ def test_conservation_and_monotonicity(rows):
     )
     kept2, _ = run_pipeline(recs, tighter)
     assert {r.id for r in kept2} <= {r.id for r in kept}
+
+
+_DYADIC = (0.0, 0.25, 0.5, 0.75, 1.0)  # exact in binary, so a mean or a ratio can land on a threshold
+
+
+@st.composite
+def pipeline_configs(draw):
+    wpm_min = draw(st.sampled_from([0.0, 30.0, 60.0, 120.0]))
+    seg_min = draw(st.sampled_from([0.0, 1.0, 2.0, 7.0]))  # 0 lets a child of zero span fail _slice_record
+    return PipelineConfig(
+        wpm_min=wpm_min,
+        wpm_max=wpm_min + draw(st.sampled_from([30.0, 60.0, 240.0])),
+        conf_threshold=draw(st.sampled_from(_DYADIC)),
+        min_speech_ratio=draw(st.sampled_from(_DYADIC)),
+        max_silence_sec=draw(st.sampled_from([0.0, 1.0, 5.0])),
+        seg_min_sec=seg_min,
+        seg_max_sec=seg_min + draw(st.sampled_from([0.5, 4.0, 13.0])),
+        lang_conf_min=draw(st.sampled_from(_DYADIC)),
+        blocklist=draw(st.lists(st.sampled_from([r"\bw3\b", "zz", r"^c c\b"]), max_size=2)),
+    )
+
+
+_OPTIONAL = ("word_confidences", "word_times", "source_lang", "detected_lang", "speech_ratio", "max_silence_sec")
+
+
+@st.composite
+def judged_entries(draw, cfg):
+    """A parse error, or a record whose values often sit exactly on one of `cfg`'s thresholds."""
+    rid = f"r{draw(st.integers(0, 9))}"
+    if draw(st.integers(0, 9)) == 0:
+        return ManifestParseError(rid, "unknown manifest fields: ['x']")
+    n = draw(st.integers(0, 24))
+    times, t = [], 0.0
+    for _ in range(n):
+        start = t + draw(st.sampled_from([0.0, 0.25, 1.0, 3.0]))  # the gap before the word
+        t = start + draw(st.sampled_from([0.0, 0.5, 1.0, 2.0]))
+        times.append((start, t))
+    durations = [d for d in (t + 0.5, cfg.seg_min_sec, cfg.seg_max_sec, 60.0) if d > 0]
+    values = {
+        "word_confidences": st.just([cfg.conf_threshold] * n)
+        | st.lists(st.sampled_from(_DYADIC) | st.floats(0.0, 1.0), min_size=n, max_size=n),
+        "word_times": st.just(times),
+        "source_lang": st.sampled_from(["en", "en", "de"]),
+        "detected_lang": st.tuples(
+            st.sampled_from(["en", "en", "es"]), st.sampled_from([cfg.lang_conf_min, 1.0]) | st.floats(0.0, 1.0)
+        ),
+        "speech_ratio": st.sampled_from([cfg.min_speech_ratio, 1.0]) | st.floats(0.0, 1.0),
+        "max_silence_sec": st.sampled_from([cfg.max_silence_sec, 0.0]) | st.floats(0.0, 10.0),
+    }
+    words = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=n, max_size=n))
+    if n and draw(st.booleans()):  # a blocked word, which some blocklists hit
+        words[draw(st.integers(0, n - 1))] = draw(st.sampled_from(["w3", "zz"]))
+    missing = draw(st.just(()) | st.sets(st.sampled_from(_OPTIONAL)))
+    return ManifestRecord(
+        id=rid,
+        audio_path=f"{rid}.wav",
+        duration_sec=draw(st.sampled_from(durations) | st.floats(0.01, 60.0)),
+        transcript=" ".join(words),
+        **{name: None if name in missing else draw(values[name]) for name in _OPTIONAL},
+    )
+
+
+def judged(judge, rec, cfg):
+    """The kept segments' manifest lines and the reasons that `judge` gives, or the error it raises."""
+    try:
+        survivors, reasons = judge(rec, cfg)
+    except ValueError as exc:
+        return repr(exc)
+    return [curation._manifest_line(child) for child in survivors], reasons
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_filter_chain_matches_the_old_judge(data):
+    cfg = data.draw(pipeline_configs())
+    blockers = [re.compile(p) for p in cfg.blocklist]
+    for rec in data.draw(st.lists(judged_entries(cfg), min_size=1, max_size=4)):
+        want = judged(lambda r, c: curation_oracles._judge(r, c, blockers), rec, cfg)
+        assert judged(curation._judge, rec, cfg) == want
 
 
 # --- I/O --------------------------------------------------------------
@@ -646,6 +725,9 @@ def test_pipeline_config_validation():
         PipelineConfig(conf_threshold=1.5)
     with pytest.raises(ValueError, match=r"'\('"):
         PipelineConfig(blocklist=["fine", "("])
+    # the blocklist is compiled once, into an attribute that is not a field
+    assert [p.pattern for p in PipelineConfig(blocklist=["a", r"\bb"]).blockers] == ["a", r"\bb"]
+    assert "blockers" not in {f.name for f in dataclasses.fields(PipelineConfig)}
 
 
 def test_verdict_follows_reasons():

@@ -166,19 +166,17 @@ def _flat(items):
 
 def test_pn_score_identical_pair_zero():
     out = align_entities([span("Paris", "GPE")], [span("Paris", "GPE")])
-    assert pn_score(out, "jaro_distance") == 0.0
-    assert pn_score(out, "pair_wer") == 0.0
+    assert pn_score(out) == (0.0, 0.0)
 
 
 def test_pn_score_pure_deletion():
     out = align_entities([span("Paris", "GPE")], [])
-    assert pn_score(out, "jaro_distance") == 100.0
-    assert pn_score(out, "pair_wer") == 100.0
+    assert pn_score(out) == (100.0, 100.0)
 
 
 def test_pn_score_pair_wer_half():
     out = align_entities([span("Nicolas Cage")], [span("Ridiculous Cage")], sim_threshold=0.5)
-    assert pn_score(out, "pair_wer") == 50.0
+    assert pn_score(out)[1] == 50.0
 
 
 def test_pn_score_no_entities_is_none():
@@ -192,13 +190,30 @@ def test_pn_score_mixed_slots():
         [span("Paris", "GPE")],
     )
     assert len(out.matched) == 1 and len(out.unmatched_gold) == 1
-    assert pn_score(out, "jaro_distance") == pytest.approx(50.0)
+    assert pn_score(out) == pytest.approx((50.0, 50.0))
 
 
-def test_pn_score_unknown_metric():
-    out = align_entities([span("Paris", "GPE")], [span("Paris", "GPE")])
-    with pytest.raises(ValueError):
-        pn_score(out, "levenshtein")
+_score_fillers = st.sampled_from(["Nicolas Cage", "nicolas  CAGE", "Ridiculous Cage", "Straße", "STRASSE"]) | st.text(
+    st.characters(blacklist_categories=("Cs",)), min_size=1, max_size=12).filter(str.strip)
+_score_spans = st.builds(span, _score_fillers)
+
+
+def _two_calls(align):
+    """The old pn_score's two calls, or None as the new one returns it for no entities."""
+    want = entity_oracles.pn_score(align, "jaro_distance"), entity_oracles.pn_score(align, "pair_wer")
+    return None if want == (None, None) else want
+
+
+@settings(max_examples=400)
+@given(st.lists(st.tuples(_score_spans, _score_spans), max_size=6),
+       st.lists(_score_spans, max_size=5), st.lists(_score_spans, max_size=5))
+def test_pn_score_matches_the_two_call_oracle(matched, unmatched_gold, unmatched_pred):
+    # built directly, the alignment may pair spans however dissimilar; both results must be the same floats
+    align = EntityAlignment(matched, unmatched_gold, unmatched_pred)
+    assert pn_score(align) == _two_calls(align)
+    for gold, pred in ((unmatched_gold, unmatched_pred), ([g for g, _ in matched], [p for _, p in matched])):
+        aligned = align_entities(gold, pred, 0.0)
+        assert pn_score(aligned) == _two_calls(aligned)
 
 
 def test_read_entity_file(tmp_path):
