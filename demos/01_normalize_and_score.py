@@ -8,16 +8,16 @@ tracks meaning instead of typography.
 """
 
 from asrlab.metrics import weighted_average, wer
-from asrlab.textnorm import normalize, tokenize_words
+from asrlab.textnorm import normalize
 
 reference = "There's a cat."
 hypothesis = "there is a cat"
 
-raw = wer(tokenize_words(reference), tokenize_words(hypothesis))
+raw = wer(reference.split(), hypothesis.split())
 print(f"raw WER:        {raw:.3f}")  # 3 errors over 3 words: casing + punctuation + contraction
 
-norm_ref = tokenize_words(normalize(reference))
-norm_hyp = tokenize_words(normalize(hypothesis))
+norm_ref = normalize(reference).split()
+norm_hyp = normalize(hypothesis).split()
 print(f"normalized ref: {' '.join(norm_ref)!r}")
 print(f"normalized WER: {wer(norm_ref, norm_hyp):.3f}")
 

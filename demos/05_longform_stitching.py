@@ -18,11 +18,11 @@ t = np.arange(sr) / sr
 speech_like = 0.4 * np.sin(2 * np.pi * 300.0 * t)
 audio = AudioBuffer(samples=np.concatenate([speech_like, np.zeros(6 * sr), speech_like]))
 
-segments = energy_vad(audio)
-ratio, max_silence = speech_stats(segments, audio.duration_sec)
-print(f"speech segments: {[(round(s.start_sec, 2), round(s.end_sec, 2)) for s in segments]}")
+ranges = energy_vad(audio)  # [start, stop) sample ranges of speech
+ratio, max_silence = speech_stats(ranges, len(audio), sr)
+print(f"speech ranges: {ranges} samples = {[(round(a / sr, 2), round(b / sr, 2)) for a, b in ranges]} s")
 print(f"speech ratio {ratio:.2f}, longest silence {max_silence:.2f}s")
-voiced = remove_silences(audio, segments)
+voiced = remove_silences(audio, ranges)
 print(f"{audio.duration_sec:.1f}s shrinks to {voiced.duration_sec:.2f}s after stripping\n")
 
 # --- chunk planning ----------------------------------------------------------

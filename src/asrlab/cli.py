@@ -42,11 +42,9 @@ from .metrics import EvalRow, build_report, wer
 from .noise import SweepSpec, _snr_list_fault, _transcriber_fault, ordered_map, run_sweep, transcribe_file, write_sweep_csv
 from .planner import ScalingAssumptions, optimal_hours
 from .stitch import PartialTranscript, plan_chunks, stitch, voiced_ranges, write_voiced_chunks
-from .textnorm import DEFAULT_RULES, load_rules, normalize, tokenize_words
-from .transducer.lattice import _draw, _random_lattices, random_lattice
-from .transducer.loss import (
-    BATCH_CELLS, BRUTE_T_MAX, BRUTE_U_MAX, brute_force_logprobs, finite_difference_grad, rnnt_grad, rnnt_logprobs,
-)
+from .textnorm import DEFAULT_RULES, load_rules, normalize
+from .transducer.lattice import _draw, random_lattice
+from .transducer.loss import BRUTE_T_MAX, BRUTE_U_MAX, _oracle_pairs, finite_difference_grad, rnnt_grad
 
 __all__ = ["main", "parse_args", "COMMANDS"]
 
@@ -259,8 +257,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
                 raise ValueError(f"no hypothesis for file id {rec.id!r}")
             if rec.id not in refs:
                 raise ValueError(f"no reference for file id {rec.id!r}")
-            ref = tokenize_words(normalize(refs[rec.id], rules))
-            hyp = tokenize_words(normalize(hyps[rec.id], rules))
+            ref = normalize(refs[rec.id], rules).split()
+            hyp = normalize(hyps[rec.id], rules).split()
             if not ref:
                 raise ValueError(f"reference for {rec.id!r} is empty after normalization")
             row = EvalRow(rec.id, rec.duration_sec, wer(ref, hyp))
@@ -332,7 +330,7 @@ def _read_partials_dir(path: str, rules) -> list[PartialTranscript]:
             if expected and entries[expected - 1][0] == idx:
                 raise ValueError(f"partials {entries[expected - 1][1]} and {name} in {path} share index {idx}")
             raise ValueError(f"partial index {expected} is missing in {path}: the next file is {name}")
-    return [PartialTranscript(i, tokenize_words(normalize(text, rules))) for i, _, text in entries]
+    return [PartialTranscript(i, normalize(text, rules).split()) for i, _, text in entries]
 
 
 def _transcribe_audio(args: argparse.Namespace, rules) -> list[PartialTranscript]:
@@ -363,7 +361,7 @@ def _transcribe_audio(args: argparse.Namespace, rules) -> list[PartialTranscript
         for i, (chunk_path, text) in enumerate(zip(chunk_paths, texts)):
             if text is None:
                 raise ValueError(f"transcriber failed on chunk {i} ({chunk_path})")
-            partials.append(PartialTranscript(i, tokenize_words(normalize(text, rules))))
+            partials.append(PartialTranscript(i, normalize(text, rules).split()))
     return partials
 
 
@@ -398,22 +396,13 @@ def cmd_rnnt_check(args: argparse.Namespace) -> int:
         return (int(rng.integers(t_min, args.t_max + 1)), int(rng.integers(u_min, args.u_max + 1)),
                 int(rng.integers(v_min, args.v_max + 1)))
 
-    # the lattices are drawn in blocks of about BATCH_CELLS cells, so memory stays flat in --lattices;
-    # a block's lattices of one shape are normalized, validated, scored and enumerated as one batch,
-    # and the deviations are taken in draw order
+    # the lattices are drawn lazily, a block at a time, so memory stays flat in --lattices;
+    # the deviations are taken in draw order
     max_dev = 0.0
     bound_ok = True
-    draws, cells = [], 0
-    for i in range(args.lattices):
-        draws.append(_draw(rng, *shape(1, 0, 1)))
-        cells += draws[-1][0].size
-        if cells < BATCH_CELLS and i + 1 < args.lattices:
-            continue
-        block = _random_lattices(draws)
-        for dp, brute in zip(rnnt_logprobs(block), brute_force_logprobs(block)):
-            max_dev = max(max_dev, abs(dp - brute))
-            bound_ok = bound_ok and dp <= 1e-12
-        draws, cells = [], 0
+    for dp, brute in _oracle_pairs(_draw(rng, *shape(1, 0, 1)) for _ in range(args.lattices)):
+        max_dev = max(max_dev, abs(dp - brute))
+        bound_ok = bound_ok and dp <= 1e-12
 
     max_rel = 0.0
     for _ in range(args.grad_checks):

@@ -16,9 +16,10 @@ __all__ = ["load_config", "utf8_lines"]
 def utf8_lines(path: str) -> Iterator[tuple[int, str]]:
     """(line number, line) for each line of a UTF-8 text file, newlines read as in text mode.
 
-    A line that is not valid UTF-8 raises ValueError naming ``path:line``.
+    A byte-order mark at the start of the file is dropped. A line that is not
+    valid UTF-8 raises ValueError naming ``path:line``.
     """
-    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+    with open(path, encoding="utf-8-sig", errors="surrogateescape") as fh:
         for line_no, line in enumerate(fh, start=1):
             if not _is_utf8(line):
                 raise ValueError(f"{path}:{line_no}: not valid UTF-8")

@@ -19,7 +19,7 @@ from .audio import AudioBuffer, read_wav, write_wav
 from .curation import ManifestRecord, usable_cpus
 from .metrics import EmptyReferenceError, EvalRow, build_report, wer
 from .seeding import substream
-from .textnorm import NormRuleSet, DEFAULT_RULES, normalize, tokenize_words
+from .textnorm import NormRuleSet, DEFAULT_RULES, normalize
 
 __all__ = [
     "gaussian_noise",
@@ -259,7 +259,7 @@ def run_sweep(
     Reruns with the same spec and inputs are byte-identical because all
     randomness comes from per-(file, SNR) substreams of spec.seed.
     """
-    refs = [tokenize_words(normalize(rec.transcript, rules)) for rec in records]
+    refs = [normalize(rec.transcript, rules).split() for rec in records]
     for rec, ref in zip(records, refs):
         if not ref:
             raise EmptyReferenceError(f"reference for {rec.id!r} is empty after normalization")
@@ -283,7 +283,7 @@ def run_sweep(
         hyp_text = transcribe_file(transcriber_cmd, out_path)
         if hyp_text is None:
             return SweepRow(snr_db, rec.id, None, rec.duration_sec)
-        hyp = tokenize_words(normalize(hyp_text, rules))
+        hyp = normalize(hyp_text, rules).split()
         return SweepRow(snr_db, rec.id, wer(ref, hyp), rec.duration_sec)
 
     rows = ordered_map(one, tasks, jobs)

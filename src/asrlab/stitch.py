@@ -17,7 +17,6 @@ from ._lazy import np
 from .audio import AudioBuffer, open_pcm16, pcm16_to_float, read_pcm16, write_pcm16
 
 __all__ = [
-    "SpeechSegment",
     "energy_vad",
     "speech_stats",
     "remove_silences",
@@ -28,16 +27,6 @@ __all__ = [
     "PartialTranscript",
     "stitch",
 ]
-
-
-@dataclass(frozen=True)
-class SpeechSegment:
-    start_sec: float
-    end_sec: float
-
-    def __post_init__(self) -> None:
-        if self.start_sec >= self.end_sec:
-            raise ValueError("segment must have start < end")
 
 
 VAD_FRAME_MS = 30.0
@@ -73,8 +62,8 @@ def _frame_energies(blocks: Iterable[np.ndarray], frame_len: int, n_samples: int
     return energy
 
 
-def _speech_segments(energy: np.ndarray, frame_len: int, n_samples: int, sample_rate_hz: int) -> list[SpeechSegment]:
-    """Threshold the frame energies, extend each speech run by the hangover, and return the runs."""
+def _speech_ranges(energy: np.ndarray, frame_len: int, n_samples: int) -> list[tuple[int, int]]:
+    """Threshold the frame energies, extend each speech run by the hangover, and return the runs as sample ranges."""
     active = 10.0 * np.log10(energy + 1e-12) > VAD_FLOOR_DBFS
 
     # hangover: a frame is speech if an active frame lies at most VAD_HANGOVER frames before it
@@ -84,38 +73,33 @@ def _speech_segments(energy: np.ndarray, frame_len: int, n_samples: int, sample_
 
     edges = np.diff(speech.astype(np.int8), prepend=0, append=0)
     starts, ends = np.flatnonzero(edges == 1).tolist(), np.flatnonzero(edges == -1).tolist()
-    return [SpeechSegment(s * frame_len / sample_rate_hz, min(e * frame_len, n_samples) / sample_rate_hz)
-            for s, e in zip(starts, ends)]
+    return [(s * frame_len, min(e * frame_len, n_samples)) for s, e in zip(starts, ends)]
 
 
-def energy_vad(audio: AudioBuffer) -> list[SpeechSegment]:
+def energy_vad(audio: AudioBuffer) -> list[tuple[int, int]]:
     """Energy-threshold voice activity detection with hangover smoothing.
 
     Frames of VAD_FRAME_MS whose mean-square energy exceeds VAD_FLOOR_DBFS are
     speech; each speech run is extended by VAD_HANGOVER frames so brief dips do
-    not split segments. Returned segments are disjoint and sorted. This is a
-    pluggable default; an external detector can supply SpeechSegments instead.
+    not split a run. Returns the [start, stop) sample ranges of the speech,
+    disjoint and sorted. This is a pluggable default; an external detector can
+    supply such ranges instead.
     """
     if len(audio) == 0:
         raise ValueError("audio is empty")
-    sr, samples = audio.sample_rate_hz, audio.samples
-    frame_len = _frame_len(sr)
+    samples = audio.samples
+    frame_len = _frame_len(audio.sample_rate_hz)
     step = _block_len(frame_len)
     blocks = (samples[first : first + step] for first in range(0, len(samples), step))
-    return _speech_segments(_frame_energies(blocks, frame_len, len(samples)), frame_len, len(samples), sr)
-
-
-def _sample_ranges(segments: list[SpeechSegment], sample_rate_hz: int) -> list[tuple[int, int]]:
-    return [(int(round(s.start_sec * sample_rate_hz)), int(round(s.end_sec * sample_rate_hz))) for s in segments]
+    return _speech_ranges(_frame_energies(blocks, frame_len, len(samples)), frame_len, len(samples))
 
 
 def voiced_ranges(path: str) -> tuple[int, list[tuple[int, int]]]:
     """The sample rate of a mono 16-bit WAV and the [start, stop) sample ranges of its speech.
 
-    The ranges are those remove_silences keeps of energy_vad's segments of
-    read_wav(path), but the file is read a block at a time and only the frame
-    energies are kept, so memory does not grow with the recording. An empty
-    file has no ranges.
+    The ranges are energy_vad's of read_wav(path), but the file is read a
+    block at a time and only the frame energies are kept, so memory does not
+    grow with the recording. An empty file has no ranges.
     """
     with open_pcm16(path) as wf:
         sr, n = wf.getframerate(), wf.getnframes()
@@ -123,7 +107,7 @@ def voiced_ranges(path: str) -> tuple[int, list[tuple[int, int]]]:
         step = _block_len(frame_len)
         blocks = (pcm16_to_float(read_pcm16(wf, path, first, min(step, n - first))) for first in range(0, n, step))
         energy = _frame_energies(blocks, frame_len, n)
-    return sr, _sample_ranges(_speech_segments(energy, frame_len, n, sr), sr)
+    return sr, _speech_ranges(energy, frame_len, n)
 
 
 def write_voiced_chunks(
@@ -148,29 +132,25 @@ def write_voiced_chunks(
             write_pcm16(out_path, sr, pieces)
 
 
-def speech_stats(segments: list[SpeechSegment], duration_sec: float) -> tuple[float, float]:
-    """(speech_ratio, max_continuous_silence_sec) for a VAD result.
+def speech_stats(ranges: list[tuple[int, int]], n_samples: int, sample_rate_hz: int) -> tuple[float, float]:
+    """(speech_ratio, max_continuous_silence_sec) of a VAD result: disjoint, sorted sample ranges of n_samples.
 
     Leading and trailing silence count toward the maximum; with no speech the
-    whole duration is silence.
+    whole recording is silence.
     """
-    if duration_sec <= 0:
-        raise ValueError("duration_sec must be positive")
-    if not segments:
-        return 0.0, duration_sec
-    speech = sum(s.end_sec - s.start_sec for s in segments)
-    gaps = [segments[0].start_sec]
-    for a, b in zip(segments, segments[1:]):
-        gaps.append(b.start_sec - a.end_sec)
-    gaps.append(duration_sec - segments[-1].end_sec)
-    return min(speech / duration_sec, 1.0), max(gaps)
+    if n_samples <= 0:
+        raise ValueError("n_samples must be positive")
+    starts = [start for start, _ in ranges] + [n_samples]
+    stops = [0] + [stop for _, stop in ranges]
+    speech = sum(stop - start for start, stop in ranges)
+    return speech / n_samples, max(b - a for a, b in zip(stops, starts)) / sample_rate_hz
 
 
-def remove_silences(audio: AudioBuffer, segments: list[SpeechSegment]) -> AudioBuffer:
-    """Concatenate the speech segments, dropping everything between them."""
-    if not segments:
+def remove_silences(audio: AudioBuffer, ranges: list[tuple[int, int]]) -> AudioBuffer:
+    """Concatenate the audio's [start, stop) sample ranges of speech, dropping everything between them."""
+    if not ranges:
         return AudioBuffer(samples=np.zeros(0), sample_rate_hz=audio.sample_rate_hz)
-    parts = [audio.samples[start:stop] for start, stop in _sample_ranges(segments, audio.sample_rate_hz)]
+    parts = [audio.samples[start:stop] for start, stop in ranges]
     return AudioBuffer(samples=np.concatenate(parts), sample_rate_hz=audio.sample_rate_hz)
 
 

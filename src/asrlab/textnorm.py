@@ -18,7 +18,6 @@ __all__ = [
     "NormRuleSet",
     "DEFAULT_RULES",
     "normalize",
-    "tokenize_words",
     "load_rules",
 ]
 
@@ -194,14 +193,6 @@ def normalize(text: str, rules: NormRuleSet = DEFAULT_RULES) -> str:
     again returns it unchanged.
     """
     return _normalize(text, rules.contractions, rules.fillers)
-
-
-def tokenize_words(text: str) -> list[str]:
-    """Split normalized text on whitespace runs.
-
-    Joining the result with single spaces reproduces the normalized input.
-    """
-    return text.split()
 
 
 def load_rules(path: str) -> NormRuleSet:

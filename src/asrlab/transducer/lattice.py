@@ -90,20 +90,3 @@ def random_lattice(rng: np.random.Generator, T: int, U: int, V: int) -> RnntLatt
     """Random normalized lattice with uniformly drawn targets."""
     raw, targets = _draw(rng, T, U, V)
     return RnntLattice(logits=log_softmax(raw, axis=2), targets=targets)
-
-
-def _random_lattices(draws: list[tuple[np.ndarray, list[int]]]) -> list[RnntLattice]:
-    """The lattices random_lattice builds from these ``_draw`` results, with one log-softmax and one run of
-    RnntLattice's checks per (T, U, V); each lattice's logits are a view of its shape's batch."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, (raw, _) in enumerate(draws):
-        groups.setdefault(raw.shape, []).append(i)
-    out: list[RnntLattice] = [None] * len(draws)  # type: ignore[list-item]
-    for members in groups.values():
-        logits = log_softmax(np.stack([draws[i][0] for i in members]), axis=-1)
-        targets = [draws[i][1] for i in members]
-        _validate(logits, targets)
-        for i, x, y in zip(members, logits, targets):
-            lat = out[i] = object.__new__(RnntLattice)  # checked above as one batch
-            lat.logits, lat.targets = x, y
-    return out

@@ -13,17 +13,17 @@ from __future__ import annotations
 
 import functools
 import math
+from typing import Iterable, Iterator
 
 from .._lazy import np
-from .lattice import RnntLattice, _check_normalized, log_softmax
+from .lattice import RnntLattice, _check_normalized, _validate, log_softmax
 
-__all__ = ["rnnt_logprob", "rnnt_logprobs", "brute_force_logprob", "brute_force_logprobs", "rnnt_grad",
-           "finite_difference_grad"]
+__all__ = ["rnnt_logprob", "brute_force_logprob", "rnnt_grad", "finite_difference_grad"]
 
 NEG_INF = -math.inf
 
-# Largest batch, in lattice cells, that one DP or one finite-difference pass
-# builds, so memory stays flat however many or however wide the lattices are.
+# Largest batch, in lattice cells, that one oracle block or one finite-difference
+# pass builds, so memory stays flat however many or however wide the lattices are.
 BATCH_CELLS = 1 << 18
 
 
@@ -94,36 +94,9 @@ def _logprobs(blank: np.ndarray, emit: np.ndarray) -> np.ndarray:
     return _sweep(blank[:-1], emit[:-1, :, :-1], 0.0)[-1, :, -1] + blank[-1, :, -1]
 
 
-def _by_shape(lattices: list[RnntLattice], score) -> list[float]:
-    """Each lattice's ``score(blank, emit)``, which maps a batch's edge tables to its B results.
-
-    A batch holds lattices of one shape, at most BATCH_CELLS cells of them.
-    """
-    groups: dict[tuple[int, ...], list[int]] = {}
-    for i, lat in enumerate(lattices):
-        groups.setdefault(lat.logits.shape, []).append(i)
-    out = [0.0] * len(lattices)
-    for shape, members in groups.items():
-        per_batch = max(1, BATCH_CELLS // math.prod(shape))
-        for start in range(0, len(members), per_batch):
-            batch = members[start:start + per_batch]
-            # a lattice alone in its batch, as one larger than BATCH_CELLS is, is read in place
-            logits = (np.stack([lattices[i].logits for i in batch]) if len(batch) > 1
-                      else lattices[batch[0]].logits[None])
-            edges = _edge_tables(logits, [lattices[i].targets for i in batch])
-            for i, value in zip(batch, score(*edges).tolist()):
-                out[i] = value
-    return out
-
-
 def rnnt_logprob(lat: RnntLattice) -> float:
     """log P(targets | lattice) over all monotone alignments; always <= 0."""
-    return rnnt_logprobs([lat])[0]
-
-
-def rnnt_logprobs(lattices: list[RnntLattice]) -> list[float]:
-    """``rnnt_logprob`` of each lattice, run as one DP per batch of lattices that share (T, U, V)."""
-    return _by_shape(lattices, _logprobs)
+    return float(_logprobs(*_edge_tables(lat.logits[None], [lat.targets]))[0])
 
 
 # largest lattice brute_force_logprob enumerates
@@ -179,12 +152,39 @@ def brute_force_logprob(lat: RnntLattice) -> float:
     final step a blank); its probability is the product of the per-step
     conditionals read off the lattice. Guarded to T <= 6, U <= 4.
     """
-    return brute_force_logprobs([lat])[0]
+    return float(_enumerate(*_edge_tables(lat.logits[None], [lat.targets]))[0])
 
 
-def brute_force_logprobs(lattices: list[RnntLattice]) -> list[float]:
-    """``brute_force_logprob`` of each lattice, one array pass per batch of lattices of one shape."""
-    return _by_shape(lattices, _enumerate)
+def _oracle_pairs(draws: Iterable[tuple[np.ndarray, list[int]]]) -> Iterator[tuple[float, float]]:
+    """(rnnt_logprob, brute_force_logprob) of the lattice random_lattice builds from each ``_draw`` result, in order.
+
+    The draws are taken lazily, in blocks of about BATCH_CELLS cells, so memory
+    stays flat however many there are. Within a block the lattices of one
+    (T, U, V) get one stack, one log-softmax, one run of RnntLattice's checks,
+    one DP and one enumeration.
+    """
+    draws = iter(draws)
+    while True:
+        block, cells = [], 0
+        for raw, targets in draws:
+            block.append((raw, targets))
+            cells += raw.size
+            if cells >= BATCH_CELLS:
+                break
+        if not block:
+            return
+        groups: dict[tuple[int, ...], list[int]] = {}
+        for i, (raw, _) in enumerate(block):
+            groups.setdefault(raw.shape, []).append(i)
+        pairs: list[tuple[float, float]] = [None] * len(block)  # type: ignore[list-item]
+        for members in groups.values():
+            logits = log_softmax(np.stack([block[i][0] for i in members]), axis=-1)
+            targets = [block[i][1] for i in members]
+            _validate(logits, targets)
+            edges = _edge_tables(logits, targets)
+            for i, dp, brute in zip(members, _logprobs(*edges).tolist(), _enumerate(*edges).tolist()):
+                pairs[i] = dp, brute
+        yield from pairs
 
 
 def rnnt_grad(lat: RnntLattice) -> np.ndarray:

@@ -1,9 +1,9 @@
 """Reference implementations for the VAD's array passes and the streamed audio path.
 
 ``asrlab.stitch.energy_vad`` computes frame energies a block of frames at a
-time, the hangover as a running maximum and the segment edges from a diff of
+time, the hangover as a running maximum and the range edges from a diff of
 the speech mask. The loop below visits one frame at a time, as the detector
-was first written, so the library must return exactly its segments.
+was first written, so the library must return exactly its sample ranges.
 
 ``asrlab.stitch.voiced_ranges`` and ``write_voiced_chunks`` read a WAV from
 disk a block and a chunk at a time. ``whole_file_voiced`` and ``write_chunks``
@@ -17,10 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from asrlab.audio import AudioBuffer, read_wav, write_wav
-from asrlab.stitch import VAD_FLOOR_DBFS, VAD_FRAME_MS, VAD_HANGOVER, SpeechSegment, remove_silences
+from asrlab.stitch import VAD_FLOOR_DBFS, VAD_FRAME_MS, VAD_HANGOVER, remove_silences
 
 
-def energy_vad(audio: AudioBuffer) -> list[SpeechSegment]:
+def energy_vad(audio: AudioBuffer) -> list[tuple[int, int]]:
     sr = audio.sample_rate_hz
     frame_len = max(1, int(round(sr * VAD_FRAME_MS / 1000.0)))
     n_frames = int(np.ceil(len(audio) / frame_len))
@@ -37,8 +37,8 @@ def energy_vad(audio: AudioBuffer) -> list[SpeechSegment]:
             last_active = i
         speech[i] = i - last_active <= VAD_HANGOVER
 
-    def segment(first: int, end: int) -> SpeechSegment:
-        return SpeechSegment(first * frame_len / sr, min(end * frame_len, len(audio)) / sr)
+    def segment(first: int, end: int) -> tuple[int, int]:
+        return first * frame_len, min(end * frame_len, len(audio))
 
     segments = []
     start = None
@@ -56,10 +56,8 @@ def energy_vad(audio: AudioBuffer) -> list[SpeechSegment]:
 def whole_file_voiced(path: str) -> tuple[AudioBuffer, list[tuple[int, int]]]:
     """The voiced audio of a WAV, cut from the recording held in memory, and the sample ranges it came from."""
     audio = read_wav(path)
-    segments = energy_vad(audio) if len(audio) else []
-    sr = audio.sample_rate_hz
-    ranges = [(int(round(s.start_sec * sr)), int(round(s.end_sec * sr))) for s in segments]
-    return remove_silences(audio, segments), ranges
+    ranges = energy_vad(audio) if len(audio) else []
+    return remove_silences(audio, ranges), ranges
 
 
 def write_chunks(voiced: AudioBuffer, bounds: list[tuple[float, float]], out_paths: list[str]) -> None:

@@ -23,8 +23,12 @@ from hypothesis import given, settings, strategies as st
 import asrlab
 from asrlab import cli, curation
 from asrlab.audio import AudioBuffer, write_wav
+from asrlab.config import load_config
 from asrlab.curation import write_manifest
+from asrlab.entities import read_entity_file
 from asrlab.stitch import plan_chunks
+from asrlab.textnorm import load_rules
+from asrlab.transducer.loss import BATCH_CELLS
 from tests import stitch_oracles
 from tests.conftest import make_script, tone
 
@@ -428,6 +432,24 @@ def test_rnnt_check_prints_the_unbatched_lines(argv, expected, capsys):
         f"gradient-fd: PASS max_rel_err={rel} (n={grad_checks}, tol=0.0001)\n"
         "likelihood-bound: PASS\n"
     )
+
+
+def test_rnnt_check_memory_is_flat_in_lattices():
+    # both sizes fill several oracle blocks; one block's draws are about 8 * BATCH_CELLS bytes
+    def traced_peak(lattices):
+        argv = ["rnnt-check", "--lattices", str(lattices), "--grad-checks", "1",
+                "--t-max", "6", "--u-max", "4", "--v-max", "4"]
+        tracemalloc.start()
+        try:
+            assert cli.main(argv) == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    traced_peak(50)  # numpy and the alignment tables load outside the measured runs
+    small, large = traced_peak(20000), traced_peak(40000)
+    assert large < 1.1 * small
+    assert large < 4 * 8 * BATCH_CELLS
 
 
 def test_noise_sweep_jobs_do_not_change_report(tmp_path, echo_transcriber):
@@ -1745,6 +1767,32 @@ def test_undecodable_config_file_exit_2(tmp_path, capsys):
         cli.parse_args(["plan-data", "--params", "1000", "--config", str(cfg)])
     assert exc.value.code == 2
     assert f"{cfg}:3: not valid UTF-8" in capsys.readouterr().err
+
+
+def _read_partials(path):
+    pdir = pathlib.Path(path).with_suffix("")
+    pdir.mkdir()
+    os.replace(path, pdir / "0.txt")
+    return cli._read_partials_dir(str(pdir), cli.DEFAULT_RULES)
+
+
+# each reader's first line is one that a byte-order mark glued to it used to break
+BOM_READERS = {
+    "config comment": (load_config, "# run settings\ncuration.wpm_min = 40\n"),
+    "config key": (load_config, "curation.wpm_min = 40\n"),
+    "rules": (load_rules, "[contractions]\nthere's\tthere is\n[fillers]\num\n"),
+    "tsv": (cli._read_tsv, "a\thello world\n"),
+    "entities": (read_entity_file, "a\t0\t5\tPER\tAlice\n"),
+    "partials": (_read_partials, "hello world\n"),
+}
+
+
+@pytest.mark.parametrize("reader,text", BOM_READERS.values(), ids=BOM_READERS)
+def test_text_readers_drop_a_byte_order_mark(tmp_path, reader, text):
+    plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+    plain.write_bytes(text.encode("utf-8"))
+    marked.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert reader(str(marked)) == reader(str(plain))
 
 
 def test_other_exception_is_internal_error_exit_1(tmp_path, capsys, monkeypatch):

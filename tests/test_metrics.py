@@ -12,7 +12,7 @@ from asrlab.metrics import (
     weighted_average,
     wer,
 )
-from asrlab.textnorm import normalize, tokenize_words
+from asrlab.textnorm import normalize
 from tests.metrics_oracles import word_align
 
 
@@ -92,8 +92,8 @@ def test_align_cost_matches_exhaustive_oracle(ref, hyp):
 
 def test_wer_contraction_raw_vs_normalized():
     ref, hyp = "there's", "there is"
-    assert wer(tokenize_words(ref), tokenize_words(hyp)) == 2.0
-    assert wer(tokenize_words(normalize(ref)), tokenize_words(normalize(hyp))) == 0.0
+    assert wer(ref.split(), hyp.split()) == 2.0
+    assert wer(normalize(ref).split(), normalize(hyp).split()) == 0.0
 
 
 def test_wer_half():

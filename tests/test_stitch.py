@@ -14,7 +14,6 @@ from asrlab.stitch import (
     VAD_FLOOR_DBFS,
     VAD_FRAME_MS,
     PartialTranscript,
-    SpeechSegment,
     energy_vad,
     plan_chunks,
     remove_silences,
@@ -35,19 +34,18 @@ def test_vad_pure_silence():
 
 def test_vad_pure_tone_is_one_segment():
     buf = AudioBuffer(samples=tone(2.0))
-    segments = energy_vad(buf)
-    assert len(segments) == 1
-    assert segments[0].start_sec == 0.0
-    assert segments[0].end_sec == pytest.approx(2.0, abs=0.05)
+    [(start, stop)] = energy_vad(buf)
+    assert start == 0
+    assert stop == pytest.approx(2 * 16000, abs=0.05 * 16000)
 
 
 def test_vad_tone_silence_tone_feeds_silence_filter():
     sr = 16000
     samples = np.concatenate([tone(1.0), np.zeros(6 * sr), tone(1.0)])
     buf = AudioBuffer(samples=samples)
-    segments = energy_vad(buf)
-    assert len(segments) == 2
-    ratio, max_silence = speech_stats(segments, buf.duration_sec)
+    ranges = energy_vad(buf)
+    assert len(ranges) == 2
+    ratio, max_silence = speech_stats(ranges, len(buf), sr)
     assert max_silence > 5.0  # the curation silence filter would fire
     assert max_silence == pytest.approx(6.0, abs=0.3)
     assert ratio == pytest.approx(2.0 / 8.0, abs=0.05)
@@ -93,15 +91,15 @@ def test_vad_matches_frame_loop_oracle_across_blocks(sr):
     n = 4 * _VAD_BLOCK_SAMPLES + 1234
     level_db = np.repeat(rng.uniform(VAD_FLOOR_DBFS - 10.0, VAD_FLOOR_DBFS + 10.0, 40), n // 40 + 1)[:n]
     audio = AudioBuffer(samples=rng.normal(0.0, 1.0, n) * 10.0 ** (level_db / 20.0), sample_rate_hz=sr)
-    segments = energy_vad(audio)
-    assert len(segments) > 3
-    assert segments == stitch_oracles.energy_vad(audio)
+    ranges = energy_vad(audio)
+    assert len(ranges) > 3
+    assert ranges == stitch_oracles.energy_vad(audio)
 
 
 @pytest.mark.parametrize("n_samples", [1, 479, 480, 481])
 def test_vad_partial_and_single_frames(n_samples):
     loud = AudioBuffer(samples=np.full(n_samples, 0.5))
-    assert energy_vad(loud) == [SpeechSegment(0.0, n_samples / 16000)]
+    assert energy_vad(loud) == [(0, n_samples)]
     assert energy_vad(AudioBuffer(samples=np.full(n_samples, 1e-4))) == []
 
 
@@ -111,14 +109,27 @@ def test_vad_rejects_empty_audio():
 
 
 def test_speech_stats_no_segments():
-    ratio, max_silence = speech_stats([], 12.0)
+    ratio, max_silence = speech_stats([], 12 * 16000, 16000)
     assert ratio == 0.0 and max_silence == 12.0
+    with pytest.raises(ValueError):
+        speech_stats([], 0, 16000)
 
 
 def test_speech_stats_leading_trailing_silence():
-    ratio, max_silence = speech_stats([SpeechSegment(4.0, 6.0)], 10.0)
+    ratio, max_silence = speech_stats([(4 * 16000, 6 * 16000)], 10 * 16000, 16000)
     assert ratio == pytest.approx(0.2)
     assert max_silence == 4.0
+    assert speech_stats([(0, 100), (150, 400)], 400, 100) == (350 / 400, 0.5)
+
+
+@pytest.mark.parametrize("sr", [10, 100, 8000, 11025, 16000, 22050, 32000, 44100, 48000, 96000])
+def test_frame_edges_survive_a_round_trip_through_seconds(sr):
+    # the VAD once gave its range edges, frame edges or the recording's end, in seconds, which
+    # stitch --audio rounded back to samples; giving the sample index itself cuts the same chunk bytes
+    frame_len = max(1, int(round(sr * VAD_FRAME_MS / 1000.0)))
+    frames = np.unique(np.concatenate([np.arange(100_000), np.geomspace(1, 1e9, 100_000).astype(np.int64)]))
+    edges = np.concatenate([frames * frame_len, np.arange(200_000)])
+    assert np.array_equal(np.round(edges / sr * sr).astype(np.int64), edges)
 
 
 def test_remove_silences():

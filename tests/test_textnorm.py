@@ -5,7 +5,7 @@ import unicodedata
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from asrlab.textnorm import DEFAULT_RULES, NormRuleSet, load_rules, normalize, tokenize_words
+from asrlab.textnorm import DEFAULT_RULES, NormRuleSet, load_rules, normalize
 from tests import textnorm_oracles as oracles
 
 
@@ -155,12 +155,6 @@ def test_regex_alphanumeric_class_is_isalnum():
     )
 
 
-def test_tokenize_examples():
-    assert tokenize_words("there is a cat") == ["there", "is", "a", "cat"]
-    assert tokenize_words("") == []
-    assert tokenize_words("a  b") == ["a", "b"]
-
-
 # text() covers arbitrary unicode including punctuation, controls, surroga-like chars
 @settings(max_examples=400)
 @given(st.text(max_size=60))
@@ -177,8 +171,8 @@ def test_determinism(text):
 @given(st.text(max_size=60))
 def test_tokenize_join_round_trip(text):
     norm = normalize(text)
-    assert " ".join(tokenize_words(norm)) == norm
-    assert all(tok and not any(c.isspace() for c in tok) for tok in tokenize_words(norm))
+    assert " ".join(norm.split()) == norm
+    assert all(tok and not any(c.isspace() for c in tok) for tok in norm.split())
 
 
 def test_expansions_contain_no_contractions():

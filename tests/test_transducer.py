@@ -25,7 +25,7 @@ from asrlab.transducer import (
 )
 from asrlab.transducer import lattice, loss
 from asrlab.transducer.lattice import _check_normalized
-from asrlab.transducer.loss import BATCH_CELLS, brute_force_logprobs, finite_difference_grad, rnnt_logprobs
+from asrlab.transducer.loss import BATCH_CELLS, _oracle_pairs, finite_difference_grad
 from asrlab.transducer.mask import FRAME_MS
 from tests import transducer_oracles as oracles
 
@@ -71,16 +71,17 @@ def test_lattice_takes_numpy_integer_targets():
 @given(
     shapes=st.lists(st.tuples(st.integers(1, 6), st.integers(0, 4), st.integers(1, 5)), min_size=1, max_size=40),
     seed=st.integers(0, 2**32 - 1),
+    block_cells=st.sampled_from([1, 50, 400, BATCH_CELLS]),
 )
-def test_batched_draws_match_random_lattice(shapes, seed):
-    # a repeated shape makes a batch of several lattices, whose draws interleave with other shapes'
+def test_batched_draws_match_random_lattice(shapes, seed, block_cells):
+    # a repeated shape makes a batch of several lattices, whose draws interleave with other shapes';
+    # a small BATCH_CELLS cuts the draws into several blocks, down to one lattice each
     rng = np.random.default_rng(seed)
     per_lattice = [random_lattice(rng, *shape) for shape in shapes]
     rng = np.random.default_rng(seed)
-    batched = lattice._random_lattices([lattice._draw(rng, *shape) for shape in shapes])
-    for want, got in zip(per_lattice, batched, strict=True):
-        assert np.array_equal(got.logits, want.logits)
-        assert got.targets == want.targets
+    with mock.patch.object(loss, "BATCH_CELLS", block_cells):
+        pairs = list(_oracle_pairs(lattice._draw(rng, *shape) for shape in shapes))
+    assert pairs == [(rnnt_logprob(lat), brute_force_logprob(lat)) for lat in per_lattice]
 
 
 # --- forward / brute force ------------------------------------------------
@@ -127,9 +128,9 @@ def test_brute_force_guard():
         brute_force_logprob(uniform_lattice(7, 1, 1))
     with pytest.raises(ValueError):
         brute_force_logprob(uniform_lattice(2, 5, 1, targets=[0] * 5))
-    with pytest.raises(ValueError):
-        brute_force_logprobs([uniform_lattice(2, 1, 1), uniform_lattice(7, 1, 1)])
-    assert brute_force_logprobs([]) == []
+    with pytest.raises(ValueError, match="brute force guard"):
+        list(_oracle_pairs([(np.zeros((2, 2, 2)), [0]), (np.zeros((7, 2, 2)), [0])]))
+    assert list(_oracle_pairs([])) == []
 
 
 def test_logprob_zero_only_for_deterministic_single_path():
@@ -150,14 +151,20 @@ def test_logprob_zero_only_for_deterministic_single_path():
 
 # --- array passes vs the cell-by-cell oracles --------------------------------
 
-def lattice_with_holes(seed, T, U, V, hole_rate):
-    """Random lattice whose symbols are -inf at about hole_rate of the cells; every slice keeps one."""
+def draw_with_holes(seed, T, U, V, hole_rate):
+    """Raw normals, -inf at about hole_rate of the cells but never at all of a slice, and U targets."""
     rng = np.random.default_rng(seed)
     raw = rng.normal(size=(T, U + 1, V + 1))
     holes = rng.random(raw.shape) < hole_rate
     np.put_along_axis(holes, rng.integers(V + 1, size=(T, U + 1, 1)), False, axis=2)
     raw[holes] = -np.inf
-    return RnntLattice(logits=log_softmax(raw, axis=2), targets=[int(y) for y in rng.integers(V, size=U)])
+    return raw, [int(y) for y in rng.integers(V, size=U)]
+
+
+def lattice_with_holes(seed, T, U, V, hole_rate):
+    """Random lattice whose symbols are -inf at about hole_rate of the cells; every slice keeps one."""
+    raw, targets = draw_with_holes(seed, T, U, V, hole_rate)
+    return RnntLattice(logits=log_softmax(raw, axis=2), targets=targets)
 
 
 @settings(max_examples=200, deadline=None)
@@ -191,8 +198,9 @@ def test_dp_matches_cell_by_cell_oracle(seed, T, U, V, hole_rate):
 )
 def test_batched_dp_matches_cell_by_cell_oracle(shapes, seed):
     # mixed shapes, repeated ones batched together; T = 1 and U = 0 included
-    lattices = [lattice_with_holes(seed + i, T, U, V, holes) for i, (T, U, V, holes) in enumerate(shapes)]
-    assert rnnt_logprobs(lattices) == [oracles.rnnt_logprob(lat) for lat in lattices]
+    draws = [draw_with_holes(seed + i, T, U, V, holes) for i, (T, U, V, holes) in enumerate(shapes)]
+    lattices = [RnntLattice(logits=log_softmax(raw, axis=2), targets=targets) for raw, targets in draws]
+    assert [dp for dp, _ in _oracle_pairs(draws)] == [oracles.rnnt_logprob(lat) for lat in lattices]
 
 
 @settings(max_examples=100, deadline=None)
@@ -206,18 +214,9 @@ def test_batched_dp_matches_cell_by_cell_oracle(shapes, seed):
 )
 def test_batched_brute_force_matches_the_recursive_walk(shapes, seed):
     # -inf holes make paths, and whole lattices, of zero probability
-    lattices = [lattice_with_holes(seed + i, T, U, V, holes) for i, (T, U, V, holes) in enumerate(shapes)]
-    assert brute_force_logprobs(lattices) == [oracles.brute_force_logprob(lat) for lat in lattices]
-
-
-def test_batched_dp_splits_a_group_larger_than_one_batch():
-    rng = np.random.default_rng(9)
-    T, U, V = 6, 4, 1
-    n = BATCH_CELLS // (T * (U + 1)) + 5  # one (T, U) group that fills more than one batch
-    logits = log_softmax(rng.normal(size=(n, T, U + 1, V + 1)))
-    lattices = [RnntLattice(logits=x, targets=[0] * U) for x in logits] + [random_lattice(rng, 1, 0, 2)]
-    assert rnnt_logprobs(lattices) == [rnnt_logprob(lat) for lat in lattices]
-    assert rnnt_logprobs([]) == []
+    draws = [draw_with_holes(seed + i, T, U, V, holes) for i, (T, U, V, holes) in enumerate(shapes)]
+    lattices = [RnntLattice(logits=log_softmax(raw, axis=2), targets=targets) for raw, targets in draws]
+    assert [brute for _, brute in _oracle_pairs(draws)] == [oracles.brute_force_logprob(lat) for lat in lattices]
 
 
 def test_dp_long_lattice_matches_oracle():
