@@ -10,7 +10,7 @@ joined back by locating the shared token run at each junction.
 import numpy as np
 
 from asrlab.audio import AudioBuffer
-from asrlab.stitch import PartialTranscript, energy_vad, plan_chunks, remove_silences, speech_stats, stitch
+from asrlab.stitch import energy_vad, plan_chunks, remove_silences, speech_stats, stitch
 
 # --- silence stripping -----------------------------------------------------
 sr = 16000
@@ -30,9 +30,9 @@ plan = plan_chunks(60.0, chunk_len=25.0, overlap=5.0)
 print(f"60s plan: {plan.bounds}  (final chunk right-aligned)\n")
 
 # --- joining partial transcripts ---------------------------------------------
-partials = [
-    PartialTranscript(0, "the quick brown fox jumps over the lazy dog".split()),
-    PartialTranscript(1, "over the lazy dog while the cat watches".split()),
-    PartialTranscript(2, "the cat watches from a sunny windowsill".split()),
+partials = [  # each chunk's words, in chunk order
+    "the quick brown fox jumps over the lazy dog".split(),
+    "over the lazy dog while the cat watches".split(),
+    "the cat watches from a sunny windowsill".split(),
 ]
 print("stitched:", " ".join(stitch(partials, min_match_tokens=3)))

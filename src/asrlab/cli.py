@@ -41,7 +41,7 @@ from .entities import _sim_threshold_fault, align_entities, pn_score, read_entit
 from .metrics import EvalRow, build_report, wer
 from .noise import SweepSpec, _snr_list_fault, _transcriber_fault, ordered_map, run_sweep, transcribe_file, write_sweep_csv
 from .planner import ScalingAssumptions, optimal_hours
-from .stitch import PartialTranscript, plan_chunks, stitch, voiced_ranges, write_voiced_chunks
+from .stitch import plan_chunks, stitch, voiced_ranges, write_voiced_chunks
 from .textnorm import DEFAULT_RULES, load_rules, normalize
 from .transducer.lattice import _draw, random_lattice
 from .transducer.loss import BRUTE_T_MAX, BRUTE_U_MAX, _oracle_pairs, finite_difference_grad, rnnt_grad
@@ -304,14 +304,14 @@ def cmd_noise_sweep(args: argparse.Namespace) -> int:
         for rec in records:
             if fault := _file_fault(rec.audio_path):
                 raise ValueError(f"audio for {rec.id} {fault}")
-        report = run_sweep(records, spec, args.transcriber, args.workdir, rules=rules, jobs=args.jobs)
+        results = run_sweep(records, spec, args.transcriber, args.workdir, rules=rules, jobs=args.jobs)
         _write_header(out, args)
-        write_sweep_csv(report, out)
-    print(f"rows={len(report.rows)} out={args.out}")
+        write_sweep_csv(results, out)
+    print(f"rows={sum(map(len, results.values()))} out={args.out}")
     return 0
 
 
-def _read_partials_dir(path: str, rules) -> list[PartialTranscript]:
+def _read_partials_dir(path: str, rules) -> list[list[str]]:
     if not os.path.isdir(path):
         raise ValueError(f"partials directory not found: {path}")
     entries = []
@@ -330,10 +330,10 @@ def _read_partials_dir(path: str, rules) -> list[PartialTranscript]:
             if expected and entries[expected - 1][0] == idx:
                 raise ValueError(f"partials {entries[expected - 1][1]} and {name} in {path} share index {idx}")
             raise ValueError(f"partial index {expected} is missing in {path}: the next file is {name}")
-    return [PartialTranscript(i, normalize(text, rules).split()) for i, _, text in entries]
+    return [normalize(text, rules).split() for _, _, text in entries]
 
 
-def _transcribe_audio(args: argparse.Namespace, rules) -> list[PartialTranscript]:
+def _transcribe_audio(args: argparse.Namespace, rules) -> list[list[str]]:
     """Strip the silences from --audio, cut the rest into overlapping chunks, and transcribe each chunk.
 
     The recording is read from disk a block at a time, and each chunk WAV is
@@ -351,7 +351,6 @@ def _transcribe_audio(args: argparse.Namespace, rules) -> list[PartialTranscript
     if n_voiced == 0:
         raise ValueError(f"no speech detected in {args.audio}")
     plan = plan_chunks(n_voiced / sr, chunk_len=args.chunk_len, overlap=args.overlap)
-    partials = []
     # chunk WAVs stay in --workdir; without it they go to a directory removed when the run ends
     with contextlib.nullcontext(args.workdir) if args.workdir else tempfile.TemporaryDirectory() as workdir:
         os.makedirs(workdir, exist_ok=True)
@@ -361,8 +360,7 @@ def _transcribe_audio(args: argparse.Namespace, rules) -> list[PartialTranscript
         for i, (chunk_path, text) in enumerate(zip(chunk_paths, texts)):
             if text is None:
                 raise ValueError(f"transcriber failed on chunk {i} ({chunk_path})")
-            partials.append(PartialTranscript(i, normalize(text, rules).split()))
-    return partials
+    return [normalize(text, rules).split() for text in texts]
 
 
 def cmd_stitch(args: argparse.Namespace) -> int:
@@ -521,7 +519,7 @@ COMMANDS = {
         _opt("--noise-kind", "sweep.noise_kind", choices=["gaussian", "ambient"], default=SweepSpec.noise_kind),
         _opt("--noise-dir", "sweep.noise_dir", default=SweepSpec.noise_corpus_dir),
         _RULES,
-        _opt("--seed", "seed", type=int, default=SweepSpec.seed),
+        _opt("--seed", "seed", type=int, check=_in_range(0), default=SweepSpec.seed),
         _JOBS,
     ]),
     "stitch": ("join chunk transcripts (or decode+join an audio file)", cmd_stitch, [
@@ -543,7 +541,7 @@ COMMANDS = {
         _opt("--t-max", type=int, check=_in_range(2, BRUTE_T_MAX), default=4),
         _opt("--u-max", type=int, check=_in_range(1, BRUTE_U_MAX), default=3),
         _opt("--v-max", type=int, check=_in_range(2), default=3),
-        _opt("--seed", "seed", type=int, default=0),
+        _opt("--seed", "seed", type=int, check=_in_range(0), default=0),
     ]),
 }
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, TextIO
 
 from ._lazy import np
@@ -27,8 +27,6 @@ __all__ = [
     "measure_snr",
     "MixResult",
     "SweepSpec",
-    "SweepRow",
-    "SweepReport",
     "run_sweep",
     "ordered_map",
     "transcribe_file",
@@ -125,8 +123,8 @@ def _snr_list_fault(snrs: list[float]) -> str | None:
 
     +inf is allowed: it mixes in no noise, so its row is the clean baseline.
     A finite SNR whose power ratio 10 ** (snr / 10) overflows or rounds to 0
-    has no finite noise gain. A repeated SNR would write its report rows and
-    its mixes twice.
+    has no finite noise gain. A repeated SNR, or two that print alike under
+    :g, would write two SNRs' report rows and mixes under one label.
     """
     if not snrs:
         return "is empty"
@@ -142,6 +140,8 @@ def _snr_list_fault(snrs: list[float]) -> str | None:
                 return f"holds {snr:g} dB, whose power ratio 10**(snr/10) is out of the float range"
         if snr in snrs[:i]:
             return f"repeats {snr:g} dB"
+        if f"{snr:g}" in [f"{x:g}" for x in snrs[:i]]:
+            return f"holds two SNRs that print as {snr:g} dB"
     return None
 
 
@@ -159,24 +159,8 @@ class SweepSpec:
             raise ValueError(f"noise_kind must be gaussian or ambient, got {self.noise_kind!r}")
         if self.noise_kind == "ambient" and not self.noise_corpus_dir:
             raise ValueError("ambient noise requires noise_corpus_dir")
-
-
-@dataclass
-class SweepRow:
-    snr_db: float
-    file_id: str
-    wer: float | None  # None when the transcriber failed on this file
-    duration_sec: float = 0.0
-
-    @property
-    def failed(self) -> bool:
-        return self.wer is None
-
-
-@dataclass
-class SweepReport:
-    rows: list[SweepRow] = field(default_factory=list)
-    aggregate: dict[float, float | None] = field(default_factory=dict)  # snr -> weighted WER
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def _ambient_corpus(corpus_dir: str) -> list[str]:
@@ -247,8 +231,11 @@ def run_sweep(
     workdir: str,
     rules: NormRuleSet = DEFAULT_RULES,
     jobs: int = 1,
-) -> SweepReport:
+) -> dict[float, list[EvalRow]]:
     """Noise-inject every file at every SNR, transcribe, and score WER.
+
+    Returns each SNR's rows, keyed in spec order, with the rows in manifest
+    order; a row's wer is None where the transcriber failed on its mix.
 
     The reference for each file is its manifest transcript, normalized once
     with the same rules as the hypothesis; one that normalizes to no words
@@ -270,7 +257,7 @@ def run_sweep(
 
     tasks = [(snr, rec, ref) for snr in spec.snr_list_db for rec, ref in zip(records, refs)]
 
-    def one(task: tuple[float, ManifestRecord, list[str]]) -> SweepRow:
+    def one(task: tuple[float, ManifestRecord, list[str]]) -> EvalRow:
         snr_db, rec, ref = task
         clean = read_wav(rec.audio_path)
         noise = _noise_for(clean, spec, corpus, rec.id, snr_db)
@@ -282,28 +269,26 @@ def run_sweep(
         write_wav(mix.mixed, out_path)
         hyp_text = transcribe_file(transcriber_cmd, out_path)
         if hyp_text is None:
-            return SweepRow(snr_db, rec.id, None, rec.duration_sec)
-        hyp = normalize(hyp_text, rules).split()
-        return SweepRow(snr_db, rec.id, wer(ref, hyp), rec.duration_sec)
+            return EvalRow(rec.id, rec.duration_sec)
+        return EvalRow(rec.id, rec.duration_sec, wer(ref, normalize(hyp_text, rules).split()))
 
     rows = ordered_map(one, tasks, jobs)
-
-    # build_report skips failed rows (wer None) and gives None when all failed
-    aggregate = {
-        snr_db: build_report([EvalRow(r.file_id, r.duration_sec, r.wer) for r in rows if r.snr_db == snr_db])["wer"]
-        for snr_db in spec.snr_list_db
-    }
-    return SweepReport(rows, aggregate)
+    n = len(records)
+    return {snr_db: rows[i * n : (i + 1) * n] for i, snr_db in enumerate(spec.snr_list_db)}
 
 
-def write_sweep_csv(report: SweepReport, out: TextIO) -> None:
-    """Per-row CSV ``snr_db,file_id,wer`` followed by an aggregate table, written to an open text file."""
+def write_sweep_csv(results: dict[float, list[EvalRow]], out: TextIO) -> None:
+    """Per-row CSV ``snr_db,file_id,wer`` of run_sweep's results, then each SNR's aggregate WER, to an open text file.
+
+    The aggregate is build_report's length-weighted WER over the rows that
+    did not fail, and n/a where every row failed.
+    """
     writer = csv.writer(out)
     writer.writerow(["snr_db", "file_id", "wer"])
-    for r in report.rows:
-        writer.writerow([f"{r.snr_db:g}", r.file_id, "failed" if r.failed else f"{r.wer:.6f}"])
+    for snr_db, rows in results.items():
+        writer.writerows([f"{snr_db:g}", r.file_id, "failed" if r.wer is None else f"{r.wer:.6f}"] for r in rows)
     writer.writerow([])
     writer.writerow(["snr_db", "aggregate_wer"])
-    for snr_db in sorted(report.aggregate):
-        agg = report.aggregate[snr_db]
+    for snr_db in sorted(results):
+        agg = build_report(results[snr_db])["wer"]
         writer.writerow([f"{snr_db:g}", "n/a" if agg is None else f"{agg:.6f}"])

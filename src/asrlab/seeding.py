@@ -19,6 +19,6 @@ def _key_to_int(key: object) -> int:
 
 
 def substream(master_seed: int, *names: object) -> np.random.Generator:
-    """Generator for the substream identified by (master_seed, *names)."""
-    seq = np.random.SeedSequence([master_seed & 0xFFFFFFFF] + [_key_to_int(n) for n in names])
+    """Generator for the substream identified by (master_seed, *names); master_seed must be >= 0."""
+    seq = np.random.SeedSequence([master_seed] + [_key_to_int(n) for n in names])
     return np.random.default_rng(seq)

@@ -24,7 +24,6 @@ __all__ = [
     "write_voiced_chunks",
     "ChunkPlan",
     "plan_chunks",
-    "PartialTranscript",
     "stitch",
 ]
 
@@ -188,14 +187,6 @@ def plan_chunks(duration_sec: float, chunk_len: float = 25.0, overlap: float = 5
     return ChunkPlan(bounds)
 
 
-@dataclass
-class PartialTranscript:
-    """Decoded words for one chunk; indices must be contiguous from 0."""
-
-    index: int
-    words: list[str]
-
-
 def _join_pair(left: list[str], right: list[str], min_match_tokens: int) -> list[str]:
     from difflib import SequenceMatcher
 
@@ -206,8 +197,8 @@ def _join_pair(left: list[str], right: list[str], min_match_tokens: int) -> list
     return left + right
 
 
-def stitch(partials: list[PartialTranscript], min_match_tokens: int = 3) -> list[str]:
-    """Join per-chunk transcripts into one word sequence.
+def stitch(partials: list[list[str]], min_match_tokens: int = 3) -> list[str]:
+    """Join per-chunk transcripts, given as word lists in chunk order, into one word sequence.
 
     At each junction the longest shared token run between the next partial
     and the tail of the output as long as the previous partial is located; if
@@ -219,13 +210,8 @@ def stitch(partials: list[PartialTranscript], min_match_tokens: int = 3) -> list
     """
     if min_match_tokens < 1:
         raise ValueError(f"min_match_tokens must be >= 1, got {min_match_tokens}")
-    if not partials:
-        return []
-    ordered = sorted(partials, key=lambda p: p.index)
-    if [p.index for p in ordered] != list(range(len(ordered))):
-        raise ValueError("partial transcript indices must be contiguous from 0")
-    out = list(ordered[0].words)
-    for prev, part in zip(ordered, ordered[1:]):
-        cut = max(len(out) - len(prev.words), 0)
-        out[cut:] = _join_pair(out[cut:], part.words, min_match_tokens)
+    out = list(partials[0]) if partials else []
+    for prev, words in zip(partials, partials[1:]):
+        cut = max(len(out) - len(prev), 0)
+        out[cut:] = _join_pair(out[cut:], words, min_match_tokens)
     return out

@@ -16,7 +16,7 @@ from asrlab.entities import EntitySpan, align_entities, pn_score
 from asrlab.metrics import weighted_average, wer
 from asrlab.noise import SweepSpec, gaussian_noise, measure_snr, mix_at_snr, run_sweep, write_sweep_csv
 from asrlab.seeding import substream
-from asrlab.stitch import PartialTranscript, stitch
+from asrlab.stitch import stitch
 from asrlab.textnorm import normalize
 from asrlab.transducer import (
     MaskSpec,
@@ -187,10 +187,10 @@ def test_noise_lab_criterion(tmp_path, echo_transcriber):
             for tag in ("x", "y"):
                 spec = SweepSpec(snr_list_db=grid, noise_kind=kind, noise_corpus_dir=corpus, seed=11)
                 work = tmp_path / f"work_{kind}_{tag}"
-                report = run_sweep([rec], spec, cmd, str(work))
+                results = run_sweep([rec], spec, cmd, str(work))
                 out = tmp_path / f"{kind}_{tag}.csv"
                 with open(out, "w", encoding="utf-8", newline="") as fh:
-                    write_sweep_csv(report, fh)
+                    write_sweep_csv(results, fh)
                 blob = out.read_bytes() + b"".join(p.read_bytes() for p in sorted(work.iterdir()))
                 pair.append(blob)
             assert pair[0] == pair[1], f"{kind} sweep not byte-identical"
@@ -204,19 +204,17 @@ def test_stitcher_criterion():
             n = int(rng.integers(20, 120))
             stream = [f"w{int(rng.integers(0, 5000))}p{i}" for i in range(n)]
             partials = []
-            start = idx = 0
+            start = 0
             while True:
                 length = int(rng.integers(8, 30))
                 end = min(start + length, n)
-                partials.append(PartialTranscript(index=idx, words=stream[start:end]))
+                partials.append(stream[start:end])
                 if end == n:
                     break
                 overlap = int(rng.integers(3, min(7, end - start) + 1))
                 start = end - overlap
-                idx += 1
             assert stitch(partials, min_match_tokens=3) == stream, f"trial {trial}"
-        single = PartialTranscript(index=0, words=["only", "one", "chunk"])
-        assert stitch([single]) == ["only", "one", "chunk"]
+        assert stitch([["only", "one", "chunk"]]) == ["only", "one", "chunk"]
 
 
 def test_streaming_mask_criterion():

@@ -9,7 +9,7 @@ import pytest
 
 from asrlab.audio import AudioBuffer, pcm16_to_float, read_wav, write_pcm16, write_wav
 from asrlab.curation import ManifestRecord
-from asrlab.metrics import EmptyReferenceError
+from asrlab.metrics import EmptyReferenceError, EvalRow, build_report
 from asrlab import noise
 from asrlab.noise import (
     SweepSpec,
@@ -20,6 +20,7 @@ from asrlab.noise import (
     run_sweep,
     write_sweep_csv,
 )
+from asrlab.seeding import substream
 from asrlab.textnorm import normalize
 from tests.conftest import make_script, tone, write_tone_wav
 
@@ -190,12 +191,23 @@ def test_sweep_spec_validation():
         SweepSpec(snr_list_db=[0.0], noise_kind="ambient")
     with pytest.raises(ValueError):
         SweepSpec(snr_list_db=[0.0], noise_kind="pink")
+    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
+        SweepSpec(snr_list_db=[0.0], seed=-1)
+
+
+def test_substream_seeds_do_not_wrap_at_32_bits():
+    draws = [substream(seed, "noise", "clip", 0.0).standard_normal(8) for seed in (0, 2**32, 2**33, 2**32 - 1)]
+    for i, a in enumerate(draws):
+        for b in draws[i + 1 :]:
+            assert not np.array_equal(a, b)
 
 
 @pytest.mark.parametrize(
     "snrs,fault",
     [([], "is empty"), ([math.nan], "holds nan"), ([5.0, -math.inf], "holds -inf"),
      ([0.0, 5.0, 0.0], "repeats 0 dB"), ([0.0, -0.0], "repeats -0 dB"),
+     ([5.0, 5.0000001], "holds two SNRs that print as 5 dB"),
+     ([1e-7, 1.00000004e-7], "holds two SNRs that print as 1e-07 dB"),
      ([4000.0], "holds 4000 dB"), ([0.0, -4000.0], "holds -4000 dB"), ([-3240.0], "holds -3240 dB")],
 )
 def test_sweep_spec_rejects_an_snr_list_it_cannot_sweep(snrs, fault):
@@ -224,24 +236,24 @@ def test_sweep_identity_transcriber_scores_zero(tmp_path, echo_transcriber):
     records = _manifest_with_tones(tmp_path, texts)
     cmd = echo_transcriber({r.id: r.transcript for r in records})
     spec = SweepSpec(snr_list_db=[0.0, 10.0], seed=42)
-    report = run_sweep(records, spec, cmd, str(tmp_path / "work"))
-    assert all(r.wer == 0.0 and not r.failed for r in report.rows)
-    assert all(v == 0.0 for v in report.aggregate.values())
+    results = run_sweep(records, spec, cmd, str(tmp_path / "work"))
+    # keyed in spec order, rows in manifest order
+    assert results == {snr: [EvalRow(r.id, r.duration_sec, 0.0) for r in records] for snr in [0.0, 10.0]}
+    assert list(results) == [0.0, 10.0]
 
 
 def test_sweep_empty_transcriber_scores_all_deletions(tmp_path, empty_transcriber):
     records = _manifest_with_tones(tmp_path, ["three little words"])
     spec = SweepSpec(snr_list_db=[0.0, 10.0], seed=1)
-    report = run_sweep(records, spec, empty_transcriber, str(tmp_path / "work"))
-    assert all(r.wer == 1.0 for r in report.rows)
+    results = run_sweep(records, spec, empty_transcriber, str(tmp_path / "work"))
+    assert [r.wer for rows in results.values() for r in rows] == [1.0, 1.0]
 
 
 def test_sweep_failing_transcriber_marks_rows(tmp_path, failing_transcriber):
     records = _manifest_with_tones(tmp_path, ["some words"])
     spec = SweepSpec(snr_list_db=[5.0], seed=1)
-    report = run_sweep(records, spec, failing_transcriber, str(tmp_path / "work"))
-    assert all(r.failed and r.wer is None for r in report.rows)
-    assert report.aggregate[5.0] is None
+    results = run_sweep(records, spec, failing_transcriber, str(tmp_path / "work"))
+    assert results == {5.0: [EvalRow("clip0", 0.3, None)]}
 
 
 def test_sweep_rerun_byte_identical(tmp_path, echo_transcriber):
@@ -252,10 +264,10 @@ def test_sweep_rerun_byte_identical(tmp_path, echo_transcriber):
     outputs = []
     for run in ("one", "two"):
         work = tmp_path / f"work_{run}"
-        report = run_sweep(records, spec, cmd, str(work), jobs=2)
+        results = run_sweep(records, spec, cmd, str(work), jobs=2)
         csv_path = tmp_path / f"sweep_{run}.csv"
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            write_sweep_csv(report, fh)
+            write_sweep_csv(results, fh)
         wavs = {p.name: p.read_bytes() for p in sorted(work.iterdir())}
         outputs.append((csv_path.read_bytes(), wavs))
     assert outputs[0] == outputs[1]
@@ -348,8 +360,8 @@ print(' '.join(words))
         noise_corpus_dir=str(noise_dir),
         seed=4,
     )
-    report = run_sweep(records, spec, matcher, str(tmp_path / "work"))
-    by_snr = [report.aggregate[s] for s in spec.snr_list_db]
+    results = run_sweep(records, spec, matcher, str(tmp_path / "work"))
+    by_snr = [build_report(results[s])["wer"] for s in spec.snr_list_db]
     assert all(v is not None for v in by_snr)
     assert by_snr[0] > 0.0  # heavy noise flips some blocks
     for lo, hi in zip(by_snr, by_snr[1:]):
@@ -360,9 +372,9 @@ print(' '.join(words))
 def test_write_sweep_csv_format(tmp_path, echo_transcriber):
     records = _manifest_with_tones(tmp_path, ["one two"])
     cmd = echo_transcriber({r.id: r.transcript for r in records})
-    report = run_sweep(records, SweepSpec(snr_list_db=[0.0], seed=2), cmd, str(tmp_path / "w"))
+    results = run_sweep(records, SweepSpec(snr_list_db=[0.0], seed=2), cmd, str(tmp_path / "w"))
     out = io.StringIO(newline="")
-    write_sweep_csv(report, out)
+    write_sweep_csv(results, out)
     lines = out.getvalue().splitlines()
     assert lines[0] == "snr_db,file_id,wer"
     assert lines[1].startswith("0,clip0,")

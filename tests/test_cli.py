@@ -1,6 +1,7 @@
 import contextlib
 import csv
 import dataclasses
+import hashlib
 import io
 import json
 import math
@@ -364,7 +365,7 @@ def test_noise_sweep_corrupt_wav_exit_2_names_file(tmp_path, empty_transcriber):
 
 @pytest.mark.parametrize("where,snrs", [
     ("flag", "-inf"), ("flag", "nan"), ("flag", "0,0"), ("flag", "5,0,-0"), ("flag", ""), ("config", "0,0"),
-    ("flag", "4000"), ("flag", "-4000"), ("config", "0,-3240"),
+    ("flag", "4000"), ("flag", "-4000"), ("config", "0,-3240"), ("flag", "5,5.0000001"),
 ])
 def test_noise_sweep_bad_snr_list_exit_2_before_the_transcriber_starts(tmp_path, capsys, where, snrs):
     wav = tmp_path / "clip.wav"
@@ -386,6 +387,24 @@ def test_noise_sweep_bad_snr_list_exit_2_before_the_transcriber_starts(tmp_path,
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "--snrs (config key sweep.snr_list)" in err and "internal error" not in err
+    assert not mark.exists() and not workdir.exists() and not out.exists()
+
+
+@pytest.mark.parametrize("command", ["noise-sweep", "rnnt-check"])
+def test_negative_seed_exit_2_naming_the_option(tmp_path, capsys, command):
+    wav = tmp_path / "clip.wav"
+    write_wav(AudioBuffer(samples=tone(0.25)), str(wav))
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text(json.dumps({"id": "clip", "audio_path": str(wav), "duration_sec": 0.25,
+                                    "transcript": "brook"}) + "\n", encoding="utf-8")
+    mark = tmp_path / "transcribed"
+    transcriber = " ".join(make_script(tmp_path, "mark.py", f"open({str(mark)!r}, 'w').write('x')\nprint('brook')\n"))
+    workdir, out = tmp_path / "work", tmp_path / "o.csv"
+    argv = {"noise-sweep": ["--manifest", str(manifest), "--transcriber", transcriber, "--workdir", str(workdir),
+                            "--out", str(out), "--snrs", "0"],
+            "rnnt-check": ["--lattices", "2", "--grad-checks", "1"]}[command]
+    assert cli.main([command, *argv, "--seed=-1"]) == 2
+    assert capsys.readouterr() == ("", f"asrlab {command}: --seed (config key seed) must lie in [0, inf], got -1\n")
     assert not mark.exists() and not workdir.exists() and not out.exists()
 
 
@@ -472,6 +491,47 @@ def test_noise_sweep_jobs_do_not_change_report(tmp_path, echo_transcriber):
         assert proc.returncode == 0, proc.stderr
         outs.append(out.read_bytes())
     assert outs[0] == outs[1]
+
+
+def test_noise_sweep_report_bytes_with_failed_rows(tmp_path, capsys):
+    # clip1 fails at every SNR and clip0 at +10 dB, so the 10 dB aggregate has no row to weigh
+    records = []
+    for i, text in enumerate(["alpha beta gamma", "brook sounds"]):
+        wav = tmp_path / f"clip{i}.wav"
+        write_wav(AudioBuffer(samples=tone(0.25, freq_hz=300.0 + 50 * i)), str(wav))
+        records.append({"id": f"clip{i}", "audio_path": str(wav), "duration_sec": 0.25 * (i + 1), "transcript": text})
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    transcriber = " ".join(make_script(tmp_path, "flaky.py", (
+        "import os, sys\n"
+        "stem = os.path.splitext(os.path.basename(sys.argv[1]))[0]\n"
+        "if stem.startswith('clip1') or stem.endswith('_snr+10'):\n"
+        "    sys.exit(3)\n"
+        "print('Alpha beta delta')\n"
+    )))
+    out = tmp_path / "sweep.csv"
+    argv = ["noise-sweep", "--manifest", str(manifest), "--transcriber", transcriber, "--workdir",
+            str(tmp_path / "work"), "--out", str(out), "--snrs", "0,10", "--seed", "9", "--jobs", "2"]
+    assert cli.main(argv) == 0, capsys.readouterr().err
+    assert capsys.readouterr().out == f"rows=4 out={out}\n"
+    config = {"manifest": str(manifest), "noise_dir": None, "noise_kind": "gaussian", "rules": None,
+              "snrs": [0.0, 10.0], "transcriber": transcriber}
+    assert out.read_bytes() == (
+        f"# asrlab {asrlab.__version__}\n# seed=9\n# config={json.dumps(config, sort_keys=True)}\n"
+        "snr_db,file_id,wer\r\n"
+        "0,clip0,0.333333\r\n"
+        "0,clip1,failed\r\n"
+        "10,clip0,failed\r\n"
+        "10,clip1,failed\r\n"
+        "\r\n"
+        "snr_db,aggregate_wer\r\n"
+        "0,0.333333\r\n"
+        "10,n/a\r\n"
+    ).encode("utf-8")
+    mixes = sorted((tmp_path / "work").iterdir())
+    assert [p.name for p in mixes] == ["clip0_snr+0.wav", "clip0_snr+10.wav", "clip1_snr+0.wav", "clip1_snr+10.wav"]
+    digest = hashlib.sha256(b"".join(p.read_bytes() for p in mixes)).hexdigest()
+    assert digest == "d4e10323726f928aeff0d4ec0b1397bca53f7646c38ef017bc48774063e1eb3b"
 
 
 # --- option table and --config ---------------------------------------------------

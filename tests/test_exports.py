@@ -30,4 +30,4 @@ def test_submodule_is_not_shadowed_by_a_function_of_its_name():
     import asrlab.stitch as S
 
     assert S.__name__ == "asrlab.stitch"
-    assert S.stitch([S.PartialTranscript(0, ["a", "b"]), S.PartialTranscript(1, ["b", "c"])], 1) == ["a", "b", "c"]
+    assert S.stitch([["a", "b"], ["b", "c"]], 1) == ["a", "b", "c"]

@@ -13,7 +13,6 @@ from asrlab.stitch import (
     _VAD_BLOCK_SAMPLES,
     VAD_FLOOR_DBFS,
     VAD_FRAME_MS,
-    PartialTranscript,
     energy_vad,
     plan_chunks,
     remove_silences,
@@ -282,20 +281,16 @@ def test_plan_chunks_coverage(duration):
 
 # --- stitching -----------------------------------------------------------
 
-def P(i, text):
-    return PartialTranscript(index=i, words=text.split())
-
-
 def test_stitch_joins_on_shared_run():
-    left = P(0, "and then we will meet tomorrow")
-    right = P(1, "we will meet tomorrow at noon sharp")
+    left = "and then we will meet tomorrow".split()
+    right = "we will meet tomorrow at noon sharp".split()
     out = stitch([left, right])
     assert out == "and then we will meet tomorrow at noon sharp".split()
     assert out.count("tomorrow") == 1
 
 
 def test_stitch_single_partial_unchanged():
-    assert stitch([P(0, "just one chunk here")]) == "just one chunk here".split()
+    assert stitch(["just one chunk here".split()]) == "just one chunk here".split()
 
 
 def test_stitch_empty():
@@ -303,7 +298,7 @@ def test_stitch_empty():
 
 
 def test_stitch_fallback_without_estimate_concatenates():
-    out = stitch([P(0, "a b c"), P(1, "x y z")])
+    out = stitch(["a b c".split(), "x y z".split()])
     assert out == "a b c x y z".split()
 
 
@@ -311,27 +306,17 @@ def test_stitch_fallback_without_estimate_concatenates():
 def test_stitch_rejects_min_match_below_one(min_match):
     # a zero-length "match" would join at position 0 and drop the left text
     with pytest.raises(ValueError, match="min_match_tokens"):
-        stitch([P(0, "a b c"), P(1, "x y z")], min_match_tokens=min_match)
+        stitch(["a b c".split(), "x y z".split()], min_match_tokens=min_match)
 
 
 def test_stitch_empty_partial_on_either_side():
-    assert stitch([P(0, ""), P(1, "x y z")]) == "x y z".split()
-    assert stitch([P(0, "a b c"), P(1, "")]) == "a b c".split()
-
-
-def test_stitch_requires_contiguous_indices():
-    with pytest.raises(ValueError):
-        stitch([P(0, "a"), P(2, "b")])
-
-
-def test_stitch_unsorted_input_is_sorted_by_index():
-    out = stitch([P(1, "c d e f g"), P(0, "a b c d e")])
-    assert out == "a b c d e f g".split()
+    assert stitch([[], "x y z".split()]) == "x y z".split()
+    assert stitch([["a", "b", "c"], []]) == "a b c".split()
 
 
 def test_stitch_match_shorter_than_minimum_falls_back():
-    left = P(0, "p q r s t")
-    right = P(1, "s t u v w")  # only two shared tokens
+    left = "p q r s t".split()
+    right = "s t u v w".split()  # only two shared tokens
     assert stitch([left, right], min_match_tokens=3) == "p q r s t s t u v w".split()
     assert stitch([left, right], min_match_tokens=2) == "p q r s t u v w".split()
 
@@ -339,14 +324,14 @@ def test_stitch_match_shorter_than_minimum_falls_back():
 def test_stitch_junction_searched_only_within_previous_chunk():
     # "a b c" returns at the last junction; a search of the whole output would
     # join there and drop "d e f g h i j"
-    parts = [P(0, "a b c d e f"), P(1, "e f g h i j"), P(2, "i j a b c k")]
+    parts = ["a b c d e f".split(), "e f g h i j".split(), "i j a b c k".split()]
     assert stitch(parts, 2) == "a b c d e f g h i j a b c k".split()
 
 
 def test_stitch_window_longer_than_output():
     # the second partial starts before the first, so the output is shorter
     # than it; the next junction then searches the whole output
-    parts = [P(0, "c d"), P(1, "a b c d e f g"), P(2, "c d e f h")]
+    parts = ["c d".split(), "a b c d e f g".split(), "c d e f h".split()]
     assert stitch(parts, 2) == "c d e f h".split()
 
 
@@ -377,7 +362,7 @@ def test_stitch_ignores_phrases_repeated_before_the_previous_chunk(data):
             at = data.draw(st.integers(0, room), label=f"at{k}")
             stream[at : at + len(overlap)] = overlap
             copied.update(overlap)
-    partials = [PartialTranscript(i, stream[s:e]) for i, (s, e) in enumerate(spans)]
+    partials = [stream[s:e] for s, e in spans]
     assert stitch(partials, min_match_tokens=3) == stream
 
 
@@ -391,14 +376,13 @@ def test_stitch_reconstructs_random_streams(data):
     # random chunking with >= 3 shared tokens per junction
     partials = []
     start = 0
-    idx = 0
     while True:
+        idx = len(partials)
         length = data.draw(st.integers(8, 30), label=f"len{idx}")
         end = min(start + length, len(stream))
-        partials.append(PartialTranscript(index=idx, words=stream[start:end]))
+        partials.append(stream[start:end])
         if end == len(stream):
             break
         overlap = data.draw(st.integers(3, min(6, end - start)), label=f"ov{idx}")
         start = end - overlap
-        idx += 1
     assert stitch(partials, min_match_tokens=3) == stream
