@@ -12,15 +12,17 @@ clips at several SNRs and reports WER per point.
 import numpy as np
 
 from asrlab.audio import AudioBuffer
-from asrlab.noise import gaussian_noise, measure_snr, mix_at_snr
+from asrlab.noise import measure_snr, mix_at_snr
 
 sr = 16000
 t = np.arange(sr) / sr
 clean = AudioBuffer(samples=0.4 * np.sin(2 * np.pi * 440.0 * t))
 
+white = AudioBuffer(samples=np.random.default_rng(7).standard_normal(len(clean)))
+
 print("target ->  measured SNR (dB)      gain     rescale")
 for target in (-5.0, 0.0, 5.0, 10.0, 20.0):
-    mix = mix_at_snr(clean, gaussian_noise(len(clean), rng_seed=7), target)
+    mix = mix_at_snr(clean, white, target)
     measured = measure_snr(mix.clean, mix.noise)
     print(f"{target:+6.1f} -> {measured:+9.4f}          {mix.gain:8.5f}  {mix.rescale:7.4f}")
 

@@ -11,7 +11,7 @@ from ._lazy import np
 if TYPE_CHECKING:
     import wave
 
-__all__ = ["AudioBuffer", "read_wav", "write_wav", "open_pcm16", "read_pcm16", "pcm16_to_float", "write_pcm16"]
+__all__ = ["AudioBuffer", "read_wav", "write_wav"]
 
 
 @dataclass
@@ -45,7 +45,7 @@ class AudioBuffer:
 
 
 @contextlib.contextmanager
-def open_pcm16(path: str) -> Iterator[wave.Wave_read]:
+def _open_pcm16(path: str) -> Iterator[wave.Wave_read]:
     """Open a WAV once it is checked to be mono 16-bit PCM at 1 Hz or more; if not, ValueError names the path."""
     import wave
 
@@ -63,8 +63,8 @@ def open_pcm16(path: str) -> Iterator[wave.Wave_read]:
         yield wf
 
 
-def read_pcm16(wf: wave.Wave_read, path: str, start: int, count: int) -> np.ndarray:
-    """`count` int16 samples from sample `start` of a file opened with open_pcm16.
+def _read_pcm16(wf: wave.Wave_read, path: str, start: int, count: int) -> np.ndarray:
+    """`count` int16 samples from sample `start` of a file opened with _open_pcm16.
 
     Data that ends before the header's frame count raises ValueError naming the path.
     """
@@ -77,7 +77,7 @@ def read_pcm16(wf: wave.Wave_read, path: str, start: int, count: int) -> np.ndar
     return np.frombuffer(raw, dtype="<i2")
 
 
-def pcm16_to_float(ints: np.ndarray) -> np.ndarray:
+def _pcm16_to_float(ints: np.ndarray) -> np.ndarray:
     """int16 samples as float64 in [-1, 1]: each divided by 32767."""
     samples = ints.astype(np.float64)
     samples /= 32767.0
@@ -86,12 +86,12 @@ def pcm16_to_float(ints: np.ndarray) -> np.ndarray:
 
 def read_wav(path: str) -> AudioBuffer:
     """Read a mono 16-bit PCM WAV file; a file that is not one, or is truncated, raises ValueError naming the path."""
-    with open_pcm16(path) as wf:
-        samples = pcm16_to_float(read_pcm16(wf, path, 0, wf.getnframes()))
+    with _open_pcm16(path) as wf:
+        samples = _pcm16_to_float(_read_pcm16(wf, path, 0, wf.getnframes()))
         return AudioBuffer(samples=samples, sample_rate_hz=wf.getframerate())
 
 
-def write_pcm16(path: str, sample_rate_hz: int, pieces: Iterable[np.ndarray]) -> None:
+def _write_pcm16(path: str, sample_rate_hz: int, pieces: Iterable[np.ndarray]) -> None:
     """Write int16 sample arrays, one after another, as one mono 16-bit PCM WAV.
 
     -32768 is written as -32767, so the file holds exactly what write_wav
@@ -110,4 +110,4 @@ def write_pcm16(path: str, sample_rate_hz: int, pieces: Iterable[np.ndarray]) ->
 def write_wav(buf: AudioBuffer, path: str) -> None:
     """Write mono 16-bit PCM; samples are clipped to [-1, 1] at quantization."""
     scaled = np.clip(buf.samples, -1.0, 1.0)
-    write_pcm16(path, buf.sample_rate_hz, [np.round(scaled * 32767.0).astype("<i2")])
+    _write_pcm16(path, buf.sample_rate_hz, [np.round(scaled * 32767.0).astype("<i2")])

@@ -4,7 +4,7 @@ Exit codes: 0 on success; 2 when the run is refused because of its inputs,
 flags or environment, which is when a command raises ValueError or OSError;
 1 on any other exception. ``main`` alone maps exceptions to exit codes, and
 prints ``asrlab <command>: <message>`` to stderr. Every option is
-declared once in COMMANDS, with its flag, its --config key and its default; a
+declared once in one table, with its flag, its --config key and its default; a
 flag beats the config file, which beats the default. Every report embeds the
 tool version, the seed where one is used, and the options that can change the
 report, so a rerun with the same inputs produces byte-identical output.
@@ -28,7 +28,7 @@ from typing import Sequence
 
 from . import __version__
 from ._lazy import mark_program, np
-from .config import load_config, utf8_lines
+from .config import _is_utf8, load_config, utf8_lines
 from .curation import (
     ManifestParseError,
     ManifestRecord,
@@ -46,7 +46,7 @@ from .textnorm import DEFAULT_RULES, load_rules, normalize
 from .transducer.lattice import _draw, random_lattice
 from .transducer.loss import BRUTE_T_MAX, BRUTE_U_MAX, _oracle_pairs, finite_difference_grad, rnnt_grad
 
-__all__ = ["main", "parse_args", "COMMANDS"]
+__all__ = ["main"]
 
 
 # Options that cannot change a report: where it goes, working files, parallelism.
@@ -65,7 +65,7 @@ def _write_header(out, args: argparse.Namespace) -> None:
 
 def _inputs(args: argparse.Namespace) -> list[str]:
     """The files the command reads, named by its options that _file_fault checks; no output may be written over one."""
-    return [path for flag, _, kwargs in COMMANDS[args.command][2]
+    return [path for flag, _, kwargs in _COMMANDS[args.command][2]
             if kwargs.get("check") is _file_fault and (path := getattr(args, _dest(flag)))]
 
 
@@ -274,15 +274,13 @@ def cmd_ppn_score(args: argparse.Namespace) -> int:
     with _replaced_together(args.out, reads=_inputs(args)) as (out,):
         gold = read_entity_file(args.gold_entities)
         pred = read_entity_file(args.pred_entities)
-        durations: dict[str, float] = {}
+        file_ids = sorted(set(gold) | set(pred))
+        weights = dict.fromkeys(file_ids, 1.0)  # equal weights without a manifest
         if args.manifest:
-            durations = {r.id: r.duration_sec for r in _records_or_die(args.manifest)}
-
-        rows = [
-            # equal weights without a manifest
-            _score_entities(EvalRow(file_id, durations.get(file_id, 1.0)), gold, pred, args.sim_threshold)
-            for file_id in sorted(set(gold) | set(pred))
-        ]
+            weights = {r.id: r.duration_sec for r in _records_or_die(args.manifest)}
+            if missing := [file_id for file_id in file_ids if file_id not in weights]:
+                raise ValueError(f"file id {missing[0]!r} of the entity files is not in manifest {args.manifest}")
+        rows = [_score_entities(EvalRow(file_id, weights[file_id]), gold, pred, args.sim_threshold) for file_id in file_ids]
         _write_scores(out, args, rows, "weight_sec", ("pn_jaro", "pn_wer"))
     return 0
 
@@ -476,7 +474,7 @@ _JOBS = _opt("--jobs", "jobs", type=positive_int, default=usable_cpus(),
                   "curate manifest shards")
 
 # subcommand -> (help, handler, options). Every subcommand also takes --config.
-COMMANDS = {
+_COMMANDS = {
     "plan-data": ("optimal training hours for a parameter count", cmd_plan_data, [
         _opt("--params", type=int, required=True),
         _opt("--wpm", "planner.wpm", type=float, default=ScalingAssumptions.wpm),
@@ -507,7 +505,8 @@ COMMANDS = {
         # one option per PipelineConfig threshold: --wpm-min / curation.wpm_min, ...
         *(_opt("--" + f.name.replace("_", "-"), "curation." + f.name, type=float, default=f.default)
           for f in dataclasses.fields(PipelineConfig) if isinstance(f.default, float)),
-        _opt("--blocklist", "curation.blocklist", type=pattern_list, default="", help=";;-separated regex patterns"),
+        _opt("--blocklist", "curation.blocklist", type=pattern_list, default="", help=";;-separated regex patterns",
+             check=lambda patterns: None if all(map(_is_utf8, patterns)) else "is not valid UTF-8"),
         _JOBS,
     ]),
     "noise-sweep": ("WER vs SNR through an external transcriber", cmd_noise_sweep, [
@@ -551,7 +550,7 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argument
     parser = argparse.ArgumentParser(prog="asrlab", description=__doc__)
     parser.add_argument("--version", action="version", version=f"asrlab {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (summary, func, options) in COMMANDS.items():
+    for name, (summary, func, options) in _COMMANDS.items():
         p = sub.add_parser(name, help=summary)
         for flag, key, kwargs in options:
             kwargs = {k: v for k, v in kwargs.items() if k != "check"}
@@ -570,7 +569,7 @@ def _config_defaults(path: str, options: list) -> dict[str, object]:
     if fault := _file_fault(path):
         raise ValueError(f"--config {fault}")
     cfg = load_config(path)
-    known = {key for _, _, opts in COMMANDS.values() for _, key, _ in opts}
+    known = {key for _, _, opts in _COMMANDS.values() for _, key, _ in opts}
     if unknown := [key for key in cfg if key not in known]:
         raise ValueError(f"{path}:{cfg[unknown[0]][0]}: unknown config key {unknown[0]!r}")
     defaults = {}
@@ -584,13 +583,13 @@ def _config_defaults(path: str, options: list) -> dict[str, object]:
     return defaults
 
 
-def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
     """Parse the command line; a --config file supplies the options it names that no flag gives."""
     parser, subparsers = build_parser()
     args = parser.parse_args(argv)
     if args.config is not None:
         try:
-            subparsers[args.command].set_defaults(**_config_defaults(args.config, COMMANDS[args.command][2]))
+            subparsers[args.command].set_defaults(**_config_defaults(args.config, _COMMANDS[args.command][2]))
         except (ValueError, OSError) as exc:
             parser.exit(2, f"asrlab {args.command}: {exc}\n")
         args = parser.parse_args(argv)
@@ -599,9 +598,9 @@ def parse_args(argv: list[str] | None = None) -> argparse.Namespace:
 
 def main(argv: list[str] | None = None) -> int:
     mark_program()  # numpy, if this run loads it, starts no BLAS worker threads
-    args = parse_args(argv)
+    args = _parse_args(argv)
     try:
-        for flag, key, kwargs in COMMANDS[args.command][2]:
+        for flag, key, kwargs in _COMMANDS[args.command][2]:
             value = getattr(args, _dest(flag))
             if value is not None and "check" in kwargs and (fault := kwargs["check"](value)):
                 raise ValueError(f"{flag} (config key {key}) {fault}" if key else f"{flag} {fault}")

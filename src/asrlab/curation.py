@@ -6,11 +6,11 @@ checks happen before per-word work. Each filter takes ``(record, config)`` and
 returns its reasons, an empty list meaning pass. One judge decides each input
 record; every record, a manifest line that failed to parse included, gets one
 outcome with the offending measured value attached to each failed filter, and
-an outcome is ``kept`` exactly when it has no reasons. ``curate_stream``
+an outcome is ``kept`` exactly when it has no reasons. ``_curate_stream``
 judges and writes each record as ``iter_manifest`` reads it, so its memory
 does not grow with the manifest; ``read_manifest``, ``run_pipeline`` and the
 two writers are loops over the same per-record pieces. ``curate_manifest``
-runs ``curate_stream`` on byte-range shards of a manifest file in forked
+runs ``_curate_stream`` on byte-range shards of a manifest file in forked
 processes at once, and writes the same bytes for any number of shards.
 ``ManifestRecord`` is the manifest schema: its fields are the JSON keys,
 written in declaration order, and a field that is None is left out.
@@ -43,9 +43,7 @@ __all__ = [
     "FilterOutcome",
     "segment",
     "run_pipeline",
-    "curate_stream",
     "curate_manifest",
-    "plan_shards",
     "usable_cpus",
     "iter_manifest",
     "read_manifest",
@@ -378,7 +376,7 @@ def run_pipeline(
     return [child for survivors, _ in judged for child in survivors], [outcome for _, outcome in judged]
 
 
-def curate_stream(
+def _curate_stream(
     manifest: Iterable[ManifestRecord | ManifestParseError],
     cfg: PipelineConfig,
     kept_out: TextIO,
@@ -420,7 +418,7 @@ def usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def plan_shards(path: str, jobs: int) -> list[Shard]:
+def _plan_shards(path: str, jobs: int) -> list[Shard]:
     """The manifest at `path` cut into consecutive byte ranges of about equal size.
 
     There are at most `jobs` shards, at most ``usable_cpus()``, and each holds
@@ -444,7 +442,7 @@ def plan_shards(path: str, jobs: int) -> list[Shard]:
 
 
 def curate_manifest(path: str, cfg: PipelineConfig, kept_out: TextIO, report_out: TextIO, jobs: int = 1) -> tuple[int, int]:
-    """``curate_stream`` over the manifest at `path`, in up to `jobs` shards at once (see ``plan_shards``).
+    """``_curate_stream`` over the manifest at `path`, in up to `jobs` shards at once (see ``_plan_shards``).
 
     The outputs are the same bytes for any `jobs`. Shard 0 is judged in this
     process, straight into the outputs; each other shard in a forked child,
@@ -455,7 +453,7 @@ def curate_manifest(path: str, cfg: PipelineConfig, kept_out: TextIO, report_out
     no child outlives the call: while children run, a SIGTERM left at its
     default raises SystemExit(143) here, so they are killed too.
     """
-    shards = plan_shards(path, jobs)
+    shards = _plan_shards(path, jobs)
     with contextlib.ExitStack() as stack:
         if len(shards) > 1:
             import signal  # only a run of more than one shard loads it
@@ -464,7 +462,7 @@ def curate_manifest(path: str, cfg: PipelineConfig, kept_out: TextIO, report_out
                 signal.signal(signal.SIGTERM, _exit_on_sigterm)
                 stack.callback(signal.signal, signal.SIGTERM, signal.SIG_DFL)
         workers = [stack.enter_context(_ShardWorker(path, shard, cfg, (kept_out, report_out))) for shard in shards[1:]]
-        n_kept, n_rejected = curate_stream(iter_manifest(path, shards[0]), cfg, kept_out, report_out)
+        n_kept, n_rejected = _curate_stream(iter_manifest(path, shards[0]), cfg, kept_out, report_out)
         for worker in workers:
             kept, rejected = worker.append_to(kept_out, report_out)
             n_kept += kept
@@ -558,7 +556,7 @@ def _work_shard(path: str, shard: Shard, cfg: PipelineConfig, files: list, write
     try:
         try:
             kept_out, report_out = (io.TextIOWrapper(f, encoding="utf-8", newline="") for f in files)
-            sent = b"%d %d" % curate_stream(iter_manifest(path, shard), cfg, kept_out, report_out)
+            sent = b"%d %d" % _curate_stream(iter_manifest(path, shard), cfg, kept_out, report_out)
             kept_out.flush()
             report_out.flush()
         except Exception as exc:  # the parent raises it
@@ -598,7 +596,7 @@ def iter_manifest(path: str, shard: Shard = (0, None)) -> Iterator[ManifestRecor
     ``line-N``, with N the line's number. A line holding a byte that is not
     UTF-8 is malformed, and its error names the first such byte. So is a line
     nested too deep for the JSON decoder, which raises RecursionError.
-    ``shard`` (see ``plan_shards``) yields only the lines that start in its
+    ``shard`` (see ``_plan_shards``) yields only the lines that start in its
     byte range; the lines before the range are counted, not decoded.
     """
     start, stop = shard

@@ -22,7 +22,6 @@ from .seeding import substream
 from .textnorm import NormRuleSet, DEFAULT_RULES, normalize
 
 __all__ = [
-    "gaussian_noise",
     "mix_at_snr",
     "measure_snr",
     "MixResult",
@@ -32,14 +31,6 @@ __all__ = [
     "transcribe_file",
     "write_sweep_csv",
 ]
-
-
-def gaussian_noise(n_samples: int, rng_seed: int) -> AudioBuffer:
-    """i.i.d. standard normal samples; identical buffers for identical seeds."""
-    if n_samples <= 0:
-        raise ValueError("n_samples must be positive")
-    rng = np.random.default_rng(rng_seed)
-    return AudioBuffer(samples=rng.standard_normal(n_samples))
 
 
 @dataclass

@@ -14,7 +14,7 @@ from itertools import accumulate
 from typing import Iterable
 
 from ._lazy import np
-from .audio import AudioBuffer, open_pcm16, pcm16_to_float, read_pcm16, write_pcm16
+from .audio import AudioBuffer, _open_pcm16, _pcm16_to_float, _read_pcm16, _write_pcm16
 
 __all__ = [
     "energy_vad",
@@ -100,11 +100,11 @@ def voiced_ranges(path: str) -> tuple[int, list[tuple[int, int]]]:
     block at a time and only the frame energies are kept, so memory does not
     grow with the recording. An empty file has no ranges.
     """
-    with open_pcm16(path) as wf:
+    with _open_pcm16(path) as wf:
         sr, n = wf.getframerate(), wf.getnframes()
         frame_len = _frame_len(sr)
         step = _block_len(frame_len)
-        blocks = (pcm16_to_float(read_pcm16(wf, path, first, min(step, n - first))) for first in range(0, n, step))
+        blocks = (_pcm16_to_float(_read_pcm16(wf, path, first, min(step, n - first))) for first in range(0, n, step))
         energy = _frame_energies(blocks, frame_len, n)
     return sr, _speech_ranges(energy, frame_len, n)
 
@@ -119,7 +119,7 @@ def write_voiced_chunks(
     is read from the file when it is written, so the voiced audio is never held.
     """
     offsets = list(accumulate((stop - start for start, stop in ranges), initial=0))
-    with open_pcm16(path) as wf:
+    with _open_pcm16(path) as wf:
         sr = wf.getframerate()
         for (start_sec, end_sec), out_path in zip(bounds, out_paths):
             lo, hi = int(round(start_sec * sr)), int(round(end_sec * sr))
@@ -127,8 +127,8 @@ def write_voiced_chunks(
             for (start, stop), offset in zip(ranges, offsets):
                 first, last = max(lo, offset), min(hi, offset + stop - start)
                 if first < last:
-                    pieces.append(read_pcm16(wf, path, start + first - offset, last - first))
-            write_pcm16(out_path, sr, pieces)
+                    pieces.append(_read_pcm16(wf, path, start + first - offset, last - first))
+            _write_pcm16(out_path, sr, pieces)
 
 
 def speech_stats(ranges: list[tuple[int, int]], n_samples: int, sample_rate_hz: int) -> tuple[float, float]:

@@ -126,21 +126,22 @@ _DEFAULT_FILLERS = frozenset(
 class NormRuleSet:
     """Normalization rules: contraction expansions and filler words.
 
-    Invariants: contraction keys and filler words are lowercase, and every
-    expansion value is already normalized under the set itself, so applying
-    the rule set twice gives the same result as applying it once.
+    Invariants: contraction keys and filler words are lowercase single tokens
+    as normalize splits them, and every expansion value is already normalized
+    under the set itself, so applying the rule set twice gives the same result
+    as applying it once.
     """
 
     contractions: dict[str, str] = field(default_factory=lambda: dict(_DEFAULT_CONTRACTIONS))
     fillers: frozenset[str] = _DEFAULT_FILLERS
 
     def __post_init__(self) -> None:
-        for key in self.contractions:
-            if key != key.casefold():
-                raise ValueError(f"contraction key not lowercase: {key!r}")
-        for word in self.fillers:
-            if word != word.casefold():
-                raise ValueError(f"filler word not lowercase: {word!r}")
+        for kind, words in (("contraction key", self.contractions), ("filler word", self.fillers)):
+            for word in words:
+                if word != word.casefold():
+                    raise ValueError(f"{kind} not lowercase: {word!r}")
+                if (tokens := _tokens(word)) != [word]:  # lookup sees single tokens, in this form only
+                    raise ValueError(f"{kind} {word!r} can never match: normalize reads it as {tokens}")
         for key, value in self.contractions.items():
             again = _normalize(value, self.contractions, self.fillers)
             if again != value:
@@ -169,14 +170,18 @@ _PUNCTUATION_TO_SPACE = _PunctuationToSpace()
 _EDGE_MARK = re.compile(r"['-](?:(?<![^\W_]['-])|(?![^\W_]))")
 
 
-def _normalize(text: str, contractions: dict[str, str], fillers: frozenset[str]) -> str:
-    if not text:
-        return ""
+def _tokens(text: str) -> list[str]:
+    """The tokens that contraction and filler lookup see: casefolded, apostrophes folded, punctuation and edge marks
+    turned to spaces."""
     # casefold first, so the U+02BC that "ŉ" casefolds to folds too; str.replace stays fast on non-ASCII
     text = text.casefold().replace("’", "'").replace("ʼ", "'").replace("‘", "'").translate(_PUNCTUATION_TO_SPACE)
     if "'" in text or "-" in text:
         text = _EDGE_MARK.sub(" ", text)
-    tokens = text.split()
+    return text.split()
+
+
+def _normalize(text: str, contractions: dict[str, str], fillers: frozenset[str]) -> str:
+    tokens = _tokens(text)
     tokens = " ".join(map(contractions.get, tokens, tokens)).split()
     return " ".join([tok for tok in tokens if tok not in fillers])
 
@@ -217,4 +222,7 @@ def load_rules(path: str) -> NormRuleSet:
             fillers.add(stripped.casefold())
         else:
             raise ValueError(f"{path}:{line_no}: content before a section header")
-    return NormRuleSet(contractions=contractions, fillers=frozenset(fillers))
+    try:
+        return NormRuleSet(contractions=contractions, fillers=frozenset(fillers))
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

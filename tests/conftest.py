@@ -50,6 +50,11 @@ def tone(duration_sec: float, freq_hz: float = 440.0, amplitude: float = 0.5, sr
     return amplitude * np.sin(2 * np.pi * freq_hz * t)
 
 
+def white_noise(n_samples: int, seed: int) -> AudioBuffer:
+    """i.i.d. standard normal samples, one ``default_rng(seed)`` draw."""
+    return AudioBuffer(samples=np.random.default_rng(seed).standard_normal(n_samples))
+
+
 def write_tone_wav(path, duration_sec=1.0, freq_hz=440.0, amplitude=0.5, sr=16000):
     buf = AudioBuffer(samples=tone(duration_sec, freq_hz, amplitude, sr), sample_rate_hz=sr)
     write_wav(buf, str(path))

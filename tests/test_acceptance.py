@@ -14,7 +14,7 @@ from asrlab.audio import AudioBuffer, write_wav
 from asrlab.curation import ManifestRecord, PipelineConfig, run_pipeline, write_manifest
 from asrlab.entities import EntitySpan, align_entities, pn_score
 from asrlab.metrics import weighted_average, wer
-from asrlab.noise import SweepSpec, gaussian_noise, measure_snr, mix_at_snr, run_sweep, write_sweep_csv
+from asrlab.noise import SweepSpec, measure_snr, mix_at_snr, run_sweep, write_sweep_csv
 from asrlab.seeding import substream
 from asrlab.stitch import stitch
 from asrlab.textnorm import normalize

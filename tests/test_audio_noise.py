@@ -7,13 +7,12 @@ import os
 import numpy as np
 import pytest
 
-from asrlab.audio import AudioBuffer, pcm16_to_float, read_wav, write_pcm16, write_wav
+from asrlab.audio import AudioBuffer, _pcm16_to_float, _write_pcm16, read_wav, write_wav
 from asrlab.curation import ManifestRecord
 from asrlab.metrics import EmptyReferenceError, EvalRow, build_report
 from asrlab import noise
 from asrlab.noise import (
     SweepSpec,
-    gaussian_noise,
     measure_snr,
     mix_at_snr,
     ordered_map,
@@ -22,7 +21,7 @@ from asrlab.noise import (
 )
 from asrlab.seeding import substream
 from asrlab.textnorm import normalize
-from tests.conftest import make_script, tone, write_tone_wav
+from tests.conftest import make_script, tone, white_noise, write_tone_wav
 
 SNR_GRID = [-5.0, 0.0, 5.0, 10.0, 20.0]
 
@@ -63,37 +62,15 @@ def test_read_wav_rejects_stereo(tmp_path):
 
 
 def test_pcm16_writer_matches_write_wav_on_every_int16(tmp_path):
-    # write_pcm16 writes int16 samples as they are, but -32768 as -32767: exactly
+    # _write_pcm16 writes int16 samples as they are, but -32768 as -32767: exactly
     # what write_wav makes of each sample read_wav returns
     ints = np.arange(-32768, 32768).astype(np.int16)
     direct, through_float = tmp_path / "direct.wav", tmp_path / "float.wav"
-    write_pcm16(str(direct), 16000, [ints[:1000], ints[1000:]])
-    write_wav(AudioBuffer(samples=pcm16_to_float(ints)), str(through_float))
+    _write_pcm16(str(direct), 16000, [ints[:1000], ints[1000:]])
+    write_wav(AudioBuffer(samples=_pcm16_to_float(ints)), str(through_float))
     assert direct.read_bytes() == through_float.read_bytes()
     back = np.round(read_wav(str(direct)).samples * 32767.0).astype(np.int16)
     assert back[0] == -32767 and np.array_equal(back[1:], ints[1:])
-
-
-# --- gaussian noise ---------------------------------------------------------
-
-def test_gaussian_noise_deterministic_per_seed():
-    a = gaussian_noise(4096, rng_seed=7)
-    b = gaussian_noise(4096, rng_seed=7)
-    c = gaussian_noise(4096, rng_seed=8)
-    assert np.array_equal(a.samples, b.samples)
-    assert not np.array_equal(a.samples, c.samples)
-
-
-def test_gaussian_noise_moments():
-    n = 100_000
-    buf = gaussian_noise(n, rng_seed=123)
-    assert abs(float(np.mean(buf.samples))) <= 3.0 / np.sqrt(n)  # CLT bound
-    assert float(np.var(buf.samples)) == pytest.approx(1.0, abs=0.02)
-
-
-def test_gaussian_noise_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        gaussian_noise(0, rng_seed=0)
 
 
 # --- mixing -----------------------------------------------------------------
@@ -101,7 +78,7 @@ def test_gaussian_noise_rejects_nonpositive():
 def test_mix_snr_round_trip_gaussian():
     clean = AudioBuffer(samples=tone(1.0))
     for snr in SNR_GRID:
-        noise = gaussian_noise(len(clean), rng_seed=11)
+        noise = white_noise(len(clean), 11)
         mix = mix_at_snr(clean, noise, snr)
         # independent power meter over the stored components
         measured = 10.0 * np.log10(np.mean(mix.clean**2) / np.mean(mix.noise**2))
@@ -120,14 +97,14 @@ def test_mix_snr_round_trip_ambient_style():
 
 def test_mix_zero_db_equalizes_power():
     clean = AudioBuffer(samples=tone(0.5))
-    mix = mix_at_snr(clean, gaussian_noise(len(clean), 3), 0.0)
+    mix = mix_at_snr(clean, white_noise(len(clean), 3), 0.0)
     ratio_db = 10.0 * np.log10(np.mean(mix.clean**2) / np.mean(mix.noise**2))
     assert ratio_db == pytest.approx(0.0, abs=0.1)
 
 
 def test_mix_huge_snr_is_effectively_clean():
     clean = AudioBuffer(samples=tone(0.5))
-    mix = mix_at_snr(clean, gaussian_noise(len(clean), 3), 120.0)
+    mix = mix_at_snr(clean, white_noise(len(clean), 3), 120.0)
     assert np.max(np.abs(mix.mixed.samples - clean.samples)) < 1e-5
     assert mix.gain < 1e-5
 
@@ -136,12 +113,12 @@ def test_mix_huge_snr_is_effectively_clean():
 def test_mix_without_a_finite_gain_is_a_value_error(snr_db):
     clean = AudioBuffer(samples=tone(0.1))
     with pytest.raises(ValueError, match="not a finite number"):
-        mix_at_snr(clean, gaussian_noise(len(clean), 3), snr_db)
+        mix_at_snr(clean, white_noise(len(clean), 3), snr_db)
 
 
 def test_mix_clipping_rescales_jointly():
     clean = AudioBuffer(samples=tone(0.5, amplitude=0.95))
-    mix = mix_at_snr(clean, gaussian_noise(len(clean), 5), -5.0)
+    mix = mix_at_snr(clean, white_noise(len(clean), 5), -5.0)
     assert mix.rescale < 1.0
     assert np.max(np.abs(mix.mixed.samples)) <= 1.0 + 1e-12
     assert measure_snr(mix.clean, mix.noise) == pytest.approx(-5.0, abs=0.1)
@@ -149,7 +126,7 @@ def test_mix_clipping_rescales_jointly():
 
 def test_mix_linear_in_clean_at_fixed_snr():
     clean = AudioBuffer(samples=tone(0.5, amplitude=0.1))
-    noise = gaussian_noise(len(clean), 9)
+    noise = white_noise(len(clean), 9)
     c = 2.5
     mixed = mix_at_snr(clean, noise, 10.0)
     scaled = mix_at_snr(AudioBuffer(samples=c * clean.samples), noise, 10.0)
@@ -160,7 +137,7 @@ def test_mix_linear_in_clean_at_fixed_snr():
 def test_mix_errors():
     clean = AudioBuffer(samples=tone(0.1))
     with pytest.raises(ValueError):
-        mix_at_snr(AudioBuffer(samples=np.zeros(100)), gaussian_noise(100, 0), 5.0)
+        mix_at_snr(AudioBuffer(samples=np.zeros(100)), white_noise(100, 0), 5.0)
     with pytest.raises(ValueError):
         mix_at_snr(clean, AudioBuffer(samples=np.zeros(100)), 5.0)
     with pytest.raises(ValueError):
@@ -168,13 +145,13 @@ def test_mix_errors():
     with pytest.raises(ValueError):
         mix_at_snr(clean, AudioBuffer(samples=np.ones(10), sample_rate_hz=8000), 5.0)
     with pytest.raises(ValueError):
-        mix_at_snr(AudioBuffer(samples=np.zeros(0)), gaussian_noise(10, 0), 5.0)
+        mix_at_snr(AudioBuffer(samples=np.zeros(0)), white_noise(10, 0), 5.0)
 
 
 @pytest.mark.parametrize("n_noise", [1, 7, 4799, 4800, 4801, 9600])
 def test_mix_loops_or_truncates_noise_to_the_clean_length(n_noise):
     clean = AudioBuffer(samples=tone(0.3, amplitude=0.1))
-    noise = gaussian_noise(n_noise, 2)
+    noise = white_noise(n_noise, 2)
     mix = mix_at_snr(clean, noise, 10.0)
     looped = np.concatenate([noise.samples] * (len(clean) // n_noise + 1))[: len(clean)]
     assert mix.rescale == 1.0 and np.array_equal(mix.noise, mix.gain * looped)
@@ -182,7 +159,7 @@ def test_mix_loops_or_truncates_noise_to_the_clean_length(n_noise):
 
 def test_mix_at_infinite_snr_adds_no_noise():
     clean = AudioBuffer(samples=tone(0.3))
-    mix = mix_at_snr(clean, gaussian_noise(len(clean), 4), math.inf)
+    mix = mix_at_snr(clean, white_noise(len(clean), 4), math.inf)
     assert mix.gain == 0.0 and np.array_equal(mix.mixed.samples, clean.samples)
 
 

@@ -164,6 +164,21 @@ def test_ppn_score_cli(tmp_path):
     assert f2.endswith(",100.000000,100.000000")  # unmatched gold entity
 
 
+def test_ppn_score_manifest_without_a_file_id_exit_2_writes_nothing(tmp_path, capsys):
+    argv, out, _ = report_header_case(tmp_path, "ppn-score")
+    (tmp_path / "gold.tsv").write_text("a\t0\t5\tPerson\tAlice\nb\t0\t3\tPerson\tBob\n", encoding="utf-8")
+    (tmp_path / "pred.tsv").write_text("a\t0\t5\tPerson\tAlice\n", encoding="utf-8")
+    manifest = tmp_path / "in.jsonl"
+    manifest.write_text('{"id": "a", "audio_path": "a.wav", "duration_sec": 10, "transcript": "alice"}\n', encoding="utf-8")
+    assert cli.main(argv + ["--manifest", str(manifest)]) == 2
+    assert capsys.readouterr().err == f"asrlab ppn-score: file id 'b' of the entity files is not in manifest {manifest}\n"
+    assert not out.exists()
+
+    # without a manifest every file weighs the same
+    assert cli.main(argv) == 0
+    assert [line.split(",")[:2] for line in out.read_text(encoding="utf-8").splitlines()[3:5]] == [["a", "1"], ["b", "1"]]
+
+
 # --- curate ------------------------------------------------------------------
 
 def test_curate_golden_fixture(tmp_path):
@@ -421,7 +436,7 @@ def test_rnnt_check_passes():
 @pytest.mark.parametrize("flag", ["--tol-log", "--tol-grad"])
 def test_rnnt_check_gates_are_not_options(flag, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.parse_args(["rnnt-check", flag, "1"])
+        cli._parse_args(["rnnt-check", flag, "1"])
     assert exc.value.code == 2
     assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
 
@@ -549,7 +564,7 @@ SAMPLE_VALUES = {  # option type -> (config value, flag value) as typed, then as
 def required_argv(name):
     """The subcommand with a placeholder for each required option."""
     argv = [name]
-    for flag, _, kwargs in cli.COMMANDS[name][2]:
+    for flag, _, kwargs in cli._COMMANDS[name][2]:
         if kwargs.get("required"):
             argv += [flag, "1"]
     return argv
@@ -557,7 +572,7 @@ def required_argv(name):
 
 CONFIG_OPTIONS = [
     pytest.param(name, flag, key, kwargs, id=f"{name}:{key}")
-    for name, (_, _, options) in cli.COMMANDS.items()
+    for name, (_, _, options) in cli._COMMANDS.items()
     for flag, key, kwargs in options
     if key is not None
 ]
@@ -573,9 +588,9 @@ def test_config_key_takes_effect_and_flag_overrides(tmp_path, name, flag, key, k
     cfg.write_text(f"{key} = {raw[0]}\n", encoding="utf-8")
     argv = required_argv(name)
     dest = flag[2:].replace("-", "_")
-    assert getattr(cli.parse_args(argv), dest) != parsed[0]
-    assert getattr(cli.parse_args(argv + ["--config", str(cfg)]), dest) == parsed[0]
-    assert getattr(cli.parse_args(argv + ["--config", str(cfg), f"{flag}={raw[1]}"]), dest) == parsed[1]
+    assert getattr(cli._parse_args(argv), dest) != parsed[0]
+    assert getattr(cli._parse_args(argv + ["--config", str(cfg)]), dest) == parsed[0]
+    assert getattr(cli._parse_args(argv + ["--config", str(cfg), f"{flag}={raw[1]}"]), dest) == parsed[1]
 
 
 @pytest.mark.parametrize(
@@ -598,7 +613,7 @@ def test_bad_config_is_validation_error(tmp_path, text, where):
 def test_config_key_of_another_subcommand_is_ignored(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("curation.wpm_min = 40\nsweep.snr_list = 0,5\nplanner.wpm = 150\n", encoding="utf-8")
-    assert cli.parse_args(["plan-data", "--params", "1000", "--config", str(cfg)]).wpm == 150.0
+    assert cli._parse_args(["plan-data", "--params", "1000", "--config", str(cfg)]).wpm == 150.0
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "5", "-0.5"])
@@ -637,10 +652,11 @@ def test_entity_offset_that_is_not_ascii_digits_exit_2_naming_its_line(tmp_path,
 
 
 def checked_options():
-    for name, (_, _, options) in cli.COMMANDS.items():
+    for name, (_, _, options) in cli._COMMANDS.items():
         for flag, key, kwargs in options:
             if "check" in kwargs:
-                for source in ("flag", "config") if key else ("flag",):
+                # a config file that is not UTF-8 is refused as it is read, so --blocklist's check sees flags only
+                for source in ("flag", "config") if key and flag != "--blocklist" else ("flag",):
                     yield pytest.param(name, flag, key, kwargs, source, id=f"{name}:{flag}:{source}")
 
 
@@ -664,7 +680,7 @@ def test_checked_option_refused_before_any_work(tmp_path, capsys, name, flag, ke
     given.write_text("x\n", encoding="utf-8")
     transcriber = " ".join(make_script(tmp_path, "mark.py", f"open({str(tmp_path / 'transcribed')!r}, 'w')\n"))
     argv = [name]
-    for other, _, other_kwargs in cli.COMMANDS[name][2]:
+    for other, _, other_kwargs in cli._COMMANDS[name][2]:
         if other == flag or "default" in other_kwargs:
             continue
         if other_kwargs.get("check") is cli._file_fault:
@@ -673,7 +689,7 @@ def test_checked_option_refused_before_any_work(tmp_path, capsys, name, flag, ke
             argv += [other, transcriber]
         else:
             argv += [other, "1000" if "type" in other_kwargs else str(tmp_path / other[2:])]
-    raw, fault = refused_value(kwargs, [str(tmp_path / "missing.txt"), "nan", "-1", ""])
+    raw, fault = refused_value(kwargs, [str(tmp_path / "missing.txt"), "nan", "-1", "", "\udcff"])
     if source == "flag":
         argv.append(f"{flag}={raw}")
     else:
@@ -710,7 +726,7 @@ def hostile_values(flag):
 
 HOSTILE_OPTIONS = {
     name: [(flag, key) for flag, key, kwargs in options if kwargs.get("type") in HOSTILE_TYPES]
-    for name, (_, _, options) in cli.COMMANDS.items()
+    for name, (_, _, options) in cli._COMMANDS.items()
 }
 
 
@@ -777,7 +793,7 @@ def test_hostile_option_values_exit_0_or_2_with_one_message(small_inputs, data):
 @pytest.mark.parametrize("name", ["evaluate", "ppn-score", "curate"])
 def test_seed_only_where_randomness_is(name, capsys):
     with pytest.raises(SystemExit) as exc:
-        cli.parse_args(required_argv(name) + ["--seed", "1"])
+        cli._parse_args(required_argv(name) + ["--seed", "1"])
     assert exc.value.code == 2
     assert "unrecognized arguments: --seed" in capsys.readouterr().err
 
@@ -1149,6 +1165,18 @@ def test_curate_bad_blocklist_regex_exit_2(tmp_path, capsys):
     assert not report.exists()
 
 
+@pytest.mark.parametrize("blocklist", ["\udcff", "hello|\udcff", "ok;;x\udcff"])
+def test_curate_blocklist_that_is_not_utf8_exit_2_writes_nothing(tmp_path, capsys, blocklist):
+    # the text argv holds for a byte that is not UTF-8, as in `--blocklist $'\xff'`
+    manifest = tmp_path / "in.jsonl"
+    write_manifest(golden_manifest(), str(manifest))
+    argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(tmp_path / "k.jsonl"),
+            "--report", str(tmp_path / "r.csv"), "--blocklist", blocklist]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr().err == "asrlab curate: --blocklist (config key curation.blocklist) is not valid UTF-8\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["in.jsonl"]
+
+
 def tree(root):
     """Every path under root, with a file's bytes (None for a directory)."""
     return {str(p.relative_to(root)): p.read_bytes() if p.is_file() else None for p in sorted(root.rglob("*"))}
@@ -1400,7 +1428,7 @@ def test_streamed_curate_matches_the_list_pipeline(lines, trailing_newline):
         write_manifest(records, list_kept)
         curation.write_rejection_csv(outcomes, list_report)
         header = io.StringIO(newline="")
-        cli._write_header(header, cli.parse_args(argv))
+        cli._write_header(header, cli._parse_args(argv))
         n_rejected = sum(o.verdict == "rejected" for o in outcomes)
         with open(kept, "rb") as a, open(list_kept, "rb") as b:
             assert a.read() == b.read()
@@ -1477,7 +1505,7 @@ def test_curate_hostile_field_values_are_report_rows_at_any_jobs(tmp_path):
     kept, report = str(tmp_path / "kept.jsonl"), str(tmp_path / "r.csv")
     argv = ["curate", "--manifest", str(manifest), "--out-manifest", kept, "--report", report]
     with small_shards():
-        assert len(curation.plan_shards(str(manifest), 2)) == 2
+        assert len(curation._plan_shards(str(manifest), 2)) == 2
         runs = [curate_outputs([*argv, "--jobs", jobs], kept, report) for jobs in ("1", "2")]
     assert runs[0] == runs[1]
     code, _, report_bytes, _, stderr = runs[0]
@@ -1493,7 +1521,7 @@ def test_curate_golden_manifest_at_four_jobs(tmp_path):
     kept, report = str(tmp_path / "kept.jsonl"), str(tmp_path / "r.csv")
     argv = ["curate", "--manifest", str(manifest), "--out-manifest", kept, "--report", report]
     with small_shards():
-        assert len(curation.plan_shards(str(manifest), 4)) == 4
+        assert len(curation._plan_shards(str(manifest), 4)) == 4
         runs = [curate_outputs([*argv, "--jobs", jobs], kept, report) for jobs in ("1", "4")]
     assert runs[0] == runs[1]
     assert [json.loads(line)["id"] for line in runs[1][1].decode().splitlines()] == EXPECTED_KEPT
@@ -1532,7 +1560,7 @@ def test_curate_failing_shard_gives_the_jobs_1_error_and_changes_no_output(tmp_p
     monkeypatch.setattr(tempfile, "tempdir", str(scratch))
     argv = ["curate", "--manifest", str(manifest), "--out-manifest", str(kept), "--report", str(report)]
     with small_shards(cpus=3):
-        shards = curation.plan_shards(str(manifest), 3)
+        shards = curation._plan_shards(str(manifest), 3)
         assert len(shards) == 3
         data = manifest.read_bytes()
         for rid, shard in (("r2-3", 0), ("r5-15", 1), ("r2-25", 2)):
@@ -1674,7 +1702,7 @@ def test_curate_sharded_memory_does_not_grow_with_the_manifest(tmp_path):
     for n_copies in (600, 6000):
         manifest = tmp_path / f"in{n_copies}.jsonl"
         golden_copies(manifest, n_copies)
-        assert len(curation.plan_shards(str(manifest), 2)) == min(2, curation.usable_cpus())
+        assert len(curation._plan_shards(str(manifest), 2)) == min(2, curation.usable_cpus())
         kept = tmp_path / "kept.jsonl"
         proc = subprocess.run([sys.executable, "-c", PEAK_RSS, sys.executable, "-m", "asrlab", "curate", "--manifest",
                                str(manifest), "--out-manifest", str(kept), "--report", str(tmp_path / "r.csv"),
@@ -1824,7 +1852,7 @@ def test_undecodable_config_file_exit_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"# run settings\nplanner.wpm = 150\nplanner.tpw = 1.3 # \xa0\n")
     with pytest.raises(SystemExit) as exc:
-        cli.parse_args(["plan-data", "--params", "1000", "--config", str(cfg)])
+        cli._parse_args(["plan-data", "--params", "1000", "--config", str(cfg)])
     assert exc.value.code == 2
     assert f"{cfg}:3: not valid UTF-8" in capsys.readouterr().err
 

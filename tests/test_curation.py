@@ -770,7 +770,7 @@ def test_plan_shards_cuts_after_a_newline_and_shards_read_as_the_whole_file(tmp_
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(curation, "MIN_SHARD_BYTES", 1)
         mp.setattr(curation, "usable_cpus", lambda: 8)
-        shards = curation.plan_shards(str(path), jobs)
+        shards = curation._plan_shards(str(path), jobs)
     starts = [start for start, _ in shards]
     assert starts[0] == 0 and starts == sorted(set(starts)) and len(shards) <= max(jobs, 1)
     assert [stop for _, stop in shards] == [*starts[1:], None]
@@ -813,15 +813,15 @@ def test_plan_shards_count(tmp_path, monkeypatch):
     path = tmp_path / "m.jsonl"
     golden_copies(path, 3)  # 30 lines, 22 kB
     # below twice the minimum shard size a manifest is one shard, whatever the jobs
-    assert curation.plan_shards(str(path), 10000) == [(0, None)]
+    assert curation._plan_shards(str(path), 10000) == [(0, None)]
     monkeypatch.setattr(curation, "MIN_SHARD_BYTES", path.stat().st_size // 2)
-    assert len(curation.plan_shards(str(path), 10000)) == min(2, curation.usable_cpus())
+    assert len(curation._plan_shards(str(path), 10000)) == min(2, curation.usable_cpus())
     monkeypatch.setattr(curation, "MIN_SHARD_BYTES", 1)
-    assert len(curation.plan_shards(str(path), 10000)) <= curation.usable_cpus()
+    assert len(curation._plan_shards(str(path), 10000)) <= curation.usable_cpus()
     monkeypatch.setattr(curation, "usable_cpus", lambda: 3)
-    assert len(curation.plan_shards(str(path), 10000)) == 3
-    assert len(curation.plan_shards(str(path), 2)) == 2
-    assert curation.plan_shards(str(path), 1) == [(0, None)]
+    assert len(curation._plan_shards(str(path), 10000)) == 3
+    assert len(curation._plan_shards(str(path), 2)) == 2
+    assert curation._plan_shards(str(path), 1) == [(0, None)]
 
 
 def test_plan_shards_one_shard_while_other_threads_run(tmp_path, monkeypatch):
@@ -834,12 +834,12 @@ def test_plan_shards_one_shard_while_other_threads_run(tmp_path, monkeypatch):
     thread = threading.Thread(target=release.wait)
     thread.start()
     try:
-        assert curation.plan_shards(str(path), 3) == [(0, None)]
+        assert curation._plan_shards(str(path), 3) == [(0, None)]
     finally:
         release.set()
         thread.join(timeout=10)
     assert not thread.is_alive()
-    assert len(curation.plan_shards(str(path), 3)) == 3
+    assert len(curation._plan_shards(str(path), 3)) == 3
 
 
 @pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="FIFOs are POSIX")

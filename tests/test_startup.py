@@ -19,7 +19,7 @@ import sys
 import pytest
 
 from asrlab._lazy import BLAS_THREAD_VARS
-from asrlab.cli import COMMANDS
+from asrlab.cli import _COMMANDS
 from asrlab.curation import write_manifest
 from tests.conftest import make_script, write_tone_wav
 from tests.test_curation import golden_manifest
@@ -86,7 +86,7 @@ def test_commands_load_only_the_machinery_they_run(tmp_path):
     numpy_free = [
         ["--help"],
         ["--version"],
-        *([name, "--help"] for name in COMMANDS),
+        *([name, "--help"] for name in _COMMANDS),
         ["plan-data", "--params", "264000000"],
         ["curate", "--manifest", str(manifest), "--out-manifest", str(tmp_path / "kept.jsonl"),
          "--report", str(tmp_path / "r.csv")],

@@ -50,6 +50,24 @@ def test_rule_set_rejects_uppercase_keys():
         NormRuleSet(fillers=frozenset({"UM"}))
 
 
+@pytest.mark.parametrize("contractions,fillers", [
+    ({"gonna go": "going to go"}, set()),  # two tokens
+    ({"don’t": "do not"}, set()),  # lookup sees "don't"
+    ({}, {"you know"}),
+    ({}, {"like,"}),  # lookup sees "like"
+])
+def test_rule_set_rejects_rules_that_can_never_match(contractions, fillers):
+    with pytest.raises(ValueError, match="can never match"):
+        NormRuleSet(contractions=contractions, fillers=frozenset(fillers))
+
+
+def test_load_rules_names_the_file_of_a_rule_that_can_never_match(tmp_path):
+    path = tmp_path / "multi.rules"
+    path.write_text("[contractions]\ngonna go\tgoing to go\n", encoding="utf-8")
+    with pytest.raises(ValueError, match="^" + re.escape(f"{path}: contraction key 'gonna go' can never match")):
+        load_rules(str(path))
+
+
 def test_rule_set_rejects_expansion_that_normalizes_differently():
     # "Foo!" would become "um, yes", and that again "yes"
     with pytest.raises(ValueError, match="'foo'"):
