@@ -39,7 +39,8 @@ from .curation import (
 )
 from .entities import _sim_threshold_fault, align_entities, pn_score, read_entity_file
 from .metrics import EvalRow, build_report, wer
-from .noise import SweepSpec, _snr_list_fault, _transcriber_fault, ordered_map, run_sweep, transcribe_file, write_sweep_csv
+from .noise import (_noise_dir_fault, _snr_list_fault, _transcriber_fault, ordered_map, run_sweep, transcribe_file,
+                    write_sweep_csv)
 from .planner import ScalingAssumptions, optimal_hours
 from .stitch import plan_chunks, stitch, voiced_ranges, write_voiced_chunks
 from .textnorm import DEFAULT_RULES, load_rules, normalize
@@ -296,13 +297,9 @@ def cmd_curate(args: argparse.Namespace) -> int:
 
 def cmd_noise_sweep(args: argparse.Namespace) -> int:
     rules = _load_rules(args.rules)
-    spec = SweepSpec(args.snrs, args.noise_kind, noise_corpus_dir=args.noise_dir, seed=args.seed)
     with _replaced_together(args.out, reads=_inputs(args)) as (out,):
-        records = _records_or_die(args.manifest)
-        for rec in records:
-            if fault := _file_fault(rec.audio_path):
-                raise ValueError(f"audio for {rec.id} {fault}")
-        results = run_sweep(records, spec, args.transcriber, args.workdir, rules=rules, jobs=args.jobs)
+        results = run_sweep(_records_or_die(args.manifest), args.snrs, args.transcriber, args.workdir,
+                            noise_dir=args.noise_dir, seed=args.seed, rules=rules, jobs=args.jobs)
         _write_header(out, args)
         write_sweep_csv(results, out)
     print(f"rows={sum(map(len, results.values()))} out={args.out}")
@@ -515,10 +512,10 @@ _COMMANDS = {
         _opt("--workdir", required=True),
         _opt("--out", required=True),
         _opt("--snrs", "sweep.snr_list", type=float_list, check=_snr_list_fault, default="-5,0,5,10,20", help="comma-separated dB list"),
-        _opt("--noise-kind", "sweep.noise_kind", choices=["gaussian", "ambient"], default=SweepSpec.noise_kind),
-        _opt("--noise-dir", "sweep.noise_dir", default=SweepSpec.noise_corpus_dir),
+        _opt("--noise-dir", "sweep.noise_dir", check=_noise_dir_fault, default=_default(run_sweep, "noise_dir"),
+             help="directory of .wav files to draw each mix's noise from; without it, Gaussian noise"),
         _RULES,
-        _opt("--seed", "seed", type=int, check=_in_range(0), default=SweepSpec.seed),
+        _opt("--seed", "seed", type=int, check=_in_range(0), default=_default(run_sweep, "seed")),
         _JOBS,
     ]),
     "stitch": ("join chunk transcripts (or decode+join an audio file)", cmd_stitch, [
@@ -583,23 +580,25 @@ def _config_defaults(path: str, options: list) -> dict[str, object]:
     return defaults
 
 
-def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
-    """Parse the command line; a --config file supplies the options it names that no flag gives."""
+def _parse_args(argv: list[str] | None = None, args: argparse.Namespace | None = None) -> argparse.Namespace:
+    """Parse the command line into `args`, or a new namespace; a --config file supplies the options no flag gives.
+
+    argparse's own usage errors exit through SystemExit. A refused config file
+    raises ValueError or OSError, and leaves the flags alone in `args`.
+    """
     parser, subparsers = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(argv, args)
     if args.config is not None:
-        try:
-            subparsers[args.command].set_defaults(**_config_defaults(args.config, _COMMANDS[args.command][2]))
-        except (ValueError, OSError) as exc:
-            parser.exit(2, f"asrlab {args.command}: {exc}\n")
-        args = parser.parse_args(argv)
+        subparsers[args.command].set_defaults(**_config_defaults(args.config, _COMMANDS[args.command][2]))
+        vars(args).update(vars(parser.parse_args(argv)))
     return args
 
 
 def main(argv: list[str] | None = None) -> int:
     mark_program()  # numpy, if this run loads it, starts no BLAS worker threads
-    args = _parse_args(argv)
+    args = argparse.Namespace()
     try:
+        _parse_args(argv, args)
         for flag, key, kwargs in _COMMANDS[args.command][2]:
             value = getattr(args, _dest(flag))
             if value is not None and "check" in kwargs and (fault := kwargs["check"](value)):

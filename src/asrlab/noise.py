@@ -25,7 +25,6 @@ __all__ = [
     "mix_at_snr",
     "measure_snr",
     "MixResult",
-    "SweepSpec",
     "run_sweep",
     "ordered_map",
     "transcribe_file",
@@ -136,42 +135,25 @@ def _snr_list_fault(snrs: list[float]) -> str | None:
     return None
 
 
-@dataclass
-class SweepSpec:
-    snr_list_db: list[float]
-    noise_kind: str = "gaussian"  # "gaussian" | "ambient"
-    noise_corpus_dir: str | None = None
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if fault := _snr_list_fault(self.snr_list_db):
-            raise ValueError(f"snr_list_db {fault}")
-        if self.noise_kind not in ("gaussian", "ambient"):
-            raise ValueError(f"noise_kind must be gaussian or ambient, got {self.noise_kind!r}")
-        if self.noise_kind == "ambient" and not self.noise_corpus_dir:
-            raise ValueError("ambient noise requires noise_corpus_dir")
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
+def _noise_files(noise_dir: str) -> list[str]:
+    """The .wav files in `noise_dir`, in name order: the corpus each mix's noise is drawn from."""
+    return sorted(os.path.join(noise_dir, name) for name in os.listdir(noise_dir) if name.lower().endswith(".wav"))
 
 
-def _ambient_corpus(corpus_dir: str) -> list[str]:
-    files = sorted(
-        os.path.join(corpus_dir, name)
-        for name in os.listdir(corpus_dir)
-        if name.lower().endswith(".wav")
-    )
-    if not files:
-        raise ValueError(f"no .wav files in noise corpus {corpus_dir!r}")
-    return files
+def _noise_dir_fault(noise_dir: str) -> str | None:
+    """Why `noise_dir` cannot be a noise corpus, or None if it holds a .wav file to draw from."""
+    if not os.path.isdir(noise_dir):
+        return f"is not a directory: {noise_dir}"
+    return None if _noise_files(noise_dir) else f"holds no .wav file: {noise_dir}"
 
 
-def _noise_for(clean: AudioBuffer, spec: SweepSpec, corpus: list[str], file_id: str, snr_db: float) -> AudioBuffer:
+def _noise_for(clean: AudioBuffer, seed: int, corpus: list[str], file_id: str, snr_db: float) -> AudioBuffer:
+    """Gaussian noise as long as `clean` if the corpus is empty, else one of its files."""
     # substream per (file, SNR): parallel execution cannot perturb the draw
-    rng = substream(spec.seed, "noise", file_id, snr_db)
-    if spec.noise_kind == "gaussian":
+    rng = substream(seed, "noise", file_id, snr_db)
+    if not corpus:
         return AudioBuffer(samples=rng.standard_normal(len(clean)), sample_rate_hz=clean.sample_rate_hz)
-    choice = corpus[int(rng.integers(len(corpus)))]
-    return read_wav(choice)
+    return read_wav(corpus[int(rng.integers(len(corpus)))])
 
 
 def transcribe_file(transcriber_cmd: list[str] | str, wav_path: str) -> str | None:
@@ -217,41 +199,57 @@ def ordered_map(fn: Callable, items: Iterable, jobs: int) -> list:
 
 def run_sweep(
     records: list[ManifestRecord],
-    spec: SweepSpec,
+    snrs: list[float],
     transcriber_cmd: list[str] | str,
     workdir: str,
+    *,
+    noise_dir: str | None = None,
+    seed: int = 0,
     rules: NormRuleSet = DEFAULT_RULES,
     jobs: int = 1,
 ) -> dict[float, list[EvalRow]]:
     """Noise-inject every file at every SNR, transcribe, and score WER.
 
-    Returns each SNR's rows, keyed in spec order, with the rows in manifest
-    order; a row's wer is None where the transcriber failed on its mix.
+    Each mix's noise is one of the .wav files in `noise_dir`, or Gaussian
+    without it. Returns each SNR's rows, keyed in `snrs` order, with the rows
+    in manifest order; a row's wer is None where the transcriber failed on
+    its mix, and the sweep continues.
 
-    The reference for each file is its manifest transcript, normalized once
-    with the same rules as the hypothesis; one that normalizes to no words
-    raises EmptyReferenceError before any file is mixed. So does an id that is
-    not a plain file name (ValueError), since each mix is named by its id. A
-    clip that cannot be mixed (empty or silent) raises ValueError naming its
-    file. Transcriber failures mark the row failed and the sweep continues.
-    Reruns with the same spec and inputs are byte-identical because all
-    randomness comes from per-(file, SNR) substreams of spec.seed.
+    Every input is checked before `workdir` is made: a refused SNR list,
+    seed, job count or noise corpus, an id that is not a plain file name
+    (each mix is named by its id) or a missing audio file raises
+    ValueError. The reference for each file is its manifest transcript,
+    normalized once with the same rules as the hypothesis; one that
+    normalizes to no words raises EmptyReferenceError. A clip that cannot be
+    mixed (empty or silent) raises ValueError naming its file. Reruns with
+    the same inputs are byte-identical because all randomness comes from
+    per-(file, SNR) substreams of `seed`.
     """
+    if fault := _snr_list_fault(snrs):
+        raise ValueError(f"snrs {fault}")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    if noise_dir is not None and (fault := _noise_dir_fault(noise_dir)):
+        raise ValueError(f"noise_dir {fault}")
     refs = [normalize(rec.transcript, rules).split() for rec in records]
     for rec, ref in zip(records, refs):
         if not ref:
             raise EmptyReferenceError(f"reference for {rec.id!r} is empty after normalization")
         if os.path.basename(rec.id) != rec.id or "\0" in rec.id:  # a "/" would put its mixes elsewhere
             raise ValueError(f"record id {rec.id!r} is not a plain file name, so it cannot name a mix in {workdir}")
+        if not os.path.isfile(rec.audio_path):
+            raise ValueError(f"audio for {rec.id} not found: {rec.audio_path}")
+    corpus = [] if noise_dir is None else _noise_files(noise_dir)
     os.makedirs(workdir, exist_ok=True)
-    corpus = _ambient_corpus(spec.noise_corpus_dir) if spec.noise_kind == "ambient" else []
 
-    tasks = [(snr, rec, ref) for snr in spec.snr_list_db for rec, ref in zip(records, refs)]
+    tasks = [(snr, rec, ref) for snr in snrs for rec, ref in zip(records, refs)]
 
     def one(task: tuple[float, ManifestRecord, list[str]]) -> EvalRow:
         snr_db, rec, ref = task
         clean = read_wav(rec.audio_path)
-        noise = _noise_for(clean, spec, corpus, rec.id, snr_db)
+        noise = _noise_for(clean, seed, corpus, rec.id, snr_db)
         try:
             mix = mix_at_snr(clean, noise, snr_db)
         except ValueError as exc:  # an empty or silent clip: name it
@@ -265,7 +263,7 @@ def run_sweep(
 
     rows = ordered_map(one, tasks, jobs)
     n = len(records)
-    return {snr_db: rows[i * n : (i + 1) * n] for i, snr_db in enumerate(spec.snr_list_db)}
+    return {snr_db: rows[i * n : (i + 1) * n] for i, snr_db in enumerate(snrs)}
 
 
 def write_sweep_csv(results: dict[float, list[EvalRow]], out: TextIO) -> None:

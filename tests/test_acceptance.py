@@ -14,7 +14,7 @@ from asrlab.audio import AudioBuffer, write_wav
 from asrlab.curation import ManifestRecord, PipelineConfig, run_pipeline, write_manifest
 from asrlab.entities import EntitySpan, align_entities, pn_score
 from asrlab.metrics import weighted_average, wer
-from asrlab.noise import SweepSpec, measure_snr, mix_at_snr, run_sweep, write_sweep_csv
+from asrlab.noise import measure_snr, mix_at_snr, run_sweep, write_sweep_csv
 from asrlab.seeding import substream
 from asrlab.stitch import stitch
 from asrlab.textnorm import normalize
@@ -185,9 +185,8 @@ def test_noise_lab_criterion(tmp_path, echo_transcriber):
         for kind, corpus in (("gaussian", None), ("ambient", str(noise_dir))):
             pair = []
             for tag in ("x", "y"):
-                spec = SweepSpec(snr_list_db=grid, noise_kind=kind, noise_corpus_dir=corpus, seed=11)
                 work = tmp_path / f"work_{kind}_{tag}"
-                results = run_sweep([rec], spec, cmd, str(work))
+                results = run_sweep([rec], grid, cmd, str(work), noise_dir=corpus, seed=11)
                 out = tmp_path / f"{kind}_{tag}.csv"
                 with open(out, "w", encoding="utf-8", newline="") as fh:
                     write_sweep_csv(results, fh)

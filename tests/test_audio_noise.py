@@ -1,8 +1,10 @@
 import concurrent.futures
+import dataclasses
 import io
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -12,7 +14,6 @@ from asrlab.curation import ManifestRecord
 from asrlab.metrics import EmptyReferenceError, EvalRow, build_report
 from asrlab import noise
 from asrlab.noise import (
-    SweepSpec,
     measure_snr,
     mix_at_snr,
     ordered_map,
@@ -163,13 +164,27 @@ def test_mix_at_infinite_snr_adds_no_noise():
     assert mix.gain == 0.0 and np.array_equal(mix.mixed.samples, clean.samples)
 
 
-def test_sweep_spec_validation():
-    with pytest.raises(ValueError):
-        SweepSpec(snr_list_db=[0.0], noise_kind="ambient")
-    with pytest.raises(ValueError):
-        SweepSpec(snr_list_db=[0.0], noise_kind="pink")
-    with pytest.raises(ValueError, match="^seed must be >= 0, got -1$"):
-        SweepSpec(snr_list_db=[0.0], seed=-1)
+def test_sweep_spec_validation(tmp_path):
+    # each refusal comes before the working directory is made
+    (record,) = _manifest_with_tones(tmp_path, ["brook sounds"])
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    (empty / "notes.txt").write_text("no noise here\n", encoding="utf-8")
+    missing = tmp_path / "missing"
+    work = tmp_path / "work"
+    cases = [
+        ([record], {"seed": -1}, "seed must be >= 0, got -1"),
+        ([record], {"jobs": 0}, "jobs must be >= 1, got 0"),
+        ([record], {"noise_dir": str(missing)}, f"noise_dir is not a directory: {missing}"),
+        ([record], {"noise_dir": str(record.audio_path)}, f"noise_dir is not a directory: {record.audio_path}"),
+        ([record], {"noise_dir": str(empty)}, f"noise_dir holds no .wav file: {empty}"),
+        ([dataclasses.replace(record, audio_path=str(missing))], {}, f"audio for clip0 not found: {missing}"),
+        ([dataclasses.replace(record, id="a/b")], {}, "record id 'a/b' is not a plain file name"),
+    ]
+    for records, kwargs, message in cases:
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}"):
+            run_sweep(records, [0.0], "true", str(work), **kwargs)
+    assert not work.exists()
 
 
 def test_substream_seeds_do_not_wrap_at_32_bits():
@@ -187,10 +202,12 @@ def test_substream_seeds_do_not_wrap_at_32_bits():
      ([5.0, 5.0000001], "holds two SNRs that print as 5 dB"),
      ([1e-7, 1.00000004e-7], "holds two SNRs that print as 1e-07 dB")],
 )
-def test_sweep_spec_rejects_an_snr_list_it_cannot_sweep(snrs, fault):
-    with pytest.raises(ValueError, match=f"^snr_list_db {fault}"):
-        SweepSpec(snr_list_db=snrs)
-    SweepSpec(snr_list_db=[math.inf, 0.0])  # +inf is the clean baseline
+def test_sweep_spec_rejects_an_snr_list_it_cannot_sweep(tmp_path, snrs, fault):
+    work = tmp_path / "work"
+    with pytest.raises(ValueError, match=f"^snrs {fault}"):
+        run_sweep([], snrs, "true", str(work))
+    assert not work.exists()
+    assert run_sweep([], [math.inf, 0.0], "true", str(work)) == {math.inf: [], 0.0: []}  # +inf is the clean baseline
 
 
 # --- sweeps -------------------------------------------------------------
@@ -212,36 +229,32 @@ def test_sweep_identity_transcriber_scores_zero(tmp_path, echo_transcriber):
     texts = ["hello world out there", "four score and seven years"]
     records = _manifest_with_tones(tmp_path, texts)
     cmd = echo_transcriber({r.id: r.transcript for r in records})
-    spec = SweepSpec(snr_list_db=[0.0, 10.0], seed=42)
-    results = run_sweep(records, spec, cmd, str(tmp_path / "work"))
-    # keyed in spec order, rows in manifest order
+    results = run_sweep(records, [0.0, 10.0], cmd, str(tmp_path / "work"), seed=42)
+    # keyed in SNR list order, rows in manifest order
     assert results == {snr: [EvalRow(r.id, r.duration_sec, 0.0) for r in records] for snr in [0.0, 10.0]}
     assert list(results) == [0.0, 10.0]
 
 
 def test_sweep_empty_transcriber_scores_all_deletions(tmp_path, empty_transcriber):
     records = _manifest_with_tones(tmp_path, ["three little words"])
-    spec = SweepSpec(snr_list_db=[0.0, 10.0], seed=1)
-    results = run_sweep(records, spec, empty_transcriber, str(tmp_path / "work"))
+    results = run_sweep(records, [0.0, 10.0], empty_transcriber, str(tmp_path / "work"), seed=1)
     assert [r.wer for rows in results.values() for r in rows] == [1.0, 1.0]
 
 
 def test_sweep_failing_transcriber_marks_rows(tmp_path, failing_transcriber):
     records = _manifest_with_tones(tmp_path, ["some words"])
-    spec = SweepSpec(snr_list_db=[5.0], seed=1)
-    results = run_sweep(records, spec, failing_transcriber, str(tmp_path / "work"))
+    results = run_sweep(records, [5.0], failing_transcriber, str(tmp_path / "work"), seed=1)
     assert results == {5.0: [EvalRow("clip0", 0.3, None)]}
 
 
 def test_sweep_rerun_byte_identical(tmp_path, echo_transcriber):
     records = _manifest_with_tones(tmp_path, ["alpha beta gamma"])
     cmd = echo_transcriber({r.id: r.transcript for r in records})
-    spec = SweepSpec(snr_list_db=[-5.0, 5.0], seed=7)
 
     outputs = []
     for run in ("one", "two"):
         work = tmp_path / f"work_{run}"
-        results = run_sweep(records, spec, cmd, str(work), jobs=2)
+        results = run_sweep(records, [-5.0, 5.0], cmd, str(work), seed=7, jobs=2)
         csv_path = tmp_path / f"sweep_{run}.csv"
         with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             write_sweep_csv(results, fh)
@@ -331,14 +344,9 @@ for i in range(0, len(x), 1600):
 print(' '.join(words))
 """,
     )
-    spec = SweepSpec(
-        snr_list_db=[-10.0, -5.0, 0.0, 5.0, 15.0],
-        noise_kind="ambient",
-        noise_corpus_dir=str(noise_dir),
-        seed=4,
-    )
-    results = run_sweep(records, spec, matcher, str(tmp_path / "work"))
-    by_snr = [build_report(results[s])["wer"] for s in spec.snr_list_db]
+    snrs = [-10.0, -5.0, 0.0, 5.0, 15.0]
+    results = run_sweep(records, snrs, matcher, str(tmp_path / "work"), noise_dir=str(noise_dir), seed=4)
+    by_snr = [build_report(results[s])["wer"] for s in snrs]
     assert all(v is not None for v in by_snr)
     assert by_snr[0] > 0.0  # heavy noise flips some blocks
     for lo, hi in zip(by_snr, by_snr[1:]):
@@ -349,7 +357,7 @@ print(' '.join(words))
 def test_write_sweep_csv_format(tmp_path, echo_transcriber):
     records = _manifest_with_tones(tmp_path, ["one two"])
     cmd = echo_transcriber({r.id: r.transcript for r in records})
-    results = run_sweep(records, SweepSpec(snr_list_db=[0.0], seed=2), cmd, str(tmp_path / "w"))
+    results = run_sweep(records, [0.0], cmd, str(tmp_path / "w"), seed=2)
     out = io.StringIO(newline="")
     write_sweep_csv(results, out)
     lines = out.getvalue().splitlines()
@@ -371,7 +379,7 @@ def test_sweep_normalizes_each_reference_once(tmp_path, echo_transcriber, monkey
     records = _manifest_with_tones(tmp_path, ["alpha beta", "gamma delta"])
     cmd = echo_transcriber({r.id: r.transcript for r in records})
     snrs = [0.0, 10.0]
-    run_sweep(records, SweepSpec(snr_list_db=snrs, seed=3), cmd, str(tmp_path / "work"))
+    run_sweep(records, snrs, cmd, str(tmp_path / "work"), seed=3)
     # one call per reference, one per transcribed hypothesis
     assert len(calls) == len(records) + len(records) * len(snrs)
 
@@ -381,5 +389,5 @@ def test_sweep_empty_reference_raises_before_mixing(tmp_path, echo_transcriber):
     cmd = echo_transcriber({r.id: r.transcript for r in records})
     work = tmp_path / "work"
     with pytest.raises(EmptyReferenceError, match="'clip1'"):
-        run_sweep(records, SweepSpec(snr_list_db=[0.0], seed=3), cmd, str(work))
+        run_sweep(records, [0.0], cmd, str(work), seed=3)
     assert not work.exists()

@@ -348,18 +348,48 @@ def test_noise_sweep_cli_and_rerun(tmp_path, echo_transcriber):
     assert b"0,clip,0.000000" in outs[0]
 
 
-def test_noise_sweep_ambient_requires_dir(tmp_path):
-    manifest = tmp_path / "m.jsonl"
-    manifest.write_text(
-        json.dumps({"id": "c", "audio_path": "x.wav", "duration_sec": 1.0, "transcript": "t"}) + "\n",
-        encoding="utf-8",
-    )
-    proc = run_cli(
-        "noise-sweep", "--manifest", str(manifest), "--transcriber", "true",
-        "--workdir", str(tmp_path / "w"), "--out", str(tmp_path / "o.csv"),
-        "--noise-kind", "ambient",
-    )
-    assert proc.returncode == 2
+def test_noise_kind_is_not_an_option(capsys):
+    # the noise is drawn from --noise-dir when it is given, and is Gaussian otherwise
+    with pytest.raises(SystemExit) as exc:
+        cli._parse_args(required_argv("noise-sweep") + ["--noise-kind", "ambient"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --noise-kind" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("where", ["flag", "config"])
+@pytest.mark.parametrize("corpus,fault", [("missing", "is not a directory"), ("clip.wav", "is not a directory"),
+                                          ("empty", "holds no .wav file")])
+def test_noise_sweep_bad_noise_dir_exit_2_before_any_file_is_made(tmp_path, capsys, corpus, fault, where):
+    _, manifest = one_clip_manifest(tmp_path)
+    noise_dir = tmp_path / corpus
+    if corpus == "empty":
+        noise_dir.mkdir()
+        (noise_dir / "notes.txt").write_text("no noise here\n", encoding="utf-8")
+    transcriber = make_script(tmp_path, "mark.py", f"open({str(tmp_path / 'transcribed')!r}, 'w')\n")
+    argv = ["noise-sweep", "--manifest", str(manifest), "--transcriber", " ".join(transcriber),
+            "--workdir", str(tmp_path / "w"), "--out", str(tmp_path / "o.csv"), "--snrs", "0", "--jobs", "1"]
+    if where == "flag":
+        argv += ["--noise-dir", str(noise_dir)]
+    else:
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"sweep.noise_dir = {noise_dir}\n", encoding="utf-8")
+        argv += ["--config", str(cfg)]
+    before = tree(tmp_path)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"asrlab noise-sweep: --noise-dir (config key sweep.noise_dir) {fault}: {noise_dir}\n")
+    assert tree(tmp_path) == before  # no mix, working directory, report or transcriber mark
+
+
+def test_noise_sweep_missing_audio_exit_2_before_any_file_is_made(tmp_path, capsys):
+    wav, manifest = one_clip_manifest(tmp_path)
+    wav.unlink()
+    transcriber = make_script(tmp_path, "mark.py", f"open({str(tmp_path / 'transcribed')!r}, 'w')\n")
+    argv = ["noise-sweep", "--manifest", str(manifest), "--transcriber", " ".join(transcriber),
+            "--workdir", str(tmp_path / "w"), "--out", str(tmp_path / "o.csv"), "--snrs", "0", "--jobs", "1"]
+    before = tree(tmp_path)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"asrlab noise-sweep: audio for clip not found: {wav}\n")
+    assert tree(tmp_path) == before
 
 
 def test_noise_sweep_corrupt_wav_exit_2_names_file(tmp_path, empty_transcriber):
@@ -508,8 +538,12 @@ def test_noise_sweep_jobs_do_not_change_report(tmp_path, echo_transcriber):
     assert outs[0] == outs[1]
 
 
-def test_noise_sweep_report_bytes_with_failed_rows(tmp_path, capsys):
-    # clip1 fails at every SNR and clip0 at +10 dB, so the 10 dB aggregate has no row to weigh
+def sweep_with_failed_rows(tmp_path, capsys, *options):
+    """Run noise-sweep over two clips at 0 and +10 dB, --jobs 2, where clip1 fails at every SNR and clip0 at +10 dB.
+
+    Returns the report's header config, the part of it that both noise sources share, the report's body
+    and the sha256 of the mixes, read in name order.
+    """
     records = []
     for i, text in enumerate(["alpha beta gamma", "brook sounds"]):
         wav = tmp_path / f"clip{i}.wav"
@@ -526,27 +560,51 @@ def test_noise_sweep_report_bytes_with_failed_rows(tmp_path, capsys):
     )))
     out = tmp_path / "sweep.csv"
     argv = ["noise-sweep", "--manifest", str(manifest), "--transcriber", transcriber, "--workdir",
-            str(tmp_path / "work"), "--out", str(out), "--snrs", "0,10", "--seed", "9", "--jobs", "2"]
+            str(tmp_path / "work"), "--out", str(out), "--snrs", "0,10", "--seed", "9", "--jobs", "2", *options]
     assert cli.main(argv) == 0, capsys.readouterr().err
     assert capsys.readouterr().out == f"rows=4 out={out}\n"
-    config = {"manifest": str(manifest), "noise_dir": None, "noise_kind": "gaussian", "rules": None,
-              "snrs": [0.0, 10.0], "transcriber": transcriber}
-    assert out.read_bytes() == (
-        f"# asrlab {asrlab.__version__}\n# seed=9\n# config={json.dumps(config, sort_keys=True)}\n"
-        "snr_db,file_id,wer\r\n"
-        "0,clip0,0.333333\r\n"
-        "0,clip1,failed\r\n"
-        "10,clip0,failed\r\n"
-        "10,clip1,failed\r\n"
-        "\r\n"
-        "snr_db,aggregate_wer\r\n"
-        "0,0.333333\r\n"
-        "10,n/a\r\n"
-    ).encode("utf-8")
+    version, seed, config, *body = out.read_bytes().decode("utf-8").split("\n")
+    assert (version, seed) == (f"# asrlab {asrlab.__version__}", "# seed=9")
+    assert config.startswith("# config=")
+    shared = {"manifest": str(manifest), "rules": None, "snrs": [0.0, 10.0], "transcriber": transcriber}
     mixes = sorted((tmp_path / "work").iterdir())
     assert [p.name for p in mixes] == ["clip0_snr+0.wav", "clip0_snr+10.wav", "clip1_snr+0.wav", "clip1_snr+10.wav"]
     digest = hashlib.sha256(b"".join(p.read_bytes() for p in mixes)).hexdigest()
+    return json.loads(config[len("# config="):]), shared, "\n".join(body), digest
+
+
+# the report body of both noise sources: the transcriber fails or answers alike whatever the mix holds
+FAILED_ROWS_BODY = (
+    "snr_db,file_id,wer\r\n"
+    "0,clip0,0.333333\r\n"
+    "0,clip1,failed\r\n"
+    "10,clip0,failed\r\n"
+    "10,clip1,failed\r\n"
+    "\r\n"
+    "snr_db,aggregate_wer\r\n"
+    "0,0.333333\r\n"
+    "10,n/a\r\n"
+)
+
+
+def test_noise_sweep_report_bytes_with_failed_rows(tmp_path, capsys):
+    # the 10 dB aggregate has no row to weigh
+    config, shared, body, digest = sweep_with_failed_rows(tmp_path, capsys)
+    assert config == {**shared, "noise_dir": None}
+    assert body == FAILED_ROWS_BODY
     assert digest == "d4e10323726f928aeff0d4ec0b1397bca53f7646c38ef017bc48774063e1eb3b"
+
+
+def test_noise_sweep_ambient_report_bytes_with_failed_rows(tmp_path, capsys):
+    # two noise files of unlike lengths, so the per-(file, SNR) draw picks between them and each is looped or cut
+    noise_dir = tmp_path / "noise"
+    noise_dir.mkdir()
+    write_wav(AudioBuffer(samples=tone(0.1, freq_hz=97.0, amplitude=0.2)), str(noise_dir / "hum.wav"))
+    write_wav(AudioBuffer(samples=tone(0.4, freq_hz=1234.0, amplitude=0.5)), str(noise_dir / "whine.wav"))
+    config, shared, body, digest = sweep_with_failed_rows(tmp_path, capsys, "--noise-dir", str(noise_dir))
+    assert config == {**shared, "noise_dir": str(noise_dir)}
+    assert body == FAILED_ROWS_BODY
+    assert digest == "a7939523331e9b6d21d7640753944a39d7a013b6672ae8f6c3a2845611ea15c7"
 
 
 # --- option table and --config ---------------------------------------------------
@@ -598,8 +656,9 @@ def test_config_key_takes_effect_and_flag_overrides(tmp_path, name, flag, key, k
     [("oops\n", "'oops'"), ("planner.wpm = abc\n", "planner.wpm = 'abc'"),
      ("planner.wpm = 150\nplanner.wpmx = 5\n", "unknown config key 'planner.wpmx'"),
      ("# run\nplanner.wpm = 150\nplanner.wpmx = 5\n", "bad.cfg:3: unknown config key 'planner.wpmx'"),
-     ("planner.wpm = 100\nplanner.tpw = 1.3\nplanner.wpm = 200\n", "bad.cfg:3: config key 'planner.wpm' is repeated")],
-    ids=["no-equals", "uncastable", "unknown-key", "unknown-key-line", "repeated-key"],
+     ("planner.wpm = 100\nplanner.tpw = 1.3\nplanner.wpm = 200\n", "bad.cfg:3: config key 'planner.wpm' is repeated"),
+     ("sweep.noise_kind = ambient\n", "bad.cfg:1: unknown config key 'sweep.noise_kind'")],
+    ids=["no-equals", "uncastable", "unknown-key", "unknown-key-line", "repeated-key", "removed-key"],
 )
 def test_bad_config_is_validation_error(tmp_path, text, where):
     cfg = tmp_path / "bad.cfg"
@@ -960,13 +1019,13 @@ def test_noise_sweep_empty_reference_exit_2_before_sweep(tmp_path, capsys):
     manifest.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
     mark = tmp_path / "transcribed"
     transcriber = make_script(tmp_path, "mark.py", f"open({str(mark)!r}, 'w').write('x')\nprint('brook')\n")
-    workdir = tmp_path / "w"
+    workdir, out = tmp_path / "w", tmp_path / "o.csv"
     argv = ["noise-sweep", "--manifest", str(manifest), "--transcriber", " ".join(transcriber),
-            "--workdir", str(workdir), "--out", str(tmp_path / "o.csv"), "--snrs", "0"]
+            "--workdir", str(workdir), "--out", str(out), "--snrs", "0"]
     assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert "'fillers'" in err and "empty after normalization" in err
-    assert not mark.exists() and not workdir.exists()
+    assert not mark.exists() and not workdir.exists() and not out.exists()
 
 
 def one_clip_manifest(tmp_path, rid="clip"):
@@ -1851,10 +1910,8 @@ def test_truncated_wav_error_says_what_the_header_promised(tmp_path, capsys, cas
 def test_undecodable_config_file_exit_2(tmp_path, capsys):
     cfg = tmp_path / "run.cfg"
     cfg.write_bytes(b"# run settings\nplanner.wpm = 150\nplanner.tpw = 1.3 # \xa0\n")
-    with pytest.raises(SystemExit) as exc:
-        cli._parse_args(["plan-data", "--params", "1000", "--config", str(cfg)])
-    assert exc.value.code == 2
-    assert f"{cfg}:3: not valid UTF-8" in capsys.readouterr().err
+    assert cli.main(["plan-data", "--params", "1000", "--config", str(cfg)]) == 2
+    assert capsys.readouterr() == ("", f"asrlab plan-data: {cfg}:3: not valid UTF-8\n")
 
 
 def _read_partials(path):
@@ -2084,9 +2141,12 @@ def test_jobs_below_one_exit_2_before_the_transcriber_starts(tmp_path, capsys, c
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"jobs = {value}\n", encoding="utf-8")
         argv += ["--config", str(cfg)]
-    with pytest.raises(SystemExit) as exc:
-        cli.main(argv)
-    assert exc.value.code == 2
+    if where == "flag":  # argparse's own usage error
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 2
+    else:
+        assert cli.main(argv) == 2
     err = capsys.readouterr().err
     assert (f"argument --jobs: must be >= 1, got {value}" if where == "flag" else f"{cfg}: jobs = '0'") in err
     assert not mark.exists() and not workdir.exists()

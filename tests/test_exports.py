@@ -58,7 +58,6 @@ REACH = {
     "noise.mix_at_snr": "gate",
     "noise.measure_snr": "gate",
     "noise.MixResult": "the return type of mix_at_snr",
-    "noise.SweepSpec": "command",
     "noise.run_sweep": "command",
     "noise.ordered_map": "command",
     "noise.transcribe_file": "bench",
