@@ -580,25 +580,25 @@ def _config_defaults(path: str, options: list) -> dict[str, object]:
     return defaults
 
 
-def _parse_args(argv: list[str] | None = None, args: argparse.Namespace | None = None) -> argparse.Namespace:
-    """Parse the command line into `args`, or a new namespace; a --config file supplies the options no flag gives.
+def _parse_args(argv: list[str] | None = None) -> argparse.Namespace:
+    """Parse the command line's flags; argparse's own usage errors exit through SystemExit."""
+    return build_parser()[0].parse_args(argv)
 
-    argparse's own usage errors exit through SystemExit. A refused config file
-    raises ValueError or OSError, and leaves the flags alone in `args`.
-    """
+
+def _with_config(args: argparse.Namespace, argv: list[str] | None) -> argparse.Namespace:
+    """`args` with its --config file, if any, supplying the options no flag gives; a refused file raises ValueError or OSError."""
+    if args.config is None:
+        return args
     parser, subparsers = build_parser()
-    args = parser.parse_args(argv, args)
-    if args.config is not None:
-        subparsers[args.command].set_defaults(**_config_defaults(args.config, _COMMANDS[args.command][2]))
-        vars(args).update(vars(parser.parse_args(argv)))
-    return args
+    subparsers[args.command].set_defaults(**_config_defaults(args.config, _COMMANDS[args.command][2]))
+    return parser.parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     mark_program()  # numpy, if this run loads it, starts no BLAS worker threads
-    args = argparse.Namespace()
+    args = _parse_args(argv)
     try:
-        _parse_args(argv, args)
+        args = _with_config(args, argv)
         for flag, key, kwargs in _COMMANDS[args.command][2]:
             value = getattr(args, _dest(flag))
             if value is not None and "check" in kwargs and (fault := kwargs["check"](value)):

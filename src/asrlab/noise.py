@@ -136,8 +136,9 @@ def _snr_list_fault(snrs: list[float]) -> str | None:
 
 
 def _noise_files(noise_dir: str) -> list[str]:
-    """The .wav files in `noise_dir`, in name order: the corpus each mix's noise is drawn from."""
-    return sorted(os.path.join(noise_dir, name) for name in os.listdir(noise_dir) if name.lower().endswith(".wav"))
+    """The regular .wav files in `noise_dir`, in name order: the corpus each mix's noise is drawn from."""
+    paths = (os.path.join(noise_dir, name) for name in os.listdir(noise_dir) if name.lower().endswith(".wav"))
+    return sorted(path for path in paths if os.path.isfile(path))
 
 
 def _noise_dir_fault(noise_dir: str) -> str | None:

@@ -170,6 +170,8 @@ def test_sweep_spec_validation(tmp_path):
     empty = tmp_path / "empty"
     empty.mkdir()
     (empty / "notes.txt").write_text("no noise here\n", encoding="utf-8")
+    hollow = tmp_path / "hollow"
+    (hollow / "sub.wav").mkdir(parents=True)  # a directory is no noise file, whatever its name
     missing = tmp_path / "missing"
     work = tmp_path / "work"
     cases = [
@@ -178,6 +180,7 @@ def test_sweep_spec_validation(tmp_path):
         ([record], {"noise_dir": str(missing)}, f"noise_dir is not a directory: {missing}"),
         ([record], {"noise_dir": str(record.audio_path)}, f"noise_dir is not a directory: {record.audio_path}"),
         ([record], {"noise_dir": str(empty)}, f"noise_dir holds no .wav file: {empty}"),
+        ([record], {"noise_dir": str(hollow)}, f"noise_dir holds no .wav file: {hollow}"),
         ([dataclasses.replace(record, audio_path=str(missing))], {}, f"audio for clip0 not found: {missing}"),
         ([dataclasses.replace(record, id="a/b")], {}, "record id 'a/b' is not a plain file name"),
     ]

@@ -356,27 +356,18 @@ def test_noise_kind_is_not_an_option(capsys):
     assert "unrecognized arguments: --noise-kind" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("where", ["flag", "config"])
-@pytest.mark.parametrize("corpus,fault", [("missing", "is not a directory"), ("clip.wav", "is not a directory"),
-                                          ("empty", "holds no .wav file")])
-def test_noise_sweep_bad_noise_dir_exit_2_before_any_file_is_made(tmp_path, capsys, corpus, fault, where):
+def test_noise_sweep_noise_dir_without_wav_file_exit_2_before_any_file_is_made(tmp_path, capsys):
+    # a directory named like a noise file is no noise file
     _, manifest = one_clip_manifest(tmp_path)
-    noise_dir = tmp_path / corpus
-    if corpus == "empty":
-        noise_dir.mkdir()
-        (noise_dir / "notes.txt").write_text("no noise here\n", encoding="utf-8")
+    noise_dir = tmp_path / "noise"
+    (noise_dir / "sub.wav").mkdir(parents=True)
+    (noise_dir / "notes.txt").write_text("no noise here\n", encoding="utf-8")
     transcriber = make_script(tmp_path, "mark.py", f"open({str(tmp_path / 'transcribed')!r}, 'w')\n")
-    argv = ["noise-sweep", "--manifest", str(manifest), "--transcriber", " ".join(transcriber),
-            "--workdir", str(tmp_path / "w"), "--out", str(tmp_path / "o.csv"), "--snrs", "0", "--jobs", "1"]
-    if where == "flag":
-        argv += ["--noise-dir", str(noise_dir)]
-    else:
-        cfg = tmp_path / "run.cfg"
-        cfg.write_text(f"sweep.noise_dir = {noise_dir}\n", encoding="utf-8")
-        argv += ["--config", str(cfg)]
+    argv = ["noise-sweep", "--manifest", str(manifest), "--transcriber", " ".join(transcriber), "--workdir",
+            str(tmp_path / "w"), "--out", str(tmp_path / "o.csv"), "--snrs", "0", "--noise-dir", str(noise_dir)]
     before = tree(tmp_path)
     assert cli.main(argv) == 2
-    assert capsys.readouterr() == ("", f"asrlab noise-sweep: --noise-dir (config key sweep.noise_dir) {fault}: {noise_dir}\n")
+    assert capsys.readouterr() == ("", f"asrlab noise-sweep: --noise-dir (config key sweep.noise_dir) holds no .wav file: {noise_dir}\n")
     assert tree(tmp_path) == before  # no mix, working directory, report or transcriber mark
 
 
@@ -541,8 +532,8 @@ def test_noise_sweep_jobs_do_not_change_report(tmp_path, echo_transcriber):
 def sweep_with_failed_rows(tmp_path, capsys, *options):
     """Run noise-sweep over two clips at 0 and +10 dB, --jobs 2, where clip1 fails at every SNR and clip0 at +10 dB.
 
-    Returns the report's header config, the part of it that both noise sources share, the report's body
-    and the sha256 of the mixes, read in name order.
+    Returns the report's `# config=` line as written, the part of that config both noise sources share,
+    the report's body and the sha256 of the mixes, read in name order.
     """
     records = []
     for i, text in enumerate(["alpha beta gamma", "brook sounds"]):
@@ -565,12 +556,11 @@ def sweep_with_failed_rows(tmp_path, capsys, *options):
     assert capsys.readouterr().out == f"rows=4 out={out}\n"
     version, seed, config, *body = out.read_bytes().decode("utf-8").split("\n")
     assert (version, seed) == (f"# asrlab {asrlab.__version__}", "# seed=9")
-    assert config.startswith("# config=")
     shared = {"manifest": str(manifest), "rules": None, "snrs": [0.0, 10.0], "transcriber": transcriber}
     mixes = sorted((tmp_path / "work").iterdir())
     assert [p.name for p in mixes] == ["clip0_snr+0.wav", "clip0_snr+10.wav", "clip1_snr+0.wav", "clip1_snr+10.wav"]
     digest = hashlib.sha256(b"".join(p.read_bytes() for p in mixes)).hexdigest()
-    return json.loads(config[len("# config="):]), shared, "\n".join(body), digest
+    return config, shared, "\n".join(body), digest
 
 
 # the report body of both noise sources: the transcriber fails or answers alike whatever the mix holds
@@ -590,7 +580,7 @@ FAILED_ROWS_BODY = (
 def test_noise_sweep_report_bytes_with_failed_rows(tmp_path, capsys):
     # the 10 dB aggregate has no row to weigh
     config, shared, body, digest = sweep_with_failed_rows(tmp_path, capsys)
-    assert config == {**shared, "noise_dir": None}
+    assert config == "# config=" + json.dumps({**shared, "noise_dir": None}, sort_keys=True)
     assert body == FAILED_ROWS_BODY
     assert digest == "d4e10323726f928aeff0d4ec0b1397bca53f7646c38ef017bc48774063e1eb3b"
 
@@ -602,7 +592,7 @@ def test_noise_sweep_ambient_report_bytes_with_failed_rows(tmp_path, capsys):
     write_wav(AudioBuffer(samples=tone(0.1, freq_hz=97.0, amplitude=0.2)), str(noise_dir / "hum.wav"))
     write_wav(AudioBuffer(samples=tone(0.4, freq_hz=1234.0, amplitude=0.5)), str(noise_dir / "whine.wav"))
     config, shared, body, digest = sweep_with_failed_rows(tmp_path, capsys, "--noise-dir", str(noise_dir))
-    assert config == {**shared, "noise_dir": str(noise_dir)}
+    assert config == "# config=" + json.dumps({**shared, "noise_dir": str(noise_dir)}, sort_keys=True)
     assert body == FAILED_ROWS_BODY
     assert digest == "a7939523331e9b6d21d7640753944a39d7a013b6672ae8f6c3a2845611ea15c7"
 
@@ -628,6 +618,11 @@ def required_argv(name):
     return argv
 
 
+def parse_with_config(argv):
+    """The namespace `cli.main` runs a command with: the flags, then the --config file's values."""
+    return cli._with_config(cli._parse_args(argv), argv)
+
+
 CONFIG_OPTIONS = [
     pytest.param(name, flag, key, kwargs, id=f"{name}:{key}")
     for name, (_, _, options) in cli._COMMANDS.items()
@@ -646,9 +641,9 @@ def test_config_key_takes_effect_and_flag_overrides(tmp_path, name, flag, key, k
     cfg.write_text(f"{key} = {raw[0]}\n", encoding="utf-8")
     argv = required_argv(name)
     dest = flag[2:].replace("-", "_")
-    assert getattr(cli._parse_args(argv), dest) != parsed[0]
-    assert getattr(cli._parse_args(argv + ["--config", str(cfg)]), dest) == parsed[0]
-    assert getattr(cli._parse_args(argv + ["--config", str(cfg), f"{flag}={raw[1]}"]), dest) == parsed[1]
+    assert getattr(parse_with_config(argv), dest) != parsed[0]
+    assert getattr(parse_with_config(argv + ["--config", str(cfg)]), dest) == parsed[0]
+    assert getattr(parse_with_config(argv + ["--config", str(cfg), f"{flag}={raw[1]}"]), dest) == parsed[1]
 
 
 @pytest.mark.parametrize(
@@ -672,7 +667,7 @@ def test_bad_config_is_validation_error(tmp_path, text, where):
 def test_config_key_of_another_subcommand_is_ignored(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("curation.wpm_min = 40\nsweep.snr_list = 0,5\nplanner.wpm = 150\n", encoding="utf-8")
-    assert cli._parse_args(["plan-data", "--params", "1000", "--config", str(cfg)]).wpm == 150.0
+    assert parse_with_config(["plan-data", "--params", "1000", "--config", str(cfg)]).wpm == 150.0
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "5", "-0.5"])
