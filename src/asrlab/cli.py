@@ -19,7 +19,6 @@ import dataclasses
 import errno
 import inspect
 import json
-import math
 import os
 import stat
 import sys
@@ -28,7 +27,8 @@ from typing import Sequence
 
 from . import __version__
 from ._lazy import mark_program, np
-from .config import _is_utf8, load_config, utf8_lines
+from .audio import _open_pcm16
+from .config import _in_range, _is_utf8, load_config, utf8_lines
 from .curation import (
     ManifestParseError,
     ManifestRecord,
@@ -37,7 +37,7 @@ from .curation import (
     read_manifest,
     usable_cpus,
 )
-from .entities import _sim_threshold_fault, align_entities, pn_score, read_entity_file
+from .entities import align_entities, pn_score, read_entity_file
 from .metrics import EvalRow, build_report, wer
 from .noise import (_noise_dir_fault, _snr_list_fault, _transcriber_fault, ordered_map, run_sweep, transcribe_file,
                     write_sweep_csv)
@@ -241,6 +241,8 @@ def cmd_plan_data(args: argparse.Namespace) -> int:
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
+    if (args.gold_entities is None) != (args.pred_entities is None):
+        raise ValueError("--gold-entities and --pred-entities must be given together")
     with _replaced_together(args.out, reads=_inputs(args)) as (out,):
         rules = _load_rules(args.rules)
         records = _records_or_die(args.manifest)
@@ -249,8 +251,6 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
         gold_entities = read_entity_file(args.gold_entities) if args.gold_entities else None
         pred_entities = read_entity_file(args.pred_entities) if args.pred_entities else None
-        if (gold_entities is None) != (pred_entities is None):
-            raise ValueError("--gold-entities and --pred-entities must be given together")
 
         rows = []
         for rec in records:
@@ -336,12 +336,14 @@ def _transcribe_audio(args: argparse.Namespace, rules) -> list[list[str]]:
     in the --jobs pool. A failure names the lowest failing chunk, whatever the
     number of jobs.
     """
-    sr, ranges = voiced_ranges(args.audio)
+    with _open_pcm16(args.audio) as wf:  # the header alone: the stride rule comes before the VAD pass
+        sr = wf.getframerate()
     if args.chunk_len - args.overlap < 1 / sr:  # below one sample the chunk starts could stop advancing
         raise ValueError(
             f"need --chunk-len - --overlap >= 1/{sr} s, one sample (config keys stitch.chunk_len_sec, "
             f"stitch.overlap_sec), got {args.chunk_len:g} and {args.overlap:g}"
         )
+    _, ranges = voiced_ranges(args.audio)
     n_voiced = sum(stop - start for start, stop in ranges)
     if n_voiced == 0:
         raise ValueError(f"no speech detected in {args.audio}")
@@ -426,14 +428,6 @@ def pattern_list(text: str) -> list[str]:
     return [p for p in text.split(";;") if p]
 
 
-def positive_int(text: str) -> int:
-    """An integer of at least 1."""
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
-    return value
-
-
 def _default(fn, param: str):
     """The default a library function declares for one of its parameters."""
     return inspect.signature(fn).parameters[param].default
@@ -442,11 +436,6 @@ def _default(fn, param: str):
 def _file_fault(path: str) -> str | None:
     """Why `path` cannot be read as an input file, or None if it can."""
     return None if os.path.isfile(path) else f"not found: {path}"
-
-
-def _in_range(lo: float, hi: float = math.inf):
-    """A check that a number lies in [lo, hi]."""
-    return lambda value: None if lo <= value <= hi else f"must lie in [{lo}, {hi}], got {value}"
 
 
 def _opt(flag: str, key: str | None = None, **kwargs) -> tuple[str, str | None, dict]:
@@ -464,9 +453,9 @@ def _dest(flag: str) -> str:
 
 
 _RULES = _opt("--rules", "norm.rules", check=_file_fault, help="normalization rule file")
-_SIM_THRESHOLD = _opt("--sim-threshold", "entities.sim_threshold", type=float, check=_sim_threshold_fault,
+_SIM_THRESHOLD = _opt("--sim-threshold", "entities.sim_threshold", type=float, check=_in_range(0, 1),
                       default=_default(align_entities, "sim_threshold"))
-_JOBS = _opt("--jobs", "jobs", type=positive_int, default=usable_cpus(),
+_JOBS = _opt("--jobs", "jobs", type=int, check=_in_range(1), default=usable_cpus(),
              help="work at once, at most the usable CPUs: noise-sweep files and stitch chunks transcribed, "
                   "curate manifest shards")
 
@@ -575,7 +564,7 @@ def _config_defaults(path: str, options: list) -> dict[str, object]:
             value = cfg[key][1]
             try:
                 defaults[_dest(flag)] = kwargs.get("type", str)(value)
-            except (ValueError, argparse.ArgumentTypeError) as exc:
+            except ValueError as exc:
                 raise ValueError(f"{path}: {key} = {value!r}: {exc}") from exc
     return defaults
 

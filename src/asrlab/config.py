@@ -3,11 +3,13 @@
 Format: UTF-8 lines of ``key = value`` with ``#`` comments; keys use dotted
 namespaces (``curation.wpm_min``). Command-line flags always win over the file;
 the CLI's option table says which key feeds which flag. ``utf8_lines`` is the
-line reader of this and every other text-file parser in the package.
+line reader of this and every other text-file parser in the package, and
+``_in_range`` the closed numeric range rule that options and library calls share.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Iterator
 
 __all__ = ["load_config", "utf8_lines"]
@@ -35,6 +37,11 @@ def _is_utf8(text: str) -> bool:
         except UnicodeEncodeError:
             return False
     return True
+
+
+def _in_range(lo: float, hi: float = math.inf):
+    """A check that a number lies in [lo, hi]: None if it does, else why not. NaN lies in no range."""
+    return lambda value: None if lo <= value <= hi else f"must lie in [{lo}, {hi}], got {value}"
 
 
 def load_config(path: str) -> dict[str, tuple[int, str]]:

@@ -33,7 +33,7 @@ import threading
 from dataclasses import MISSING, dataclass, field, fields
 from typing import Iterable, Iterator, NoReturn, TextIO
 
-from .config import _is_utf8
+from .config import _in_range, _is_utf8
 
 __all__ = [
     "ManifestRecord",
@@ -172,8 +172,8 @@ class PipelineConfig:
         if not self.seg_min_sec < self.seg_max_sec:
             raise ValueError("seg_min_sec must be < seg_max_sec")
         for name in ("conf_threshold", "min_speech_ratio", "lang_conf_min"):
-            if not 0.0 <= getattr(self, name) <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
+            if fault := _in_range(0, 1)(getattr(self, name)):
+                raise ValueError(f"{name} {fault}")
         if math.isnan(self.max_silence_sec):  # every silence would compare as within it
             raise ValueError("max_silence_sec must be a number, got nan")
         self.blockers: list[re.Pattern] = []  # the blocklist compiled once; an attribute, not a field
@@ -451,8 +451,11 @@ def curate_manifest(path: str, cfg: PipelineConfig, kept_out: TextIO, report_out
     file, so the outputs' directories hold up to twice their size for a while.
     If shards fail, the exception of the first in file order is raised, and
     no child outlives the call: while children run, a SIGTERM left at its
-    default raises SystemExit(143) here, so they are killed too.
+    default raises SystemExit(143) here, so they are killed too. A `jobs`
+    below 1 raises ValueError before any shard is planned.
     """
+    if fault := _in_range(1)(jobs):
+        raise ValueError(f"jobs {fault}")
     shards = _plan_shards(path, jobs)
     with contextlib.ExitStack() as stack:
         if len(shards) > 1:

@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from itertools import zip_longest
 
-from .config import utf8_lines
+from .config import _in_range, utf8_lines
 from .metrics import jaro_winkler, wer
 
 __all__ = [
@@ -59,11 +59,6 @@ class EntityAlignment:
     unmatched_pred: list[EntitySpan] = field(default_factory=list)
 
 
-def _sim_threshold_fault(sim_threshold: float) -> str | None:
-    """Why a similarity threshold cannot be used, or None: Jaro-Winkler similarity lies in [0, 1]."""
-    return None if 0.0 <= sim_threshold <= 1.0 else f"must lie in [0, 1], got {sim_threshold}"
-
-
 def align_entities(
     gold: list[EntitySpan], pred: list[EntitySpan], sim_threshold: float = 0.5
 ) -> EntityAlignment:
@@ -81,7 +76,7 @@ def align_entities(
     """
     from difflib import SequenceMatcher
 
-    if fault := _sim_threshold_fault(sim_threshold):
+    if fault := _in_range(0, 1)(sim_threshold):  # Jaro-Winkler similarity lies in [0, 1]
         raise ValueError(f"sim_threshold {fault}")
     gold = sorted((s for s in gold if s.type in SUPPORTED_TYPES), key=lambda s: (s.start, s.end))
     pred = sorted((s for s in pred if s.type in SUPPORTED_TYPES), key=lambda s: (s.start, s.end))

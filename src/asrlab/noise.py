@@ -15,7 +15,8 @@ from dataclasses import dataclass
 from typing import Callable, Iterable, TextIO
 
 from ._lazy import np
-from .audio import AudioBuffer, read_wav, write_wav
+from .audio import AudioBuffer, _open_pcm16, read_wav, write_wav
+from .config import _in_range
 from .curation import ManifestRecord, usable_cpus
 from .metrics import EmptyReferenceError, EvalRow, build_report, wer
 from .seeding import substream
@@ -141,11 +142,28 @@ def _noise_files(noise_dir: str) -> list[str]:
     return sorted(path for path in paths if os.path.isfile(path))
 
 
+def _clip_fault(path: str) -> str | None:
+    """Why the WAV at `path` cannot be mixed, as far as its header tells, or None.
+
+    A file that is not mono 16-bit PCM, or holds no frames, is refused; data
+    cut short below the header's frame count, or silent, is found only on read.
+    """
+    try:
+        with _open_pcm16(path) as wf:
+            return None if wf.getnframes() else f"{path}: holds no samples"
+    except ValueError as exc:
+        return str(exc)
+
+
 def _noise_dir_fault(noise_dir: str) -> str | None:
-    """Why `noise_dir` cannot be a noise corpus, or None if it holds a .wav file to draw from."""
+    """Why `noise_dir` cannot be a noise corpus, or None if it holds .wav files to draw from and each can be mixed."""
     if not os.path.isdir(noise_dir):
         return f"is not a directory: {noise_dir}"
-    return None if _noise_files(noise_dir) else f"holds no .wav file: {noise_dir}"
+    files = _noise_files(noise_dir)
+    for path in files:
+        if fault := _clip_fault(path):
+            return f"holds {fault}"
+    return None if files else f"holds no .wav file: {noise_dir}"
 
 
 def _noise_for(clean: AudioBuffer, seed: int, corpus: list[str], file_id: str, snr_db: float) -> AudioBuffer:
@@ -218,20 +236,20 @@ def run_sweep(
 
     Every input is checked before `workdir` is made: a refused SNR list,
     seed, job count or noise corpus, an id that is not a plain file name
-    (each mix is named by its id) or a missing audio file raises
-    ValueError. The reference for each file is its manifest transcript,
-    normalized once with the same rules as the hypothesis; one that
-    normalizes to no words raises EmptyReferenceError. A clip that cannot be
-    mixed (empty or silent) raises ValueError naming its file. Reruns with
-    the same inputs are byte-identical because all randomness comes from
-    per-(file, SNR) substreams of `seed`.
+    (each mix is named by its id), or an audio file that is missing or whose
+    WAV header is refused (see _clip_fault) raises ValueError. The reference
+    for each file is its manifest transcript, normalized once with the same
+    rules as the hypothesis; one that normalizes to no words raises
+    EmptyReferenceError. A clip found cut short or silent on read raises
+    ValueError naming its file. Reruns with the same inputs are
+    byte-identical because all randomness comes from per-(file, SNR)
+    substreams of `seed`.
     """
     if fault := _snr_list_fault(snrs):
         raise ValueError(f"snrs {fault}")
-    if seed < 0:
-        raise ValueError(f"seed must be >= 0, got {seed}")
-    if jobs < 1:
-        raise ValueError(f"jobs must be >= 1, got {jobs}")
+    for name, value, lo in (("seed", seed, 0), ("jobs", jobs, 1)):
+        if fault := _in_range(lo)(value):
+            raise ValueError(f"{name} {fault}")
     if noise_dir is not None and (fault := _noise_dir_fault(noise_dir)):
         raise ValueError(f"noise_dir {fault}")
     refs = [normalize(rec.transcript, rules).split() for rec in records]
@@ -242,6 +260,8 @@ def run_sweep(
             raise ValueError(f"record id {rec.id!r} is not a plain file name, so it cannot name a mix in {workdir}")
         if not os.path.isfile(rec.audio_path):
             raise ValueError(f"audio for {rec.id} not found: {rec.audio_path}")
+        if fault := _clip_fault(rec.audio_path):
+            raise ValueError(f"audio for {rec.id}: {fault}")
     corpus = [] if noise_dir is None else _noise_files(noise_dir)
     os.makedirs(workdir, exist_ok=True)
 

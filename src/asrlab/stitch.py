@@ -15,6 +15,7 @@ from typing import Iterable
 
 from ._lazy import np
 from .audio import AudioBuffer, _open_pcm16, _pcm16_to_float, _read_pcm16, _write_pcm16
+from .config import _in_range
 
 __all__ = [
     "energy_vad",
@@ -208,8 +209,8 @@ def stitch(partials: list[list[str]], min_match_tokens: int = 3) -> list[str]:
     the true junction lies in that tail, and a phrase repeated earlier in the
     recording cannot capture it.
     """
-    if min_match_tokens < 1:
-        raise ValueError(f"min_match_tokens must be >= 1, got {min_match_tokens}")
+    if fault := _in_range(1)(min_match_tokens):
+        raise ValueError(f"min_match_tokens {fault}")
     out = list(partials[0]) if partials else []
     for prev, words in zip(partials, partials[1:]):
         cut = max(len(out) - len(prev), 0)

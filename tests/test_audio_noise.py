@@ -175,8 +175,8 @@ def test_sweep_spec_validation(tmp_path):
     missing = tmp_path / "missing"
     work = tmp_path / "work"
     cases = [
-        ([record], {"seed": -1}, "seed must be >= 0, got -1"),
-        ([record], {"jobs": 0}, "jobs must be >= 1, got 0"),
+        ([record], {"seed": -1}, "seed must lie in [0, inf], got -1"),
+        ([record], {"jobs": 0}, "jobs must lie in [1, inf], got 0"),
         ([record], {"noise_dir": str(missing)}, f"noise_dir is not a directory: {missing}"),
         ([record], {"noise_dir": str(record.audio_path)}, f"noise_dir is not a directory: {record.audio_path}"),
         ([record], {"noise_dir": str(empty)}, f"noise_dir holds no .wav file: {empty}"),

@@ -26,7 +26,7 @@ from asrlab import cli, curation
 from asrlab.audio import AudioBuffer, write_wav
 from asrlab.config import load_config
 from asrlab.curation import write_manifest
-from asrlab.entities import read_entity_file
+from asrlab.entities import align_entities, read_entity_file
 from asrlab.stitch import plan_chunks
 from asrlab.textnorm import load_rules
 from asrlab.transducer.loss import BATCH_CELLS
@@ -112,6 +112,18 @@ def test_evaluate_missing_hyp_is_validation_error(tmp_path):
     proc = run_cli("evaluate", "--manifest", str(manifest), "--hyps", str(hyps))
     assert proc.returncode == 2
     assert "no hypothesis" in proc.stderr
+
+
+@pytest.mark.parametrize("flag", ["--gold-entities", "--pred-entities"])
+def test_evaluate_lone_entity_file_refused_before_any_input_is_read(tmp_path, capsys, flag):
+    manifest, hyps = write_eval_inputs(tmp_path)
+    hyps.write_text("no tab here\n", encoding="utf-8")  # read first, its line would be the refusal
+    entities, out = tmp_path / "entities.tsv", tmp_path / "report.csv"
+    entities.write_text("r0\t0\t12\tPerson\tNicolas Cage\n", encoding="utf-8")
+    argv = ["evaluate", "--manifest", str(manifest), "--hyps", str(hyps), flag, str(entities), "--out", str(out)]
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", "asrlab evaluate: --gold-entities and --pred-entities must be given together\n")
+    assert not out.exists()
 
 
 def test_evaluate_missing_manifest_exit_2(tmp_path):
@@ -383,6 +395,31 @@ def test_noise_sweep_missing_audio_exit_2_before_any_file_is_made(tmp_path, caps
     assert tree(tmp_path) == before
 
 
+@pytest.mark.parametrize("where,kind,fault", [
+    ("clean", "stereo", "expected mono, got 2 channels"), ("clean", "no-frames", "holds no samples"),
+    ("corpus", "stereo", "expected mono, got 2 channels"),
+], ids=["clean-stereo", "clean-no-frames", "corpus-stereo"])
+def test_noise_sweep_wav_header_refused_before_any_file_is_made(tmp_path, capsys, where, kind, fault):
+    wav, manifest = one_clip_manifest(tmp_path)
+    noise_dir = tmp_path / "noise"
+    noise_dir.mkdir()
+    write_wav(AudioBuffer(samples=tone(0.1)), str(noise_dir / "hum.wav"))
+    if where == "corpus":
+        bad = noise_dir / "n.wav"
+        BAD_CLIPS[kind](bad)
+        fault = f"--noise-dir (config key sweep.noise_dir) holds {bad}: {fault}"
+    else:
+        BAD_CLIPS[kind](wav)
+        fault = f"audio for clip: {wav}: {fault}"
+    transcriber = make_script(tmp_path, "mark.py", f"open({str(tmp_path / 'transcribed')!r}, 'w')\n")
+    argv = ["noise-sweep", "--manifest", str(manifest), "--transcriber", " ".join(transcriber), "--workdir",
+            str(tmp_path / "w"), "--out", str(tmp_path / "o.csv"), "--snrs", "0", "--noise-dir", str(noise_dir)]
+    before = tree(tmp_path)
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"asrlab noise-sweep: {fault}\n")
+    assert tree(tmp_path) == before  # no mix, working directory, report or transcriber mark
+
+
 def test_noise_sweep_corrupt_wav_exit_2_names_file(tmp_path, empty_transcriber):
     bad = tmp_path / "bad.wav"
     bad.write_bytes(b"RIFFnotawav")
@@ -602,7 +639,6 @@ def test_noise_sweep_ambient_report_bytes_with_failed_rows(tmp_path, capsys):
 SAMPLE_VALUES = {  # option type -> (config value, flag value) as typed, then as parsed
     float: (("0.25", "0.75"), (0.25, 0.75)),
     int: (("1234", "4321"), (1234, 4321)),
-    cli.positive_int: (("1234", "4321"), (1234, 4321)),
     cli.float_list: (("1,2", "3"), ([1.0, 2.0], [3.0])),
     cli.pattern_list: (("a;;b", "c"), (["a", "b"], ["c"])),
     None: (("from-config", "from-flag"), ("from-config", "from-flag")),
@@ -691,6 +727,17 @@ def test_out_of_range_sim_threshold_exit_2_writes_nothing(tmp_path, capsys, comm
     assert not out.exists()
 
 
+def test_sim_threshold_refusals_keep_their_bytes(tmp_path, capsys):
+    argv, _, _ = report_header_case(tmp_path, "ppn-score")
+    assert cli.main(argv + ["--sim-threshold", "5"]) == 2
+    assert capsys.readouterr() == (
+        "", "asrlab ppn-score: --sim-threshold (config key entities.sim_threshold) must lie in [0, 1], got 5.0\n")
+    for value, shown in ((5.0, "5.0"), (-0.5, "-0.5"), (math.nan, "nan")):
+        with pytest.raises(ValueError) as exc:
+            align_entities([], [], sim_threshold=value)
+        assert str(exc.value) == f"sim_threshold must lie in [0, 1], got {shown}"
+
+
 @pytest.mark.parametrize("offset", ["-5", "1_0", " 7", "\u0663", "+3"])
 @pytest.mark.parametrize("command", ["evaluate", "ppn-score"])
 def test_entity_offset_that_is_not_ascii_digits_exit_2_naming_its_line(tmp_path, capsys, command, offset):
@@ -762,7 +809,7 @@ def test_checked_option_refused_before_any_work(tmp_path, capsys, name, flag, ke
 # and empty and blank strings.
 HOSTILE_VALUES = ["nan", "NaN", "inf", "-inf", "1e308", "-1e308", "-0", "-0.0",
                   "9" * 400, "-" + "9" * 400, "9" * 5000, "", " "]
-HOSTILE_TYPES = (int, float, cli.float_list, cli.pattern_list, cli.positive_int)
+HOSTILE_TYPES = (int, float, cli.float_list, cli.pattern_list)
 # options that set how much work, how many threads or how many processes a run makes: an
 # int above the cap is not drawn for them
 HOSTILE_CAPS = {"--lattices": 20, "--grad-checks": 2, "--v-max": 4, "--jobs": 2}
@@ -1002,6 +1049,15 @@ def test_stitch_audio_stride_below_one_sample_exit_2_before_any_chunk(tmp_path):
     assert proc.stderr == ("asrlab stitch: need --chunk-len - --overlap >= 1/16000 s, one sample (config keys "
                            "stitch.chunk_len_sec, stitch.overlap_sec), got 2e-12 and 1e-12\n")
     assert not mark.exists() and not workdir.exists()
+
+
+def test_stitch_audio_stride_rule_runs_before_the_vad_pass(tmp_path, capsys, monkeypatch):
+    wav = tmp_path / "clip.wav"
+    write_wav(AudioBuffer(samples=tone(3.0, amplitude=0.4)), str(wav))
+    monkeypatch.setattr(cli, "voiced_ranges", lambda path: pytest.fail("the VAD pass ran"))
+    argv = ["stitch", "--audio", str(wav), "--transcriber", "true", "--chunk-len", "2e-12", "--overlap", "1e-12"]
+    assert cli.main(argv) == 2
+    assert "one sample" in capsys.readouterr().err
 
 
 def test_noise_sweep_empty_reference_exit_2_before_sweep(tmp_path, capsys):
@@ -2136,14 +2192,8 @@ def test_jobs_below_one_exit_2_before_the_transcriber_starts(tmp_path, capsys, c
         cfg = tmp_path / "run.cfg"
         cfg.write_text(f"jobs = {value}\n", encoding="utf-8")
         argv += ["--config", str(cfg)]
-    if where == "flag":  # argparse's own usage error
-        with pytest.raises(SystemExit) as exc:
-            cli.main(argv)
-        assert exc.value.code == 2
-    else:
-        assert cli.main(argv) == 2
-    err = capsys.readouterr().err
-    assert (f"argument --jobs: must be >= 1, got {value}" if where == "flag" else f"{cfg}: jobs = '0'") in err
+    assert cli.main(argv) == 2
+    assert capsys.readouterr() == ("", f"asrlab {command}: --jobs (config key jobs) must lie in [1, inf], got {value}\n")
     assert not mark.exists() and not workdir.exists()
 
 

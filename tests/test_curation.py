@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import math
 import os
@@ -19,6 +20,7 @@ from asrlab.curation import (
     _language,
     _speech_and_silence,
     _wpm,
+    curate_manifest,
     read_manifest,
     run_pipeline,
     segment,
@@ -721,13 +723,23 @@ def test_pipeline_config_validation():
         PipelineConfig(wpm_min=300, wpm_max=200)
     with pytest.raises(ValueError):
         PipelineConfig(seg_min_sec=20, seg_max_sec=7)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^conf_threshold must lie in \[0, 1\], got 1.5$"):
         PipelineConfig(conf_threshold=1.5)
     with pytest.raises(ValueError, match=r"'\('"):
         PipelineConfig(blocklist=["fine", "("])
     # the blocklist is compiled once, into an attribute that is not a field
     assert [p.pattern for p in PipelineConfig(blocklist=["a", r"\bb"]).blockers] == ["a", r"\bb"]
     assert "blockers" not in {f.name for f in dataclasses.fields(PipelineConfig)}
+
+
+@pytest.mark.parametrize("jobs", [0, -5])
+def test_curate_manifest_refuses_jobs_below_one_before_any_shard(tmp_path, jobs):
+    path = tmp_path / "m.jsonl"
+    write_manifest(golden_manifest()[:1], str(path))
+    kept, report = io.StringIO(), io.StringIO()
+    with pytest.raises(ValueError, match=rf"^jobs must lie in \[1, inf\], got {jobs}$"):
+        curate_manifest(str(path), PipelineConfig(), kept, report, jobs)
+    assert kept.getvalue() == report.getvalue() == ""
 
 
 def test_verdict_follows_reasons():
